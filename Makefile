@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke examples-smoke docs-check chaos ci
+.PHONY: all build vet test race bench bench-gate benchsmoke examples-smoke docs-check chaos ci
 
 all: ci
 
@@ -23,13 +23,14 @@ bench:
 
 # The ingestion acceptance benchmark: batched group-commit ingestion
 # must beat the per-element flush path. The -cpu sweep exercises the
-# ingest lane fast path (1 CPU) and the combining merge (4, 8 CPUs).
+# write path alone (1 CPU) and under contention (4, 8 CPUs).
 bench-ingest:
 	$(GO) test -run xxx -bench 'BenchmarkIngest' -benchmem -cpu 1,4,8 .
 
-# The concurrent-producer acceptance benchmark for the ingest lane
-# tier: at 8 producers with lanes=auto, throughput must be >= 2.5x the
-# lanes-off baseline; at 1 producer lanes must not regress >= 5%.
+# The concurrent-producer acceptance benchmark for the table write
+# path: producers x sync policy, reporting throughput and how many
+# fdatasyncs each append paid (fsyncs_per_append falls below 1 as
+# producers share group commits under sync=durable).
 bench-scaling:
 	GOMAXPROCS=8 $(GO) run ./cmd/gsn-bench -experiment scaling
 
@@ -46,6 +47,14 @@ bench-cluster:
 # queries (BenchmarkClientQueriesGrouped covers the GROUP BY rollups).
 bench-queries:
 	$(GO) test -run xxx -bench 'BenchmarkClientQueries' -benchmem .
+
+# bench-gate compares two sets of end-to-end benchmark records (the
+# JSONL files `go run ./benchmark ... -out FILE` appends to; see
+# benchmark/README.md) and fails on a regressed workload x metric cell.
+# The four workloads already smoke inside `go test ./...`.
+bench-gate:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-gate PARENT=a.jsonl CHANGE=b.jsonl"; exit 2; }
+	$(GO) run ./benchmark -compare $(PARENT) $(CHANGE)
 
 # docs-check keeps the documentation honest: relative markdown links
 # must resolve, and every ```sql example in docs/sql-dialect.md must

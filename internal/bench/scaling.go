@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gsn/internal/storage"
@@ -13,10 +14,11 @@ import (
 )
 
 // ScalingConfig parameterises the concurrent-producer experiment: the
-// acceptance run for the per-core ingest lane tier. It sweeps producer
-// counts × lanes off/auto × WAL sync policy and reports aggregate
-// ingestion throughput, so the lane speedup (and the single-producer
-// non-regression) is measured rather than asserted.
+// acceptance run for the table write path. It sweeps producer counts ×
+// WAL sync policy and reports aggregate ingestion throughput and how
+// many commits and fdatasyncs the producers shared, so group commit's
+// payoff under contention (and the single-producer cost) is measured
+// rather than asserted.
 type ScalingConfig struct {
 	// Producers is the swept list of concurrent writer goroutines.
 	Producers []int
@@ -34,9 +36,9 @@ type ScalingConfig struct {
 }
 
 // DefaultScaling sizes the sweep so the sync=always cells reach
-// group-commit steady state without making the run interminable (each
-// lanes-off always cell pays one write syscall per element, and each
-// lanes-off durable cell one disk sync per element).
+// group-commit steady state without making the run interminable (a
+// lone always producer pays one write syscall per element, a lone
+// durable producer one disk sync per element).
 func DefaultScaling() ScalingConfig {
 	return ScalingConfig{Producers: []int{1, 2, 4, 8}, Elements: 50_000,
 		DurableElements: 2_000, Repeats: 3, Window: 1000}
@@ -45,35 +47,29 @@ func DefaultScaling() ScalingConfig {
 // ScalingPoint is one measured cell.
 type ScalingPoint struct {
 	Producers int
-	Lanes     string  // "off" or "auto"
 	Sync      string  // "always", "interval", or "durable"
 	Elems     int     // total elements written (all producers)
 	PerSec    float64 // aggregate ingestion throughput
 	Flushes   uint64  // WAL write syscalls issued
+	Fsyncs    uint64  // WAL fdatasyncs issued
 }
+
+// FsyncsPerAppend is the share of a disk sync each insert paid: 1 when
+// every producer syncs for itself, below 1 when a group commit's
+// followers ride their leader's.
+func (p ScalingPoint) FsyncsPerAppend() float64 { return float64(p.Fsyncs) / float64(p.Elems) }
 
 // ScalingResult is the full matrix.
 type ScalingResult struct {
 	Points []ScalingPoint
 }
 
-// Table renders an aligned comparison, reporting the lanes-on/off
-// speedup per (producers, sync) pair.
+// Table renders the matrix aligned for reading.
 func (r *ScalingResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %-10s %12s %10s\n", "producers", "lanes", "sync", "elems/sec", "flushes")
-	base := map[string]float64{}
+	fmt.Fprintf(&b, "%-10s %-10s %12s %10s %18s\n", "producers", "sync", "elems/sec", "flushes", "fsyncs_per_append")
 	for _, p := range r.Points {
-		if p.Lanes == "off" {
-			base[fmt.Sprintf("%d/%s", p.Producers, p.Sync)] = p.PerSec
-		}
-	}
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-10d %-6s %-10s %12.0f %10d", p.Producers, p.Lanes, p.Sync, p.PerSec, p.Flushes)
-		if off := base[fmt.Sprintf("%d/%s", p.Producers, p.Sync)]; p.Lanes == "auto" && off > 0 {
-			fmt.Fprintf(&b, "   %.2fx", p.PerSec/off)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-10d %-10s %12.0f %10d %18.3f\n", p.Producers, p.Sync, p.PerSec, p.Flushes, p.FsyncsPerAppend())
 	}
 	return b.String()
 }
@@ -81,26 +77,47 @@ func (r *ScalingResult) Table() string {
 // CSV renders the matrix for external plotting.
 func (r *ScalingResult) CSV() string {
 	var b strings.Builder
-	b.WriteString("producers,lanes,sync,elements,elems_per_sec,flushes\n")
+	b.WriteString("producers,sync,elements,elems_per_sec,flushes,fsyncs_per_append\n")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%d,%s,%s,%d,%.0f,%d\n", p.Producers, p.Lanes, p.Sync, p.Elems, p.PerSec, p.Flushes)
+		fmt.Fprintf(&b, "%d,%s,%d,%.0f,%d,%.3f\n", p.Producers, p.Sync, p.Elems, p.PerSec, p.Flushes, p.FsyncsPerAppend())
 	}
 	return b.String()
 }
 
-// runScalingCell times one (producers, lanes, sync) cell against a
-// fresh permanent table. Each producer writes its own pre-built element
-// sequence (disjoint timestamp ranges, so the merge order is
-// inspectable) through a per-producer LaneWriter — which transparently
-// degrades to plain Insert when lanes are off, keeping the measured
-// call shape identical across the lanes axis.
-func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
-	perProducer [][]stream.Element, producers int, lanes int, policy storage.SyncPolicy) (ScalingPoint, error) {
-	point := ScalingPoint{Producers: producers, Lanes: "off", Sync: policy.String(),
-		Elems: producers * len(perProducer[0])}
-	if lanes != 0 {
-		point.Lanes = "auto"
+// syncCountingFS counts the fdatasyncs issued on files opened for
+// writing through it — measured at the storage.FS seam, from outside,
+// so the storage layer carries no counter for the bench's benefit.
+type syncCountingFS struct {
+	storage.FS
+	syncs *atomic.Uint64
+}
+
+func (c syncCountingFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
+	return syncCountingFile{f, c.syncs}, nil
+}
+
+type syncCountingFile struct {
+	storage.File
+	syncs *atomic.Uint64
+}
+
+func (f syncCountingFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// runScalingCell times one (producers, sync) cell against a fresh
+// permanent table. Each producer Inserts its own pre-built element
+// sequence (disjoint timestamp ranges, so the commit order is
+// inspectable).
+func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
+	perProducer [][]stream.Element, producers int, policy storage.SyncPolicy) (ScalingPoint, error) {
+	point := ScalingPoint{Producers: producers, Sync: policy.String(),
+		Elems: producers * len(perProducer[0])}
 
 	dir, err := os.MkdirTemp("", "gsn-scaling-*")
 	if err != nil {
@@ -113,15 +130,17 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 		return point, err
 	}
 	defer store.Close()
+	var syncs atomic.Uint64
+	store.SetFS(syncCountingFS{storage.DefaultFS(), &syncs})
 	table, err := store.CreateTable("scaling", schema, storage.TableOptions{
-		Window:      stream.Window{Kind: stream.CountWindow, Count: cfg.Window},
-		Permanent:   true,
-		Sync:        policy,
-		IngestLanes: lanes,
+		Window:    stream.Window{Kind: stream.CountWindow, Count: cfg.Window},
+		Permanent: true,
+		Sync:      policy,
 	})
 	if err != nil {
 		return point, err
 	}
+	syncsBefore := syncs.Load()
 
 	var (
 		wg       sync.WaitGroup
@@ -130,14 +149,13 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 		errMu    sync.Mutex
 	)
 	for p := 0; p < producers; p++ {
-		w := table.NewLaneWriter()
 		elems := perProducer[p]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
 			for _, e := range elems {
-				if err := w.Insert(e); err != nil {
+				if err := table.Insert(e); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -165,14 +183,14 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 	}
 	point.PerSec = float64(point.Elems) / elapsed.Seconds()
 	point.Flushes = st.LogFlushes
+	point.Fsyncs = syncs.Load() - syncsBefore
 	return point, nil
 }
 
-// RunScaling executes the producers × lanes × sync matrix, streaming
-// progress to w. Run it at GOMAXPROCS >= the largest producer count —
-// lanes="auto" sizes the lane array from GOMAXPROCS, and the lanes-off
-// baseline needs real goroutine interleaving to exhibit its mutex and
-// syscall convoy.
+// RunScaling executes the producers × sync matrix, streaming progress
+// to w. Run it at GOMAXPROCS >= the largest producer count: producers
+// need real goroutine interleaving to contend for the table lock and
+// the group commit.
 func RunScaling(cfg ScalingConfig, w io.Writer) (*ScalingResult, error) {
 	if len(cfg.Producers) == 0 {
 		cfg.Producers = DefaultScaling().Producers
@@ -235,27 +253,19 @@ func RunScaling(cfg ScalingConfig, w io.Writer) (*ScalingResult, error) {
 			if policy == storage.SyncDurable {
 				elems = durable
 			}
-			// Repeats alternate lanes off/auto so slow drift in disk
-			// and scheduler state hits both sides of the comparison
-			// evenly instead of biasing whichever ran last.
-			laneOpts := []int{0, storage.AutoLanes}
-			best := make([]ScalingPoint, len(laneOpts))
+			var best ScalingPoint
 			for rep := 0; rep < cfg.Repeats; rep++ {
-				for i, lanes := range laneOpts {
-					got, err := runScalingCell(cfg, schema, elems, producers, lanes, policy)
-					if err != nil {
-						return nil, err
-					}
-					if rep == 0 || got.PerSec > best[i].PerSec {
-						best[i] = got
-					}
+				got, err := runScalingCell(cfg, schema, elems, producers, policy)
+				if err != nil {
+					return nil, err
+				}
+				if rep == 0 || got.PerSec > best.PerSec {
+					best = got
 				}
 			}
-			for _, p := range best {
-				fmt.Fprintf(w, "  producers=%d lanes=%-4s sync=%-8s %12.0f elems/sec\n",
-					p.Producers, p.Lanes, p.Sync, p.PerSec)
-				res.Points = append(res.Points, p)
-			}
+			fmt.Fprintf(w, "  producers=%d sync=%-8s %12.0f elems/sec %6.3f fsyncs/append\n",
+				best.Producers, best.Sync, best.PerSec, best.FsyncsPerAppend())
+			res.Points = append(res.Points, best)
 		}
 	}
 	return res, nil

@@ -824,41 +824,6 @@ func (c *Container) MetricsSnapshot() map[string]any {
 	}
 	out["degraded_sensors"] = degraded
 	out["failed_sensors"] = failed
-	// Ingest-lane counters aggregate live over every table with lanes
-	// enabled (same pattern as the p2p counters: summed on read, no
-	// per-table metric plumbing). The histogram buckets are merge batch
-	// sizes in [2^i, 2^(i+1)).
-	var lanePublished, laneStalls, laneMerges, laneMerged, laneCollapsed uint64
-	var laneHist []uint64
-	for _, name := range c.store.List() {
-		table, ok := c.store.Table(name)
-		if !ok {
-			continue
-		}
-		ls := table.Stats().Lanes
-		if ls == nil {
-			continue
-		}
-		lanePublished += ls.Published
-		laneStalls += ls.Stalls
-		laneMerges += ls.Merges
-		laneMerged += ls.MergedElems
-		laneCollapsed += ls.Collapsed
-		if laneHist == nil {
-			laneHist = make([]uint64, len(ls.BatchSizes))
-		}
-		for i, v := range ls.BatchSizes {
-			laneHist[i] += v
-		}
-	}
-	if laneHist != nil {
-		out["lane_published_total"] = lanePublished
-		out["lane_stalls_total"] = laneStalls
-		out["lane_merges_total"] = laneMerges
-		out["lane_merged_elems_total"] = laneMerged
-		out["lane_collapsed_total"] = laneCollapsed
-		out["lane_merge_batch_hist"] = laneHist
-	}
 	out["p2p_fetches_total"] = rep.Fetches
 	out["p2p_fetch_failures_total"] = rep.Failures
 	out["p2p_resyncs_total"] = rep.Resyncs

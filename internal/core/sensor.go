@@ -191,17 +191,12 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 				return nil, fmt.Errorf("core: %s: storage flush-interval: %w", name, err)
 			}
 		}
-		lanes, err := vsensor.ParseLanes(desc.Storage.Lanes)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
 		outTable, err := c.store.CreateTable(name, outSchema, storage.TableOptions{
 			Window:        window,
 			Permanent:     desc.Storage.Permanent,
 			Sync:          syncPolicy,
 			FlushInterval: flushInterval,
 			History:       desc.Storage.History == "disk",
-			IngestLanes:   lanes,
 		})
 		if err != nil {
 			return nil, err

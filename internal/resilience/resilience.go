@@ -142,7 +142,10 @@ func Do(stop <-chan struct{}, p Policy, op func() error) error {
 	if cap <= 0 {
 		cap = 10 * base
 	}
-	bo := NewBackoff(base, cap, p.Seed)
+	// The backoff is built on the first failure: seeding its rand source
+	// costs ~10µs, and a first-try success — the common case on hot
+	// paths such as notification delivery — never sleeps.
+	var bo *Backoff
 	var slept time.Duration
 	for attempt := 1; ; attempt++ {
 		err := op()
@@ -151,6 +154,9 @@ func Do(stop <-chan struct{}, p Policy, op func() error) error {
 		}
 		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
 			return err
+		}
+		if bo == nil {
+			bo = NewBackoff(base, cap, p.Seed)
 		}
 		d := bo.Next()
 		if p.Budget > 0 && slept+d > p.Budget {

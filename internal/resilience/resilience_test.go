@@ -95,6 +95,43 @@ func TestDoStopsOnSuccess(t *testing.T) {
 	}
 }
 
+// TestDoFirstTrySuccessBuildsNoBackoff: a delivery that succeeds at
+// once never sleeps, so it must not pay for a backoff — seeding the
+// jitter's rand source alone is ~10µs and ~5KB per call.
+func TestDoFirstTrySuccessBuildsNoBackoff(t *testing.T) {
+	ok := func() error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Do(nil, Policy{Base: time.Millisecond, MaxAttempts: 3, Seed: 7}, ok); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("first-try success allocated %.0f objects, want 0 (no Backoff, no rand.Source)", allocs)
+	}
+}
+
+// TestDoRetrySpacingFollowsSeed: once an attempt fails, the delays Do
+// sleeps are exactly the seeded Backoff's sequence. Pinned without
+// timing: a sleep budget of d1+d2+d3 admits exactly three retries and
+// one nanosecond less admits two.
+func TestDoRetrySpacingFollowsSeed(t *testing.T) {
+	const base, seed = 100 * time.Microsecond, 42
+	bo := NewBackoff(base, 10*base, seed)
+	budget := bo.Next() + bo.Next() + bo.Next()
+	for _, tc := range []struct {
+		budget time.Duration
+		calls  int
+	}{{budget, 4}, {budget - 1, 3}} {
+		calls := 0
+		err := Do(nil, Policy{Base: base, Budget: tc.budget, Seed: seed}, func() error {
+			calls++
+			return errors.New("always")
+		})
+		if err == nil || calls != tc.calls {
+			t.Errorf("budget %v: %d attempts (err %v), want %d", tc.budget, calls, err, tc.calls)
+		}
+	}
+}
+
 func TestDoMaxAttempts(t *testing.T) {
 	calls := 0
 	want := errors.New("persistent")

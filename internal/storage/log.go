@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,35 +14,51 @@ import (
 	"gsn/internal/stream"
 )
 
-// logMagic identifies a GSN persistence log file (version 1: records
-// are length-prefixed full element encodings). New logs are written in
-// version 2 (logMagicV2): compact records with a delta-encoded logical
-// timestamp and no arrival/production stamps, roughly halving the bytes
-// per small sensor tuple. Version 3 (logMagicV3) uses the same compact
-// records but its header additionally carries a base: the absolute
-// sequence number and timestamp the file's records continue from.
-// Checkpoints (RewriteHead) produce v3 files — the log holds only the
-// un-checkpointed tail, records below the base being durable in the
-// table's history tier. All versions replay; appends continue the
-// version the file was created with.
+// logMagic identifies the original log format (version 1: records are
+// length-prefixed full element encodings). Nothing has written it since
+// the compact format landed; it is read-only — OpenLog replays such a
+// file and rewrites it once as a compact log (upgradeV1), so the
+// appender has one encoder and every log can checkpoint.
 var logMagic = []byte("GSNLOG1\n")
 
-// logMagicV2 identifies the compact-record format.
+// logMagicV2 identifies the compact-record format: a delta-encoded
+// logical timestamp and no arrival/production stamps, roughly halving
+// the bytes per small sensor tuple.
 var logMagicV2 = []byte("GSNLOG2\n")
 
-// logMagicV3 identifies the compact-record format with a header base.
+// logMagicV3 identifies the compact-record format with a header base:
+// the absolute sequence number and timestamp the file's records
+// continue from. Checkpoints (RewriteHead) produce v3 files — the log
+// holds only the un-checkpointed tail, records below the base being
+// durable in the table's history tier.
 var logMagicV3 = []byte("GSNLOG3\n")
 
-// SyncPolicy selects when staged WAL records are handed to the
-// operating system (a write syscall). None of the policies fsync — the
-// durability unit is "survives a process crash", matching the original
-// per-record bufio flush.
+// encodeLogHeader builds a log file header: magic, schema and — when the
+// file must continue a sequence space (base > 0, format v3) — the
+// sequence number and timestamp of the record before its first one.
+func encodeLogHeader(schema *stream.Schema, base uint64, baseTS stream.Timestamp) []byte {
+	if base == 0 {
+		return stream.EncodeSchema(append([]byte{}, logMagicV2...), schema)
+	}
+	hdr := stream.EncodeSchema(append([]byte{}, logMagicV3...), schema)
+	hdr = binary.AppendUvarint(hdr, base)
+	return binary.AppendVarint(hdr, int64(baseTS))
+}
+
+// SyncPolicy selects when staged WAL records are committed to the file.
+// The four policies are two decisions over one write path: does the
+// producer wait for the group commit covering its records before it is
+// acknowledged (always, durable), and does that commit fdatasync
+// (durable)? interval and none acknowledge on staging and differ only
+// in who commits later: a background flusher, or byte thresholds and
+// barriers. What each policy promises across a crash — acked ⇒ durable,
+// visible-before-acked, ordering — is stated once, in
+// docs/operations.md "Durability contract".
 type SyncPolicy int
 
 const (
-	// SyncAlways writes every Append/AppendBatch through to the file
-	// before returning — one syscall per call, the safest and slowest
-	// policy (the pre-group-commit behaviour for single appends).
+	// SyncAlways acknowledges an append once a write syscall covering it
+	// has returned: survives a process crash.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval stages records in memory and lets a background
 	// flusher group-commit them every FlushInterval (or earlier when
@@ -49,7 +66,7 @@ const (
 	// interval's records.
 	SyncInterval
 	// SyncNone stages records and writes only when FlushBytes
-	// accumulate or a barrier (Flush, Reset, Close) forces it.
+	// accumulate or a barrier (Flush, Close) forces it.
 	SyncNone
 	// SyncDurable commits like SyncAlways and additionally fdatasyncs
 	// the file, so an acked append survives OS/power failure, not just
@@ -154,22 +171,24 @@ type LogStats struct {
 }
 
 // Log is an append-only element log backing "permanent-storage" tables,
-// organised as a group-commit WAL: Append and AppendBatch stage
-// length-prefixed records in memory, and the sync policy decides when
-// the staged group is committed in one syscall. Staging and writing use
-// separate buffers (swapped under the staging lock), so a group commit
-// in flight never blocks appenders — under SyncInterval the ingest path
-// is pure memory staging while the flusher drains concurrently. The
-// file starts with a magic header and the binary-encoded schema,
-// followed by the records.
+// organised as a group-commit WAL: Stage encodes length-prefixed records
+// into memory and numbers them, CommitThrough writes everything staged
+// in one syscall, and the sync policy decides who calls it when (see
+// SyncPolicy). Staging and writing use separate buffers (swapped under
+// the staging lock), so a group commit in flight never blocks stagers:
+// every producer that stages while a commit is on the disk rides the
+// next one, sharing its write and its fdatasync. The file starts with a
+// magic header and the binary-encoded schema, followed by the records.
 type Log struct {
-	f       File
-	fs      FS
-	path    string
-	schema  *stream.Schema
-	hdrLen  int64 // file offset of the first element record
-	version int   // record format: 1 (full), 2 (compact), 3 (compact+base)
-	opts    LogOptions
+	f      File
+	fs     FS
+	path   string
+	schema *stream.Schema
+	hdrLen int64 // file offset of the first element record
+	opts   LogOptions
+	// The sync policy as the two decisions the write path makes.
+	waitCommit bool // producers are acked only after their records commit
+	fsync      bool // a commit fdatasyncs the file
 
 	// mu guards the staging state only; it is never held across a
 	// write syscall.
@@ -189,20 +208,26 @@ type Log struct {
 	// base is the absolute sequence number of the record before the
 	// file's first one (0 except for v3 files); recs and committed
 	// count the records staged/durably committed beyond it, so
-	// base+committed is the durable sequence boundary a checkpoint may
-	// truncate up to. tailBytes tracks the record bytes in file plus
-	// staging, the checkpoint trigger's size estimate.
+	// base+recs is the number Stage hands out and base+committed the
+	// durable sequence boundary — what CommitThrough compares against
+	// and what a checkpoint may truncate up to. tailBytes tracks the
+	// record bytes in file plus staging, the checkpoint trigger's size
+	// estimate.
 	base      uint64
 	recs      uint64
 	committed uint64
 	tailBytes int64
+	// leading is set while a group commit is in flight; commitDone
+	// (on mu) is broadcast when it finishes. See CommitThrough.
+	leading    bool
+	commitDone sync.Cond
 	// broken poisons the log after a failed commit: the file may end in
 	// a torn group and the v2 delta chain no longer matches what was
 	// staged, so appending anything further would write records that
 	// replay with silently wrong timestamps behind bytes the replayer
-	// can never pass. Every later Append/Flush fails with this error;
-	// Reset (which truncates back to the header) clears it. The next
-	// OpenLog truncates the torn tail and resumes cleanly.
+	// can never pass. Every later Stage/Flush fails with this error;
+	// Reopen and Recreate (attach) clear it, as the next OpenLog would:
+	// by truncating the torn tail and resuming from the clean prefix.
 	broken error
 
 	// writeMu serializes commits so swapped-out groups reach the file
@@ -234,77 +259,30 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 	if fsys == nil {
 		fsys = DefaultFS()
 	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	var hdrLen int64
-	var lastTS stream.Timestamp
-	var base, nrecs uint64
-	version := 2
-	if info.Size() == 0 {
-		// Fresh log: write a compact-format header (v3 when it must
-		// carry a non-zero base).
-		var hdr []byte
-		if opts.BaseSeq > 0 {
-			version = 3
-			base = opts.BaseSeq
-			hdr = append([]byte{}, logMagicV3...)
-			hdr = stream.EncodeSchema(hdr, schema)
-			hdr = binary.AppendUvarint(hdr, base)
-			hdr = binary.AppendVarint(hdr, 0) // base timestamp
-		} else {
-			hdr = append([]byte{}, logMagicV2...)
-			hdr = stream.EncodeSchema(hdr, schema)
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, err
-		}
-		hdrLen = int64(len(hdr))
-	} else {
-		if rep == nil {
-			rep, err = replayLogFile(fsys, path)
-			if err != nil {
-				f.Close()
+	if rep == nil {
+		if info, err := fsys.Stat(path); err == nil && info.Size() > 0 {
+			if rep, err = replayLogFile(fsys, path); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if rep != nil {
 		if !rep.schema.Equal(schema) {
-			f.Close()
 			return nil, fmt.Errorf("storage: log %s has schema %s, table wants %s", path, rep.schema, schema)
 		}
-		hdrLen = rep.hdrLen
-		version = rep.version
-		base = rep.base
-		nrecs = uint64(len(rep.elems))
-		if rep.clean < info.Size() {
-			// Crash recovery: drop the torn tail so new records extend
-			// the clean prefix (and the v2 delta chain) instead of
-			// hiding behind bytes the replayer can never pass.
-			if err := f.Truncate(rep.clean); err != nil {
-				f.Close()
-				return nil, err
+		if rep.version == 1 {
+			if err := upgradeV1(fsys, path, rep); err != nil {
+				return nil, fmt.Errorf("storage: upgrading v1 log %s: %w", path, err)
 			}
 		}
-		lastTS = rep.baseTS
-		if len(rep.elems) > 0 {
-			lastTS = rep.elems[len(rep.elems)-1].Timestamp()
-		}
 	}
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
+	l := &Log{fs: fsys, path: path, schema: schema, opts: opts,
+		waitCommit: opts.Sync == SyncAlways || opts.Sync == SyncDurable,
+		fsync:      opts.Sync == SyncDurable}
+	l.commitDone.L = &l.mu
+	if err := l.attach(rep, opts.BaseSeq); err != nil {
 		return nil, err
 	}
-	l := &Log{f: f, fs: fsys, path: path, schema: schema, hdrLen: hdrLen, version: version,
-		lastTS: lastTS, off: end, opts: opts,
-		base: base, recs: nrecs, committed: nrecs, tailBytes: end - hdrLen}
 	if opts.Sync == SyncInterval {
 		l.kick = make(chan struct{}, 1)
 		l.flusherStop = make(chan struct{})
@@ -314,12 +292,70 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 	return l, nil
 }
 
+// attach points the log at its file and resets the in-memory state to
+// match it — at open, and whenever recovery or a truncate replaces what
+// the file holds (the caller then holds writeMu). With a replay the
+// existing file is opened and any torn tail dropped, so new records
+// extend the clean prefix (and its delta chain) instead of hiding
+// behind bytes the replayer can never pass. With rep nil the file is
+// (re)created empty, its sequence space continuing at baseSeq. Staged
+// records are discarded and a poisoned log becomes usable again; on
+// error the log is left as it was.
+func (l *Log) attach(rep *logReplay, baseSeq uint64) error {
+	flag := os.O_RDWR
+	if rep == nil {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
+	f, err := l.fs.OpenFile(l.path, flag, 0o644)
+	if err != nil {
+		return err
+	}
+	var end int64
+	if rep == nil {
+		hdr := encodeLogHeader(l.schema, baseSeq, 0)
+		rep = &logReplay{hdrLen: int64(len(hdr)), base: baseSeq}
+		end = rep.hdrLen
+		_, err = f.Write(hdr)
+	} else {
+		var info fs.FileInfo
+		if info, err = f.Stat(); err == nil && rep.clean < info.Size() {
+			err = f.Truncate(rep.clean)
+		}
+		if err == nil {
+			end, err = f.Seek(0, io.SeekEnd)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if l.f != nil {
+		l.f.Close() // the replaced, possibly poisoned handle; its close error is moot
+	}
+	l.f, l.off = f, end
+	l.mu.Lock()
+	l.buf = l.buf[:0]
+	l.dirty.Store(false)
+	l.lastTS = rep.baseTS
+	if n := len(rep.elems); n > 0 {
+		l.lastTS = rep.elems[n-1].Timestamp()
+	}
+	l.hdrLen = rep.hdrLen
+	l.base = rep.base
+	l.recs = uint64(len(rep.elems))
+	l.committed = l.recs
+	l.tailBytes = end - rep.hdrLen
+	l.broken = nil
+	l.mu.Unlock()
+	return nil
+}
+
 // flusher is the SyncInterval group-commit loop: it wakes every
-// FlushInterval — or immediately when an appender crosses the byte
+// FlushInterval — or immediately when a stager crosses the byte
 // threshold — and commits whatever has been staged since the last
 // wake-up in one syscall. An idle tick (nothing staged since the last
 // commit) returns without touching the staging or write locks, so the
-// flusher never contends with appenders it has nothing to do for.
+// flusher never contends with stagers it has nothing to do for.
 func (l *Log) flusher(stop, done chan struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(l.opts.FlushInterval)
@@ -334,8 +370,8 @@ func (l *Log) flusher(stop, done chan struct{}) {
 			}
 		case <-l.kick:
 		}
-		if err := l.commit(); err != nil {
-			// commit has already poisoned the log; report the
+		if err := l.CommitThrough(allStaged); err != nil {
+			// The commit has already poisoned the log; report the
 			// acknowledged-but-lost records.
 			if cb := l.opts.OnError; cb != nil {
 				cb(err)
@@ -344,32 +380,58 @@ func (l *Log) flusher(stop, done chan struct{}) {
 	}
 }
 
-// commit swaps the staged group out from under the appenders and
-// writes it with no staging lock held. Commits are serialized, so
-// groups reach the file in staging order. A failed write poisons the
-// log (see Log.broken).
-func (l *Log) commit() error {
+// allStaged, as CommitThrough's argument, forces out everything staged:
+// no committed boundary ever reaches it.
+const allStaged = ^uint64(0)
+
+// CommitThrough returns once every record numbered <= seq (a number
+// Stage returned) is committed to the file — and fdatasynced, under
+// SyncDurable. One commit is in flight at a time and whoever runs it is
+// the group's leader; a producer that arrives meanwhile follows: it
+// waits for the leader to finish and returns at once if the group
+// covered its number (followers wait on a condition, not on writeMu —
+// queueing for a mutex just to learn "already done" lets the leader
+// barge back in with a group of one). Otherwise it leads the next
+// commit, which takes everything staged while the last one was on the
+// disk. The poison is checked before the boundary: on a log whose tail
+// state is unknown (see Log.broken) a follower of the failed group —
+// and anyone after it — gets the error, never an ack.
+func (l *Log) CommitThrough(seq uint64) error {
+	l.mu.Lock()
+	for l.leading && l.broken == nil && l.base+l.committed < seq {
+		l.commitDone.Wait()
+	}
+	if l.broken == nil && l.base+l.committed >= seq {
+		l.mu.Unlock()
+		return nil
+	}
+	l.leading = true
+	l.mu.Unlock()
+	return l.lead()
+}
+
+// lead runs one group commit: it swaps the staged group out from under
+// the stagers and writes it with no staging lock held. Commits are
+// serialized on writeMu, so groups reach the file in staging order. A
+// failed write or sync poisons the log. Entered with l.leading set;
+// clears it and wakes the followers on every path.
+func (l *Log) lead() error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 	l.mu.Lock()
-	if l.broken != nil {
+	l.dirty.Store(false)
+	if l.broken != nil || len(l.buf) == 0 {
 		err := l.broken
 		l.buf = l.buf[:0] // records behind a tear can never replay
-		l.dirty.Store(false)
+		l.leading = false
+		l.commitDone.Broadcast()
 		l.mu.Unlock()
 		return err
 	}
 	buf := l.buf
 	l.buf = l.shadow[:0]
-	l.dirty.Store(false)
 	staged := l.recs // records staged so far = records durable if this write lands
 	l.mu.Unlock()
-	if len(buf) == 0 {
-		l.mu.Lock()
-		l.shadow = buf
-		l.mu.Unlock()
-		return nil
-	}
 	_, err := l.f.Write(buf)
 	if err != nil {
 		// Best effort: cut any partially-written group back off the
@@ -381,7 +443,7 @@ func (l *Log) commit() error {
 		}
 	} else {
 		l.off += int64(len(buf))
-		if l.opts.Sync == SyncDurable {
+		if l.fsync {
 			// A failed sync leaves durability unknown: poison the log
 			// below, but keep the written bytes — they still replay
 			// after a plain process crash.
@@ -397,102 +459,84 @@ func (l *Log) commit() error {
 	} else {
 		l.committed = staged
 	}
+	l.leading = false
+	l.commitDone.Broadcast()
 	l.mu.Unlock()
 	return err
 }
 
-// encodeScratch pools the per-call record-encode buffers, so append
-// paths from many goroutines (lane merges, direct inserts, recovery
-// re-appends) reuse encode scratch instead of growing a per-log buffer
-// under the staging lock or allocating per batch.
+// encodeScratch pools the per-call record-encode buffers, so staging
+// from many goroutines (concurrent inserts, recovery re-appends) reuses
+// encode scratch instead of growing a per-log buffer under the staging
+// lock or allocating per batch.
 var encodeScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// stageLocked encodes one record into the staging buffer using the
-// caller-provided scratch (from encodeScratch).
-func (l *Log) stageLocked(e stream.Element, scratch *[]byte) {
-	s := *scratch
-	if l.version >= 2 {
-		s = stream.EncodeElementCompact(s[:0], e, l.lastTS)
-		l.lastTS = e.Timestamp()
-	} else {
-		s = stream.EncodeElement(s[:0], e)
-	}
+// appendRecord appends e to dst as one length-prefixed compact record
+// whose timestamp delta continues from prev, encoding through the
+// caller's scratch.
+func appendRecord(dst []byte, scratch *[]byte, e stream.Element, prev stream.Timestamp) []byte {
+	s := stream.EncodeElementCompact((*scratch)[:0], e, prev)
 	*scratch = s
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// Stage encodes the records into the staging buffer — memory only, so a
+// table can call it under its own lock — and returns the sequence
+// number of the last one together with what the sync policy asks of the
+// caller: wait reports that the caller must CommitThrough(seq) before
+// acknowledging. That is every call under SyncAlways/SyncDurable;
+// otherwise only backpressure — staging has reached MaxStagedBytes, or
+// FlushBytes with no flusher to wake — so memory cannot grow without
+// bound when the disk cannot keep up. An error means nothing was staged.
+func (l *Log) Stage(elems []stream.Element) (seq uint64, wait bool, err error) {
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	l.mu.Lock()
+	if err := l.usableLocked(); err != nil {
+		l.mu.Unlock()
+		return 0, false, err
+	}
 	before := len(l.buf)
-	l.buf = binary.AppendUvarint(l.buf, uint64(len(s)))
-	l.buf = append(l.buf, s...)
-	l.appends++
-	l.recs++
-	l.dirty.Store(true)
-	l.tailBytes += int64(len(l.buf) - before)
-}
-
-// Append stages one element record; the sync policy decides whether it
-// is written before Append returns (SyncAlways) or by a later group
-// commit. A returned error means the record is not and will never be
-// durable.
-func (l *Log) Append(e stream.Element) error {
-	scratch := encodeScratch.Get().(*[]byte)
-	l.mu.Lock()
-	if err := l.usableLocked(); err != nil {
-		l.mu.Unlock()
-		encodeScratch.Put(scratch)
-		return err
-	}
-	l.stageLocked(e, scratch)
-	staged := len(l.buf)
-	encodeScratch.Put(scratch)
-	return l.afterStage(staged) // unlocks l.mu
-}
-
-// AppendBatch stages a batch of records as one group; under SyncAlways
-// the whole batch still costs a single write syscall, which is the
-// group-commit win for burst ingestion.
-func (l *Log) AppendBatch(elems []stream.Element) error {
-	if len(elems) == 0 {
-		return nil
-	}
-	scratch := encodeScratch.Get().(*[]byte)
-	l.mu.Lock()
-	if err := l.usableLocked(); err != nil {
-		l.mu.Unlock()
-		encodeScratch.Put(scratch)
-		return err
-	}
 	for _, e := range elems {
-		l.stageLocked(e, scratch)
+		l.buf = appendRecord(l.buf, scratch, e, l.lastTS)
+		l.lastTS = e.Timestamp()
 	}
+	n := uint64(len(elems))
+	l.appends += n
+	l.recs += n
+	l.dirty.Store(true)
 	staged := len(l.buf)
-	encodeScratch.Put(scratch)
-	return l.afterStage(staged) // unlocks l.mu
-}
-
-// afterStage applies the sync policy once records are staged. It is
-// entered with l.mu held and releases it before any commit, so the
-// write syscall never runs under the staging lock.
-func (l *Log) afterStage(staged int) error {
+	l.tailBytes += int64(staged - before)
+	seq = l.base + l.recs
 	l.mu.Unlock()
 	switch {
-	case l.opts.Sync == SyncAlways || l.opts.Sync == SyncDurable:
-		return l.commit()
-	case staged >= l.opts.MaxStagedBytes:
-		// Backpressure: staging has outrun the drain; the appender
-		// commits inline, rate-matching ingestion to the disk.
-		return l.commit()
+	case l.waitCommit || staged >= l.opts.MaxStagedBytes:
+		wait = true
 	case staged >= l.opts.FlushBytes:
-		if l.kick != nil {
-			// SyncInterval: wake the flusher early; the appender does
-			// not pay for the write.
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
-		} else {
-			// SyncNone: bound staged memory by committing inline.
-			return l.commit()
+		if l.kick == nil {
+			wait = true // SyncNone: the stager bounds staged memory itself
+			break
+		}
+		// SyncInterval: wake the flusher early; the stager does not pay
+		// for the write.
+		select {
+		case l.kick <- struct{}{}:
+		default:
 		}
 	}
-	return nil
+	return seq, wait, nil
+}
+
+// AppendBatch is Stage plus whatever commit the sync policy asks for,
+// for callers with no lock of their own to release in between. A
+// returned error means the records are not and will never be durable.
+func (l *Log) AppendBatch(elems []stream.Element) error {
+	seq, wait, err := l.Stage(elems)
+	if err != nil || !wait {
+		return err
+	}
+	return l.CommitThrough(seq)
 }
 
 // usableLocked reports whether the log can accept records.
@@ -504,7 +548,7 @@ func (l *Log) usableLocked() error {
 }
 
 // Flush is the group-commit barrier: it forces every staged record out
-// to the file. Close and Reset imply it; tests and checkpoints call it
+// to the file. Close implies it; tests and checkpoints call it
 // directly.
 func (l *Log) Flush() error {
 	l.mu.Lock()
@@ -513,57 +557,7 @@ func (l *Log) Flush() error {
 	if err != nil {
 		return err
 	}
-	return l.commit()
-}
-
-// Reset discards every element record — staged and written — keeping
-// the header, so a truncated table's log does not resurrect rows on the
-// next replay. Holding writeMu first waits out any in-flight group
-// commit; clearing the staging buffer under mu stops later ones from
-// resurrecting anything.
-func (l *Log) Reset() error {
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	l.mu.Lock()
-	closed := l.closed
-	l.buf = l.buf[:0]
-	l.dirty.Store(false)
-	l.mu.Unlock()
-	if closed {
-		return os.ErrClosed
-	}
-	if l.version == 3 {
-		// A v3 base would survive a header-keeping truncate; rewrite
-		// the file as a fresh v2 log so the sequence space restarts at
-		// zero alongside the truncated table's.
-		hdr := append([]byte{}, logMagicV2...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-		if err := l.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := l.f.WriteAt(hdr, 0); err != nil {
-			return err
-		}
-		l.hdrLen = int64(len(hdr))
-		l.version = 2
-	} else if err := l.f.Truncate(l.hdrLen); err != nil {
-		return err
-	}
-	_, err := l.f.Seek(l.hdrLen, io.SeekStart)
-	if err == nil {
-		l.off = l.hdrLen
-		l.mu.Lock()
-		// A header-only file is a clean slate: the v2 delta chain
-		// restarts and a poisoned log becomes usable again.
-		l.lastTS = 0
-		l.broken = nil
-		l.base = 0
-		l.recs = 0
-		l.committed = 0
-		l.tailBytes = 0
-		l.mu.Unlock()
-	}
-	return err
+	return l.CommitThrough(allStaged)
 }
 
 // CommittedSeq returns the absolute sequence number of the last record
@@ -594,9 +588,6 @@ func (l *Log) TailBytes() int64 {
 // full. The retained suffix is copied byte-for-byte: its first
 // record's timestamp delta is relative to the last dropped record,
 // whose timestamp becomes the header's base timestamp.
-//
-// v1 logs predate base tracking and are left unchanged (a checkpoint
-// then merely bounds replay work by deduplication, not file size).
 func (l *Log) RewriteHead(keep uint64) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -610,11 +601,8 @@ func (l *Log) RewriteHead(keep uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	base, committed, version := l.base, l.committed, l.version
+	base, committed := l.base, l.committed
 	l.mu.Unlock()
-	if version == 1 {
-		return nil
-	}
 	if keep > base+committed {
 		keep = base + committed
 	}
@@ -638,7 +626,7 @@ func (l *Log) RewriteHead(keep uint64) error {
 	prev := hdr.baseTS
 	off := hdr.len
 	for i := uint64(0); i < drop; i++ {
-		e, n, err := readRecord(r, l.schema, version, prev)
+		e, n, err := readRecord(r, l.schema, hdr.version, prev)
 		if err != nil {
 			rf.Close()
 			return fmt.Errorf("storage: log %s: decoding record %d for head truncation: %w", l.path, i, err)
@@ -647,31 +635,19 @@ func (l *Log) RewriteHead(keep uint64) error {
 		off += int64(n)
 	}
 
-	tmp := l.path + ".rewrite"
-	w, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		rf.Close()
-		return err
-	}
-	nh := append([]byte{}, logMagicV3...)
-	nh = stream.EncodeSchema(nh, l.schema)
-	nh = binary.AppendUvarint(nh, keep)
-	nh = binary.AppendVarint(nh, int64(prev))
-	_, err = w.Write(nh)
-	if err == nil {
-		if _, err = rf.Seek(off, io.SeekStart); err == nil {
-			_, err = io.Copy(w, rf)
+	nh := encodeLogHeader(l.schema, keep, prev)
+	err = replaceLogFile(l.fs, l.path, func(w File) error {
+		if _, err := w.Write(nh); err != nil {
+			return err
 		}
-	}
+		if _, err := rf.Seek(off, io.SeekStart); err != nil {
+			return err
+		}
+		_, err := io.Copy(w, rf)
+		return err
+	})
 	rf.Close()
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = l.fs.Rename(tmp, l.path)
-	}
 	if err != nil {
-		l.fs.Remove(tmp)
 		return err
 	}
 
@@ -700,10 +676,58 @@ func (l *Log) RewriteHead(keep uint64) error {
 	l.base = keep
 	l.recs -= drop
 	l.committed -= drop
-	l.version = 3
 	l.hdrLen = int64(len(nh))
 	l.tailBytes -= off - hdr.len
 	l.mu.Unlock()
+	return nil
+}
+
+// replaceLogFile atomically replaces the log at path with whatever fill
+// writes: a temp file beside it, renamed over it on success and removed
+// on failure, so a crash at any point leaves either the old file or the
+// new one.
+func replaceLogFile(fsys FS, path string, fill func(w File) error) error {
+	tmp := path + ".rewrite"
+	w, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = fill(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
+// upgradeV1 rewrites a replayed v1 log as a compact log holding the
+// same records and updates rep to describe the new file. The one-shot
+// migration syncs before the rename: unlike a checkpoint's rewrite,
+// nothing else holds these records.
+func upgradeV1(fsys FS, path string, rep *logReplay) error {
+	buf := encodeLogHeader(rep.schema, 0, 0)
+	hdrLen := int64(len(buf))
+	var scratch []byte
+	var prev stream.Timestamp
+	for _, e := range rep.elems {
+		buf = appendRecord(buf, &scratch, e, prev)
+		prev = e.Timestamp()
+	}
+	err := replaceLogFile(fsys, path, func(w File) error {
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		return w.Sync()
+	})
+	if err != nil {
+		return err
+	}
+	rep.version, rep.hdrLen, rep.clean = 2, hdrLen, int64(len(buf))
 	return nil
 }
 
@@ -728,7 +752,7 @@ func (l *Log) Close() error {
 		close(stop)
 		<-done
 	}
-	flushErr := l.commit()
+	flushErr := l.CommitThrough(allStaged)
 	if err := l.f.Close(); err != nil && flushErr == nil {
 		flushErr = err
 	}
@@ -762,12 +786,9 @@ func (l *Log) Broken() error {
 func (l *Log) Reopen() (*logReplay, error) {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.isClosed() {
 		return nil, os.ErrClosed
 	}
-	l.mu.Unlock()
 	rep, err := replayLogFile(l.fs, l.path)
 	if err != nil {
 		return nil, err
@@ -775,95 +796,29 @@ func (l *Log) Reopen() (*logReplay, error) {
 	if !rep.schema.Equal(l.schema) {
 		return nil, fmt.Errorf("storage: log %s changed schema across reopen", l.path)
 	}
-	f, err := l.fs.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	info, err := f.Stat()
-	if err == nil && rep.clean < info.Size() {
-		err = f.Truncate(rep.clean)
-	}
-	var end int64
-	if err == nil {
-		end, err = f.Seek(0, io.SeekEnd)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	old := l.f
-	l.f = f
-	l.off = end
-	old.Close() // the poisoned handle; its close error is moot
-	l.mu.Lock()
-	l.buf = l.buf[:0]
-	l.dirty.Store(false)
-	l.lastTS = rep.baseTS
-	if len(rep.elems) > 0 {
-		l.lastTS = rep.elems[len(rep.elems)-1].Timestamp()
-	}
-	l.version = rep.version
-	l.hdrLen = rep.hdrLen
-	l.base = rep.base
-	l.recs = uint64(len(rep.elems))
-	l.committed = l.recs
-	l.tailBytes = end - rep.hdrLen
-	l.broken = nil
-	l.mu.Unlock()
-	return rep, nil
+	return rep, l.attach(rep, 0)
 }
 
 // Recreate replaces the file with a fresh, empty log whose sequence
-// space continues at baseSeq — recovery's fallback when the file is
-// gone or its prefix can no longer be trusted to line up with the
-// table's implicit record numbering. The caller re-appends the live
-// window afterwards.
+// space continues at baseSeq, discarding every record, staged and
+// written. Truncate uses it (baseSeq 0) so a truncated table's log
+// cannot resurrect rows on the next replay; recovery uses it when the
+// file is gone or its prefix can no longer be trusted to line up with
+// the table's implicit record numbering, and re-appends the live window
+// afterwards. Holding writeMu waits out any in-flight group commit.
 func (l *Log) Recreate(baseSeq uint64) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.isClosed() {
 		return os.ErrClosed
 	}
-	l.mu.Unlock()
-	f, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	var hdr []byte
-	version := 2
-	if baseSeq > 0 {
-		version = 3
-		hdr = append([]byte{}, logMagicV3...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-		hdr = binary.AppendUvarint(hdr, baseSeq)
-		hdr = binary.AppendVarint(hdr, 0)
-	} else {
-		hdr = append([]byte{}, logMagicV2...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-	}
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	old := l.f
-	l.f = f
-	l.off = int64(len(hdr))
-	old.Close()
+	return l.attach(nil, baseSeq)
+}
+
+func (l *Log) isClosed() bool {
 	l.mu.Lock()
-	l.buf = l.buf[:0]
-	l.dirty.Store(false)
-	l.lastTS = 0
-	l.version = version
-	l.hdrLen = int64(len(hdr))
-	l.base = baseSeq
-	l.recs = 0
-	l.committed = 0
-	l.tailBytes = 0
-	l.broken = nil
-	l.mu.Unlock()
-	return nil
+	defer l.mu.Unlock()
+	return l.closed
 }
 
 // maxRecordLen bounds decoded record sizes to guard against a corrupt

@@ -59,7 +59,7 @@ type TableOptions struct {
 	// data directory.
 	Permanent bool
 	// Sync selects the WAL durability policy for a permanent table
-	// (descriptor attribute sync="always|interval|none"; default
+	// (descriptor attribute sync="always|interval|none|durable"; default
 	// SyncAlways).
 	Sync SyncPolicy
 	// FlushInterval tunes the SyncInterval group-commit period (zero
@@ -86,14 +86,6 @@ type TableOptions struct {
 	// disables the background loop — tests call Table.Recover
 	// directly).
 	RecoverInterval time.Duration
-	// IngestLanes enables the sharded ingest tier (descriptor attribute
-	// lanes="auto|N"): producers stage into per-core lanes and a single
-	// merge point commits them in batches, instead of every producer
-	// serialising on the table lock. Zero disables lanes (the default);
-	// AutoLanes (-1) sizes them from GOMAXPROCS; a positive value fixes
-	// the lane count. See lanes.go for the ordering and durability
-	// contract.
-	IngestLanes int
 }
 
 // CreateTable registers a new table. It fails if the name is taken.
@@ -140,11 +132,9 @@ func (s *Store) CreateTable(name string, schema *stream.Schema, opts TableOption
 			FS:            s.fs,
 			// Background group-commit failures happen after Insert has
 			// returned; count the loss and enter degraded mode so the
-			// recovery loop can re-arm durability.
-			OnError: func(err error) {
-				t.recordLogError()
-				t.enterDegraded(err)
-			},
+			// recovery loop can re-arm durability. The returned error
+			// (table shutting down) has no producer left to go to.
+			OnError: func(err error) { _ = t.commitFailed(err, 0) },
 		}
 		if opts.History {
 			// The history tier opens before the replay is loaded: the
@@ -212,15 +202,6 @@ func (s *Store) CreateTable(name string, schema *stream.Schema, opts TableOption
 		t.epochPath = epochPath
 		t.epochFS = s.fs
 		_ = storeEpoch(s.fs, epochPath, t.epoch)
-	}
-
-	if opts.IngestLanes != 0 {
-		// SyncAlways/SyncDurable publishes carry a commit-wait handshake
-		// so an acked append stays WAL-durable before return; other
-		// policies (and memory-only tables) ack lane-writer publishes on
-		// publish.
-		waitAck := t.log != nil && (opts.Sync == SyncAlways || opts.Sync == SyncDurable)
-		t.lanes = newIngestLanes(laneCount(opts.IngestLanes), laneRingSlots, waitAck)
 	}
 
 	s.tables[canonical] = t

@@ -11,13 +11,17 @@
 //
 // # Ingestion and durability
 //
-// The write path is batch-oriented: InsertBatch appends a burst of
-// elements under one lock acquisition and one WAL group append, while
-// Insert remains the single-element form with identical semantics.
-// Permanent tables stage records into a group-commit WAL (see Log)
-// before publishing them to the window.
+// Insert and InsertBatch are the only way into a table, and Insert is
+// a batch of one. Under the table lock a batch is validated, its WAL
+// records are staged in memory (permanent tables, see Log) and it is
+// published to the window; the lock is then released, and a producer
+// whose sync policy promises durability on return waits for the group
+// commit covering its records — its own, or one a concurrent producer
+// is already leading. Readers and triggers never queue behind a write
+// syscall or an fsync, and every producer that stages while a commit is
+// on the disk shares the next one.
 //
-// A WAL or history I/O error no longer poisons the table for the life
+// A WAL or history I/O error does not poison the table for the life
 // of the process: the table enters a *degraded* state in which the RAM
 // window keeps ingesting and serving queries while durability is
 // suspended (rows acknowledged meanwhile are counted in
@@ -30,12 +34,9 @@
 // underlying file (table shutdown) remains a hard error, not a
 // degradation.
 //
-// The WAL's durability is governed by TableOptions.Sync:
-//
-//	SyncAlways   write syscall per Insert/InsertBatch (default)
-//	SyncInterval group commit on a background interval
-//	SyncNone     write only on byte threshold and barriers
-//	SyncDurable  SyncAlways plus fdatasync — survives OS/power failure
+// TableOptions.Sync (see SyncPolicy) decides who waits for which
+// commit; what each policy guarantees across a crash is stated once, in
+// docs/operations.md "Durability contract".
 //
 // # Read concurrency
 //
@@ -96,8 +97,22 @@ type TableStats struct {
 	WalReopens uint64
 	// History reports disk-tier counters; nil for tables without one.
 	History *HistoryStats
-	// Lanes reports ingest-lane counters; nil for tables without lanes.
+	// Lanes is always nil.
+	//
+	// Deprecated: the ingest-lane tier is gone. The field survives only
+	// because benchmark/common.go reads Lanes.Merges and Lanes.Collapsed
+	// and could not be edited in the PR that removed lanes; the next
+	// [benchmark] PR deletes that read, this field and LaneStats.
 	Lanes *LaneStats
+}
+
+// LaneStats is the part of the removed ingest-lane counters that
+// benchmark/common.go still names.
+//
+// Deprecated: see TableStats.Lanes.
+type LaneStats struct {
+	Merges    uint64
+	Collapsed uint64
 }
 
 // Observer receives element lifecycle events from a table. Methods are
@@ -176,11 +191,6 @@ type Table struct {
 	// query-result caches can validate entries without rescanning.
 	// Written under mu, read under at least the shared lock.
 	version uint64
-
-	// lanes, when non-nil, is the sharded ingest tier in front of mu
-	// (TableOptions.IngestLanes; see lanes.go). Set once before the
-	// table is published, read without synchronisation.
-	lanes *ingestLanes
 
 	// logErrors is atomic: background WAL flush failures are counted
 	// from the flusher goroutine without the table lock.
@@ -267,53 +277,25 @@ func (t *Table) recordLogError() {
 	}
 }
 
-// Insert appends an element. The element schema must equal the table
-// schema. For permanent tables the record is staged into the WAL before
-// the window is touched. A WAL I/O fault does not reject the element:
-// the table enters degraded mode — the row is published to the window,
-// counted in DegradedAppends, and durability is suspended until the
-// recovery loop re-arms the tier. Only a closed log (table shutting
-// down) still returns an error with the window unchanged. Eviction by
-// the retention window happens inline so the table never holds more
-// than one extra element beyond its bound.
+// Insert appends one element: InsertBatch of one, with identical
+// semantics.
 func (t *Table) Insert(e stream.Element) error {
-	if err := t.checkSchema(e); err != nil {
-		return err
-	}
-	if ls := t.lanes; ls != nil {
-		return t.laneInsert(ls, e)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.insertOneLocked(e)
-}
-
-// insertOneLocked is the single-element insert body: WAL append (or
-// degrade), window publish, checkpoint policy. Caller holds mu.
-func (t *Table) insertOneLocked(e stream.Element) error {
-	if t.log != nil {
-		if t.degradedErr != nil {
-			t.degradedAppends++
-		} else if err := t.log.Append(e); err != nil {
-			t.recordLogError()
-			if !t.enterDegradedLocked(err) {
-				return fmt.Errorf("storage: persist %s: %w", t.name, err)
-			}
-			t.degradedAppends++
-		}
-	}
-	t.insertLocked(e)
-	t.maybeCheckpointLocked()
-	return nil
+	return t.InsertBatch([]stream.Element{e})
 }
 
 // InsertBatch appends a burst of elements under one lock acquisition
-// and one WAL group append. Schemas are validated and the whole batch
-// is staged before any element becomes visible. Like Insert, a WAL I/O
-// fault degrades the table instead of rejecting the batch; only schema
-// mismatches and a closed log reject it with no element published. The
-// observer sees the exact insert/evict interleaving the equivalent
-// sequence of Insert calls would produce.
+// and one WAL group. Schemas are validated and the whole batch is staged
+// before any element becomes visible, and the observer sees the exact
+// insert/evict interleaving the equivalent sequence of Insert calls
+// would produce. Only a schema mismatch or a closed log (table shutting
+// down) rejects the batch, with no element published. A WAL I/O fault
+// does not: the table enters degraded mode — the rows stay in the
+// window, are counted in DegradedAppends, and durability is suspended
+// until the recovery loop re-arms the tier. Under SyncAlways/SyncDurable
+// the call returns once the batch is committed; the rows may be visible
+// to readers slightly earlier (docs/operations.md "Durability
+// contract"). Eviction by the retention window happens inline so the
+// table never holds more than one extra element beyond its bound.
 func (t *Table) InsertBatch(elems []stream.Element) error {
 	if len(elems) == 0 {
 		return nil
@@ -323,44 +305,68 @@ func (t *Table) InsertBatch(elems []stream.Element) error {
 			return err
 		}
 	}
-	if ls := t.lanes; ls != nil {
-		return t.laneInsertBatch(ls, elems)
+	log, seq, err := t.stageAndPublish(elems)
+	if err != nil || log == nil {
+		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.insertBatchLocked(elems)
-}
-
-// insertBatchLocked is the batch insert body (schemas pre-validated):
-// one WAL group append, then per-element window publishes so the
-// observer sees the canonical insert/evict interleaving. Caller holds
-// mu. The lane merge point reuses it verbatim, which is what keeps the
-// merged path's observer/checkpoint/epoch behaviour identical to
-// InsertBatch.
-func (t *Table) insertBatchLocked(elems []stream.Element) error {
-	if t.log != nil {
-		if t.degradedErr != nil {
-			t.degradedAppends += uint64(len(elems))
-		} else if err := t.log.AppendBatch(elems); err != nil {
-			t.recordLogError()
-			if !t.enterDegradedLocked(err) {
-				return fmt.Errorf("storage: persist %s: %w", t.name, err)
-			}
-			t.degradedAppends += uint64(len(elems))
-		}
+	if err := log.CommitThrough(seq); err != nil {
+		return t.commitFailed(err, len(elems))
 	}
-	for _, e := range elems {
-		t.insertLocked(e)
-	}
-	t.maybeCheckpointLocked()
 	return nil
 }
 
-// insertLocked publishes one element to the window: append, notify,
+// stageAndPublish is the locked body of every insert (schemas
+// pre-validated): stage the WAL records (or own up to a degraded
+// append), publish element by element so the observer sees the
+// canonical insert/evict interleaving, run the checkpoint policy. WAL
+// order is window order because both happen under mu. A non-nil log
+// tells the caller to wait for CommitThrough(seq) after the lock is
+// released.
+func (t *Table) stageAndPublish(elems []stream.Element) (log *Log, seq uint64, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.log != nil {
+		if t.degradedErr != nil {
+			t.degradedAppends += uint64(len(elems))
+		} else if s, wait, err := t.log.Stage(elems); err != nil {
+			t.recordLogError()
+			if !t.enterDegradedLocked(err) {
+				return nil, 0, fmt.Errorf("storage: persist %s: %w", t.name, err)
+			}
+			t.degradedAppends += uint64(len(elems))
+		} else if wait {
+			log, seq = t.log, s
+		}
+	}
+	for _, e := range elems {
+		t.publishLocked(e)
+	}
+	t.maybeCheckpointLocked()
+	return log, seq, nil
+}
+
+// commitFailed accounts for a group commit that failed after its rows
+// were published — a producer's own CommitThrough (n rows it was about
+// to ack) or the background flusher's (n = 0: its rows were acked
+// long ago). The table degrades and the rows are owned up to in
+// DegradedAppends; only a closed file (table shutting down) is reported
+// to the producer.
+func (t *Table) commitFailed(err error, n int) error {
+	t.recordLogError()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.enterDegradedLocked(err) {
+		return fmt.Errorf("storage: persist %s: %w", t.name, err)
+	}
+	t.degradedAppends += uint64(n)
+	return nil
+}
+
+// publishLocked publishes one element to the window: append, notify,
 // evict. Running eviction per element (it is a cheap bound check once
 // the window is full) keeps the observer event sequence identical for
 // any batching of the same arrivals.
-func (t *Table) insertLocked(e stream.Element) {
+func (t *Table) publishLocked(e stream.Element) {
 	t.elems = append(t.elems, e)
 	t.inserted++
 	t.seq++
@@ -607,11 +613,8 @@ func (t *Table) Latest() (stream.Element, bool) {
 // truncated rows. A history table's disk tier is reinitialised to an
 // empty file in the same critical section: no pages or index nodes of
 // the truncated rows survive, and the sequence space restarts at zero
-// alongside the WAL's. Pending lane entries are merged first, so the
-// truncation boundary is well-defined: everything published before the
-// call is truncated with the rest.
+// alongside the WAL's.
 func (t *Table) Truncate() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evicted += uint64(t.liveLenLocked())
@@ -631,7 +634,7 @@ func (t *Table) Truncate() error {
 		}
 	}
 	if t.log != nil {
-		if err := t.log.Reset(); err != nil {
+		if err := t.log.Recreate(0); err != nil {
 			return fmt.Errorf("storage: resetting log of %s: %w", t.name, err)
 		}
 	}
@@ -645,11 +648,8 @@ func (t *Table) Truncate() error {
 // barrier for permanent tables under SyncInterval/SyncNone. It is a
 // no-op for memory-only tables. While the table is degraded, Flush
 // reports the suspension: the caller must not assume durability until
-// a Flush succeeds again. Pending lane entries are merged first, so
-// Flush remains the full durability (and, for async lane writers,
-// visibility) barrier.
+// a Flush succeeds again.
 func (t *Table) Flush() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.log == nil {
@@ -677,9 +677,8 @@ func (t *Table) HasHistory() bool {
 // to the un-checkpointed tail, so the next open replays O(tail) records
 // instead of the whole retention. It happens automatically when the
 // tail outgrows TableOptions.CheckpointBytes; tests and shutdown call
-// it directly. Pending lane entries are merged first.
+// it directly.
 func (t *Table) Checkpoint() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.checkpointLocked()
@@ -793,10 +792,7 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
 // observer. The current live contents are replayed into the observer as
 // inserts under the same critical section, so the observer's state
 // starts consistent with the window no matter when it is attached.
-// Pending lane entries are merged first so the replay misses nothing
-// already acknowledged.
 func (t *Table) SetObserver(o Observer) {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evictLocked()
@@ -828,14 +824,6 @@ func (t *Table) bulkLoad(elems []stream.Element) {
 		}
 	}
 	t.evictLocked()
-}
-
-// enterDegraded is the out-of-lock form of enterDegradedLocked, used
-// by the WAL's background flusher callback.
-func (t *Table) enterDegraded(err error) {
-	t.mu.Lock()
-	t.enterDegradedLocked(err)
-	t.mu.Unlock()
 }
 
 // enterDegradedLocked suspends durability after a tier fault and
@@ -898,10 +886,8 @@ func (t *Table) recoveryLoop(stop chan struct{}) {
 // restart performs, re-migrate file records the fallen-back tier
 // forgot, then re-append and flush the live window suffix past the
 // durable boundary so acknowledged rows still in RAM become durable
-// again. Lanes quiesce first: recovery must not race merge batches
-// into a WAL it is mid-way through reopening.
+// again.
 func (t *Table) Recover() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.recoverLocked()
@@ -1039,9 +1025,6 @@ func (t *Table) Stats() TableStats {
 	})
 	st.LogErrors = t.logErrors.Load()
 	st.HistoryErrors = t.histErrors.Load()
-	if t.lanes != nil {
-		st.Lanes = t.lanes.stats()
-	}
 	if h != nil {
 		hs := h.Stats()
 		st.History = &hs
@@ -1051,13 +1034,8 @@ func (t *Table) Stats() TableStats {
 
 // Close releases the persistence log and history tier, if any. A
 // history table checkpoints first so a clean shutdown leaves an empty
-// WAL tail — the next open replays nothing. Lanes shut down first:
-// new publishes fail with os.ErrClosed and everything already
-// acknowledged is merged (and so durable) before the log closes.
+// WAL tail — the next open replays nothing.
 func (t *Table) Close() error {
-	if ls := t.lanes; ls != nil {
-		ls.shutdown(t)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.recoverStop != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,13 @@ import (
 
 	"gsn/internal/stream"
 )
+
+// Append is AppendBatch for one record: the form the log-level tests
+// read best in (nothing outside tests appends a lone record to a bare
+// Log; tables stage).
+func (l *Log) Append(e stream.Element) error {
+	return l.AppendBatch([]stream.Element{e})
+}
 
 // chunkedReader caps every Read at chunk bytes, simulating a file
 // reader that legally returns short reads.
@@ -71,56 +79,6 @@ func TestReadLogHeaderShortReads(t *testing.T) {
 		if hdr.version != 2 {
 			t.Fatalf("chunk=%d: fresh log version = %d, want 2", chunk, hdr.version)
 		}
-	}
-}
-
-// TestGroupCommitReplay: under every sync policy, a batch-heavy write
-// sequence followed by Close must replay in full — Close is the
-// durability barrier that flushes the staged tail.
-func TestGroupCommitReplay(t *testing.T) {
-	for _, sync := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
-		t.Run(sync.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := NewStore(stream.NewManualClock(0), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab, err := s.CreateTable("perm", tempSchema, TableOptions{
-				Window:        stream.MustWindow("100"),
-				Permanent:     true,
-				Sync:          sync,
-				FlushInterval: time.Hour, // the flusher must not be what saves us
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var batch []stream.Element
-			for i := int64(1); i <= 7; i++ {
-				batch = append(batch, intElem(t, stream.Timestamp(i), i))
-			}
-			if err := tab.InsertBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Insert(intElem(t, 8, 8)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			_, elems, err := ReplayLog(filepath.Join(dir, "PERM.gsnlog"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(elems) != 8 {
-				t.Fatalf("replayed %d records, want 8", len(elems))
-			}
-			for i, e := range elems {
-				if e.Value(0) != int64(i+1) {
-					t.Fatalf("record %d = %v", i, e)
-				}
-			}
-		})
 	}
 }
 
@@ -262,42 +220,6 @@ func TestSyncIntervalBackgroundFlush(t *testing.T) {
 			t.Fatalf("background flusher never committed the record (replayed %d)", len(elems))
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSyncDurableCommitsPerAppend: the durable policy must behave like
-// SyncAlways at the commit level (inline group commit per append, all
-// records replayable) — the added fdatasync is not observable through
-// the in-process API, but the policy must round-trip the parser and
-// keep the append/replay contract.
-func TestSyncDurableCommitsPerAppend(t *testing.T) {
-	if p, ok := ParseSyncPolicy("durable"); !ok || p != SyncDurable {
-		t.Fatalf("ParseSyncPolicy(durable) = %v, %v", p, ok)
-	}
-	if got := SyncDurable.String(); got != "durable" {
-		t.Fatalf("SyncDurable.String() = %q", got)
-	}
-	path := filepath.Join(t.TempDir(), "durable.gsnlog")
-	log, err := OpenLog(path, tempSchema, LogOptions{Sync: SyncDurable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 10; i++ {
-		e, _ := stream.NewElement(tempSchema, stream.Timestamp(i), i)
-		if err := log.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := log.Stats(); st.Flushes != 10 {
-		t.Fatalf("durable appends must commit inline: %d flushes for 10 appends", st.Flushes)
-	}
-	// Replay without Close: every acked record must already be in the
-	// file (Close only adds a final no-op flush).
-	if _, elems, err := ReplayLog(path); err != nil || len(elems) != 10 {
-		t.Fatalf("replay: %d records, err %v; want 10", len(elems), err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -459,11 +381,14 @@ func TestFailedCommitPoisonsLog(t *testing.T) {
 	}
 }
 
-// TestV1LogBackwardsCompat: logs written in the original full-record
-// format must still replay, and appends to them must keep the v1
-// format so the file stays self-consistent.
-func TestV1LogBackwardsCompat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.gsnlog")
+// TestV1LogUpgradedOnOpen: a log written in the original full-record
+// format (outside input: nothing has produced one since PR 2) must
+// still replay, and opening it for append must rewrite it once as a
+// compact log — same records, one encoder from then on, checkpointable
+// — leaving a window that is byte-identical across the upgrade.
+func TestV1LogUpgradedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "V1.gsnlog")
 	// Hand-write a v1 log: v1 magic, schema, full element records.
 	f, err := os.Create(path)
 	if err != nil {
@@ -484,36 +409,57 @@ func TestV1LogBackwardsCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, elems, err := ReplayLog(path)
+	_, v1, err := ReplayLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(elems) != 3 || elems[2].Value(0) != int64(3) {
-		t.Fatalf("v1 replay = %v", elems)
+	if len(v1) != 3 || v1[2].Value(0) != int64(3) {
+		t.Fatalf("v1 replay = %v", v1)
 	}
 	// v1 records carry their arrival stamps through replay.
-	if elems[0].Arrival() != 105 {
-		t.Fatalf("v1 arrival = %v, want 105", elems[0].Arrival())
+	if v1[0].Arrival() != 105 {
+		t.Fatalf("v1 arrival = %v, want 105", v1[0].Arrival())
 	}
 
-	// Appending through the WAL must continue the v1 format.
-	log, err := OpenLog(path, tempSchema, LogOptions{})
-	if err != nil {
+	opts := TableOptions{Window: stream.MustWindow("100"), Permanent: true, History: true, CheckpointBytes: -1}
+	open := func() (*Store, *Table) {
+		s, err := NewStore(stream.NewManualClock(0), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := s.CreateTable("v1", tempSchema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, tab
+	}
+	s, tab := open()
+	if got := elemBytes(tab.Snapshot()); !bytes.Equal(got, elemBytes(v1)) {
+		t.Fatalf("window over the v1 log = %v, want the v1 records", tab.Snapshot())
+	}
+	magic := make([]byte, len(logMagicV2))
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data[:copy(magic, data)], logMagicV2) {
+		t.Fatalf("log not rewritten as compact on open: magic %q, err %v", magic, err)
+	}
+	if _, err := os.Stat(path + ".rewrite"); !os.IsNotExist(err) {
+		t.Fatalf("upgrade left its temp file behind: %v", err)
+	}
+	if err := tab.Insert(intElem(t, 400, 4)); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := stream.NewElement(tempSchema, 400, int64(4))
-	if err := log.Append(e); err != nil {
+	before := elemBytes(tab.Snapshot())
+	// The upgraded log checkpoints like any other.
+	if err := tab.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, elems, err = ReplayLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(elems) != 4 || elems[3].Value(0) != int64(4) || elems[3].Timestamp() != 400 {
-		t.Fatalf("v1 replay after append = %v", elems)
+
+	s, tab = open()
+	defer s.Close()
+	if got := elemBytes(tab.Snapshot()); !bytes.Equal(got, before) {
+		t.Fatalf("window after reopening the upgraded log = %v, differs from before", tab.Snapshot())
 	}
 }
 
@@ -575,7 +521,7 @@ func TestInsertErrorLeavesWindowUnchanged(t *testing.T) {
 	defer s.Close()
 	tab, err := s.CreateTable("perm", tempSchema, TableOptions{
 		Window:    stream.MustWindow("100"),
-		Permanent: true, // SyncAlways: append errors surface synchronously
+		Permanent: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -587,14 +533,16 @@ func TestInsertErrorLeavesWindowUnchanged(t *testing.T) {
 	tab.SetObserver(events)
 	before := len(events.log)
 
-	// Sabotage the WAL file underneath the log: the next write fails.
-	tab.log.f.Close()
+	// Close the log underneath the table: staging is refused. (A fault
+	// found later, at the group commit, degrades instead — the rows are
+	// already visible by then; see TestLeaderCommitFailureDegradesFollowers.)
+	tab.log.Close()
 
 	if err := tab.Insert(intElem(t, 2, 2)); err == nil {
-		t.Fatal("Insert with dead WAL succeeded")
+		t.Fatal("Insert with closed WAL succeeded")
 	}
 	if err := tab.InsertBatch([]stream.Element{intElem(t, 3, 3), intElem(t, 4, 4)}); err == nil {
-		t.Fatal("InsertBatch with dead WAL succeeded")
+		t.Fatal("InsertBatch with closed WAL succeeded")
 	}
 	if n := tab.Len(); n != 1 {
 		t.Fatalf("window has %d elements after failed appends, want 1", n)

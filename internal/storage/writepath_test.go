@@ -1,0 +1,496 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gsn/internal/stream"
+)
+
+// prodSchema tags every element with its producer and per-producer
+// sequence number, so the write-path tests can check FIFO, exactly-once
+// and ordering properties after arbitrary interleaving.
+var prodSchema = stream.MustSchema(
+	stream.Field{Name: "producer", Type: stream.TypeInt},
+	stream.Field{Name: "seq", Type: stream.TypeInt},
+	stream.Field{Name: "value", Type: stream.TypeInt},
+)
+
+func prodElem(t testing.TB, producer, seq, value int64) stream.Element {
+	t.Helper()
+	e, err := stream.NewElement(prodSchema, stream.Timestamp(producer*1_000_000+seq), producer, seq, value)
+	if err != nil {
+		t.Fatalf("NewElement: %v", err)
+	}
+	return e
+}
+
+type prodKey struct{ producer, seq int64 }
+
+func elemKey(e stream.Element) prodKey {
+	return prodKey{e.Value(0).(int64), e.Value(1).(int64)}
+}
+
+func elemKeys(elems []stream.Element) []prodKey {
+	keys := make([]prodKey, len(elems))
+	for i, e := range elems {
+		keys[i] = elemKey(e)
+	}
+	return keys
+}
+
+// prodRecorder logs the observer event sequence by element key, and
+// separately the insert order (the window-commit order). Callbacks run
+// under the table lock, so no extra synchronisation is needed.
+type prodRecorder struct {
+	events []string
+	order  []stream.Element
+}
+
+func (r *prodRecorder) OnInsert(e stream.Element) {
+	r.events = append(r.events, fmt.Sprintf("i%v", elemKey(e)))
+	r.order = append(r.order, e)
+}
+func (r *prodRecorder) OnEvict(e stream.Element) {
+	r.events = append(r.events, fmt.Sprintf("e%v", elemKey(e)))
+}
+func (r *prodRecorder) OnTruncate() { r.events = append(r.events, "t") }
+
+// produce runs the producers concurrently: producer p inserts elements
+// (p, 0..perProducer-1) in order, as single Inserts or as InsertBatches
+// of 1–7, and bumps acked[p] by the number of elements each returned
+// call covered.
+func produce(t *testing.T, tab *Table, producers, perProducer int, form func(rng *rand.Rand) bool, acked []atomic.Int64) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + p)))
+			for seq := 0; seq < perProducer; {
+				n := 1
+				batch := form(rng)
+				if batch {
+					n += rng.Intn(7)
+					if rest := perProducer - seq; n > rest {
+						n = rest
+					}
+				}
+				elems := make([]stream.Element, n)
+				for i := range elems {
+					elems[i] = prodElem(t, int64(p), int64(seq+i), rng.Int63n(1000))
+				}
+				var err error
+				if batch {
+					err = tab.InsertBatch(elems)
+				} else {
+					err = tab.Insert(elems[0])
+				}
+				if err != nil {
+					t.Errorf("producer %d: %v", p, err)
+					return
+				}
+				seq += n
+				if acked != nil {
+					acked[p].Add(int64(n))
+				}
+			}
+		}(p)
+	}
+	return &wg
+}
+
+// TestCrashMatrix is the one statement of the durability contract
+// (docs/operations.md "Durability contract") as a test: every sync
+// policy × 1 and 8 producers × Insert and InsertBatch, with the data
+// directory crash-copied mid-run, after the last ack and after a Flush
+// barrier. Every copy must reopen to a prefix of the window-commit
+// order (WAL order ≡ window order, per-producer FIFO, nothing twice);
+// under always/durable every element acked before a copy was taken must
+// be in it; after the barrier — and after a clean Close — everything is.
+func TestCrashMatrix(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncDurable, SyncInterval, SyncNone} {
+		if p, ok := ParseSyncPolicy(policy.String()); !ok || p != policy {
+			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", policy.String(), p, ok)
+		}
+		for _, producers := range []int{1, 8} {
+			for _, batch := range []bool{false, true} {
+				form := "Insert"
+				if batch {
+					form = "InsertBatch"
+				}
+				t.Run(fmt.Sprintf("%s/%dp/%s", policy, producers, form), func(t *testing.T) {
+					crashMatrixCell(t, policy, producers, batch)
+				})
+			}
+		}
+	}
+}
+
+func crashMatrixCell(t *testing.T, policy SyncPolicy, producers int, batch bool) {
+	const perProducer = 150
+	total := producers * perProducer
+	waits := policy == SyncAlways || policy == SyncDurable
+	opts := TableOptions{
+		Window:          stream.Window{Kind: stream.CountWindow, Count: total},
+		Permanent:       true,
+		Sync:            policy,
+		FlushInterval:   time.Millisecond, // the interval flusher takes part
+		FlushBytes:      512,              // and so do the byte thresholds
+		RecoverInterval: -1,
+	}
+	dir := t.TempDir()
+	store, err := NewStore(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	tab, err := store.CreateTable("m", prodSchema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &prodRecorder{}
+	tab.SetObserver(rec)
+
+	// A copy is a crash image plus, per producer, how many elements were
+	// acked before the copy began.
+	type image struct {
+		what  string
+		dir   string
+		acked []int64
+	}
+	acked := make([]atomic.Int64, producers)
+	snap := func(what string) image {
+		im := image{what: what, acked: make([]int64, producers)}
+		for p := range acked {
+			im.acked[p] = acked[p].Load()
+		}
+		im.dir = crashCopy(t, dir)
+		return im
+	}
+
+	wg := produce(t, tab, producers, perProducer, func(*rand.Rand) bool { return batch }, acked)
+	waitCond(t, "a third of the run acked", func() bool {
+		sum := int64(0)
+		for p := range acked {
+			sum += acked[p].Load()
+		}
+		return sum >= int64(total/3) || t.Failed()
+	})
+	images := []image{snap("mid-run")}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	images = append(images, snap("after the last ack"))
+	if waits && producers == 1 && !batch {
+		// A lone producer's commits are its own: one per call, none
+		// deferred past the ack.
+		if got := tab.Stats().LogFlushes; got != uint64(total) {
+			t.Errorf("%d serial %s inserts took %d commits, want one each", total, policy, got)
+		}
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	images = append(images, snap("after Flush"))
+	var order []prodKey
+	tab.WithLock(func() { order = elemKeys(rec.order) })
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	images = append(images, image{what: "after Close", dir: dir, acked: images[2].acked})
+
+	if len(order) != total {
+		t.Fatalf("window committed %d elements, want %d", len(order), total)
+	}
+	for i, im := range images {
+		s2, err := NewStore(nil, im.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab2, err := s2.CreateTable("m", prodSchema, opts)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", im.what, err)
+		}
+		got := elemKeys(tab2.Snapshot())
+		s2.Close()
+		if len(got) > total {
+			t.Fatalf("%s: reopened to %d elements of %d inserted", im.what, len(got), total)
+		}
+		// WAL order ≡ window order: the image is a prefix of the commit
+		// order.
+		present := make([]int64, producers)
+		for j, k := range got {
+			if k != order[j] {
+				t.Fatalf("%s: reopened element %d is %+v, window committed %+v there", im.what, j, k, order[j])
+			}
+			// Per-producer FIFO and exactly-once: each producer's
+			// elements appear as 0, 1, 2, … with no gap and no repeat.
+			if k.seq != present[k.producer] {
+				t.Fatalf("%s: producer %d seq %d follows %d elements (FIFO / exactly-once violated)",
+					im.what, k.producer, k.seq, present[k.producer])
+			}
+			present[k.producer]++
+		}
+		// Acked ⇒ durable.
+		if waits || i >= 2 {
+			for p, n := range im.acked {
+				if present[p] < n {
+					t.Errorf("%s: producer %d had %d elements acked, the image holds %d", im.what, p, n, present[p])
+				}
+			}
+		}
+		if i >= 2 && len(got) != total {
+			t.Errorf("%s: reopened to %d elements, want all %d", im.what, len(got), total)
+		}
+	}
+}
+
+// TestConcurrentInsertEquivalence is the concurrency property of the
+// write path: 8 producers push random Insert/InsertBatch splits, and the
+// observer event sequence (inserts and evictions), the window and the
+// WAL must be exactly what replaying the final window-commit order
+// serially produces — concurrency decides the order and nothing else.
+func TestConcurrentInsertEquivalence(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			const (
+				producers   = 8
+				perProducer = 250
+				windowSize  = 256
+			)
+			total := producers * perProducer
+			opts := TableOptions{
+				Window:          stream.Window{Kind: stream.CountWindow, Count: windowSize},
+				Permanent:       true,
+				Sync:            policy,
+				RecoverInterval: -1,
+			}
+			dir := t.TempDir()
+			store, err := NewStore(nil, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			conc, err := store.CreateTable("conc", prodSchema, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &prodRecorder{}
+			conc.SetObserver(rec)
+			produce(t, conc, producers, perProducer, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 }, nil).Wait()
+			if err := conc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var order []stream.Element
+			var events []string
+			conc.WithLock(func() { order, events = rec.order, rec.events })
+			if len(order) != total {
+				t.Fatalf("window committed %d elements, want %d", len(order), total)
+			}
+			next := make([]int64, producers)
+			for i, e := range order {
+				k := elemKey(e)
+				if k.seq != next[k.producer] {
+					t.Fatalf("commit order position %d: producer %d seq %d, want %d (FIFO violated)",
+						i, k.producer, k.seq, next[k.producer])
+				}
+				next[k.producer]++
+			}
+
+			serial, err := store.CreateTable("serial", prodSchema, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srec := &prodRecorder{}
+			serial.SetObserver(srec)
+			for _, e := range order {
+				if err := serial.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := serial.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != len(srec.events) {
+				t.Fatalf("observer saw %d events, the serial replay %d", len(events), len(srec.events))
+			}
+			for i := range events {
+				if events[i] != srec.events[i] {
+					t.Fatalf("observer event %d: concurrent %s, serial %s", i, events[i], srec.events[i])
+				}
+			}
+			if got, want := elemBytes(conc.Snapshot()), elemBytes(serial.Snapshot()); string(got) != string(want) {
+				t.Fatal("concurrent and serial windows differ")
+			}
+			_, concRep, err := ReplayLog(filepath.Join(dir, "CONC.gsnlog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, serialRep, err := ReplayLog(filepath.Join(dir, "SERIAL.gsnlog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(concRep) != total || string(elemBytes(concRep)) != string(elemBytes(serialRep)) {
+				t.Fatalf("WAL replay: concurrent %d records, serial %d, want %d identical ones",
+					len(concRep), len(serialRep), total)
+			}
+		})
+	}
+}
+
+// gateFS holds .gsnlog writes at a gate, so a test can park a group
+// commit's leader inside its write syscall while followers arrive.
+type gateFS struct {
+	FS
+	mu      sync.Mutex
+	hold    chan struct{} // non-nil: writes block until it is closed
+	waiting chan struct{} // one token per write that reached the gate
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".gsnlog") {
+		return f, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	File
+	g *gateFS
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.g.mu.Lock()
+	hold := f.g.hold
+	f.g.mu.Unlock()
+	if hold != nil {
+		f.g.waiting <- struct{}{}
+		<-hold
+	}
+	return f.File.Write(p)
+}
+
+// TestLeaderCommitFailureDegradesFollowers: the leader of a group commit
+// is parked in its write while followers stage behind it — their rows
+// are already visible (readers do not queue behind the syscall) but not
+// one is acked. The write (or, under durable, the fdatasync) then
+// fails: the leader and every follower of that group must come back
+// degraded, each owning up to its rows in DegradedAppends, and no
+// follower may try a write of its own on the poisoned log.
+func TestLeaderCommitFailureDegradesFollowers(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy SyncPolicy
+		fault  Fault
+	}{
+		{"write fails", SyncAlways, Fault{Op: OpWrite, Path: ".gsnlog", Count: -1}},
+		{"fdatasync fails", SyncDurable, Fault{Op: OpSync, Path: ".gsnlog", Count: -1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const followers = 5
+			store, err := NewStore(nil, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			ffs := NewFaultFS(nil)
+			gate := &gateFS{FS: ffs, waiting: make(chan struct{}, 1+followers)}
+			store.SetFS(gate)
+			tab, err := store.CreateTable("g", prodSchema, TableOptions{
+				Window:          stream.Window{Kind: stream.CountWindow, Count: 64},
+				Permanent:       true,
+				Sync:            tc.policy,
+				RecoverInterval: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 3; i++ { // a healthy, committed prefix
+				if err := tab.Insert(prodElem(t, 0, i, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			writes := ffs.OpCount(OpWrite)
+
+			hold := make(chan struct{})
+			gate.mu.Lock()
+			gate.hold = hold
+			gate.mu.Unlock()
+			ffs.Inject(tc.fault)
+
+			var acked atomic.Int64
+			var wg sync.WaitGroup
+			insert := func(p int64, n int) {
+				defer wg.Done()
+				elems := make([]stream.Element, n)
+				for i := range elems {
+					elems[i] = prodElem(t, p, int64(i), 0)
+				}
+				if err := tab.InsertBatch(elems); err != nil {
+					t.Errorf("producer %d: degraded insert must still ack, got %v", p, err)
+				}
+				acked.Add(1)
+			}
+			wg.Add(1)
+			go insert(1, 1)
+			<-gate.waiting // the leader is inside its write
+			rows := 1
+			for f := 0; f < followers; f++ {
+				wg.Add(1)
+				go insert(int64(2+f), 1+f%2) // a mix of singles and batches
+				rows += 1 + f%2
+			}
+			// Visible before acked: every follower's rows reach the window
+			// while the leader still holds the commit.
+			waitCond(t, "followers published behind the parked leader", func() bool { return tab.Len() == 3+rows })
+			if n := acked.Load(); n != 0 {
+				t.Fatalf("%d producers acked before the group commit finished", n)
+			}
+			close(hold)
+			wg.Wait()
+
+			st := tab.Stats()
+			if !st.Degraded {
+				t.Fatalf("table not degraded after the leader's commit failed: %+v", st)
+			}
+			if st.DegradedAppends != uint64(rows) {
+				t.Errorf("DegradedAppends = %d, want %d (every row of the failed group, nothing else)", st.DegradedAppends, rows)
+			}
+			if st.LogErrors != 1+followers {
+				t.Errorf("LogErrors = %d, want %d (one per producer of the failed group)", st.LogErrors, 1+followers)
+			}
+			if got := ffs.OpCount(OpWrite) - writes; got != 1 {
+				t.Errorf("the failed group took %d write syscalls, want the leader's one", got)
+			}
+			// A poisoned log acks nothing, not even a sequence number it
+			// committed while healthy: CommitThrough checks the poison
+			// before the committed boundary.
+			if err := tab.log.CommitThrough(1); err == nil {
+				t.Error("CommitThrough on a poisoned log acked an already-committed record")
+			}
+			// And the usual way out still works.
+			ffs.Clear()
+			if err := tab.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if err := tab.Insert(prodElem(t, 9, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := ReplayLog(filepath.Join(store.dataDir, "G.gsnlog"))
+			if err != nil || len(rep) != 3+rows+1 {
+				t.Fatalf("after recovery the WAL holds %d records (err %v), want %d", len(rep), err, 3+rows+1)
+			}
+		})
+	}
+}

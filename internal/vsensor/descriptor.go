@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -70,9 +69,9 @@ type StorageSpec struct {
 	// or a tuple count). Default "100".
 	Size string `xml:"size,attr"`
 	// Sync selects the WAL durability policy for permanent storage:
-	// "always" (write per insert, the default), "interval" (group
-	// commit on a background interval), or "none" (write on byte
-	// threshold and barriers only).
+	// "always" (acked once written, the default), "durable" (acked
+	// once fdatasynced), "interval" (group commit on a background
+	// interval), or "none" (write on byte threshold and barriers only).
 	Sync string `xml:"sync,attr"`
 	// FlushInterval tunes the "interval" group-commit period (a Go
 	// duration such as "5ms"; empty uses the storage default).
@@ -82,27 +81,6 @@ type StorageSpec struct {
 	// paged on-disk history tier with a B+tree time index, servable by
 	// TIMED-range queries). "disk" requires permanent-storage.
 	History string `xml:"history,attr"`
-	// Lanes enables the sharded ingest tier on the output table:
-	// "" (disabled, the default), "auto" (one lane per core), or a
-	// positive lane count. See docs/architecture.md "Ingest lanes".
-	Lanes string `xml:"lanes,attr"`
-}
-
-// ParseLanes maps the storage lanes attribute to a
-// storage.TableOptions.IngestLanes value: 0 for "", -1 (auto) for
-// "auto", else the positive lane count.
-func ParseLanes(s string) (int, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "auto":
-		return -1, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("vsensor: storage lanes must be \"auto\" or a positive count (got %q)", s)
-	}
-	return n, nil
 }
 
 // InputStream declares one input with its sources and combining query.
@@ -271,9 +249,6 @@ func (d *Descriptor) Validate() error {
 	default:
 		return fmt.Errorf("vsensor: %s: storage history must be empty or \"disk\" (got %q)",
 			d.Name, d.Storage.History)
-	}
-	if _, err := ParseLanes(d.Storage.Lanes); err != nil {
-		return fmt.Errorf("vsensor: %s: %w", d.Name, err)
 	}
 	if len(d.Streams) == 0 {
 		return fmt.Errorf("vsensor: %s: no input-stream defined", d.Name)

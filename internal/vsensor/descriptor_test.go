@@ -192,18 +192,6 @@ func TestValidateStructuralErrors(t *testing.T) {
 			<input-stream name="i"><stream-source alias="s"><address wrapper="timer"/>
 			<query>select * from wrapper</query></stream-source><query>select * from s</query></input-stream>
 			</virtual-sensor>`,
-		"bad lanes": `<virtual-sensor name="x">
-			<output-structure><field name="v" type="double"/></output-structure>
-			<storage size="10" lanes="several"/>
-			<input-stream name="i"><stream-source alias="s"><address wrapper="timer"/>
-			<query>select * from wrapper</query></stream-source><query>select * from s</query></input-stream>
-			</virtual-sensor>`,
-		"negative lanes": `<virtual-sensor name="x">
-			<output-structure><field name="v" type="double"/></output-structure>
-			<storage size="10" lanes="-2"/>
-			<input-stream name="i"><stream-source alias="s"><address wrapper="timer"/>
-			<query>select * from wrapper</query></stream-source><query>select * from s</query></input-stream>
-			</virtual-sensor>`,
 		"bad sync": `<virtual-sensor name="x">
 			<output-structure><field name="v" type="double"/></output-structure>
 			<storage size="10" permanent-storage="true" sync="eventually"/>
@@ -218,31 +206,22 @@ func TestValidateStructuralErrors(t *testing.T) {
 	}
 }
 
-// TestStorageLanesAttr pins the lanes attribute round trip: "auto",
-// an explicit count, and absence all parse; ParseLanes maps them to
-// the storage-layer convention (0 off, -1 auto, N fixed).
-func TestStorageLanesAttr(t *testing.T) {
-	for _, tc := range []struct {
-		attr string
-		want int
-	}{{"", 0}, {"auto", -1}, {"4", 4}} {
-		doc := `<virtual-sensor name="x">
-			<output-structure><field name="v" type="double"/></output-structure>
-			<storage size="10" permanent-storage="true" sync="durable" lanes="` + tc.attr + `"/>
-			<input-stream name="i"><stream-source alias="s"><address wrapper="timer"/>
-			<query>select * from wrapper</query></stream-source><query>select * from s</query></input-stream>
-			</virtual-sensor>`
-		if tc.attr == "" {
-			doc = strings.Replace(doc, ` lanes=""`, "", 1)
-		}
-		d, err := Parse([]byte(doc))
-		if err != nil {
-			t.Fatalf("lanes=%q: %v", tc.attr, err)
-		}
-		got, err := ParseLanes(d.Storage.Lanes)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseLanes(%q) = %d, %v; want %d", tc.attr, got, err, tc.want)
-		}
+// TestRetiredLanesAttrIgnored: descriptors written while the ingest-lane
+// tier existed carry lanes="auto|N" on <storage>. The attribute is gone
+// from the schema and must be ignored like any unknown XML attribute,
+// not rejected — such a descriptor still deploys.
+func TestRetiredLanesAttrIgnored(t *testing.T) {
+	d, err := Parse([]byte(`<virtual-sensor name="x">
+		<output-structure><field name="v" type="double"/></output-structure>
+		<storage size="10" permanent-storage="true" sync="durable" lanes="auto"/>
+		<input-stream name="i"><stream-source alias="s"><address wrapper="timer"/>
+		<query>select * from wrapper</query></stream-source><query>select * from s</query></input-stream>
+		</virtual-sensor>`))
+	if err != nil {
+		t.Fatalf("descriptor with the retired lanes attribute rejected: %v", err)
+	}
+	if d.Storage.Sync != "durable" || !d.Storage.Permanent {
+		t.Fatalf("storage spec = %+v", d.Storage)
 	}
 }
 

@@ -31,8 +31,7 @@ var dashboardTemplate = template.Must(template.New("dashboard").Parse(`<!DOCTYPE
 <h1>GSN container: {{.Node}}</h1>
 <p>{{len .Sensors}} virtual sensor(s) deployed · <a href="/api/metrics">metrics</a> · <a href="/api/directory">directory</a> · <a href="/api/graph">graph</a></p>
 <p>storage history tier: {{.Storage}}</p>
-{{if .Lanes}}<p>ingest lanes: {{.Lanes}}</p>
-{{end}}<p>p2p replication: {{.P2P}}</p>
+<p>p2p replication: {{.P2P}}</p>
 <table>
 <tr><th>Virtual sensor</th><th>Health</th><th>Fields</th><th>Consumes</th><th class="num">Triggers</th><th class="num">Outputs</th><th class="num">Errors</th><th class="num">Window</th><th>Plot</th></tr>
 {{range .Sensors}}
@@ -70,7 +69,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	var view struct {
 		Node    string
 		Storage string
-		Lanes   string
 		P2P     string
 		Sensors []dashboardSensor
 	}
@@ -79,13 +77,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	view.Storage = fmt.Sprintf("%v pages read · %v pages written · %v pool hits · %v pool evictions · %v checkpoints · %v wal reopens · %v degraded sensor(s)",
 		snap["pages_read"], snap["pages_written"], snap["pool_hits"], snap["pool_evictions"],
 		snap["checkpoints_total"], snap["wal_reopens_total"], snap["degraded_sensors"])
-	// The lane line only appears when at least one table has lanes
-	// enabled (the snapshot omits the keys otherwise).
-	if _, ok := snap["lane_published_total"]; ok {
-		view.Lanes = fmt.Sprintf("%v published · %v stalls · %v merges · %v elements merged",
-			snap["lane_published_total"], snap["lane_stalls_total"],
-			snap["lane_merges_total"], snap["lane_merged_elems_total"])
-	}
 	view.P2P = fmt.Sprintf("%v fetches · %v failures · %v re-syncs · %v epoch mismatches · %v duplicates dropped",
 		snap["p2p_fetches_total"], snap["p2p_fetch_failures_total"], snap["p2p_resyncs_total"],
 		snap["p2p_epoch_mismatches"], snap["p2p_duplicates_dropped"])
