@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-gate benchsmoke examples-smoke docs-check chaos ci
+.PHONY: all build vet test race bench bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci
 
 all: ci
 
@@ -55,6 +55,20 @@ bench-queries:
 bench-gate:
 	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-gate PARENT=a.jsonl CHANGE=b.jsonl"; exit 2; }
 	$(GO) run ./benchmark -compare $(PARENT) $(CHANGE)
+
+# bench-pairs is the whole paired measurement of a change against a
+# parent commit (the choosing-metrics protocol: equal seeds per pair,
+# alternating order, the benchmark's own run length), ending in the same
+# comparison bench-gate prints. SEED is the first pair's seed: measure on
+# seeds not used while writing the change. With a WORKLOADS subset the
+# comparison still prints its rows and then exits 1: the gate is green
+# only over all four workloads.
+WORKLOADS ?= pipeline_steady ingest_saturate query_mix cluster_edge
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<git-ref> [WORKLOADS="pipeline_steady ..."] [PAIRS=10] [SEED=1]'; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SEED)"
 
 # docs-check keeps the documentation honest: relative markdown links
 # must resolve, and every ```sql example in docs/sql-dialect.md must

@@ -6,6 +6,7 @@ package gsn_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -460,6 +461,66 @@ func BenchmarkClientQueries(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFigure4Sweep is the registered-query sweep in the paper's
+// Figure 4 shape, small enough to profile: 25 evaluation groups, each
+// "~3 filtering predicates" with a seeded history size, modulus and
+// threshold, swept over a count-50 output window on the system clock.
+// Every group is a bound program whose history conjunct
+// `timed >= now() - H` is row-independent; ns/row is the sweep's time
+// per group per window row.
+func BenchmarkFigure4Sweep(b *testing.B) {
+	const window, groups = 50, 25
+	node, err := gsn.NewNode(gsn.NodeOptions{Name: "bench-f4", SyncProcessing: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer node.Close()
+	desc := fmt.Sprintf(`
+<virtual-sensor name="f4">
+  <output-structure>
+    <field name="hi" type="integer"/>
+    <field name="m" type="integer"/>
+    <field name="sn" type="integer"/>
+  </output-structure>
+  <storage size="%d"/>
+  <input-stream name="in">
+    <stream-source alias="s" storage-size="1">
+      <address wrapper="timer"/>
+      <query>select tick as hi, tick %% 8 as m, tick %% 101 as sn from WRAPPER</query>
+    </stream-source>
+    <query>select * from s</query>
+  </input-stream>
+</virtual-sensor>`, window)
+	if err := node.DeployXML([]byte(desc)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		node.Pulse()
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < groups; i++ {
+		mod := 2 + i%5
+		sql := fmt.Sprintf("select count(*) as c, avg(sn) as a from f4 where timed >= now() - %d and hi %% %d = %d and m > %d",
+			1000+rng.Intn(29000)+i, mod, rng.Intn(mod), i%8)
+		if _, err := node.RegisterQuery("f4", sql, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c := node.Container()
+	repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+	if got := repo.GroupCount("f4"); got != groups {
+		b.Fatalf("%d evaluation groups, want %d", got, groups)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := repo.EvaluateFor("f4", cat, opts); n != groups {
+			b.Fatalf("evaluated %d of %d", n, groups)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(groups*window), "ns/row")
 }
 
 // BenchmarkClientQueriesGrouped extends the acceptance benchmark to

@@ -5,10 +5,12 @@
 //     directory in the repository (external http(s)/mailto links and
 //     pure #anchors are skipped).
 //   - Dialect smoke: every ```sql fenced block in docs/sql-dialect.md
-//     is parsed and executed against the fixture catalog below, so the
-//     documented SQL surface cannot rot ahead of (or behind) the
-//     engine. Full-line "-- comment" lines are stripped; statements
-//     split on trailing semicolons.
+//     is executed against the fixture tables below twice — through a
+//     container's ad-hoc path (the result cache, which compiles what
+//     binds) and through the interpreter over the same tables — and
+//     the two must agree, so the documented SQL surface cannot rot
+//     ahead of (or behind) either evaluator. Full-line "-- comment"
+//     lines are stripped; statements split on trailing semicolons.
 //
 // Run by `make docs-check` (wired into `make ci` and the GitHub
 // workflow). Exit status is non-zero when anything is broken.
@@ -22,7 +24,9 @@ import (
 	"sort"
 	"strings"
 
+	"gsn/internal/core"
 	"gsn/internal/sqlengine"
+	"gsn/internal/storage"
 	"gsn/internal/stream"
 )
 
@@ -86,44 +90,57 @@ func checkLinks(path string, report func(string, ...any)) {
 	}
 }
 
-// fixtureCatalog builds the tables the dialect examples run against.
-// docs/sql-dialect.md documents this fixture in its own "fixture"
-// section; keep the two in sync.
-func fixtureCatalog() (sqlengine.Catalog, error) {
-	readings := stream.MustSchema(
-		stream.Field{Name: "room", Type: stream.TypeString},
-		stream.Field{Name: "value", Type: stream.TypeFloat},
-	)
-	alarms := stream.MustSchema(
-		stream.Field{Name: "room", Type: stream.TypeString},
-		stream.Field{Name: "level", Type: stream.TypeInt},
-	)
-	var relErr error
-	mk := func(schema *stream.Schema, rows [][]stream.Value) *sqlengine.Relation {
-		var elems []stream.Element
+// fixtureContainer builds a container holding the tables the dialect
+// examples run against. docs/sql-dialect.md documents this fixture in
+// its own "fixture" section; keep the two in sync. Its clock stands
+// still, so a NOW() example reads the same instant on both paths.
+func fixtureContainer() (*core.Container, error) {
+	c, err := core.New(core.Options{Name: "docs-check", SyncProcessing: true, Clock: stream.NewManualClock(10_000)})
+	if err != nil {
+		return nil, err
+	}
+	fill := func(name string, schema *stream.Schema, rows [][]stream.Value) error {
+		table, err := c.Store().CreateTable(name, schema, storage.TableOptions{
+			Window: stream.Window{Kind: stream.CountWindow, Count: 100},
+		})
+		if err != nil {
+			return err
+		}
 		for i, r := range rows {
 			e, err := stream.NewElement(schema, stream.Timestamp(1000*(i+1)), r...)
-			if err != nil && relErr == nil {
-				relErr = err
+			if err != nil {
+				return err
 			}
-			elems = append(elems, e)
+			if err := table.Insert(e); err != nil {
+				return err
+			}
 		}
-		return sqlengine.RelationOfElements(schema, elems)
+		return nil
 	}
-	cat := sqlengine.MapCatalog{
-		"READINGS": mk(readings, [][]stream.Value{
-			{"kitchen", 21.5},
-			{"kitchen", 23.0},
-			{"lab", 19.0},
-			{"lab", nil},
-			{"office", 27.5},
-		}),
-		"ALARMS": mk(alarms, [][]stream.Value{
+	err = fill("readings", stream.MustSchema(
+		stream.Field{Name: "room", Type: stream.TypeString},
+		stream.Field{Name: "value", Type: stream.TypeFloat},
+	), [][]stream.Value{
+		{"kitchen", 21.5},
+		{"kitchen", 23.0},
+		{"lab", 19.0},
+		{"lab", nil},
+		{"office", 27.5},
+	})
+	if err == nil {
+		err = fill("alarms", stream.MustSchema(
+			stream.Field{Name: "room", Type: stream.TypeString},
+			stream.Field{Name: "level", Type: stream.TypeInt},
+		), [][]stream.Value{
 			{"lab", int64(2)},
 			{"office", int64(1)},
-		}),
+		})
 	}
-	return cat, relErr
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // sqlBlockPattern captures ```sql fenced blocks.
@@ -136,11 +153,12 @@ func checkDialectExamples(path string, report func(string, ...any)) {
 		report("%s: %v", path, err)
 		return
 	}
-	cat, err := fixtureCatalog()
+	c, err := fixtureContainer()
 	if err != nil {
 		report("fixture: %v", err)
 		return
 	}
+	defer c.Close()
 	blocks := sqlBlockPattern.FindAllStringSubmatch(string(data), -1)
 	if len(blocks) == 0 {
 		report("%s: no ```sql blocks found (smoke has nothing to check)", path)
@@ -149,8 +167,18 @@ func checkDialectExamples(path string, report func(string, ...any)) {
 	executed := 0
 	for _, b := range blocks {
 		for _, stmt := range splitStatements(b[1]) {
-			if _, err := sqlengine.ExecuteSQL(stmt, cat, sqlengine.Options{}); err != nil {
+			want, err := sqlengine.ExecuteSQL(stmt, c.Catalog(), sqlengine.Options{Clock: c.Clock()})
+			if err != nil {
 				report("%s: example failed: %q: %v", path, stmt, err)
+				continue
+			}
+			got, err := c.LocalQuery(stmt)
+			if err != nil {
+				report("%s: example failed on the ad-hoc path: %q: %v", path, stmt, err)
+				continue
+			}
+			if got.String() != want.String() {
+				report("%s: example %q: ad-hoc path returned\n%s\ninterpreter returned\n%s", path, stmt, got, want)
 				continue
 			}
 			executed++

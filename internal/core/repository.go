@@ -147,6 +147,17 @@ type sensorQueries struct {
 	out    *storage.Table // output table; nil when registered without one
 	groups map[string]*queryGroup
 
+	// work caches what a sweep evaluates, so that in the steady state a
+	// sweep loads one pointer instead of listing the maps above. Register
+	// and Unregister clear it under the write lock; the next sweep
+	// rebuilds it under the read lock (workLocked), which no mutation
+	// can interleave with.
+	work atomic.Pointer[sweepWork]
+	// sweeps counts the sensor's sweeps; each starts one group further
+	// down the list than the last, so no group is evaluated last — and
+	// its subscribers served a whole sweep late — on every trigger.
+	sweeps atomic.Uint64
+
 	// sweepPending coalesces scheduled sweeps: while a sweep is queued
 	// but has not started reading windows, further triggers collapse
 	// into it (mirroring the trigger pipeline's coalescing).
@@ -348,6 +359,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	}
 	g.subs[q.ID] = q
 	r.queries[q.ID] = q
+	sq.work.Store(nil)
 	return q.ID, nil
 }
 
@@ -401,8 +413,9 @@ func (r *QueryRepository) Unregister(id int64) error {
 	delete(r.queries, id)
 	g := q.group
 	delete(g.subs, id)
-	if len(g.subs) == 0 {
-		if sq := r.bySensor[q.Sensor]; sq != nil {
+	if sq := r.bySensor[q.Sensor]; sq != nil {
+		sq.work.Store(nil)
+		if len(g.subs) == 0 {
 			delete(sq.groups, g.sql)
 			if g.agg != nil {
 				r.resetObserverLocked(sq)
@@ -465,6 +478,31 @@ type groupWork struct {
 	subs []*ClientQuery
 }
 
+// sweepWork is one sensor's work list: immutable once built, shared by
+// every sweep until a registration changes the sensor's groups.
+type sweepWork struct {
+	out    *storage.Table
+	groups []groupWork
+}
+
+// workLocked returns the sensor's work list, rebuilding it if a
+// registration invalidated it. The caller holds at least the read lock.
+func (sq *sensorQueries) workLocked() *sweepWork {
+	if w := sq.work.Load(); w != nil {
+		return w
+	}
+	w := &sweepWork{out: sq.out, groups: make([]groupWork, 0, len(sq.groups))}
+	for _, g := range sq.groups {
+		subs := make([]*ClientQuery, 0, len(g.subs))
+		for _, q := range g.subs {
+			subs = append(subs, q)
+		}
+		w.groups = append(w.groups, groupWork{g: g, subs: subs})
+	}
+	sq.work.Store(w)
+	return w
+}
+
 // sharedWindow materialises the sensor's output window at most once
 // per sweep, shared by every group (the seed re-scanned the table once
 // per registered query). Rows are zero-copy with respect to the
@@ -515,19 +553,13 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 		r.mu.RUnlock()
 		return 0
 	}
-	out := sq.out
-	work := make([]groupWork, 0, len(sq.groups))
-	for _, g := range sq.groups {
-		subs := make([]*ClientQuery, 0, len(g.subs))
-		for _, q := range g.subs {
-			subs = append(subs, q)
-		}
-		work = append(work, groupWork{g: g, subs: subs})
-	}
+	snap := sq.workLocked()
 	r.mu.RUnlock()
+	work := snap.groups
+	first := int(sq.sweeps.Add(1) % uint64(len(work)))
 
 	start := time.Now()
-	shared := &sharedWindow{table: out, name: canonical, cat: cat}
+	shared := &sharedWindow{table: snap.out, name: canonical, cat: cat}
 
 	// Completion is tracked per work item, never per helper task: the
 	// caller always participates, so even if every submitted helper sits
@@ -546,7 +578,7 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 			if i >= len(work) {
 				return
 			}
-			evaluated.Add(int64(r.safeEvalGroup(work[i], shared, cat, opts)))
+			evaluated.Add(int64(r.safeEvalGroup(work[(first+i)%len(work)], shared, cat, opts)))
 			wg.Done()
 		}
 	}
@@ -640,9 +672,14 @@ func (r *QueryRepository) safeEvalGroup(w groupWork, shared *sharedWindow,
 // number of subscriber queries served.
 func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 	cat sqlengine.Catalog, opts sqlengine.Options) int {
-	live := w.subs[:0:0]
+	// A group whose sampling skips every subscriber costs the sweep no
+	// allocation: live is carved only once one of them is admitted.
+	var live []*ClientQuery
 	for _, q := range w.subs {
 		if q.sample() {
+			if live == nil {
+				live = make([]*ClientQuery, 0, len(w.subs))
+			}
 			live = append(live, q)
 		}
 	}

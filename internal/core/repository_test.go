@@ -76,6 +76,16 @@ var clientQueryShapes = []string{
 	"select value, count(*) as n from vals group by value having count(*) > 1000",             // HAVING filters all groups
 	"select value, count(*) as n from vals where value > 100000 group by value",               // empty group set
 	"select value % 5 as b, max(value) as m from vals group by value % 5 order by m desc, b",  // grouped + ORDER BY
+	// Row-independent subtrees (hoisted by the bound program) in every
+	// clause that binds expressions; the container's clock stands still
+	// between the sweep and the shadow evaluation.
+	"select count(*) as c, avg(value) as a from vals where timed >= now() - 1000000 and value % 3 = 1 and value > 2 * 3",           // Figure 4 shape
+	"select value + (10 - 3) as a, now() - timed as age, upper('x' || 'y') as s from vals",                                         // projection
+	"select value % (1 + 2) as k, 6 * 7 as c, count(*) as n from vals group by value % (1 + 2), 6 * 7",                             // GROUP BY key
+	"select value, count(*) as n from vals group by value having count(*) >= 3 - 1 and now() > 0",                                  // HAVING
+	"select value from vals where value > 90 order by value * (2 - 3), now()",                                                      // ORDER BY
+	"select case when value > 40 + 10 then 'hi' || '!' else lower('LO') end as c, case 1 + 1 when 2 then value end as d from vals", // CASE arms
+	"select value from vals where value > -1 or now() - 'x' > 0",                                                                   // error behind a short-circuit, never raised
 }
 
 // TestGroupedEvaluationMatchesSerial is the equivalence property test:
@@ -127,6 +137,16 @@ func TestGroupedEvaluationMatchesSerial(t *testing.T) {
 			g, s := grouped.last[i], serial.last[i]
 			if g != s {
 				t.Fatalf("pulse %d, shape %q:\ngrouped:\n%s\nserial:\n%s", pulse, sql, g, s)
+			}
+			// The same text asked ad hoc — compiled by the result cache,
+			// and served from it on the repeat — agrees as well.
+			if pulse%10 == 0 {
+				for _, pass := range []string{"ad hoc", "ad hoc, repeated"} {
+					rel, err := c.Query(sql)
+					if err != nil || rel.String() != s {
+						t.Fatalf("pulse %d, shape %q, %s: %v\n%v\nserial:\n%s", pulse, sql, pass, err, rel, s)
+					}
+				}
 			}
 		}
 	}
@@ -265,6 +285,42 @@ func TestSweepCompletesWithSaturatedPool(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep deadlocked against the saturated pool")
+	}
+}
+
+// TestSweepAllocationsIndependentOfSkippedGroups: a sweep loads its
+// work list as one pointer and pays nothing for a group whose sampling
+// admitted no subscriber this trigger, so its allocations are those of
+// the groups it evaluates — the same with ten idle groups beside them
+// as with five hundred.
+func TestSweepAllocationsIndependentOfSkippedGroups(t *testing.T) {
+	sweepAllocs := func(idle int) float64 {
+		c := testContainer(t)
+		deployVals(t, c, 60)
+		for i := 0; i < 30; i++ {
+			c.Pulse()
+		}
+		if _, err := c.RegisterQuery("vals", "select count(*) as n from vals where value > 3", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < idle; i++ {
+			// Admitted once in 10^12 triggers: never, here.
+			sql := fmt.Sprintf("select value from vals where value > %d", i)
+			if _, err := c.RegisterQuery("vals", sql, 1e-12, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+		return testing.AllocsPerRun(50, func() {
+			if n := repo.EvaluateFor("vals", cat, opts); n != 1 {
+				t.Fatalf("sweep evaluated %d queries, want the one always-sampled query", n)
+			}
+		})
+	}
+	few, many := sweepAllocs(10), sweepAllocs(500)
+	t.Logf("allocations per sweep: %.0f beside 10 skipped groups, %.0f beside 500", few, many)
+	if many > few+1 {
+		t.Errorf("a sweep allocates %.0f times beside 10 skipped groups and %.0f beside 500", few, many)
 	}
 }
 

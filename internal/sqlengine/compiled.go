@@ -44,6 +44,13 @@ func errTooManyRows(max int) error {
 // tiers generate (per-room averages, per-type alarm counts) run on the
 // bound path instead of the interpreter.
 //
+// What is constant for the statement is computed once per statement: a
+// maximal row-independent subtree (see rowIndependent — the history
+// bound `now() - 60000` of the paper's client queries is the common
+// one) binds to a memo cell filled on first use, so its value, or its
+// error, surfaces exactly when the interpreter's per-row evaluation
+// would first reach it and is never computed again in that execution.
+//
 // Statement shapes the binder does not cover (subqueries, EXISTS,
 // IN (SELECT), unknown functions) leave Plan.prog nil and fall back to
 // the interpreted path.
@@ -53,8 +60,16 @@ type boundExpr func(row []stream.Value, ctx *boundCtx) (stream.Value, error)
 
 // boundCtx carries per-execution state for bound expressions.
 type boundCtx struct {
-	ev  *evaluator     // scalar functions (NOW needs the clock)
-	agg []stream.Value // per-group aggregate results by slot
+	ev   *evaluator     // scalar functions (NOW needs the clock reading)
+	agg  []stream.Value // per-group aggregate results by slot
+	once []onceCell     // row-independent subtrees by memo slot
+}
+
+// onceCell holds a row-independent subtree's outcome for one execution.
+type onceCell struct {
+	done bool
+	v    stream.Value
+	err  error
 }
 
 // boundProj is one compiled projection slot.
@@ -89,25 +104,27 @@ type boundProgram struct {
 	groupBy []boundExpr // GROUP BY key expressions, row context
 	having  boundExpr   // post-aggregation predicate (agg slots + rep row)
 	grouped bool
+	ncells  int // memo slots the expressions above use
 }
 
 // newBoundProgram binds sp against cols, returning nil when any part
 // of the statement is outside the compiled subset.
 func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 	stmt := sp.stmt
-	b := &binder{cols: cols, aggs: sp.aggs}
 	prog := &boundProgram{grouped: sp.grouped}
+	b := &binder{cols: cols, aggs: sp.aggs, ncells: &prog.ncells}
+	// GROUP BY keys and aggregate arguments evaluate in plain row
+	// context: an aggregate call there is illegal (nested aggregates are
+	// rejected at analysis), so rowB sees no slots and such a shape falls
+	// back to the interpreter, which reports it.
+	rowB := &binder{cols: cols, ncells: &prog.ncells}
 	if stmt.Where != nil {
 		if prog.where = b.bind(stmt.Where); prog.where == nil {
 			return nil
 		}
 	}
 	for _, g := range stmt.GroupBy {
-		// Key expressions evaluate in plain row context (aggregates are
-		// illegal there; an aggregate call falls back to the interpreter,
-		// which reports it).
-		keyBinder := &binder{cols: cols}
-		fn := keyBinder.bind(g)
+		fn := rowB.bind(g)
 		if fn == nil {
 			return nil
 		}
@@ -135,11 +152,7 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 			if len(a.Args) != 1 {
 				return nil // surfaced as an error by the generic path
 			}
-			// Aggregate arguments evaluate in plain row context: nested
-			// aggregates are rejected at analysis, so bind with no agg
-			// slots visible.
-			argBinder := &binder{cols: cols}
-			if ba.arg = argBinder.bind(a.Args[0]); ba.arg == nil {
+			if ba.arg = rowB.bind(a.Args[0]); ba.arg == nil {
 				return nil
 			}
 		}
@@ -160,10 +173,16 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 }
 
 // binder compiles expressions against one column layout. aggs, when
-// set, maps aggregate call nodes (by identity) to result slots.
+// set, maps aggregate call nodes (by identity) to result slots; ncells
+// counts the program's memo slots.
 type binder struct {
-	cols []Column
-	aggs []*sqlparser.FuncCall
+	cols   []Column
+	aggs   []*sqlparser.FuncCall
+	ncells *int
+	// hoisted is set while binding beneath a memoised subtree: the whole
+	// subtree is evaluated once, so nothing inside it needs a cell of
+	// its own.
+	hoisted bool
 }
 
 // columnIndex mirrors Relation.ColumnIndex against the binder layout.
@@ -190,8 +209,31 @@ func (b *binder) columnIndex(table, name string) (int, bool) {
 }
 
 // bind compiles e, returning nil when e (or a subexpression) is
-// outside the compiled subset.
+// outside the compiled subset. A row-independent e that is more than a
+// literal is bound once and wrapped in a memo cell.
 func (b *binder) bind(e sqlparser.Expr) boundExpr {
+	if _, lit := e.(*sqlparser.Literal); lit || b.hoisted || !rowIndependent(e) {
+		return b.bindNode(e)
+	}
+	b.hoisted = true
+	fn := b.bindNode(e)
+	b.hoisted = false
+	if fn == nil {
+		return nil
+	}
+	slot := *b.ncells
+	*b.ncells++
+	return func(_ []stream.Value, ctx *boundCtx) (stream.Value, error) {
+		c := &ctx.once[slot]
+		if !c.done {
+			c.v, c.err = fn(nil, ctx)
+			c.done = true
+		}
+		return c.v, c.err
+	}
+}
+
+func (b *binder) bindNode(e sqlparser.Expr) boundExpr {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		v := x.Value
@@ -620,10 +662,12 @@ func (b *binder) bindCase(x *sqlparser.CaseExpr) boundExpr {
 
 // run executes the bound program over the input rows, mirroring
 // runSimple + execGrouped for the compiled subset.
-func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, opts Options) (*Relation, error) {
-	ev := &evaluator{opts: opts, clock: opts.Clock}
+func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, ev *evaluator) (*Relation, error) {
 	ctx := &boundCtx{ev: ev}
-	sp := p.sp
+	if prog.ncells > 0 {
+		ctx.once = make([]onceCell, prog.ncells)
+	}
+	opts, sp := ev.opts, p.sp
 	out := &Relation{Cols: sp.outCols}
 	var sortKeys [][]stream.Value
 

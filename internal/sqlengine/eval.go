@@ -36,12 +36,21 @@ func isAmbiguous(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "ambiguous")
 }
 
-// evaluator carries execution-wide state: the catalog, options, clock,
-// the per-group aggregate values, and the uncorrelated-subquery memo.
+// evaluator carries the state of one statement execution: the catalog,
+// options, the statement's clock reading, the per-group aggregate
+// values, and the uncorrelated-subquery memo. Every driver — Execute,
+// the bound program, the partial paths — builds exactly one per
+// execution, and subqueries run on their parent's.
 type evaluator struct {
-	cat   Catalog
-	opts  Options
-	clock stream.Clock
+	cat  Catalog
+	opts Options
+
+	// instant is NOW() for the whole execution, read from opts.Clock on
+	// first use (clockRead) and never again: every row, clause and
+	// subquery of one execution sees one instant, which is what makes a
+	// NOW()-only subtree row-independent.
+	instant   int64
+	clockRead bool
 
 	// aggValues maps aggregate call nodes to their value for the group
 	// currently being projected. Nil outside group context.
@@ -51,6 +60,26 @@ type evaluator struct {
 	subqueryMemo map[*sqlparser.SelectStatement]*Relation
 
 	depth int
+}
+
+// newEvaluator starts one statement execution, filling the option
+// defaults every driver shares.
+func newEvaluator(cat Catalog, opts Options) *evaluator {
+	if opts.Clock == nil {
+		opts.Clock = stream.SystemClock()
+	}
+	if opts.MaxRows <= 0 {
+		opts.MaxRows = defaultMaxRows
+	}
+	return &evaluator{cat: cat, opts: opts}
+}
+
+// now returns the execution's single clock reading.
+func (ev *evaluator) now() int64 {
+	if !ev.clockRead {
+		ev.instant, ev.clockRead = int64(ev.opts.Clock.Now()), true
+	}
+	return ev.instant
 }
 
 // maxSubqueryDepth bounds recursion through nested subqueries.
@@ -483,6 +512,87 @@ func (ev *evaluator) execSubquery(stmt *sqlparser.SelectStatement, outer *scope)
 	rel, err = ev.execSelect(stmt, outer)
 	ev.aggValues = savedAgg
 	return rel, err
+}
+
+// anyExpr reports whether pred holds for e or for any expression nested
+// in it. It does not descend into the statement of a subquery node
+// (Subquery, ExistsExpr, IN (SELECT)): pred sees the node and decides.
+func anyExpr(e sqlparser.Expr, pred func(sqlparser.Expr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if pred(e) {
+		return true
+	}
+	switch x := e.(type) {
+	case *sqlparser.FuncCall:
+		for _, a := range x.Args {
+			if anyExpr(a, pred) {
+				return true
+			}
+		}
+	case *sqlparser.BinaryExpr:
+		return anyExpr(x.L, pred) || anyExpr(x.R, pred)
+	case *sqlparser.UnaryExpr:
+		return anyExpr(x.X, pred)
+	case *sqlparser.BetweenExpr:
+		return anyExpr(x.X, pred) || anyExpr(x.Lo, pred) || anyExpr(x.Hi, pred)
+	case *sqlparser.LikeExpr:
+		return anyExpr(x.X, pred) || anyExpr(x.Pattern, pred)
+	case *sqlparser.IsNullExpr:
+		return anyExpr(x.X, pred)
+	case *sqlparser.InExpr:
+		if anyExpr(x.X, pred) {
+			return true
+		}
+		for _, it := range x.List {
+			if anyExpr(it, pred) {
+				return true
+			}
+		}
+	case *sqlparser.CaseExpr:
+		if anyExpr(x.Operand, pred) || anyExpr(x.Else, pred) {
+			return true
+		}
+		for _, w := range x.Whens {
+			if anyExpr(w.Cond, pred) || anyExpr(w.Then, pred) {
+				return true
+			}
+		}
+	case *sqlparser.CastExpr:
+		return anyExpr(x.X, pred)
+	}
+	return false
+}
+
+// isSubqueryNode matches the three expression forms that run a nested
+// SELECT.
+func isSubqueryNode(e sqlparser.Expr) bool {
+	switch x := e.(type) {
+	case *sqlparser.Subquery, *sqlparser.ExistsExpr:
+		return true
+	case *sqlparser.InExpr:
+		return x.Select != nil
+	}
+	return false
+}
+
+// rowIndependent reports whether e has one value for a whole statement
+// execution: it reads no column, no aggregate result and no subquery,
+// and every scalar function is deterministic given its arguments and
+// the execution's one clock reading (evaluator.now). The bound program
+// evaluates such a subtree at most once per execution (binder.bind),
+// and TIMED pushdown accepts one as a range bound (timeBounds).
+func rowIndependent(e sqlparser.Expr) bool {
+	return !anyExpr(e, func(e sqlparser.Expr) bool {
+		switch x := e.(type) {
+		case *sqlparser.ColumnRef:
+			return true
+		case *sqlparser.FuncCall:
+			return IsAggregateFunc(x.Name)
+		}
+		return isSubqueryNode(e)
+	})
 }
 
 // collectAggregates gathers aggregate calls in an expression without

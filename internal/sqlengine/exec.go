@@ -26,14 +26,7 @@ const defaultMaxRows = 1_000_000
 
 // Execute runs a parsed statement against the catalog.
 func Execute(stmt *sqlparser.SelectStatement, cat Catalog, opts Options) (*Relation, error) {
-	if opts.Clock == nil {
-		opts.Clock = stream.SystemClock()
-	}
-	if opts.MaxRows <= 0 {
-		opts.MaxRows = defaultMaxRows
-	}
-	ev := &evaluator{cat: cat, opts: opts, clock: opts.Clock}
-	return ev.execSelect(stmt, nil)
+	return newEvaluator(cat, opts).execSelect(stmt, nil)
 }
 
 // ExecuteSQL parses (with the shared statement cache) and runs a query.

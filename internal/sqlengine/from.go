@@ -46,7 +46,7 @@ func (ev *evaluator) buildFromPushdown(stmt *sqlparser.SelectStatement, outer *s
 				if qual == "" {
 					qual = tn.Name
 				}
-				if lo, hi, ok := TimeBounds(stmt.Where, qual); ok {
+				if lo, hi, ok := ev.timeBounds(stmt.Where, qual); ok {
 					rel, err := rc.RelationRange(tn.Name, lo, hi)
 					if err == nil {
 						return rel.requalify(qual), nil

@@ -249,7 +249,7 @@ var scalarFuncs = map[string]ScalarFunc{
 		if err := wantArgs("NOW", args, 0); err != nil {
 			return nil, err
 		}
-		return int64(ev.clock.Now()), nil
+		return ev.now(), nil
 	},
 	// Temporal helpers over TIMED-style millisecond timestamps: GSN
 	// queries manipulate time attributes directly in SQL (paper §3).

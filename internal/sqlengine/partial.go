@@ -152,21 +152,10 @@ func (p *Plan) Distributable() bool {
 	return !Volatile(sp.stmt)
 }
 
-// evaluatorFor builds the interpreted evaluator the partial paths
-// share, with the plan's base tables bound to the given rows.
+// evaluatorFor starts one interpreted execution of the plan with its
+// base tables bound to the given rows.
 func (p *Plan) evaluatorFor(rows [][]stream.Value, opts Options) *evaluator {
-	if opts.Clock == nil {
-		opts.Clock = stream.SystemClock()
-	}
-	if opts.MaxRows <= 0 {
-		opts.MaxRows = defaultMaxRows
-	}
-	cat := make(MapCatalog, len(p.names))
-	view := &Relation{Cols: p.bareCols, Rows: rows}
-	for _, n := range p.names {
-		cat[n] = view
-	}
-	return &evaluator{cat: cat, opts: opts, clock: opts.Clock}
+	return newEvaluator(p.catalogOver(rows), opts)
 }
 
 // ExecutePartial runs the node-side half of a distributed execution
@@ -307,54 +296,4 @@ func subqueryTableRef(ref sqlparser.TableRef) bool {
 	return false
 }
 
-func subqueryExpr(e sqlparser.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *sqlparser.Subquery, *sqlparser.ExistsExpr:
-		return true
-	case *sqlparser.FuncCall:
-		for _, a := range x.Args {
-			if subqueryExpr(a) {
-				return true
-			}
-		}
-	case *sqlparser.BinaryExpr:
-		return subqueryExpr(x.L) || subqueryExpr(x.R)
-	case *sqlparser.UnaryExpr:
-		return subqueryExpr(x.X)
-	case *sqlparser.BetweenExpr:
-		return subqueryExpr(x.X) || subqueryExpr(x.Lo) || subqueryExpr(x.Hi)
-	case *sqlparser.LikeExpr:
-		return subqueryExpr(x.X) || subqueryExpr(x.Pattern)
-	case *sqlparser.IsNullExpr:
-		return subqueryExpr(x.X)
-	case *sqlparser.InExpr:
-		if x.Select != nil {
-			return true
-		}
-		if subqueryExpr(x.X) {
-			return true
-		}
-		for _, it := range x.List {
-			if subqueryExpr(it) {
-				return true
-			}
-		}
-	case *sqlparser.CaseExpr:
-		if x.Operand != nil && subqueryExpr(x.Operand) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if subqueryExpr(w.Cond) || subqueryExpr(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return subqueryExpr(x.Else)
-		}
-	case *sqlparser.CastExpr:
-		return subqueryExpr(x.X)
-	}
-	return false
-}
+func subqueryExpr(e sqlparser.Expr) bool { return anyExpr(e, isSubqueryNode) }

@@ -19,6 +19,7 @@ import (
 // else returns an error and the caller falls back to Execute.
 type Plan struct {
 	sp       *simplePlan
+	qual     string   // the FROM item's effective name (alias or table)
 	inCols   []Column // input layout, qualified by the FROM alias
 	bareCols []Column // input layout as compiled, for subquery re-binding
 	names    []string // base-table names the input answers to
@@ -115,7 +116,7 @@ func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (
 	for i, t := range tables {
 		canonical[i] = stream.CanonicalName(t)
 	}
-	p := &Plan{sp: sp, inCols: inCols, bareCols: cols, names: canonical}
+	p := &Plan{sp: sp, qual: qual, inCols: inCols, bareCols: cols, names: canonical}
 	p.inc = incrementalProgram(sp, inCols)
 	if p.inc == nil {
 		p.ginc = groupedIncrementalProgram(sp, inCols)
@@ -369,6 +370,12 @@ func (p *Plan) incResult(states []*aggState) *Relation {
 // for). It mirrors Execute's tail — ORDER BY and LIMIT/OFFSET — but
 // skips all per-call planning.
 func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
+	return p.execute(rows, newEvaluator(nil, opts))
+}
+
+// execute is one execution of the plan on ev, the evaluator whose clock
+// reading the whole execution shares.
+func (p *Plan) execute(rows [][]stream.Value, ev *evaluator) (*Relation, error) {
 	if p.inc != nil {
 		states := p.incStates()
 		for _, r := range rows {
@@ -379,25 +386,14 @@ func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
 		}
 		return p.incResult(states), nil
 	}
-	if opts.Clock == nil {
-		opts.Clock = stream.SystemClock()
-	}
-	if opts.MaxRows <= 0 {
-		opts.MaxRows = defaultMaxRows
-	}
 	// Compiled subset: run the bound program (no name resolution, no
 	// scope allocation, no per-call planning).
 	if p.prog != nil {
-		return p.prog.run(p, rows, opts)
+		return p.prog.run(p, rows, ev)
 	}
 	// Subqueries in expression position resolve the base tables through
 	// the catalog, so rebind them to the same live rows.
-	cat := make(MapCatalog, len(p.names))
-	view := &Relation{Cols: p.bareCols, Rows: rows}
-	for _, n := range p.names {
-		cat[n] = view
-	}
-	ev := &evaluator{cat: cat, opts: opts, clock: opts.Clock}
+	ev.cat = p.catalogOver(rows)
 	src := &Relation{Cols: p.inCols, Rows: rows}
 	rel, sortKeys, err := ev.runSimple(p.sp, src, nil)
 	if err != nil {
@@ -410,4 +406,52 @@ func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
 		return nil, err
 	}
 	return rel, nil
+}
+
+// catalogOver binds the plan's base-table names to rows.
+func (p *Plan) catalogOver(rows [][]stream.Value) MapCatalog {
+	cat := make(MapCatalog, len(p.names))
+	view := &Relation{Cols: p.bareCols, Rows: rows}
+	for _, n := range p.names {
+		cat[n] = view
+	}
+	return cat
+}
+
+// Bound reports whether the statement is inside the bound-program
+// subset, so that executing the plan never consults the interpreter or
+// a catalog. A plan that is not re-binds expression subqueries to the
+// rows it is handed, which is right for a sensor's own window and wrong
+// for an ad-hoc statement whose subquery names a table of its own.
+func (p *Plan) Bound() bool { return p.prog != nil }
+
+// TieredSource is an ElementSource that can also serve a TIMED interval
+// from beyond its live window; *storage.Table implements it (the
+// history tier's index range scan merged with the hot window).
+type TieredSource interface {
+	ElementSource
+	TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error)
+}
+
+// ExecuteTiered runs a Bound plan as an ad-hoc statement over its base
+// table: exactly what Execute does for the same statement over a
+// RangeCatalog, without the per-call planning and per-row name
+// resolution. A WHERE that pins TIMED to an interval (timeBounds, at
+// the execution's one clock reading) routes the scan through
+// TimedRange; otherwise, or when the tier fails, the live window is
+// scanned zero-copy. The full WHERE is re-applied either way.
+func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) {
+	if p.prog == nil {
+		return nil, fmt.Errorf("sqlengine: ExecuteTiered needs a bound plan")
+	}
+	if p.sp.stmt.Where == nil {
+		return p.ExecuteSource(src, opts)
+	}
+	ev := newEvaluator(nil, opts)
+	if lo, hi, ok := ev.timeBounds(p.sp.stmt.Where, p.qual); ok {
+		if elems, err := src.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi)); err == nil {
+			return p.execute(RelationOfElements(src.Schema(), elems).Rows, ev)
+		}
+	}
+	return p.execute(RowsOfSource(src), ev)
 }

@@ -26,21 +26,24 @@ type RangeCatalog interface {
 	RelationRange(name string, lo, hi int64) (*Relation, error)
 }
 
-// TimeBounds extracts a conservative interval [lo, hi] that the
-// implicit TIMED column of the qualified table is constrained to by the
-// WHERE expression. Only top-level AND conjuncts constrain the
-// interval:
+// timeBounds extracts a conservative interval [lo, hi] that the implicit
+// TIMED column of the qualified table is constrained to by the WHERE
+// expression. Only top-level AND conjuncts constrain the interval:
 //
 //	timed BETWEEN l AND h
 //	timed >= l, timed > l, timed <= h, timed < h, timed = v
 //
-// (and the flipped literal-first spellings), with integer literal
-// bounds. Conjuncts that do not match — including anything under OR or
-// NOT — are ignored, which only widens the interval: the caller always
-// re-applies the full predicate, so a superset is safe, a subset never
-// happens. ok reports whether at least one bound was found; an
-// unconstrained side stays at the int64 extreme.
-func TimeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
+// (and the flipped bound-first spellings). A bound is any
+// row-independent expression that evaluates to an integer — a literal,
+// or the paper's history size `now() - 60000`, which at the execution's
+// one clock reading is as fixed as a literal; one that errors or is not
+// an integer contributes no bound (the error, if the scan reaches it,
+// is the re-applied WHERE's to raise). Conjuncts that do not match —
+// including anything under OR or NOT — are ignored, which only widens
+// the interval: the caller always re-applies the full predicate, so a
+// superset is safe, a subset never happens. ok reports whether at least
+// one bound was found; an unconstrained side stays at the int64 extreme.
+func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
 	lo, hi = math.MinInt64, math.MaxInt64
 	qual = stream.CanonicalName(qual)
 	var walk func(e sqlparser.Expr)
@@ -52,7 +55,7 @@ func TimeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
 				walk(x.R)
 				return
 			}
-			v, op, found := timedComparison(x, qual)
+			v, op, found := ev.timedComparison(x, qual)
 			if !found {
 				return
 			}
@@ -82,8 +85,8 @@ func TimeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
 			if x.Not || !isTimedRef(x.X, qual) {
 				return
 			}
-			l, okL := intLiteral(x.Lo)
-			h, okH := intLiteral(x.Hi)
+			l, okL := ev.intBound(x.Lo)
+			h, okH := ev.intBound(x.Hi)
 			if !okL || !okH {
 				return
 			}
@@ -96,27 +99,40 @@ func TimeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
 	return lo, hi, ok
 }
 
-// timedComparison matches "timed OP literal" or "literal OP timed"
-// (flipping the operator), returning the literal and the normalised
+// timedComparison matches "timed OP bound" or "bound OP timed"
+// (flipping the operator), returning the bound and the normalised
 // operator with TIMED on the left.
-func timedComparison(x *sqlparser.BinaryExpr, qual string) (int64, sqlparser.BinaryOp, bool) {
+func (ev *evaluator) timedComparison(x *sqlparser.BinaryExpr, qual string) (int64, sqlparser.BinaryOp, bool) {
 	switch x.Op {
 	case sqlparser.OpEq, sqlparser.OpGe, sqlparser.OpGt, sqlparser.OpLe, sqlparser.OpLt:
 	default:
 		return 0, 0, false
 	}
 	if isTimedRef(x.L, qual) {
-		if v, ok := intLiteral(x.R); ok {
+		if v, ok := ev.intBound(x.R); ok {
 			return v, x.Op, true
 		}
 		return 0, 0, false
 	}
 	if isTimedRef(x.R, qual) {
-		if v, ok := intLiteral(x.L); ok {
+		if v, ok := ev.intBound(x.L); ok {
 			return v, flipComparison(x.Op), true
 		}
 	}
 	return 0, 0, false
+}
+
+// intBound evaluates a row-independent bound expression to an integer.
+func (ev *evaluator) intBound(e sqlparser.Expr) (int64, bool) {
+	if !rowIndependent(e) {
+		return 0, false
+	}
+	v, err := ev.eval(e, nil)
+	if err != nil {
+		return 0, false
+	}
+	n, ok := v.(int64)
+	return n, ok
 }
 
 func flipComparison(op sqlparser.BinaryOp) sqlparser.BinaryOp {
@@ -141,30 +157,6 @@ func isTimedRef(e sqlparser.Expr, qual string) bool {
 		return false
 	}
 	return ref.Table == "" || stream.CanonicalName(ref.Table) == qual
-}
-
-// intLiteral matches an int64 literal, optionally under unary +/-.
-func intLiteral(e sqlparser.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *sqlparser.Literal:
-		v, ok := x.Value.(int64)
-		return v, ok
-	case *sqlparser.UnaryExpr:
-		v, ok := intLiteral(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case "-":
-			if v == math.MinInt64 {
-				return 0, false
-			}
-			return -v, true
-		case "+":
-			return v, true
-		}
-	}
-	return 0, false
 }
 
 func maxBound(a, b int64) int64 {

@@ -6,7 +6,16 @@ import (
 	"testing"
 
 	"gsn/internal/sqlparser"
+	"gsn/internal/stream"
 )
+
+// boundsOf extracts the TIMED interval of a WHERE condition in one
+// execution whose clock reads 100000.
+func boundsOf(t *testing.T, cond, qual string) (lo, hi int64, ok bool) {
+	t.Helper()
+	ev := newEvaluator(nil, Options{Clock: stream.NewManualClock(100000)})
+	return ev.timeBounds(whereOf(t, cond), qual)
+}
 
 // whereOf parses a SELECT and hands back its WHERE expression.
 func whereOf(t *testing.T, cond string) sqlparser.Expr {
@@ -50,12 +59,26 @@ func TestTimeBounds(t *testing.T) {
 		{"other.timed BETWEEN 1 AND 2", unb, unbHi, false},
 		// Non-integer bounds are ignored.
 		{"timed >= 'abc'", unb, unbHi, false},
+		{"timed >= 1.5", unb, unbHi, false},
+		// Any row-independent expression is a bound at the execution's
+		// instant: the paper's history size, arithmetic, scalar calls.
+		{"timed >= now() - 60000", 40000, unbHi, true},
+		{"timed BETWEEN now() - 5000 AND now() - 1000", 95000, 99000, true},
+		{"now() - 2000 < timed", 98001, unbHi, true},
+		{"timed <= abs(-7) * 10", unb, 70, true},
+		{"timed >= cast('12' as integer)", 12, unbHi, true},
+		// One that errors, or reads the row, contributes nothing.
+		{"timed >= 1 / 0", unb, unbHi, false},
+		{"timed >= now() - 'x'", unb, unbHi, false},
+		{"timed >= value", unb, unbHi, false},
+		{"timed BETWEEN 1 AND value", unb, unbHi, false},
+		{"timed >= 10 AND timed <= now() - 'x'", 10, unbHi, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.cond, func(t *testing.T) {
-			lo, hi, ok := TimeBounds(whereOf(t, tc.cond), "readings")
+			lo, hi, ok := boundsOf(t, tc.cond, "readings")
 			if ok != tc.ok || lo != tc.lo || hi != tc.hi {
-				t.Fatalf("TimeBounds = (%d, %d, %v), want (%d, %d, %v)",
+				t.Fatalf("timeBounds = (%d, %d, %v), want (%d, %d, %v)",
 					lo, hi, ok, tc.lo, tc.hi, tc.ok)
 			}
 		})
@@ -66,11 +89,11 @@ func TestTimeBounds(t *testing.T) {
 // count; the base table name does not resolve once aliased away — it
 // is simply ignored, which only widens the interval.
 func TestTimeBoundsAliasQualifier(t *testing.T) {
-	lo, hi, ok := TimeBounds(whereOf(t, "r.timed BETWEEN 3 AND 4"), "r")
+	lo, hi, ok := boundsOf(t, "r.timed BETWEEN 3 AND 4", "r")
 	if !ok || lo != 3 || hi != 4 {
 		t.Fatalf("aliased bounds = (%d, %d, %v)", lo, hi, ok)
 	}
-	_, _, ok = TimeBounds(whereOf(t, "readings.timed BETWEEN 3 AND 4"), "r")
+	_, _, ok = boundsOf(t, "readings.timed BETWEEN 3 AND 4", "r")
 	if ok {
 		t.Fatal("qualifier not matching the alias must not constrain the scan")
 	}

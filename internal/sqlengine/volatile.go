@@ -63,58 +63,17 @@ func volatileTableRef(ref sqlparser.TableRef) bool {
 }
 
 func volatileExpr(e sqlparser.Expr) bool {
-	switch x := e.(type) {
-	case nil:
+	return anyExpr(e, func(e sqlparser.Expr) bool {
+		switch x := e.(type) {
+		case *sqlparser.FuncCall:
+			return stream.CanonicalName(x.Name) == "NOW"
+		case *sqlparser.Subquery:
+			return Volatile(x.Select)
+		case *sqlparser.ExistsExpr:
+			return Volatile(x.Select)
+		case *sqlparser.InExpr:
+			return x.Select != nil && Volatile(x.Select)
+		}
 		return false
-	case *sqlparser.FuncCall:
-		if stream.CanonicalName(x.Name) == "NOW" {
-			return true
-		}
-		for _, a := range x.Args {
-			if volatileExpr(a) {
-				return true
-			}
-		}
-	case *sqlparser.BinaryExpr:
-		return volatileExpr(x.L) || volatileExpr(x.R)
-	case *sqlparser.UnaryExpr:
-		return volatileExpr(x.X)
-	case *sqlparser.BetweenExpr:
-		return volatileExpr(x.X) || volatileExpr(x.Lo) || volatileExpr(x.Hi)
-	case *sqlparser.LikeExpr:
-		return volatileExpr(x.X) || volatileExpr(x.Pattern)
-	case *sqlparser.IsNullExpr:
-		return volatileExpr(x.X)
-	case *sqlparser.InExpr:
-		if volatileExpr(x.X) {
-			return true
-		}
-		if x.Select != nil && Volatile(x.Select) {
-			return true
-		}
-		for _, it := range x.List {
-			if volatileExpr(it) {
-				return true
-			}
-		}
-	case *sqlparser.CaseExpr:
-		if x.Operand != nil && volatileExpr(x.Operand) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if volatileExpr(w.Cond) || volatileExpr(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return volatileExpr(x.Else)
-		}
-	case *sqlparser.CastExpr:
-		return volatileExpr(x.X)
-	case *sqlparser.Subquery:
-		return Volatile(x.Select)
-	case *sqlparser.ExistsExpr:
-		return Volatile(x.Select)
-	}
-	return false
+	})
 }
