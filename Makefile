@@ -34,14 +34,6 @@ bench-ingest:
 bench-scaling:
 	GOMAXPROCS=8 $(GO) run ./cmd/gsn-bench -experiment scaling
 
-# The federation acceptance benchmark: a distributed GROUP BY through
-# partial-aggregate shipping must move few, volume-independent bytes
-# per query, against the raw-row union baseline that scales with the
-# raw stream volume (nodes 1/2/4, two volume points each; the CSV
-# lands in bench_results/cluster.csv).
-bench-cluster:
-	$(GO) run ./cmd/gsn-bench -experiment cluster
-
 # The client-query acceptance benchmark: the compiled/shared/parallel
 # repository must beat the serial interpreted sweep at 1000 registered
 # queries (BenchmarkClientQueriesGrouped covers the GROUP BY rollups).
@@ -86,7 +78,6 @@ benchsmoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/gsn-bench -experiment queries -quick -out ""
 	GOMAXPROCS=4 $(GO) run ./cmd/gsn-bench -experiment queries -quick -out ""
 	GOMAXPROCS=8 $(GO) run ./cmd/gsn-bench -experiment scaling -quick -out ""
-	$(GO) run ./cmd/gsn-bench -experiment cluster -quick -out ""
 	$(GO) run ./cmd/gsn-bench -experiment all -quick -out ""
 
 # examples-smoke runs the self-terminating examples end to end (a

@@ -11,6 +11,9 @@
 //     the two must agree, so the documented SQL surface cannot rot
 //     ahead of (or behind) either evaluator. Full-line "-- comment"
 //     lines are stripped; statements split on trailing semicolons.
+//   - Peer routes: every /p2p/… path named in docs/*.md must be a
+//     route the p2p server registers, and every registered route must
+//     be named there (the peer-protocol table in architecture.md).
 //
 // Run by `make docs-check` (wired into `make ci` and the GitHub
 // workflow). Exit status is non-zero when anything is broken.
@@ -25,6 +28,7 @@ import (
 	"strings"
 
 	"gsn/internal/core"
+	"gsn/internal/p2p"
 	"gsn/internal/sqlengine"
 	"gsn/internal/storage"
 	"gsn/internal/stream"
@@ -46,6 +50,7 @@ func main() {
 		checkLinks(f, report)
 	}
 	checkDialectExamples(filepath.Join("docs", "sql-dialect.md"), report)
+	checkPeerRoutes(docs, report)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -86,6 +91,39 @@ func checkLinks(path string, report func(string, ...any)) {
 		}
 		if _, err := os.Stat(filepath.Join(dir, target)); err != nil {
 			report("%s: broken link %q", path, m[1])
+		}
+	}
+}
+
+// peerPathPattern matches a concrete peer route path; the generic
+// "/p2p/" and "/p2p/*" spellings do not match.
+var peerPathPattern = regexp.MustCompile(`/p2p/[a-z][a-z/]*`)
+
+// checkPeerRoutes compares the /p2p/ paths the docs name with the
+// paths the p2p server registers, in both directions.
+func checkPeerRoutes(docs []string, report func(string, ...any)) {
+	registered := map[string]bool{}
+	for _, pattern := range p2p.Routes() {
+		_, path, _ := strings.Cut(pattern, " ")
+		registered[path] = true
+	}
+	named := map[string]bool{}
+	for _, f := range docs {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			report("%s: %v", f, err)
+			continue
+		}
+		for _, path := range peerPathPattern.FindAllString(string(data), -1) {
+			named[path] = true
+			if !registered[path] {
+				report("%s: names peer route %s, which the p2p server does not register", f, path)
+			}
+		}
+	}
+	for path := range registered {
+		if !named[path] {
+			report("docs/: peer route %s is registered but documented nowhere", path)
 		}
 	}
 }

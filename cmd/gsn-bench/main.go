@@ -15,7 +15,6 @@
 //	gsn-bench -experiment cascade
 //	gsn-bench -experiment history
 //	gsn-bench -experiment scaling
-//	gsn-bench -experiment cluster
 //	gsn-bench -experiment all
 package main
 
@@ -31,7 +30,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: figure3, figure4, wrappers, ablation, ingest, queries, grouped, cascade, history, scaling, cluster, all")
+		"which experiment to run: figure3, figure4, wrappers, ablation, ingest, queries, grouped, cascade, history, scaling, all")
 	duration := flag.Duration("duration", time.Second,
 		"measurement window per figure3 point (the paper's run used longer windows; shape is stable from ~1s)")
 	outDir := flag.String("out", "bench_results", "directory for CSV output (empty to skip)")
@@ -203,24 +202,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.Table())
 		return writeCSV(*outDir, "scaling.csv", res.CSV())
-	})
-
-	run("cluster", func() error {
-		cfg := bench.DefaultCluster()
-		if *quick {
-			cfg.Nodes = []int{1, 2}
-			cfg.RowsPerNode = 300
-			cfg.Queries = 2
-		}
-		res, err := bench.RunCluster(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		fmt.Println()
-		fmt.Print(res.ShapeReport())
-		return writeCSV(*outDir, "cluster.csv", res.CSV())
 	})
 }
 

@@ -112,7 +112,7 @@ func main() {
 		go watchConfDir(node, *conf, *watch, logger)
 	}
 	if len(peers) > 0 {
-		go gossipLoop(node, peers, *gossip, logger)
+		node.StartGossip(*gossip)
 	}
 	select {} // run until killed
 }
@@ -288,20 +288,4 @@ func parseDescriptorFile(path string) (*gsn.Descriptor, error) {
 		return nil, err
 	}
 	return gsn.ParseDescriptor(data)
-}
-
-// gossipLoop periodically exchanges directory snapshots with peers.
-func gossipLoop(node *gsn.Node, peers []string, interval time.Duration, logger *log.Logger) {
-	for range time.Tick(interval) {
-		for _, peer := range peers {
-			adopted, err := node.GossipWith(peer)
-			if err != nil {
-				logger.Printf("gsnd: gossip %s: %v", peer, err)
-				continue
-			}
-			if adopted > 0 {
-				logger.Printf("gsnd: adopted %d directory entries from %s", adopted, peer)
-			}
-		}
-	}
 }

@@ -31,7 +31,6 @@ import (
 	"gsn/internal/directory"
 	"gsn/internal/notify"
 	"gsn/internal/p2p"
-	"gsn/internal/resilience"
 	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 	"gsn/internal/vsensor"
@@ -97,9 +96,6 @@ type NodeOptions struct {
 	// SyncProcessing processes triggers inline for deterministic
 	// simulation (tests, benchmarks).
 	SyncProcessing bool
-	// DisableHashJoin switches the SQL engine to nested-loop joins
-	// (ablation knob).
-	DisableHashJoin bool
 	// SignKeyID signs outgoing peer streams with this keyring entry.
 	SignKeyID string
 	// Peers lists cluster peer base URLs (e.g. "http://host:22001").
@@ -108,7 +104,7 @@ type NodeOptions struct {
 	// federation instead of failing. More peers can join later with
 	// JoinCluster.
 	Peers []string
-	// PeerHTTP is the transport every federation connection uses (nil =
+	// PeerHTTP is the transport every peer connection uses (nil =
 	// default). Tests thread a fault-injecting transport through here.
 	PeerHTTP *http.Client
 	// Logger receives middleware warnings (nil = silent). Any value
@@ -126,14 +122,18 @@ type Logger interface {
 type Node struct {
 	container *core.Container
 	web       *web.Server
-	dir       *directory.Registry
 	httpSrv   *http.Server
-	fed       *p2p.Federation // nil on a standalone node
-	peerHTTP  *http.Client    // NodeOptions.PeerHTTP, for late federation
+	logger    Logger
 
-	peerMu sync.Mutex
-	peers  map[string]*p2p.Client
+	// fed holds the node's peer table and gossip loop. Every node has
+	// one; joinOnce is what makes the node clustered.
+	fed      *p2p.Federation
+	joinOnce sync.Once
 }
+
+// gossipInterval paces the background gossip rounds of a clustered
+// node until StartGossip says otherwise.
+const gossipInterval = 30 * time.Second
 
 // NewNode creates a node. Every built-in wrapper is available, plus the
 // "remote" wrapper bound to this node's directory for logical
@@ -147,14 +147,13 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	registry := wrappers.Default().Clone()
 
 	coreOpts := core.Options{
-		Name:            opts.Name,
-		Clock:           clock,
-		DataDir:         opts.DataDir,
-		Registry:        registry,
-		NodeAddress:     opts.Advertise,
-		Directory:       dir,
-		SyncProcessing:  opts.SyncProcessing,
-		DisableHashJoin: opts.DisableHashJoin,
+		Name:           opts.Name,
+		Clock:          clock,
+		DataDir:        opts.DataDir,
+		Registry:       registry,
+		NodeAddress:    opts.Advertise,
+		Directory:      dir,
+		SyncProcessing: opts.SyncProcessing,
 	}
 	if opts.Logger != nil {
 		coreOpts.Logger = opts.Logger
@@ -170,46 +169,41 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	n := &Node{
 		container: container,
 		web:       web.NewServer(container, opts.SignKeyID),
-		dir:       dir,
-		peerHTTP:  opts.PeerHTTP,
+		logger:    opts.Logger,
+		fed:       p2p.NewFederation(container, opts.PeerHTTP),
 	}
-	if len(opts.Peers) > 0 {
-		n.fed = p2p.NewFederation(container, opts.PeerHTTP)
-		for _, peer := range opts.Peers {
-			n.fed.AddPeer(peer)
-		}
-		container.SetCluster(n.fed)
+	for _, peer := range opts.Peers {
+		n.JoinCluster(peer)
 	}
 	return n, nil
 }
 
 // JoinCluster adds a cluster peer, turning a standalone node clustered
-// on first use. Placement converges through directory gossip
-// (GossipRound or the daemon's gossip loop).
+// on first use: queries and composition edges start resolving through
+// the federation, and background gossip rounds (every 30s; see
+// StartGossip) keep placement converging from then on.
 func (n *Node) JoinCluster(peerURL string) {
-	n.peerMu.Lock()
-	if n.fed == nil {
-		// Same transport as NewNode-configured peers: a node turned
-		// clustered at runtime must not bypass the caller's PeerHTTP
-		// (fault injection, TLS config).
-		n.fed = p2p.NewFederation(n.container, n.peerHTTP)
+	n.joinOnce.Do(func() {
 		n.container.SetCluster(n.fed)
+		n.StartGossip(gossipInterval)
+	})
+	n.fed.AddPeer(peerURL)
+}
+
+// StartGossip re-paces the background gossip rounds to one every
+// interval; a node that never joined a cluster starts them here.
+func (n *Node) StartGossip(every time.Duration) {
+	var logf func(string, ...any)
+	if n.logger != nil {
+		logf = n.logger.Printf
 	}
-	fed := n.fed
-	n.peerMu.Unlock()
-	fed.AddPeer(peerURL)
+	n.fed.StartGossip(every, logf)
 }
 
 // GossipRound performs one directory push-pull exchange with every
-// cluster peer and returns the number of adopted entries (0 on a
-// standalone node). Tests call this to converge placement
-// deterministically.
-func (n *Node) GossipRound() int {
-	if n.fed == nil {
-		return 0
-	}
-	return n.fed.GossipRound()
-}
+// known peer and returns the number of adopted entries. Tests call this
+// to converge placement deterministically.
+func (n *Node) GossipRound() int { return n.fed.GossipRound() }
 
 // ClusterInfo reports cluster membership, sensor placements and
 // federation transport counters (self-only on a standalone node).
@@ -362,27 +356,11 @@ func (n *Node) PulseBatch(max int) int { return n.container.PulseBatch(max) }
 func (n *Node) Pulse() int { return n.container.Pulse() }
 
 // GossipWith performs one directory push-pull exchange with a peer node
-// and returns the number of adopted entries. Peer clients are cached so
-// each peer's circuit breaker accumulates across rounds: a peer that
-// keeps failing is skipped cheaply (p2p.ErrCircuitOpen) until its
-// cooldown lets a probe through.
-func (n *Node) GossipWith(peerURL string) (int, error) {
-	return n.peerClient(peerURL).Gossip(n.dir)
-}
-
-func (n *Node) peerClient(peerURL string) *p2p.Client {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if n.peers == nil {
-		n.peers = make(map[string]*p2p.Client)
-	}
-	c, ok := n.peers[peerURL]
-	if !ok {
-		c = &p2p.Client{Base: peerURL, Breaker: resilience.NewBreaker(3, 10*time.Second)}
-		n.peers[peerURL] = c
-	}
-	return c
-}
+// and returns the number of adopted entries. It discovers what the peer
+// publishes without making this node clustered (that is JoinCluster's).
+// A peer that keeps failing is skipped cheaply (p2p.ErrCircuitOpen)
+// until its breaker's cooldown lets a probe through.
+func (n *Node) GossipWith(peerURL string) (int, error) { return n.fed.GossipWith(peerURL) }
 
 // Handler returns the node's HTTP interface (REST API, dashboard, p2p
 // protocol) for mounting on any server.
@@ -409,6 +387,7 @@ func (n *Node) Close() error {
 	if n.httpSrv != nil {
 		n.httpSrv.Close()
 	}
+	n.fed.StopGossip()
 	n.web.Close()
 	return n.container.Close()
 }

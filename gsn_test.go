@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gsn/internal/p2p"
 	"gsn/internal/stream"
 	"gsn/internal/wrappers"
 )
@@ -172,6 +174,55 @@ func TestJoinClusterUsesPeerHTTP(t *testing.T) {
 	late.GossipRound()
 	if ct.calls.Load() == 0 {
 		t.Fatal("JoinCluster federation bypassed NodeOptions.PeerHTTP")
+	}
+}
+
+// TestGossipWithUsesPeerHTTP: a node has one peer table, so
+// NodeOptions.PeerHTTP (fault injection, TLS config) covers GossipWith
+// like every other peer call — and gossiping alone does not make the
+// node clustered; JoinCluster does, safely beside a running round.
+func TestGossipWithUsesPeerHTTP(t *testing.T) {
+	owner, err := NewNode(NodeOptions{Name: "owner", SyncProcessing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	addr, err := owner.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ft := p2p.NewFaultTransport(nil)
+	node, err := NewNode(NodeOptions{
+		Name:     "gossiper",
+		PeerHTTP: &http.Client{Transport: ft, Timeout: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if _, err := node.GossipWith("http://" + addr); err != nil {
+		t.Fatal(err)
+	}
+	ft.Partition(addr)
+	if _, err := node.GossipWith("http://" + addr); err == nil {
+		t.Fatal("GossipWith reached a partitioned peer: it bypassed NodeOptions.PeerHTTP")
+	}
+	ft.Heal()
+	if _, err := node.GossipWith("http://" + addr); err != nil {
+		t.Fatalf("GossipWith after heal: %v", err)
+	}
+	if node.Container().Cluster() != nil {
+		t.Fatal("GossipWith alone made the node clustered")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); node.JoinCluster("http://" + addr) }()
+	go func() { defer wg.Done(); node.GossipRound() }()
+	wg.Wait()
+	if node.Container().Cluster() == nil {
+		t.Fatal("JoinCluster left the node standalone")
 	}
 }
 

@@ -280,7 +280,7 @@ func (c *Container) queryRouted(sql string) (*sqlengine.Relation, error) {
 
 // LocalPartial runs the node-side half of a distributed grouped query
 // strictly over this node's window of the statement's base table — the
-// /p2p/partial endpoint's body. It never consults the cluster (the
+// body of /p2p/query?partial=1. It never consults the cluster (the
 // coordinator already did) and errors when the statement is not
 // distributable here, so a coordinator falls back to routing or union.
 func (c *Container) LocalPartial(sql string) (*sqlengine.PartialRollup, error) {

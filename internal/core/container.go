@@ -55,8 +55,6 @@ type Options struct {
 	// goroutine instead of through the worker pool. Deterministic mode
 	// for tests and benchmarks.
 	SyncProcessing bool
-	// DisableHashJoin forces nested-loop joins (ablation knob).
-	DisableHashJoin bool
 	// MaxQueryRows bounds query results (0 = engine default).
 	MaxQueryRows int
 	// Logger receives warnings and supervision events; nil silences
@@ -199,9 +197,8 @@ func New(opts Options) (*Container, error) {
 // engineOpts builds the SQL engine options for this container.
 func (c *Container) engineOpts() sqlengine.Options {
 	return sqlengine.Options{
-		Clock:           c.clock,
-		DisableHashJoin: c.opts.DisableHashJoin,
-		MaxRows:         c.opts.MaxQueryRows,
+		Clock:   c.clock,
+		MaxRows: c.opts.MaxQueryRows,
 	}
 }
 
@@ -618,7 +615,7 @@ func (c *Container) Query(sql string) (*sqlengine.Relation, error) {
 
 // LocalQuery runs a one-shot SQL query strictly against this node's
 // stored streams, never consulting the cluster. Peer-serving endpoints
-// (/p2p/query and friends) must use this path: a node answering a
+// (/p2p/query, /p2p/register) must use this path: a node answering a
 // coordinator must not re-route the statement back out, or two nodes
 // owning the same sensor would recurse forever.
 func (c *Container) LocalQuery(sql string) (*sqlengine.Relation, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 // resultCache is the one entry point of ad-hoc reads (Container.Query,
-// LocalQuery, /api/query, every /p2p/query* handler) and memoises, per
+// LocalQuery, /api/query, the /p2p/query route) and memoises, per
 // SQL text, the two things an execution can reuse.
 //
 // The result, keyed by the identity and version of every table the

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"gsn/internal/directory"
@@ -19,20 +20,27 @@ import (
 	"gsn/internal/stream"
 )
 
-// DefaultShortTimeout bounds the client's short RPCs (info, sensors,
-// schema, query, directory, gossip). The long-poll stream fetch has its
-// own, much larger budget — conflating the two would make a control
-// call wait half a minute for a peer that is simply down.
-const DefaultShortTimeout = 5 * time.Second
+// shortTimeout bounds the client's short RPCs (schema, query, register,
+// unregister, gossip). The long polls have their own, much larger
+// budget — conflating the two would make a control call wait half a
+// minute for a peer that is simply down.
+const shortTimeout = 5 * time.Second
 
-// maxJSONBody caps JSON response bodies (directory snapshots, sensor
-// lists, query results) so a misbehaving peer cannot balloon memory.
-const maxJSONBody = 8 << 20
+// Response body caps, so a misbehaving peer cannot balloon memory: one
+// for the JSON and schema answers, one for a page of stream elements.
+const (
+	maxJSONBody   = 8 << 20
+	maxStreamBody = 256 << 20
+)
 
 // ErrCircuitOpen is returned by short RPCs while the client's breaker
 // is open: the peer has failed repeatedly and calls are shed locally
 // until the cooldown expires.
 var ErrCircuitOpen = errors.New("p2p: circuit open")
+
+// ErrUnknownSession reports a routed-query poll whose session the peer
+// reclaimed (idle sweep, or the peer restarted).
+var ErrUnknownSession = errors.New("p2p: unknown query session")
 
 // Client talks to one peer node's p2p interface.
 type Client struct {
@@ -48,12 +56,11 @@ type Client struct {
 	RequireSignature bool
 	// Breaker, when set, gates the short RPCs: after its threshold of
 	// consecutive transport failures, calls fail fast with
-	// ErrCircuitOpen until the cooldown lets a probe through. The
-	// long-poll Fetch/FetchSeq path is deliberately not gated — the
-	// remote wrapper owns its own retry/backoff policy there.
+	// ErrCircuitOpen until the cooldown lets a probe through. The long
+	// polls (FetchSeq, PollResults) are deliberately not gated — their
+	// callers own a retry/backoff policy, and a poll outliving
+	// shortTimeout is the normal idle case, not a failure.
 	Breaker *resilience.Breaker
-	// ShortTimeout overrides DefaultShortTimeout for short RPCs.
-	ShortTimeout time.Duration
 }
 
 func (c *Client) http() *http.Client {
@@ -63,72 +70,77 @@ func (c *Client) http() *http.Client {
 	return &http.Client{Timeout: 35 * time.Second}
 }
 
-// short issues a breaker-gated request with the short-RPC deadline.
-// The returned cancel must be called after the body has been consumed.
-func (c *Client) short(method, path string, body io.Reader, contentType string) (*http.Response, context.CancelFunc, error) {
-	if c.Breaker != nil && !c.Breaker.Allow() {
-		return nil, nil, ErrCircuitOpen
+// statusError is a served answer other than 2xx: the connection is
+// healthy, the peer refused the request.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// do issues one request and returns the answer's header and body, the
+// body read up to limit. in, when non-nil, travels as the JSON request
+// body. An answer other than 2xx is a *statusError carrying the peer's
+// message; its body still comes back so callers can account the bytes.
+func (c *Client) do(ctx context.Context, method, path string, in any, limit int64) (http.Header, []byte, error) {
+	var payload io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, nil, err
+		}
+		payload = bytes.NewReader(b)
 	}
-	timeout := c.ShortTimeout
-	if timeout <= 0 {
-		timeout = DefaultShortTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, payload)
 	if err != nil {
-		cancel()
 		return nil, nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		cancel()
-		// Transport-level failure: the peer is unreachable or stalled.
-		// A served error status is a healthy connection and does not
-		// count against the breaker.
-		if c.Breaker != nil {
-			c.Breaker.Failure()
-		}
 		return nil, nil, err
 	}
-	if c.Breaker != nil {
-		c.Breaker.Success()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return resp.Header, body, &statusError{resp.StatusCode, fmt.Sprintf("p2p: %s %s%s: %s: %s",
+			method, c.Base, path, resp.Status, strings.TrimSpace(string(body)))}
 	}
-	return resp, cancel, nil
+	return resp.Header, body, err
 }
 
-// Info fetches the peer's identity and sensor list.
-func (c *Client) Info() (InfoResponse, error) {
-	var info InfoResponse
-	err := c.getJSON("/p2p/info", &info)
-	return info, err
-}
-
-// Sensors lists the peer's virtual sensors.
-func (c *Client) Sensors() ([]SensorInfo, error) {
-	var out []SensorInfo
-	err := c.getJSON("/p2p/sensors", &out)
-	return out, err
+// short is do for the control-plane RPCs: bounded by shortTimeout and
+// gated by the breaker. Only a transport-level failure (the peer is
+// unreachable or stalled) counts against the breaker; a served error
+// status is a healthy connection.
+func (c *Client) short(method, path string, in any) ([]byte, error) {
+	if c.Breaker != nil && !c.Breaker.Allow() {
+		return nil, ErrCircuitOpen
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shortTimeout)
+	defer cancel()
+	_, body, err := c.do(ctx, method, path, in, maxJSONBody)
+	if c.Breaker != nil {
+		var served *statusError
+		if err == nil || errors.As(err, &served) {
+			c.Breaker.Success()
+		} else {
+			c.Breaker.Failure()
+		}
+	}
+	return body, err
 }
 
 // Schema fetches a remote sensor's output schema.
 func (c *Client) Schema(vs string) (*stream.Schema, error) {
-	resp, cancel, err := c.short(http.MethodGet, "/p2p/schema?vs="+url.QueryEscape(vs), nil, "")
+	body, err := c.short(http.MethodGet, "/p2p/schema?vs="+url.QueryEscape(vs), nil)
 	if err != nil {
 		return nil, err
 	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("p2p: schema %s: %s", vs, resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	schema, _, err := stream.DecodeSchema(data)
+	schema, _, err := stream.DecodeSchema(body)
 	return schema, err
 }
 
@@ -149,65 +161,30 @@ type StreamPage struct {
 	WindowLast  uint64
 }
 
-// Fetch pulls elements of vs with timestamp > since, long-polling up to
-// wait on the server side. The element schema rides in a header, so the
-// caller needs no prior schema knowledge.
-//
-// Deprecated for replication: the timestamp cursor silently drops
-// equal-timestamp elements across reconnects and double-delivers after
-// torn responses. Use FetchSeq, which resumes by sequence number.
-func (c *Client) Fetch(vs string, since stream.Timestamp, wait time.Duration) ([]stream.Element, *stream.Schema, error) {
-	u := fmt.Sprintf("%s/p2p/stream?vs=%s&since=%d&wait=%d",
-		c.Base, url.QueryEscape(vs), int64(since), wait.Milliseconds())
-	resp, err := c.http().Get(u)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("p2p: stream %s: %s", vs, resp.Status)
-	}
-	elems, schema, err := c.decodeStream(resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return elems, schema, nil
-}
-
 // FetchSeq pulls elements of vs with sequence number > after,
 // long-polling up to wait on the server side. The request is issued
 // under ctx so a stopping consumer can abandon an in-flight long poll
 // immediately instead of waiting out the transport timeout.
 func (c *Client) FetchSeq(ctx context.Context, vs string, after uint64, wait time.Duration) (StreamPage, error) {
-	u := fmt.Sprintf("%s/p2p/stream?vs=%s&after=%d&wait=%d",
-		c.Base, url.QueryEscape(vs), after, wait.Milliseconds())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	hdr, body, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/p2p/stream?vs=%s&after=%d&wait=%d",
+		url.QueryEscape(vs), after, wait.Milliseconds()), nil, maxStreamBody)
 	if err != nil {
 		return StreamPage{}, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return StreamPage{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return StreamPage{}, fmt.Errorf("p2p: stream %s: %s", vs, resp.Status)
-	}
-
 	var page StreamPage
-	if page.Epoch, err = headerUint(resp, epochHeader); err != nil {
+	if page.Epoch, err = headerUint(hdr, epochHeader); err != nil {
 		return StreamPage{}, err
 	}
-	if page.First, err = headerUint(resp, firstHeader); err != nil {
+	if page.First, err = headerUint(hdr, firstHeader); err != nil {
 		return StreamPage{}, err
 	}
-	if page.WindowFirst, err = headerUint(resp, winFirstHeader); err != nil {
+	if page.WindowFirst, err = headerUint(hdr, winFirstHeader); err != nil {
 		return StreamPage{}, err
 	}
-	if page.WindowLast, err = headerUint(resp, winLastHeader); err != nil {
+	if page.WindowLast, err = headerUint(hdr, winLastHeader); err != nil {
 		return StreamPage{}, err
 	}
-	page.Elems, page.Schema, err = c.decodeStream(resp)
+	page.Elems, page.Schema, err = c.decodeStream(hdr, body)
 	if err != nil {
 		return StreamPage{}, err
 	}
@@ -217,8 +194,8 @@ func (c *Client) FetchSeq(ctx context.Context, vs string, after uint64, wait tim
 	return page, nil
 }
 
-func headerUint(resp *http.Response, name string) (uint64, error) {
-	v := resp.Header.Get(name)
+func headerUint(hdr http.Header, name string) (uint64, error) {
+	v := hdr.Get(name)
 	if v == "" {
 		return 0, fmt.Errorf("p2p: response missing %s header (peer too old for the sequence protocol?)", name)
 	}
@@ -229,20 +206,15 @@ func headerUint(resp *http.Response, name string) (uint64, error) {
 	return n, nil
 }
 
-// decodeStream verifies and decodes a /p2p/stream response body: read
-// (bounded), check the HMAC if present (or required), decode the schema
-// header, then the packed elements.
-func (c *Client) decodeStream(resp *http.Response) ([]stream.Element, *stream.Schema, error) {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if mac := resp.Header.Get(signatureHeader); mac != "" {
+// decodeStream verifies and decodes a /p2p/stream response: check the
+// HMAC if present (or required), decode the schema header, then the
+// packed elements.
+func (c *Client) decodeStream(hdr http.Header, body []byte) ([]stream.Element, *stream.Schema, error) {
+	if mac := hdr.Get(signatureHeader); mac != "" {
 		if c.Keys == nil {
 			return nil, nil, fmt.Errorf("p2p: peer signed the response but no keyring is configured")
 		}
-		sig := integrity.Signature{KeyID: resp.Header.Get(keyIDHeader), MAC: mac}
+		sig := integrity.Signature{KeyID: hdr.Get(keyIDHeader), MAC: mac}
 		if err := c.Keys.Verify(sig, body); err != nil {
 			return nil, nil, err
 		}
@@ -250,7 +222,7 @@ func (c *Client) decodeStream(resp *http.Response) ([]stream.Element, *stream.Sc
 		return nil, nil, fmt.Errorf("p2p: unsigned response from %s", c.Base)
 	}
 
-	schemaB64 := resp.Header.Get(schemaHeader)
+	schemaB64 := hdr.Get(schemaHeader)
 	if schemaB64 == "" {
 		return nil, nil, fmt.Errorf("p2p: response missing schema header")
 	}
@@ -275,55 +247,67 @@ func (c *Client) decodeStream(resp *http.Response) ([]stream.Element, *stream.Sc
 	return out, schema, nil
 }
 
-// Query runs a one-shot SQL query on the peer (served from the peer's
-// result cache when its windows are unchanged). JSON flattens numeric
-// types; use Fetch for the typed element stream.
-func (c *Client) Query(sql string) (QueryResult, error) {
-	var out QueryResult
-	err := c.getJSON("/p2p/query?sql="+url.QueryEscape(sql), &out)
-	return out, err
+// Query runs a one-shot statement on the peer and decodes the answer
+// into out: a *TypedResult, or with partial a *sqlengine.PartialRollup
+// (the peer's WHERE + GROUP BY fold as mergeable aggregate states). It
+// also reports how many response-body bytes crossed the wire — the
+// federation's transport accounting.
+func (c *Client) Query(sql string, partial bool, out any) (int, error) {
+	path := "/p2p/query?sql=" + url.QueryEscape(sql)
+	if partial {
+		path += "&partial=1"
+	}
+	body, err := c.short(http.MethodGet, path, nil)
+	if err != nil {
+		return len(body), err
+	}
+	return len(body), json.Unmarshal(body, out)
 }
 
-// DirectorySnapshot fetches the peer's directory entries.
-func (c *Client) DirectorySnapshot() ([]directory.Entry, error) {
-	var out []directory.Entry
-	err := c.getJSON("/p2p/directory", &out)
-	return out, err
+// RegisterContinuous registers a continuous query on the peer and
+// returns the session id to poll with.
+func (c *Client) RegisterContinuous(vs, sql string, sampling float64) (string, error) {
+	body, err := c.short(http.MethodPost, "/p2p/register", RegisterRequest{VS: vs, SQL: sql, Sampling: sampling})
+	if err != nil {
+		return "", err
+	}
+	var out RegisterResponse
+	err = json.Unmarshal(body, &out)
+	return out.ID, err
+}
+
+// PollResults long-polls one routed-query result revision (rev >
+// after) under ctx, also reporting the response-body bytes moved.
+func (c *Client) PollResults(ctx context.Context, id string, after uint64, wait time.Duration) (ResultsPage, int, error) {
+	_, body, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/p2p/results?id=%s&after=%d&wait=%d",
+		url.QueryEscape(id), after, wait.Milliseconds()), nil, maxJSONBody)
+	var served *statusError
+	if errors.As(err, &served) && served.code == http.StatusNotFound {
+		err = ErrUnknownSession
+	}
+	var page ResultsPage
+	if err == nil {
+		err = json.Unmarshal(body, &page)
+	}
+	return page, len(body), err
+}
+
+// UnregisterContinuous tears a routed-query session down on the peer.
+func (c *Client) UnregisterContinuous(id string) error {
+	_, err := c.short(http.MethodDelete, "/p2p/register?id="+url.QueryEscape(id), nil)
+	return err
 }
 
 // Gossip performs one push-pull round: send our snapshot, merge the
 // peer's response into reg. It returns the number of adopted entries.
 func (c *Client) Gossip(reg *directory.Registry) (int, error) {
-	payload, err := json.Marshal(reg.Snapshot())
+	body, err := c.short(http.MethodPost, "/p2p/directory/merge", reg.Snapshot())
 	if err != nil {
 		return 0, err
-	}
-	resp, cancel, err := c.short(http.MethodPost, "/p2p/directory/merge",
-		bytes.NewReader(payload), "application/json")
-	if err != nil {
-		return 0, err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("p2p: gossip: %s", resp.Status)
 	}
 	var theirs []directory.Entry
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(&theirs); err != nil {
+	if err := json.Unmarshal(body, &theirs); err != nil {
 		return 0, err
 	}
 	return reg.Merge(theirs), nil
-}
-
-func (c *Client) getJSON(path string, out any) error {
-	resp, cancel, err := c.short(http.MethodGet, path, nil, "")
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("p2p: GET %s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(out)
 }

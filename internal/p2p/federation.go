@@ -1,14 +1,10 @@
 package p2p
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +12,7 @@ import (
 	"time"
 
 	"gsn/internal/core"
+	"gsn/internal/resilience"
 	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 	"gsn/internal/wrappers"
@@ -25,16 +22,19 @@ import (
 // membership is an explicit peer set plus whatever the gossiped
 // directory reveals, sensor placement is the directory's name
 // predicate, remote composition edges ride the exactly-once
-// (epoch, seq) stream wrapper, and the three query transports map to
-// the typed federation endpoints. One Federation serves one node;
-// inject it with Container.SetCluster.
+// (epoch, seq) stream wrapper, and the three query transports are the
+// two forms of the peer query route. One Federation serves one node and
+// holds its only peer table; inject it with Container.SetCluster to
+// make the node clustered.
 type Federation struct {
 	c     *core.Container
 	self  string
 	httpc *http.Client
 
-	mu    sync.Mutex
-	peers map[string]*Client // base URL → client
+	mu         sync.Mutex
+	peers      map[string]*Client // base URL → client
+	gossipStop chan struct{}      // nil while no gossip loop runs
+	gossipDone chan struct{}
 
 	partialBytes atomic.Uint64
 	unionBytes   atomic.Uint64
@@ -44,6 +44,7 @@ type Federation struct {
 // NewFederation creates the federation for a container. httpc is the
 // transport every peer connection uses — the seam the chaos harness
 // threads a FaultTransport through; nil uses the default transport.
+// It starts nothing: periodic gossip is StartGossip's.
 func NewFederation(c *core.Container, httpc *http.Client) *Federation {
 	return &Federation{
 		c:     c,
@@ -56,14 +57,9 @@ func NewFederation(c *core.Container, httpc *http.Client) *Federation {
 // AddPeer registers a peer node by base URL (e.g. "http://host:22001").
 func (f *Federation) AddPeer(base string) {
 	base = strings.TrimRight(base, "/")
-	if base == "" || base == f.self {
-		return
+	if base != "" && base != f.self {
+		f.peerClient(base)
 	}
-	f.mu.Lock()
-	if _, ok := f.peers[base]; !ok {
-		f.peers[base] = &Client{Base: base, HTTP: f.httpc}
-	}
-	f.mu.Unlock()
 }
 
 // Peers lists the known peer base URLs, sorted.
@@ -80,33 +76,88 @@ func (f *Federation) Peers() []string {
 
 // peerClient returns the client for a base URL, creating one on demand:
 // the directory may reveal owners that were never explicitly AddPeer'd
-// (a peer of a peer, learned through gossip).
+// (a peer of a peer, learned through gossip). Clients are kept so each
+// peer's circuit breaker accumulates across calls: a peer that keeps
+// failing is skipped cheaply (ErrCircuitOpen) until its cooldown lets a
+// probe through.
 func (f *Federation) peerClient(base string) *Client {
 	base = strings.TrimRight(base, "/")
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cl, ok := f.peers[base]
 	if !ok {
-		cl = &Client{Base: base, HTTP: f.httpc}
+		cl = &Client{Base: base, HTTP: f.httpc, Breaker: resilience.NewBreaker(3, 10*time.Second)}
 		f.peers[base] = cl
 	}
 	return cl
 }
 
+// GossipWith performs one push-pull directory exchange with a peer and
+// returns the number of adopted entries. The peer joins the peer table,
+// so later rounds include it.
+func (f *Federation) GossipWith(base string) (int, error) {
+	return f.peerClient(base).Gossip(f.c.Directory())
+}
+
 // GossipRound performs one push-pull directory exchange with every
-// peer and returns the total number of adopted entries. The node's
-// periodic gossip loop calls this; tests call it directly to converge
-// placement deterministically.
-func (f *Federation) GossipRound() int {
+// peer and returns the total number of adopted entries. The gossip
+// loop calls this; tests call it directly to converge placement
+// deterministically.
+func (f *Federation) GossipRound() int { return f.gossipRound(nil) }
+
+func (f *Federation) gossipRound(logf func(format string, args ...any)) int {
 	adopted := 0
 	for _, base := range f.Peers() {
-		n, err := f.peerClient(base).Gossip(f.c.Directory())
+		n, err := f.GossipWith(base)
 		if err != nil {
+			if logf != nil {
+				logf("gsn: gossip %s: %v", base, err)
+			}
 			continue
 		}
 		adopted += n
 	}
 	return adopted
+}
+
+// StartGossip runs a gossip round every interval in the background,
+// reporting failed exchanges and adopted entries to logf (nil = silent),
+// until StopGossip. Starting again replaces the running loop, which is
+// how a caller changes the interval.
+func (f *Federation) StartGossip(every time.Duration, logf func(format string, args ...any)) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	f.swapGossip(stop, done)
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				if n := f.gossipRound(logf); n > 0 && logf != nil {
+					logf("gsn: gossip adopted %d directory entries", n)
+				}
+			}
+		}
+	}()
+}
+
+// StopGossip stops the gossip loop, if one runs, and waits for it.
+func (f *Federation) StopGossip() { f.swapGossip(nil, nil) }
+
+// swapGossip installs a loop's channels and retires the loop they
+// replace. Swapping under the lock gives every loop exactly one closer.
+func (f *Federation) swapGossip(stop, done chan struct{}) {
+	f.mu.Lock()
+	prevStop, prevDone := f.gossipStop, f.gossipDone
+	f.gossipStop, f.gossipDone = stop, done
+	f.mu.Unlock()
+	if prevStop != nil {
+		close(prevStop)
+		<-prevDone
+	}
 }
 
 // Owners implements core.Cluster: the peers currently publishing the
@@ -158,7 +209,7 @@ func (f *Federation) RemoteSource(sensor string, params map[string]string) (wrap
 // PartialQuery implements core.Cluster.
 func (f *Federation) PartialQuery(owner, sql string) (*sqlengine.PartialRollup, error) {
 	var pr sqlengine.PartialRollup
-	n, err := f.peerClient(owner).getJSONCounted("/p2p/partial?sql="+url.QueryEscape(sql), &pr)
+	n, err := f.peerClient(owner).Query(sql, true, &pr)
 	f.partialBytes.Add(uint64(n))
 	if err != nil {
 		return nil, err
@@ -169,7 +220,7 @@ func (f *Federation) PartialQuery(owner, sql string) (*sqlengine.PartialRollup, 
 // RouteQuery implements core.Cluster.
 func (f *Federation) RouteQuery(owner, sql string) (*sqlengine.Relation, error) {
 	var tr TypedResult
-	n, err := f.peerClient(owner).getJSONCounted("/p2p/queryx?sql="+url.QueryEscape(sql), &tr)
+	n, err := f.peerClient(owner).Query(sql, false, &tr)
 	f.routedBytes.Add(uint64(n))
 	if err != nil {
 		return nil, err
@@ -182,18 +233,13 @@ func (f *Federation) RouteQuery(owner, sql string) (*sqlengine.Relation, error) 
 // shipping has a bytes-moved baseline.
 func (f *Federation) UnionRows(owner, table string) (*sqlengine.Relation, error) {
 	var tr TypedResult
-	n, err := f.peerClient(owner).getJSONCounted(
-		"/p2p/queryx?sql="+url.QueryEscape("SELECT * FROM "+table), &tr)
+	n, err := f.peerClient(owner).Query("SELECT * FROM "+table, false, &tr)
 	f.unionBytes.Add(uint64(n))
 	if err != nil {
 		return nil, err
 	}
 	return relationOfTyped(tr), nil
 }
-
-// ErrUnknownSession reports a routed-query poll whose session the peer
-// reclaimed (idle sweep, or the peer restarted).
-var ErrUnknownSession = errors.New("p2p: unknown query session")
 
 // RegisterRemote implements core.Cluster: register the continuous
 // query on the owning peer and long-poll result revisions back into
@@ -283,95 +329,4 @@ func (f *Federation) Info() core.ClusterInfo {
 		sort.Strings(nodes)
 	}
 	return info
-}
-
-// --- typed client calls ---------------------------------------------
-
-// getJSONCounted is getJSON, also reporting how many response-body
-// bytes crossed the wire (the federation's transport accounting).
-func (c *Client) getJSONCounted(path string, out any) (int, error) {
-	resp, cancel, err := c.short(http.MethodGet, path, nil, "")
-	if err != nil {
-		return 0, err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxJSONBody))
-	if resp.StatusCode != http.StatusOK {
-		return len(body), fmt.Errorf("p2p: GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if rerr != nil {
-		return len(body), rerr
-	}
-	return len(body), json.Unmarshal(body, out)
-}
-
-// RegisterContinuous registers a continuous query on the peer and
-// returns the session id to poll with.
-func (c *Client) RegisterContinuous(vs, sql string, sampling float64) (string, error) {
-	payload, err := json.Marshal(RegisterRequest{VS: vs, SQL: sql, Sampling: sampling})
-	if err != nil {
-		return "", err
-	}
-	resp, cancel, err := c.short(http.MethodPost, "/p2p/register", bytes.NewReader(payload), "application/json")
-	if err != nil {
-		return "", err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("p2p: register on %s: %s", c.Base, resp.Status)
-	}
-	var out RegisterResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(&out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
-}
-
-// PollResults long-polls one routed-query result revision (rev >
-// after). Issued under ctx with the long-poll transport (not the
-// breaker-gated short path): a poll outliving ShortTimeout is the
-// normal idle case, not a failure.
-func (c *Client) PollResults(ctx context.Context, id string, after uint64, wait time.Duration) (ResultsPage, int, error) {
-	u := fmt.Sprintf("%s/p2p/results?id=%s&after=%d&wait=%d",
-		c.Base, url.QueryEscape(id), after, wait.Milliseconds())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return ResultsPage{}, 0, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return ResultsPage{}, 0, err
-	}
-	defer resp.Body.Close()
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxJSONBody))
-	if resp.StatusCode == http.StatusNotFound {
-		return ResultsPage{}, len(body), ErrUnknownSession
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ResultsPage{}, len(body), fmt.Errorf("p2p: results %s: %s", id, resp.Status)
-	}
-	if rerr != nil {
-		return ResultsPage{}, len(body), rerr
-	}
-	var page ResultsPage
-	if err := json.Unmarshal(body, &page); err != nil {
-		return ResultsPage{}, len(body), err
-	}
-	return page, len(body), nil
-}
-
-// UnregisterContinuous tears a routed-query session down on the peer.
-func (c *Client) UnregisterContinuous(id string) error {
-	resp, cancel, err := c.short(http.MethodDelete, "/p2p/register?id="+url.QueryEscape(id), nil, "")
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("p2p: unregister %s: %s", id, resp.Status)
-	}
-	return nil
 }

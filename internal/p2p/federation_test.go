@@ -312,6 +312,61 @@ func TestFederationGroupByEquivalence(t *testing.T) {
 	}
 }
 
+// TestFederationPartialBytesFlatInVolume pins what partial-aggregate
+// shipping is for: the bytes it moves per query follow the group count,
+// not the stream volume. Doubling an owner's window leaves them nearly
+// flat (only the aggregates' digits grow) and a small fraction of the
+// raw-row union fallback's, which doubles.
+func TestFederationPartialBytesFlatInVolume(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	const rooms, base = 4, 200
+	rows := make([][]stream.Value, 2*base)
+	for i := range rows {
+		rows[i] = []stream.Value{fmt.Sprintf("room%d", i%rooms), int64(i), 0.5}
+	}
+	coord := newFedNode(t, "coord", clock, wrappers.NewRegistry(), nil)
+	// Two owners: with one, a statement that does not distribute is
+	// routed whole instead of taking the union fallback.
+	workers := make([]*fedNode, 2)
+	for i := range workers {
+		w := newFedNode(t, fmt.Sprintf("worker%d", i), clock,
+			feedRegistry(map[string]*feedWrapper{"metrics": {clock: clock, rows: rows}}), nil)
+		if err := w.c.DeployXML([]byte(feedDescriptor("metrics", "metrics"))); err != nil {
+			t.Fatal(err)
+		}
+		coord.fed.AddPeer(w.url)
+		workers[i] = w
+	}
+	coord.fed.GossipRound()
+
+	measure := func() (partial, union float64) {
+		t.Helper()
+		for _, w := range workers {
+			w.produce(clock, "metrics", base)
+		}
+		before := coord.fed.Info()
+		for _, sql := range []string{
+			"select room, count(*) as n, sum(v) as sv from metrics group by room",
+			"select room, count(distinct v) as n from metrics group by room", // union fallback
+		} {
+			if _, err := coord.c.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		after := coord.fed.Info()
+		return float64(after.PartialBytes - before.PartialBytes), float64(after.UnionBytes - before.UnionBytes)
+	}
+	p1, u1 := measure()
+	p2, u2 := measure()
+	if p1 == 0 || u1 == 0 {
+		t.Fatalf("transports moved partial %v, union %v bytes", p1, u1)
+	}
+	if p2 > 1.5*p1 || u2 < 1.5*u1 || p2 > 0.2*u2 {
+		t.Errorf("2x volume: partial %v -> %v bytes, union %v -> %v; want partial flat, union doubling, partial < 20%% of union",
+			p1, p2, u1, u2)
+	}
+}
+
 // TestFederationRoutedQuery: a non-distributable statement against a
 // sensor with exactly one remote owner and no local window routes whole
 // to the owner and comes back typed — identical to asking the owner

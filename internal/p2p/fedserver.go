@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -14,17 +13,10 @@ import (
 	"gsn/internal/stream"
 )
 
-// Federation endpoints: the server-side half of cluster query
-// transports. All of them answer strictly from this node's own streams
-// (LocalQuery/LocalPartial) — a node serving a coordinator must never
-// re-route the statement back into the cluster, or two owners of one
-// sensor would bounce it between themselves forever.
-
-// TypedResult is the exact-typed JSON shape of a federated query
-// response. Unlike the legacy QueryResult (whose values flatten through
-// encoding/json), rows ride as tagged WireValues, so int64, float64,
-// []byte and string survive the hop bit-identically — the property the
-// cluster equivalence tests pin.
+// TypedResult is the exact-typed JSON shape of a query response: rows
+// ride as tagged WireValues, so int64, float64, []byte and string
+// survive the hop bit-identically — the property the cluster
+// equivalence tests pin.
 type TypedResult struct {
 	Columns []string             `json:"columns"`
 	Rows    [][]stream.WireValue `json:"rows"`
@@ -52,48 +44,6 @@ func relationOfTyped(tr TypedResult) *sqlengine.Relation {
 		rel.Rows[i] = stream.UnwrapRow(row)
 	}
 	return rel
-}
-
-// handlePartial serves the node-side half of a distributed grouped
-// query: WHERE + GROUP BY fold over the local window, shipped as
-// mergeable aggregate states. A non-distributable statement (or one
-// whose table is not stored here) is a client error — the coordinator
-// falls back to routing or union.
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	sql := r.URL.Query().Get("sql")
-	if sql == "" {
-		http.Error(w, "missing sql parameter", http.StatusBadRequest)
-		return
-	}
-	pr, err := s.container.LocalPartial(sql)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, pr)
-}
-
-// handleQueryTyped runs a one-shot query over this node's streams only
-// and answers with exact-typed rows (the transport behind routed
-// queries and union fallbacks).
-func (s *Server) handleQueryTyped(w http.ResponseWriter, r *http.Request) {
-	sql := r.URL.Query().Get("sql")
-	if sql == "" {
-		http.Error(w, "missing sql parameter", http.StatusBadRequest)
-		return
-	}
-	rel, err := s.container.LocalQuery(sql)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, typedOfRelation(rel))
-}
-
-// handleCluster reports the node's cluster view (membership, sensor
-// placements, transport byte counters).
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.container.ClusterInfo())
 }
 
 // --- Routed continuous queries -------------------------------------
@@ -235,9 +185,9 @@ func (s *Server) sweepSessions(idleLimit time.Duration) {
 	}
 }
 
-// handleResults long-polls for a routed query's next result revision
-// (rev > after), stepping like the stream endpoint does. An unknown id
-// is 404 — the poller treats that as "session reclaimed, re-register".
+// handleResults long-polls (see pollParams) for a routed query's next
+// result revision (rev > after). An unknown id is 404 — the poller
+// treats that as "session reclaimed, re-register".
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	s.sessions.mu.Lock()
@@ -247,49 +197,29 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown query session", http.StatusNotFound)
 		return
 	}
-	after := uint64(0)
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad after parameter", http.StatusBadRequest)
-			return
-		}
-		after = n
+	after, wait, err := pollParams(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	waitMS := 0
-	if v := q.Get("wait"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad wait parameter", http.StatusBadRequest)
-			return
-		}
-		waitMS = n
-		if waitMS > 30_000 {
-			waitMS = 30_000
-		}
-	}
-	deadline := time.Now().Add(time.Duration(waitMS) * time.Millisecond)
-	for {
+	var (
+		rev    uint64
+		latest *sqlengine.Relation
+	)
+	if !longPoll(r.Context(), wait, func() bool {
 		sess.mu.Lock()
 		sess.lastPoll = time.Now()
-		rev, latest := sess.rev, sess.latest
+		rev, latest = sess.rev, sess.latest
 		sess.mu.Unlock()
-		if rev > after || waitMS == 0 || time.Now().After(deadline) {
-			page := ResultsPage{Rev: rev}
-			if rev > after && latest != nil {
-				page.Result = typedOfRelation(latest)
-			} else if page.Result.Rows == nil {
-				page.Result.Rows = [][]stream.WireValue{}
-			}
-			writeJSON(w, page)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(20 * time.Millisecond):
-		}
+		return rev > after
+	}) {
+		return
 	}
+	page := ResultsPage{Rev: rev, Result: TypedResult{Rows: [][]stream.WireValue{}}}
+	if rev > after && latest != nil {
+		page.Result = typedOfRelation(latest)
+	}
+	writeJSON(w, page)
 }
 
 // handleUnregister tears a routed-query session down.

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -57,22 +59,43 @@ func producerNode(t *testing.T, signKey string) (*core.Container, *httptest.Serv
 	return c, srv
 }
 
-func TestInfoAndSensors(t *testing.T) {
+// TestRouteTable pins the peer protocol's surface: the mux answers the
+// seven documented method+path pairs and nothing else under /p2p/ —
+// in particular none of the routes this protocol once had.
+func TestRouteTable(t *testing.T) {
+	want := map[string]bool{
+		"GET /p2p/schema":           true,
+		"GET /p2p/stream":           true,
+		"GET /p2p/query":            true,
+		"POST /p2p/register":        true,
+		"GET /p2p/results":          true,
+		"DELETE /p2p/register":      true,
+		"POST /p2p/directory/merge": true,
+	}
+	got := Routes()
+	for _, pair := range got {
+		if !want[pair] {
+			t.Errorf("Routes() lists %q, which is not documented", pair)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("Routes() = %v, want the %d documented pairs", got, len(want))
+	}
 	_, srv := producerNode(t, "")
-	client := &Client{Base: srv.URL}
-	info, err := client.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "producer" || len(info.Sensors) != 1 || info.Sensors[0] != "REMOTE-TEMP" {
-		t.Errorf("info = %+v", info)
-	}
-	sensors, err := client.Sensors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sensors) != 1 || sensors[0].Fields["TEMPERATURE"] != "integer" {
-		t.Errorf("sensors = %+v", sensors)
+	mux := srv.Config.Handler.(*http.ServeMux)
+	paths := []string{"schema", "stream", "query", "register", "results", "directory/merge",
+		"info", "sensors", "queryx", "partial", "cluster", "directory", ""}
+	for _, method := range []string{"GET", "POST", "PUT", "DELETE"} {
+		for _, path := range paths {
+			pair := method + " /p2p/" + path
+			_, pattern := mux.Handler(httptest.NewRequest(method, "/p2p/"+path, nil))
+			if want[pair] && pattern != pair {
+				t.Errorf("%s resolves to %q", pair, pattern)
+			}
+			if !want[pair] && pattern != "" {
+				t.Errorf("%s is served by %q, want no route", pair, pattern)
+			}
+		}
 	}
 }
 
@@ -96,24 +119,32 @@ func TestFetchIncremental(t *testing.T) {
 	client := &Client{Base: srv.URL}
 	c.Pulse()
 	c.Pulse()
-	elems, schema, err := client.Fetch("remote-temp", 0, 0)
+	page, err := client.FetchSeq(context.Background(), "remote-temp", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(elems) != 2 {
-		t.Fatalf("fetched %d elements", len(elems))
+	if len(page.Elems) != 2 || page.First != 1 || page.WindowLast != 2 {
+		t.Fatalf("fetched %d elements, first %d, window last %d", len(page.Elems), page.First, page.WindowLast)
 	}
-	if !schema.Equal(elemsSchema(t, elems)) {
+	if !page.Schema.Equal(elemsSchema(t, page.Elems)) {
 		t.Error("header schema does not match elements")
 	}
-	// Incremental: since the last timestamp, nothing new.
-	last := elems[len(elems)-1].Timestamp()
-	again, _, err := client.Fetch("remote-temp", last, 0)
+	// Incremental: after the last sequence number, nothing new.
+	again, err := client.FetchSeq(context.Background(), "remote-temp", page.WindowLast, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 0 {
-		t.Errorf("re-fetch returned %d elements", len(again))
+	if len(again.Elems) != 0 || again.Epoch != page.Epoch {
+		t.Errorf("re-fetch returned %d elements, epoch %d -> %d", len(again.Elems), page.Epoch, again.Epoch)
+	}
+	// One more arrival is exactly what the cursor yields next.
+	c.Pulse()
+	next, err := client.FetchSeq(context.Background(), "remote-temp", page.WindowLast, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Elems) != 1 || next.First != 3 {
+		t.Errorf("resumed fetch returned %d elements from %d, want 1 from 3", len(next.Elems), next.First)
 	}
 }
 
@@ -129,12 +160,12 @@ func TestFetchLongPollTimesOutEmpty(t *testing.T) {
 	_, srv := producerNode(t, "")
 	client := &Client{Base: srv.URL}
 	start := time.Now()
-	elems, _, err := client.Fetch("remote-temp", 0, 80*time.Millisecond)
+	page, err := client.FetchSeq(context.Background(), "remote-temp", 0, 80*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(elems) != 0 {
-		t.Fatalf("expected empty poll, got %d", len(elems))
+	if len(page.Elems) != 0 {
+		t.Fatalf("expected empty poll, got %d", len(page.Elems))
 	}
 	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
 		t.Errorf("long-poll returned too fast: %v", elapsed)
@@ -147,18 +178,18 @@ func TestSignedStreamVerification(t *testing.T) {
 
 	// Client with the right key verifies.
 	good := &Client{Base: srv.URL, Keys: keyringWith(t, "link", "shared-secret"), RequireSignature: true}
-	if _, _, err := good.Fetch("remote-temp", 0, 0); err != nil {
+	if _, err := good.FetchSeq(context.Background(), "remote-temp", 0, 0); err != nil {
 		t.Fatalf("verified fetch failed: %v", err)
 	}
 	// Client with the wrong key refuses.
 	bad := &Client{Base: srv.URL, Keys: keyringWith(t, "link", "wrong-secret"), RequireSignature: true}
-	if _, _, err := bad.Fetch("remote-temp", 0, 0); err == nil {
+	if _, err := bad.FetchSeq(context.Background(), "remote-temp", 0, 0); err == nil {
 		t.Error("tampered-key fetch succeeded")
 	}
 	// Client expecting signatures rejects unsigned nodes.
 	_, unsignedSrv := producerNode(t, "")
 	strict := &Client{Base: unsignedSrv.URL, Keys: keyringWith(t, "link", "x"), RequireSignature: true}
-	if _, _, err := strict.Fetch("remote-temp", 0, 0); err == nil {
+	if _, err := strict.FetchSeq(context.Background(), "remote-temp", 0, 0); err == nil {
 		t.Error("unsigned response accepted by strict client")
 	}
 }
@@ -203,10 +234,7 @@ func TestDirectoryGossipOverHTTP(t *testing.T) {
 		t.Fatalf("local directory after gossip lacks addressable entry: %+v", got)
 	}
 	// Push direction: the producer learned about my-own.
-	remote, err := client.DirectorySnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := c.Directory().Snapshot()
 	found := false
 	for _, e := range remote {
 		if e.Sensor == "MY-OWN" {

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"context"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -99,28 +101,39 @@ func TestFetchLimitParameter(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		producer.Pulse()
 	}
-	resp, err := http.Get(srv.URL + "/p2p/stream?vs=remote-temp&since=0&limit=5")
+	resp, err := http.Get(srv.URL + "/p2p/stream?vs=remote-temp&after=0&limit=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	client := &Client{Base: srv.URL}
-	elems, _, err := client.Fetch("remote-temp", 0, 0)
+	if elems, _, err := client.decodeStream(resp.Header, body); err != nil || len(elems) != 5 {
+		t.Fatalf("limit=5 fetch = %d elements, %v", len(elems), err)
+	}
+	page, err := client.FetchSeq(context.Background(), "remote-temp", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(elems) != 30 {
-		t.Fatalf("unbounded fetch = %d", len(elems))
+	if len(page.Elems) != 30 {
+		t.Fatalf("unbounded fetch = %d", len(page.Elems))
 	}
 }
 
-func TestStreamEndpointValidation(t *testing.T) {
+func TestPeerEndpointValidation(t *testing.T) {
 	_, srv := producerNode(t, "")
 	cases := []string{
 		"/p2p/stream?vs=ghost",
-		"/p2p/stream?vs=remote-temp&since=abc",
+		"/p2p/stream?vs=remote-temp&after=abc",
+		"/p2p/stream?vs=remote-temp&after=-1",
 		"/p2p/stream?vs=remote-temp&wait=-5",
 		"/p2p/stream?vs=remote-temp&limit=0",
+		"/p2p/results?id=ghost",
+		"/p2p/query",
+		"/p2p/query?sql=select+1&partial=maybe",
 	}
 	for _, path := range cases {
 		resp, err := http.Get(srv.URL + path)

@@ -12,10 +12,13 @@ package p2p
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -23,6 +26,7 @@ import (
 	"gsn/internal/core"
 	"gsn/internal/directory"
 	"gsn/internal/integrity"
+	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 )
 
@@ -31,10 +35,9 @@ const (
 	schemaHeader    = "X-Gsn-Schema"
 	signatureHeader = "X-Gsn-Signature"
 	keyIDHeader     = "X-Gsn-Key-Id"
-	// Sequence-protocol headers (set on /p2p/stream responses when the
-	// request carries an after= cursor): the serving table's epoch, the
-	// sequence number of the first body element (0 when empty), and the
-	// live window's sequence bounds at serve time.
+	// Sequence-cursor headers of /p2p/stream responses: the serving
+	// table's epoch, the sequence number of the first body element (0
+	// when empty), and the live window's sequence bounds at serve time.
 	epochHeader    = "X-Gsn-Epoch"
 	firstHeader    = "X-Gsn-First"
 	winFirstHeader = "X-Gsn-Window-First"
@@ -103,56 +106,37 @@ func (s *Server) Close() {
 	<-s.reapDone
 }
 
+// routes is the whole peer protocol. docs/architecture.md tabulates it
+// and cmd/docs-check holds the two in step.
+var routes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET /p2p/schema", (*Server).handleSchema},
+	{"GET /p2p/stream", (*Server).handleStream},
+	{"GET /p2p/query", (*Server).handleQuery},
+	{"POST /p2p/register", (*Server).handleRegister},
+	{"GET /p2p/results", (*Server).handleResults},
+	{"DELETE /p2p/register", (*Server).handleUnregister},
+	{"POST /p2p/directory/merge", (*Server).handleDirectoryMerge},
+}
+
+// Routes lists the "METHOD /path" patterns Handler registers.
+func Routes() []string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.pattern
+	}
+	return out
+}
+
 // Handler returns the p2p HTTP handler (paths are rooted at /p2p/).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /p2p/info", s.handleInfo)
-	mux.HandleFunc("GET /p2p/sensors", s.handleSensors)
-	mux.HandleFunc("GET /p2p/schema", s.handleSchema)
-	mux.HandleFunc("GET /p2p/stream", s.handleStream)
-	mux.HandleFunc("GET /p2p/query", s.handleQuery)
-	mux.HandleFunc("GET /p2p/queryx", s.handleQueryTyped)
-	mux.HandleFunc("GET /p2p/partial", s.handlePartial)
-	mux.HandleFunc("GET /p2p/cluster", s.handleCluster)
-	mux.HandleFunc("POST /p2p/register", s.handleRegister)
-	mux.HandleFunc("GET /p2p/results", s.handleResults)
-	mux.HandleFunc("DELETE /p2p/register", s.handleUnregister)
-	mux.HandleFunc("GET /p2p/directory", s.handleDirectory)
-	mux.HandleFunc("POST /p2p/directory/merge", s.handleDirectoryMerge)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	return mux
-}
-
-// InfoResponse describes a node.
-type InfoResponse struct {
-	Name    string   `json:"name"`
-	Address string   `json:"address"`
-	Sensors []string `json:"sensors"`
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	info := InfoResponse{Name: s.container.Name(), Address: s.container.NodeAddress()}
-	for _, vs := range s.container.Sensors() {
-		info.Sensors = append(info.Sensors, vs.Name())
-	}
-	writeJSON(w, info)
-}
-
-// SensorInfo describes one virtual sensor to peers.
-type SensorInfo struct {
-	Name   string            `json:"name"`
-	Fields map[string]string `json:"fields"`
-}
-
-func (s *Server) handleSensors(w http.ResponseWriter, r *http.Request) {
-	var out []SensorInfo
-	for _, vs := range s.container.Sensors() {
-		fields := map[string]string{}
-		for _, f := range vs.OutputSchema().Fields() {
-			fields[f.Name] = f.Type.String()
-		}
-		out = append(out, SensorInfo{Name: vs.Name(), Fields: fields})
-	}
-	writeJSON(w, out)
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
@@ -165,14 +149,47 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	w.Write(stream.EncodeSchema(nil, vs.OutputSchema()))
 }
 
-// handleStream serves stream elements. Two cursor modes exist: the
-// legacy since= timestamp cursor (elements with timestamp > since) and
-// the exactly-once after= sequence cursor (elements with sequence
-// number > after, response annotated with epoch and window bounds so a
+// pollParams parses the cursor and budget the two long-poll routes
+// (stream, results) share: after= names the last sequence number or
+// revision the caller holds (default 0), wait= is how long to hold the
+// request open for something newer, in milliseconds, capped at 30s
+// (default 0: answer at once).
+func pollParams(q url.Values) (after uint64, wait time.Duration, err error) {
+	if v := q.Get("after"); v != "" {
+		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return 0, 0, errors.New("bad after parameter")
+		}
+	}
+	if v := q.Get("wait"); v != "" {
+		ms, err := strconv.Atoi(v)
+		if err != nil || ms < 0 {
+			return 0, 0, errors.New("bad wait parameter")
+		}
+		wait = time.Duration(min(ms, 30_000)) * time.Millisecond
+	}
+	return after, wait, nil
+}
+
+// longPoll calls ready every 20ms until it reports true or wait has
+// elapsed; ready runs at least once. It returns false when the caller
+// went away meanwhile and there is nobody left to answer.
+func longPoll(ctx context.Context, wait time.Duration, ready func() bool) bool {
+	deadline := time.Now().Add(wait)
+	for !ready() && wait > 0 && time.Now().Before(deadline) {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	return true
+}
+
+// handleStream serves the elements with sequence number > after, the
+// response annotated with the table's epoch and window bounds so a
 // consumer can distinguish a resumable cursor from one that must
-// re-sync). When no data is available either mode long-polls up to the
-// wait parameter (milliseconds, capped at 30s) before returning an
-// empty body.
+// re-sync. With nothing newer it long-polls (see pollParams) before
+// returning an empty body.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	vs, ok := s.container.Sensor(q.Get("vs"))
@@ -180,36 +197,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown virtual sensor", http.StatusNotFound)
 		return
 	}
-	since := int64(0)
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since parameter", http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	seqMode := false
-	after := uint64(0)
-	if v := q.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad after parameter", http.StatusBadRequest)
-			return
-		}
-		seqMode, after = true, n
-	}
-	waitMS := 0
-	if v := q.Get("wait"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad wait parameter", http.StatusBadRequest)
-			return
-		}
-		waitMS = n
-		if waitMS > 30_000 {
-			waitMS = 30_000
-		}
+	after, wait, err := pollParams(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	limit := 500
 	if v := q.Get("limit"); v != "" {
@@ -223,25 +214,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	deadline := time.Now().Add(time.Duration(waitMS) * time.Millisecond)
 	var (
 		elems                           []stream.Element
 		first, winFirst, winLast, epoch uint64
 	)
-	for {
-		if seqMode {
-			elems, first, winFirst, winLast, epoch = vs.Output().SinceSeq(after)
-		} else {
-			elems = vs.Output().Since(stream.Timestamp(since))
-		}
-		if len(elems) > 0 || waitMS == 0 || time.Now().After(deadline) {
-			break
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(20 * time.Millisecond):
-		}
+	if !longPoll(r.Context(), wait, func() bool {
+		elems, first, winFirst, winLast, epoch = vs.Output().SinceSeq(after)
+		return len(elems) > 0
+	}) {
+		return
 	}
 	if len(elems) > limit {
 		// The suffix stays contiguous from first, so truncation only
@@ -259,12 +240,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(schemaHeader,
 		base64.StdEncoding.EncodeToString(stream.EncodeSchema(nil, vs.OutputSchema())))
-	if seqMode {
-		w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
-		w.Header().Set(firstHeader, strconv.FormatUint(first, 10))
-		w.Header().Set(winFirstHeader, strconv.FormatUint(winFirst, 10))
-		w.Header().Set(winLastHeader, strconv.FormatUint(winLast, 10))
-	}
+	w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
+	w.Header().Set(firstHeader, strconv.FormatUint(first, 10))
+	w.Header().Set(winFirstHeader, strconv.FormatUint(winFirst, 10))
+	w.Header().Set(winLastHeader, strconv.FormatUint(winLast, 10))
 	if s.signKeyID != "" {
 		sig, err := s.keys.Sign(s.signKeyID, body.Bytes())
 		if err != nil {
@@ -277,42 +256,44 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(body.Bytes())
 }
 
-// QueryResult is the JSON shape of a peer query response. Byte
-// payloads ride as base64 (encoding/json's []byte default); numeric
-// types flatten to JSON numbers, so the endpoint serves dashboards and
-// federation probes, not the typed element stream (use /p2p/stream for
-// that).
-type QueryResult struct {
-	Columns []string         `json:"columns"`
-	Rows    [][]stream.Value `json:"rows"`
-}
-
-// handleQuery runs a one-shot SQL query over the node's stored streams
-// on behalf of a peer. It goes through the container's version-stamped
-// result cache, so repeated identical pulls between inserts cost one
-// map lookup. Strictly local (LocalQuery, like every peer-serving
-// endpoint): a node answering a coordinator must not re-route the
-// statement back into the cluster.
+// handleQuery runs a one-shot statement for a peer coordinator and
+// answers with exact-typed rows (routed statements, union fallbacks).
+// With partial=1 it answers with the node-side half of a distributed
+// grouped query instead: WHERE + GROUP BY folded over the local window,
+// shipped as mergeable aggregate states — a statement that does not
+// distribute is a client error and the coordinator falls back to typed
+// rows. Both forms go through the container's version-stamped result
+// cache and are strictly local (LocalQuery/LocalPartial, like every
+// peer-serving route): a node answering a coordinator must never
+// re-route the statement back into the cluster, or two owners of one
+// sensor would bounce it between themselves forever.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sql := r.URL.Query().Get("sql")
+	q := r.URL.Query()
+	sql := q.Get("sql")
 	if sql == "" {
 		http.Error(w, "missing sql parameter", http.StatusBadRequest)
 		return
 	}
-	rel, err := s.container.LocalQuery(sql)
+	var (
+		out any
+		err error
+	)
+	switch q.Get("partial") {
+	case "1":
+		out, err = s.container.LocalPartial(sql)
+	case "":
+		var rel *sqlengine.Relation
+		if rel, err = s.container.LocalQuery(sql); err == nil {
+			out = typedOfRelation(rel)
+		}
+	default:
+		err = errors.New("bad partial parameter")
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	out := QueryResult{Columns: rel.Names(), Rows: rel.Rows}
-	if out.Rows == nil {
-		out.Rows = [][]stream.Value{}
-	}
 	writeJSON(w, out)
-}
-
-func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.container.Directory().Snapshot())
 }
 
 // handleDirectoryMerge implements push-pull gossip: the peer posts its

@@ -14,8 +14,8 @@ import (
 type Options struct {
 	// Clock supplies NOW(); nil uses the system clock.
 	Clock stream.Clock
-	// DisableHashJoin forces nested-loop joins (ablation knob; see
-	// DESIGN.md §5).
+	// DisableHashJoin forces nested-loop joins: the reference the join
+	// tests and the join ablation compare the hash join against.
 	DisableHashJoin bool
 	// MaxRows bounds intermediate and final result sizes to catch
 	// runaway cross joins. 0 means the 1M default.

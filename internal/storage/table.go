@@ -40,7 +40,7 @@
 //
 // # Read concurrency
 //
-// Read-side methods (Len, Snapshot, Last, Since, Latest, ForEach) take
+// Read-side methods (Len, Snapshot, Last, SinceSeq, Latest, ForEach) take
 // a shared lock and upgrade to the exclusive lock only when window
 // retention actually has work to do — count windows never evict on
 // read, and time windows check the head timestamp first — so long-poll
@@ -536,22 +536,6 @@ func (t *Table) Last(n int) []stream.Element {
 	return out
 }
 
-// Since returns the elements with logical timestamp strictly greater
-// than ts, in arrival order. It is the long-poll primitive used by the
-// p2p layer; it runs under the shared lock so concurrent pollers do not
-// serialise against ingestion.
-func (t *Table) Since(ts stream.Timestamp) []stream.Element {
-	var out []stream.Element
-	t.readLocked(func() {
-		for i := t.head; i < len(t.elems); i++ {
-			if t.elems[i].Timestamp() > ts {
-				out = append(out, t.elems[i])
-			}
-		}
-	})
-	return out
-}
-
 // Epoch returns the table's sequence-space epoch: a value that changes
 // whenever the sequence numbering could have restarted or regressed
 // (table open, Truncate). Consumers resuming by sequence number must
@@ -569,8 +553,8 @@ func (t *Table) Epoch() uint64 {
 // window's sequence numbers are contiguous, so the result is always a
 // suffix of the live window and first > after+1 tells the caller that
 // elements it never saw have already been evicted. This is the
-// exactly-once long-poll primitive of the p2p layer; like Since it runs
-// under the shared lock.
+// exactly-once long-poll primitive of the p2p layer; it runs under the
+// shared lock so concurrent pollers do not serialise against ingestion.
 func (t *Table) SinceSeq(after uint64) (elems []stream.Element, first, winFirst, winLast, epoch uint64) {
 	t.readLocked(func() {
 		epoch = t.epoch
@@ -1037,7 +1021,6 @@ func (t *Table) Stats() TableStats {
 // WAL tail — the next open replays nothing.
 func (t *Table) Close() error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.recoverStop != nil {
 		close(t.recoverStop)
 		t.recoverStop = nil
@@ -1046,17 +1029,20 @@ func (t *Table) Close() error {
 	if t.history != nil && t.log != nil && t.degradedErr == nil {
 		first = t.checkpointLocked()
 	}
-	if t.log != nil {
-		if err := t.log.Close(); err != nil && first == nil {
+	log, history := t.log, t.history
+	t.log, t.history = nil, nil
+	t.mu.Unlock()
+	// Closed outside the lock: Log.Close waits for the flusher, and a
+	// flusher reporting a failed commit (OnError) takes t.mu.
+	if log != nil {
+		if err := log.Close(); err != nil && first == nil {
 			first = err
 		}
-		t.log = nil
 	}
-	if t.history != nil {
-		if err := t.history.Close(); err != nil && first == nil {
+	if history != nil {
+		if err := history.Close(); err != nil && first == nil {
 			first = err
 		}
-		t.history = nil
 	}
 	return first
 }

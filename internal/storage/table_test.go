@@ -111,10 +111,6 @@ func TestLastAndSinceAndLatest(t *testing.T) {
 	if got := tab.Last(99); len(got) != 10 {
 		t.Errorf("Last(99) returned %d", len(got))
 	}
-	since := tab.Since(700)
-	if len(since) != 3 {
-		t.Errorf("Since(700) = %v", since)
-	}
 	latest, ok := tab.Latest()
 	if !ok || latest.Value(0) != int64(10) {
 		t.Errorf("Latest = %v, %v", latest, ok)

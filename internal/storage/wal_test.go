@@ -698,8 +698,8 @@ func TestReadPathSharedLock(t *testing.T) {
 		if len(tab.Last(3)) != 3 {
 			t.Error("Last under shared lock")
 		}
-		if len(tab.Since(5)) != 5 {
-			t.Error("Since under shared lock")
+		if elems, _, _, _, _ := tab.SinceSeq(5); len(elems) != 5 {
+			t.Error("SinceSeq under shared lock")
 		}
 		if _, ok := tab.Latest(); !ok {
 			t.Error("Latest under shared lock")

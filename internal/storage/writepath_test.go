@@ -494,3 +494,50 @@ func TestLeaderCommitFailureDegradesFollowers(t *testing.T) {
 		})
 	}
 }
+
+// TestBackgroundFlushFaultRacingClose: Close must not hold the table
+// lock while it waits for the flusher — a flusher whose commit fails
+// reports through OnError, which takes that lock, and the two used to
+// wait for each other forever.
+func TestBackgroundFlushFaultRacingClose(t *testing.T) {
+	store, err := NewStore(nil, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFaultFS(nil)
+	gate := &gateFS{FS: ffs, waiting: make(chan struct{}, 1)}
+	store.SetFS(gate)
+	tab, err := store.CreateTable("bgclose", prodSchema, TableOptions{
+		Window:          stream.Window{Kind: stream.CountWindow, Count: 64},
+		Permanent:       true,
+		Sync:            SyncInterval,
+		FlushInterval:   time.Millisecond,
+		RecoverInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hold := make(chan struct{})
+	gate.mu.Lock()
+	gate.hold = hold
+	gate.mu.Unlock()
+	ffs.Inject(Fault{Op: OpWrite, Path: ".gsnlog", Count: -1})
+	if err := tab.Insert(prodElem(t, 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.waiting // the flusher is inside the commit that will fail
+
+	log := tab.log
+	closed := make(chan error, 1)
+	go func() { closed <- tab.Close() }()
+	waitCond(t, "Close waiting for the flusher", log.isClosed)
+	close(hold)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		// No store.Close on this path: it would hang on the same lock.
+		t.Fatal("Table.Close hung behind a flusher reporting a failed commit")
+	}
+	store.Close()
+}
