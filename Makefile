@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci
+.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci
 
 all: ci
 
@@ -15,30 +15,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The trigger-pipeline acceptance benchmark: the compiled zero-copy
-# path and the incremental path must beat the snapshot+re-plan path.
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkTriggerPipeline' -benchmem .
-
-# The ingestion acceptance benchmark: batched group-commit ingestion
-# must beat the per-element flush path. The -cpu sweep exercises the
-# write path alone (1 CPU) and under contention (4, 8 CPUs).
-bench-ingest:
-	$(GO) test -run xxx -bench 'BenchmarkIngest' -benchmem -cpu 1,4,8 .
-
-# The concurrent-producer acceptance benchmark for the table write
-# path: producers x sync policy, reporting throughput and how many
-# fdatasyncs each append paid (fsyncs_per_append falls below 1 as
-# producers share group commits under sync=durable).
-bench-scaling:
-	GOMAXPROCS=8 $(GO) run ./cmd/gsn-bench -experiment scaling
-
-# The client-query acceptance benchmark: the compiled/shared/parallel
-# repository must beat the serial interpreted sweep at 1000 registered
-# queries (BenchmarkClientQueriesGrouped covers the GROUP BY rollups).
-bench-queries:
-	$(GO) test -run xxx -bench 'BenchmarkClientQueries' -benchmem .
 
 # bench-gate compares two sets of end-to-end benchmark records (the
 # JSONL files `go run ./benchmark ... -out FILE` appends to; see
@@ -68,17 +44,13 @@ bench-pairs:
 docs-check:
 	$(GO) run ./cmd/docs-check
 
-# benchsmoke compiles and runs every benchmark once and sweeps the
-# gsn-bench experiments in quick mode, so perf-harness rot is caught on
-# every PR without paying for full measurement runs. -cpu 1,4 and the
-# GOMAXPROCS pair exercise the worker-pool multi-core paths alongside
-# the single-core ones.
+# benchsmoke compiles and runs every benchmark once and regenerates the
+# paper's evaluation in quick mode, so harness rot is caught on every PR
+# without paying for full measurement runs. -cpu 1,4 exercises the
+# worker-pool multi-core paths alongside the single-core ones.
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -cpu 1,4 ./...
-	GOMAXPROCS=1 $(GO) run ./cmd/gsn-bench -experiment queries -quick -out ""
-	GOMAXPROCS=4 $(GO) run ./cmd/gsn-bench -experiment queries -quick -out ""
-	GOMAXPROCS=8 $(GO) run ./cmd/gsn-bench -experiment scaling -quick -out ""
-	$(GO) run ./cmd/gsn-bench -experiment all -quick -out ""
+	$(GO) run ./cmd/gsn-bench -experiment all -quick
 
 # examples-smoke runs the self-terminating examples end to end (a
 # deterministic composition pipeline and the real-time quickstart), so

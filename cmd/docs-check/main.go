@@ -14,6 +14,9 @@
 //   - Peer routes: every /p2p/… path named in docs/*.md must be a
 //     route the p2p server registers, and every registered route must
 //     be named there (the peer-protocol table in architecture.md).
+//   - Measurement references: every `-experiment <name>` in README.md
+//     and docs/*.md must be a name gsn-bench accepts, and every
+//     bench_results/… path named there must exist.
 //
 // Run by `make docs-check` (wired into `make ci` and the GitHub
 // workflow). Exit status is non-zero when anything is broken.
@@ -27,6 +30,7 @@ import (
 	"sort"
 	"strings"
 
+	"gsn/internal/bench"
 	"gsn/internal/core"
 	"gsn/internal/p2p"
 	"gsn/internal/sqlengine"
@@ -51,6 +55,9 @@ func main() {
 	}
 	checkDialectExamples(filepath.Join("docs", "sql-dialect.md"), report)
 	checkPeerRoutes(docs, report)
+	for _, f := range append([]string{"README.md"}, docs...) {
+		checkMeasurementRefs(f, report)
+	}
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -124,6 +131,36 @@ func checkPeerRoutes(docs []string, report func(string, ...any)) {
 	for path := range registered {
 		if !named[path] {
 			report("docs/: peer route %s is registered but documented nowhere", path)
+		}
+	}
+}
+
+// experimentPattern matches a gsn-bench invocation's experiment
+// argument, alone or as a figure3|figure4 alternation; resultsPattern a
+// path under the directory gsn-bench's CSVs used to be committed to.
+var (
+	experimentPattern = regexp.MustCompile(`-experiment[ =]([a-z0-9|]+)`)
+	resultsPattern    = regexp.MustCompile(`bench_results/[\w.*-]*`)
+)
+
+// checkMeasurementRefs fails a document that sends the reader to an
+// experiment gsn-bench rejects or to a results file that is not there.
+func checkMeasurementRefs(path string, report func(string, ...any)) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		report("%s: %v", path, err)
+		return
+	}
+	for _, m := range experimentPattern.FindAllStringSubmatch(string(data), -1) {
+		for _, name := range strings.Split(m[1], "|") {
+			if err := bench.CheckExperiment(name); err != nil {
+				report("%s: names gsn-bench %s: %v", path, m[0], err)
+			}
+		}
+	}
+	for _, ref := range resultsPattern.FindAllString(string(data), -1) {
+		if found, _ := filepath.Glob(ref); len(found) == 0 {
+			report("%s: names %s, which does not exist", path, ref)
 		}
 	}
 }

@@ -1,20 +1,14 @@
 // Command gsn-bench regenerates the paper's evaluation (Figures 3 and
-// 4, the wrapper-effort claim) and the ablation studies on this
-// machine, printing the same series the paper plots and writing CSVs
-// for external plotting.
+// 4, the wrapper-effort claim) on this machine, printing the same
+// series the paper plots and, with -out, writing CSVs for external
+// plotting. It measures nothing else: the performance of the program is
+// the job of benchmark/ (see BENCHMARK.json).
 //
 // Usage:
 //
-//	gsn-bench -experiment figure3 [-duration 1s] [-out bench_results]
+//	gsn-bench -experiment figure3 [-duration 1s] [-out DIR]
 //	gsn-bench -experiment figure4
 //	gsn-bench -experiment wrappers
-//	gsn-bench -experiment ablation
-//	gsn-bench -experiment ingest
-//	gsn-bench -experiment queries
-//	gsn-bench -experiment grouped
-//	gsn-bench -experiment cascade
-//	gsn-bench -experiment history
-//	gsn-bench -experiment scaling
 //	gsn-bench -experiment all
 package main
 
@@ -23,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"gsn/internal/bench"
@@ -30,31 +25,28 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: figure3, figure4, wrappers, ablation, ingest, queries, grouped, cascade, history, scaling, all")
+		"which experiment to run: "+strings.Join(bench.Experiments, ", ")+", all")
 	duration := flag.Duration("duration", time.Second,
 		"measurement window per figure3 point (the paper's run used longer windows; shape is stable from ~1s)")
-	outDir := flag.String("out", "bench_results", "directory for CSV output (empty to skip)")
+	outDir := flag.String("out", "", "directory for CSV output (empty: print only)")
 	quick := flag.Bool("quick", false, "heavily scaled-down sweep for smoke testing")
 	flag.Parse()
 
+	if err := bench.CheckExperiment(*experiment); err != nil {
+		fmt.Fprintln(os.Stderr, "gsn-bench:", err)
+		os.Exit(2)
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
 		}
 	}
 
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Println()
-	}
+	// One runner per name in bench.Experiments, which also fixes the order
+	// of -experiment all.
+	runners := map[string]func() error{}
 
-	run("figure3", func() error {
+	runners["figure3"] = func() error {
 		cfg := bench.DefaultFigure3()
 		cfg.Duration = *duration
 		if *quick {
@@ -71,9 +63,9 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.ShapeReport())
 		return writeCSV(*outDir, "figure3.csv", res.CSV())
-	})
+	}
 
-	run("figure4", func() error {
+	runners["figure4"] = func() error {
 		cfg := bench.DefaultFigure4()
 		if *quick {
 			cfg.ClientCounts = []int{0, 50, 100}
@@ -88,121 +80,27 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.ShapeReport())
 		return writeCSV(*outDir, "figure4.csv", res.CSV())
-	})
+	}
 
-	run("wrappers", func() error {
+	runners["wrappers"] = func() error {
 		efforts, err := bench.RunWrapperEffort()
 		if err != nil {
 			return err
 		}
 		fmt.Print(bench.WrapperEffortTable(efforts))
 		return nil
-	})
+	}
 
-	run("ablation", func() error {
-		return bench.RunAblations(os.Stdout)
-	})
-
-	run("queries", func() error {
-		cfg := bench.DefaultQueries()
-		if *quick {
-			cfg.Counts = []int{1, 100, 1000}
-			cfg.Sweeps = 3
-			cfg.MaxSerialSweepQueries = 20_000
+	for _, name := range bench.Experiments {
+		if *experiment != "all" && *experiment != name {
+			continue
 		}
-		res, err := bench.RunQueries(cfg, os.Stdout)
-		if err != nil {
-			return err
+		fmt.Printf("=== %s ===\n", name)
+		if err := runners[name](); err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println()
-		fmt.Print(res.Table())
-		fmt.Println()
-		fmt.Print(res.ShapeReport())
-		return writeCSV(*outDir, "queries.csv", res.CSV())
-	})
-
-	run("grouped", func() error {
-		cfg := bench.DefaultGrouped()
-		if *quick {
-			cfg.Cardinalities = []int{1, 100}
-			cfg.Queries = 200
-			cfg.Sweeps = 3
-			cfg.MaxSerialSweepQueries = 10_000
-		}
-		res, err := bench.RunGrouped(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		fmt.Println()
-		fmt.Print(res.ShapeReport())
-		return writeCSV(*outDir, "grouped.csv", res.CSV())
-	})
-
-	run("cascade", func() error {
-		cfg := bench.DefaultCascade()
-		if *quick {
-			cfg.Tiers = []int{1, 2, 4}
-			cfg.Elements = 500
-		}
-		res, err := bench.RunCascade(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		fmt.Println()
-		fmt.Print(res.ShapeReport())
-		return writeCSV(*outDir, "cascade.csv", res.CSV())
-	})
-
-	run("history", func() error {
-		cfg := bench.DefaultHistory()
-		if *quick {
-			cfg.Retentions = []int{2_000, 20_000}
-			cfg.HotWindow = 200
-			cfg.ScanRows = 400
-		}
-		res, err := bench.RunHistory(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		return writeCSV(*outDir, "history.csv", res.CSV())
-	})
-
-	run("ingest", func() error {
-		cfg := bench.DefaultIngest()
-		if *quick {
-			cfg.Elements = 20_000
-		}
-		res, err := bench.RunIngest(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		return writeCSV(*outDir, "ingest.csv", res.CSV())
-	})
-
-	run("scaling", func() error {
-		cfg := bench.DefaultScaling()
-		if *quick {
-			cfg.Producers = []int{1, 4}
-			cfg.Elements = 2_000
-			cfg.DurableElements = 200
-			cfg.Repeats = 1
-		}
-		res, err := bench.RunScaling(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(res.Table())
-		return writeCSV(*outDir, "scaling.csv", res.CSV())
-	})
+	}
 }
 
 func writeCSV(dir, name, content string) error {

@@ -147,40 +147,23 @@ func TestWrapperEffortClaim(t *testing.T) {
 	}
 }
 
-func TestAblationsRun(t *testing.T) {
-	hash, nested, err := AblationJoin(100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hash <= 0 || nested <= 0 {
-		t.Errorf("join timings = %v, %v", hash, nested)
-	}
-	cached, reparsed, err := AblationPlanCache(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached <= 0 || reparsed <= 0 {
-		t.Errorf("cache timings = %v, %v", cached, reparsed)
-	}
-	snap, each, err := AblationWindowScan(100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap <= 0 || each <= 0 {
-		t.Errorf("scan timings = %v, %v", snap, each)
-	}
-	var sb strings.Builder
-	if err := RunAblations(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "join strategy") {
-		t.Errorf("ablation report = %s", sb.String())
-	}
-}
-
-func TestSyntheticRelationsShape(t *testing.T) {
-	l, r := SyntheticRelations(10, 20, 3)
-	if len(l.Rows) != 10 || len(r.Rows) != 20 {
-		t.Errorf("sizes = %d, %d", len(l.Rows), len(r.Rows))
+// TestCheckExperiment pins the names gsn-bench accepts: a retired or
+// misspelt experiment must be an error, not a silent no-op.
+func TestCheckExperiment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"figure3", true}, {"figure4", true}, {"wrappers", true}, {"all", true},
+		{"cluster", false}, {"scaling", false}, {"ablation", false},
+		{"figure", false}, {"Figure3", false}, {"", false},
+	} {
+		err := CheckExperiment(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckExperiment(%q) = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "figure3, figure4, wrappers, all") {
+			t.Errorf("CheckExperiment(%q) error %q does not list the valid names", tc.name, err)
+		}
 	}
 }

@@ -1,8 +1,7 @@
-// Package bench implements the evaluation harness reproducing the
-// paper's measured results (Figures 3 and 4) and its quantitative
-// in-text claims, plus ablation experiments for the design choices
-// called out in DESIGN.md §5. The cmd/gsn-bench binary and the
-// repository-root benchmarks both drive this package.
+// Package bench regenerates the paper's evaluation: its measured
+// results (Figures 3 and 4) and its wrapper-effort claim, driven by the
+// cmd/gsn-bench binary. It measures nothing else — the program's
+// performance is the job of benchmark/ (see BENCHMARK.json).
 package bench
 
 import (

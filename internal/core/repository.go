@@ -83,6 +83,9 @@ type queryGroup struct {
 	sql    string
 	sensor string
 	stmt   *sqlparser.SelectStatement
+	// first is the ID of the query that created the group: a sweep lists
+	// groups in registration order.
+	first int64
 
 	// plan is the statement compiled against the sensor's output
 	// schema at Register time; nil when the shape needs the full
@@ -153,9 +156,9 @@ type sensorQueries struct {
 	// rebuilds it under the read lock (workLocked), which no mutation
 	// can interleave with.
 	work atomic.Pointer[sweepWork]
-	// sweeps counts the sensor's sweeps; each starts one group further
-	// down the list than the last, so no group is evaluated last — and
-	// its subscribers served a whole sweep late — on every trigger.
+	// sweeps counts the sensor's sweeps; each starts at another place in
+	// the list (sweepStart), so no group is evaluated last — and its
+	// subscribers served a whole sweep late — on every trigger.
 	sweeps atomic.Uint64
 
 	// sweepPending coalesces scheduled sweeps: while a sweep is queued
@@ -332,6 +335,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			sql:    sql,
 			sensor: canonical,
 			stmt:   stmt,
+			first:  r.nextID + 1,
 			subs:   make(map[int64]*ClientQuery),
 		}
 		if sq.out != nil {
@@ -487,6 +491,9 @@ type sweepWork struct {
 
 // workLocked returns the sensor's work list, rebuilding it if a
 // registration invalidated it. The caller holds at least the read lock.
+// Groups and their subscribers are listed in registration order, not in
+// the maps' order, which differs from one process to the next: how late
+// in a sweep a subscriber is served must not depend on the run.
 func (sq *sensorQueries) workLocked() *sweepWork {
 	if w := sq.work.Load(); w != nil {
 		return w
@@ -497,10 +504,21 @@ func (sq *sensorQueries) workLocked() *sweepWork {
 		for _, q := range g.subs {
 			subs = append(subs, q)
 		}
+		sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
 		w.groups = append(w.groups, groupWork{g: g, subs: subs})
 	}
+	sort.Slice(w.groups, func(i, j int) bool { return w.groups[i].g.first < w.groups[j].g.first })
 	sq.work.Store(w)
 	return w
+}
+
+// sweepStart places the n-th sweep's first group among groups: the
+// golden-ratio sequence, of which any few consecutive sweeps start at
+// evenly spread places. A start that advances by one group per sweep
+// moves a subscriber's place in the sweep so slowly that its latency
+// over a minute depends on where in the cycle the minute falls.
+func sweepStart(n uint64, groups int) int {
+	return int((n * 0x9e3779b97f4a7c15 >> 32) * uint64(groups) >> 32)
 }
 
 // sharedWindow materialises the sensor's output window at most once
@@ -556,7 +574,7 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 	snap := sq.workLocked()
 	r.mu.RUnlock()
 	work := snap.groups
-	first := int(sq.sweeps.Add(1) % uint64(len(work)))
+	first := sweepStart(sq.sweeps.Add(1), len(work))
 
 	start := time.Now()
 	shared := &sharedWindow{table: snap.out, name: canonical, cat: cat}
@@ -736,9 +754,9 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 
 // EvaluateForSerial replicates the seed's evaluation strategy — every
 // registered query re-executed independently, interpreted, with its
-// own window scan — for the equivalence property tests and as the
-// baseline of the queries benchmark. Results and per-query counters
-// are identical to EvaluateFor's; only the cost model differs.
+// own window scan. It is the reference the equivalence property tests
+// compare EvaluateFor against: results and per-query counters are
+// identical, only the cost model differs.
 func (r *QueryRepository) EvaluateForSerial(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) int {
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()

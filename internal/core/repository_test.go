@@ -288,6 +288,70 @@ func TestSweepCompletesWithSaturatedPool(t *testing.T) {
 	}
 }
 
+// TestSweepOrderIsRegistrationOrder: a sweep serves groups, and a
+// group's subscribers, in the order they registered, starting each
+// sweep at another group — never in the order of the repository's maps,
+// which changes from one process to the next and made how late a given
+// subscriber is served a property of the run. Every sweep must be a
+// rotation of the registration order, the starts must visit every group
+// within a few times as many sweeps as there are groups, and a second
+// repository given the same registrations must repeat the sequence.
+func TestSweepOrderIsRegistrationOrder(t *testing.T) {
+	old := runtime.GOMAXPROCS(1) // inline sweeps: the callback order is the evaluation order
+	defer runtime.GOMAXPROCS(old)
+	const groups, sweeps = 7, 21
+	run := func() [][]int {
+		c := testContainer(t)
+		deployVals(t, c, 60)
+		for i := 0; i < 30; i++ {
+			c.Pulse()
+		}
+		var order []int
+		// Nine queries in seven groups, 7 and 8 repeating the texts of 0
+		// and 1; the texts' own order is not the registration order.
+		for i := 0; i < groups+2; i++ {
+			sql := fmt.Sprintf("select count(*) from vals where value > %d", i%groups*3%groups)
+			if _, err := c.RegisterQuery("vals", sql, 1, func(*sqlengine.Relation) { order = append(order, i) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+		var seen [][]int
+		for s := 0; s < sweeps; s++ {
+			order = nil
+			if n := repo.EvaluateFor("vals", cat, opts); n != groups+2 {
+				t.Fatalf("sweep evaluated %d queries, want %d", n, groups+2)
+			}
+			seen = append(seen, order)
+		}
+		return seen
+	}
+	registered := []int{0, 7, 1, 8, 2, 3, 4, 5, 6} // group by group, subscribers by ID
+	starts := map[int]bool{}
+	first := run()
+	for s, order := range first {
+		if order[0] >= groups {
+			t.Fatalf("sweep %d starts inside a group: %v", s, order)
+		}
+		at := 0
+		for registered[at] != order[0] {
+			at++
+		}
+		for i, q := range order {
+			if want := registered[(at+i)%len(registered)]; q != want {
+				t.Fatalf("sweep %d served %v: not a rotation of the registration order %v", s, order, registered)
+			}
+		}
+		starts[order[0]] = true
+	}
+	if len(starts) != groups {
+		t.Errorf("%d sweeps started at %d of %d groups", sweeps, len(starts), groups)
+	}
+	if second := run(); fmt.Sprint(second) != fmt.Sprint(first) {
+		t.Errorf("the same registrations were served in another order:\n%v\n%v", first, second)
+	}
+}
+
 // TestSweepAllocationsIndependentOfSkippedGroups: a sweep loads its
 // work list as one pointer and pays nothing for a group whose sampling
 // admitted no subscriber this trigger, so its allocations are those of
@@ -545,8 +609,7 @@ func TestFloatGroupKeysStayCompiled(t *testing.T) {
 
 func BenchmarkRepositorySweep(b *testing.B) {
 	// Micro-benchmark kept beside the tests: 1000 mixed queries on a
-	// 100-element window, grouped vs serial (see BenchmarkClientQueries
-	// for the acceptance version on a 1000-element window).
+	// 100-element window, grouped vs serial.
 	c, err := New(Options{Name: "bench-repo", Clock: stream.NewManualClock(1), SyncProcessing: true})
 	if err != nil {
 		b.Fatal(err)

@@ -663,77 +663,124 @@ func (b *binder) bindCase(x *sqlparser.CaseExpr) boundExpr {
 // run executes the bound program over the input rows, mirroring
 // runSimple + execGrouped for the compiled subset.
 func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, ev *evaluator) (*Relation, error) {
-	ctx := &boundCtx{ev: ev}
-	if prog.ncells > 0 {
-		ctx.once = make([]onceCell, prog.ncells)
+	r := prog.start(p, ev)
+	if err := r.feed(rows); err != nil {
+		return nil, err
 	}
-	opts, sp := ev.opts, p.sp
-	out := &Relation{Cols: sp.outCols}
-	var sortKeys [][]stream.Value
+	return r.finish()
+}
 
-	project := func(row []stream.Value) error {
-		outRow := make([]stream.Value, 0, len(sp.outCols))
-		for _, pj := range prog.proj {
-			if pj.star {
-				for _, i := range pj.starIdx {
-					outRow = append(outRow, row[i])
-				}
+// boundRun is one execution of a bound program. The input may arrive in
+// any number of batches (feed): a scan far larger than its result — an
+// aggregate over a long TIMED interval — is then never held in memory
+// whole. finish does what needs every row: projecting the groups,
+// DISTINCT, ORDER BY, LIMIT.
+type boundRun struct {
+	prog     *boundProgram
+	p        *Plan
+	ev       *evaluator
+	ctx      *boundCtx
+	out      *Relation
+	sortKeys [][]stream.Value
+
+	// Grouped programs: the hash buckets, in first-seen order.
+	groups  map[string]*boundGroup
+	order   []*boundGroup
+	single  *boundGroup // the one group of a GROUP BY-less aggregation
+	keyVals []stream.Value
+	keyBuf  []byte
+}
+
+func (prog *boundProgram) start(p *Plan, ev *evaluator) *boundRun {
+	r := &boundRun{prog: prog, p: p, ev: ev, ctx: &boundCtx{ev: ev}, out: &Relation{Cols: p.sp.outCols}}
+	if prog.ncells > 0 {
+		r.ctx.once = make([]onceCell, prog.ncells)
+	}
+	if len(prog.groupBy) > 0 {
+		r.groups = make(map[string]*boundGroup)
+		r.keyVals = make([]stream.Value, len(prog.groupBy))
+	}
+	return r
+}
+
+// project appends row's projection (and its sort keys) to the output.
+func (r *boundRun) project(row []stream.Value) error {
+	prog, sp, ctx, out := r.prog, r.p.sp, r.ctx, r.out
+	outRow := make([]stream.Value, 0, len(sp.outCols))
+	for _, pj := range prog.proj {
+		if pj.star {
+			for _, i := range pj.starIdx {
+				outRow = append(outRow, row[i])
+			}
+			continue
+		}
+		v, err := pj.fn(row, ctx)
+		if err != nil {
+			return err
+		}
+		outRow = append(outRow, v)
+	}
+	out.Rows = append(out.Rows, outRow)
+	if len(out.Rows) > r.ev.opts.MaxRows {
+		return errTooManyRows(r.ev.opts.MaxRows)
+	}
+	if len(prog.order) > 0 {
+		keys := make([]stream.Value, len(prog.order))
+		for i, o := range prog.order {
+			if o.outputIdx >= 0 {
+				keys[i] = outRow[o.outputIdx]
 				continue
 			}
-			v, err := pj.fn(row, ctx)
+			v, err := o.fn(row, ctx)
 			if err != nil {
 				return err
 			}
-			outRow = append(outRow, v)
+			keys[i] = v
 		}
-		out.Rows = append(out.Rows, outRow)
-		if len(out.Rows) > opts.MaxRows {
-			return errTooManyRows(opts.MaxRows)
-		}
-		if len(prog.order) > 0 {
-			keys := make([]stream.Value, len(prog.order))
-			for i, o := range prog.order {
-				if o.outputIdx >= 0 {
-					keys[i] = outRow[o.outputIdx]
-					continue
-				}
-				v, err := o.fn(row, ctx)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			}
-			sortKeys = append(sortKeys, keys)
-		}
-		return nil
+		r.sortKeys = append(r.sortKeys, keys)
 	}
+	return nil
+}
 
-	if !prog.grouped {
-		for _, row := range rows {
-			if prog.where != nil {
-				v, err := prog.where(row, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if t, known := truth(v); !known || !t {
-					continue
-				}
+// feed runs the per-row half of the program over one batch of input
+// rows. A grouped program keeps a group's first row as its
+// representative, so the caller must not reuse the rows' memory.
+func (r *boundRun) feed(rows [][]stream.Value) error {
+	prog, ctx := r.prog, r.ctx
+	if prog.grouped {
+		return r.feedGrouped(rows)
+	}
+	for _, row := range rows {
+		if prog.where != nil {
+			v, err := prog.where(row, ctx)
+			if err != nil {
+				return err
 			}
-			if err := project(row); err != nil {
-				return nil, err
+			if t, known := truth(v); !known || !t {
+				continue
 			}
 		}
-	} else if err := prog.runGrouped(p, rows, ctx, project); err != nil {
-		return nil, err
+		if err := r.project(row); err != nil {
+			return err
+		}
 	}
+	return nil
+}
 
+func (r *boundRun) finish() (*Relation, error) {
+	if r.prog.grouped {
+		if err := r.projectGroups(); err != nil {
+			return nil, err
+		}
+	}
+	out, sp := r.out, r.p.sp
 	if sp.stmt.Distinct {
-		out.Rows, sortKeys = dedupeRows(out.Rows, sortKeys)
+		out.Rows, r.sortKeys = dedupeRows(out.Rows, r.sortKeys)
 	}
-	if len(sp.stmt.OrderBy) > 0 && sortKeys != nil {
-		sortRelation(out, sortKeys, sp.stmt.OrderBy)
+	if len(sp.stmt.OrderBy) > 0 && r.sortKeys != nil {
+		sortRelation(out, r.sortKeys, sp.stmt.OrderBy)
 	}
-	if err := ev.applyLimitOffset(out, sp.stmt, nil); err != nil {
+	if err := r.ev.applyLimitOffset(out, sp.stmt, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -748,34 +795,22 @@ type boundGroup struct {
 	states []aggState
 }
 
-// runGrouped executes the aggregation half of the bound program:
-// groups hash on the encoded GROUP BY key vector (one key evaluation
-// per row, resolved to row indices at bind time; the encoded key is
-// looked up allocation-free and materialised only on first sight),
-// aggregates fold into per-group slots, and each surviving group
-// projects over its representative row with the group's aggregate
-// results installed in the context. Output order is first-seen order,
-// matching execGrouped.
-func (prog *boundProgram) runGrouped(p *Plan, rows [][]stream.Value,
-	ctx *boundCtx, project func([]stream.Value) error) error {
-
-	groups := make(map[string]*boundGroup)
-	var order []*boundGroup
-	newGroup := func(rep []stream.Value) *boundGroup {
-		g := &boundGroup{rep: rep, states: make([]aggState, len(prog.aggs))}
-		for i, a := range prog.aggs {
-			g.states[i] = aggState{kind: a.kind, distinct: a.distinct, intOnly: true}
-		}
-		order = append(order, g)
-		return g
+func (r *boundRun) newGroup(rep []stream.Value) *boundGroup {
+	g := &boundGroup{rep: rep, states: make([]aggState, len(r.prog.aggs))}
+	for i, a := range r.prog.aggs {
+		g.states[i] = aggState{kind: a.kind, distinct: a.distinct, intOnly: true}
 	}
+	r.order = append(r.order, g)
+	return g
+}
 
-	var keyVals []stream.Value
-	var keyBuf []byte
-	if len(prog.groupBy) > 0 {
-		keyVals = make([]stream.Value, len(prog.groupBy))
-	}
-	var single *boundGroup // the one group of a GROUP BY-less aggregation
+// feedGrouped is the aggregation half of the bound program: groups hash
+// on the encoded GROUP BY key vector (one key evaluation per row,
+// resolved to row indices at bind time; the encoded key is looked up
+// allocation-free and materialised only on first sight) and aggregates
+// fold into per-group slots.
+func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
+	prog, ctx, keyVals := r.prog, r.ctx, r.keyVals
 	for _, row := range rows {
 		if prog.where != nil {
 			v, err := prog.where(row, ctx)
@@ -795,18 +830,18 @@ func (prog *boundProgram) runGrouped(p *Plan, rows [][]stream.Value,
 				}
 				keyVals[i] = v
 			}
-			keyBuf = appendRowKey(keyBuf[:0], keyVals)
+			r.keyBuf = appendRowKey(r.keyBuf[:0], keyVals)
 			// map[string([]byte)] lookups compile without a string
 			// allocation; the key is materialised only on a miss.
-			if g = groups[string(keyBuf)]; g == nil {
-				g = newGroup(row)
-				groups[string(keyBuf)] = g
+			if g = r.groups[string(r.keyBuf)]; g == nil {
+				g = r.newGroup(row)
+				r.groups[string(r.keyBuf)] = g
 			}
 		} else {
-			if single == nil {
-				single = newGroup(row)
+			if r.single == nil {
+				r.single = r.newGroup(row)
 			}
-			g = single
+			g = r.single
 		}
 		for i := range prog.aggs {
 			a := &prog.aggs[i]
@@ -825,16 +860,23 @@ func (prog *boundProgram) runGrouped(p *Plan, rows [][]stream.Value,
 			}
 		}
 	}
+	return nil
+}
 
+// projectGroups projects each surviving group over its representative
+// row with the group's aggregate results installed in the context.
+// Output order is first-seen order, matching execGrouped.
+func (r *boundRun) projectGroups() error {
+	prog, ctx := r.prog, r.ctx
 	// Aggregates without GROUP BY over an empty input still produce one
 	// row (COUNT(*) = 0), projected over an all-NULL representative;
 	// with GROUP BY an empty input produces no groups at all.
-	if len(order) == 0 && len(prog.groupBy) == 0 {
-		newGroup(make([]stream.Value, len(p.inCols)))
+	if len(r.order) == 0 && len(prog.groupBy) == 0 {
+		r.newGroup(make([]stream.Value, len(r.p.inCols)))
 	}
 
 	ctx.agg = make([]stream.Value, len(prog.aggs))
-	for _, g := range order {
+	for _, g := range r.order {
 		for i := range g.states {
 			ctx.agg[i] = g.states[i].result()
 		}
@@ -847,7 +889,7 @@ func (prog *boundProgram) runGrouped(p *Plan, rows [][]stream.Value,
 				continue
 			}
 		}
-		if err := project(g.rep); err != nil {
+		if err := r.project(g.rep); err != nil {
 			return err
 		}
 	}

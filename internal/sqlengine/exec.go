@@ -15,7 +15,7 @@ type Options struct {
 	// Clock supplies NOW(); nil uses the system clock.
 	Clock stream.Clock
 	// DisableHashJoin forces nested-loop joins: the reference the join
-	// tests and the join ablation compare the hash join against.
+	// tests compare the hash join against.
 	DisableHashJoin bool
 	// MaxRows bounds intermediate and final result sizes to catch
 	// runaway cross joins. 0 means the 1M default.
@@ -36,13 +36,6 @@ func ExecuteSQL(sql string, cat Catalog, opts Options) (*Relation, error) {
 		return nil, err
 	}
 	return Execute(stmt, cat, opts)
-}
-
-// ParseNoCache parses a statement bypassing the shared cache (ablation
-// knob: the paper attributes part of Figure 4's latency to query
-// compilation cost).
-func ParseNoCache(sql string) (*sqlparser.SelectStatement, error) {
-	return sqlparser.Parse(sql)
 }
 
 // StatementCache memoises parsed statements by SQL text.

@@ -21,22 +21,30 @@ func (c *tickingClock) Now() stream.Timestamp {
 	return c.t
 }
 
-// tieredPlanTable gives planTable the TimedRange half of TieredSource,
-// recording the intervals it was asked for.
+// tieredPlanTable gives planTable the ForEachTimed half of
+// TieredSource, recording the intervals it was asked for. failAfter > 0
+// makes the tier fail once it has yielded that many elements.
 type tieredPlanTable struct {
 	*planTable
-	ranges []string
+	ranges    []string
+	failAfter int
 }
 
-func (p *tieredPlanTable) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
+func (p *tieredPlanTable) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error {
 	p.ranges = append(p.ranges, fmt.Sprintf("[%d,%d]", lo, hi))
-	var out []stream.Element
+	n := 0
 	for _, e := range p.elems {
 		if ts := e.Timestamp(); ts >= lo && ts <= hi {
-			out = append(out, e)
+			if p.failAfter > 0 && n == p.failAfter {
+				return fmt.Errorf("tier failed")
+			}
+			n++
+			if !fn(e) {
+				return nil
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func mustParse(t *testing.T, q string) *sqlparser.SelectStatement {
@@ -287,5 +295,45 @@ func TestExecuteTieredNeedsBoundPlan(t *testing.T) {
 	}
 	if _, err := plan.ExecuteTiered(&tieredPlanTable{planTable: makePlanTable(t, 3)}, Options{}); err == nil {
 		t.Fatal("ExecuteTiered ran an unbound plan")
+	}
+}
+
+// TestExecuteTieredInBatches: an interval longer than any batch is fed
+// to the bound program piecewise, and the answer is the one the same
+// rows give in one piece — for the shapes that keep something across
+// batches (group representatives, sort keys, DISTINCT, a LIMIT). A tier
+// that fails part-way leaves nothing of the rows already fed in the
+// answer: the live window is scanned from the start.
+func TestExecuteTieredInBatches(t *testing.T) {
+	pt := makePlanTable(t, 5000)
+	statements := []string{
+		"select count(*) as n, sum(v) as s, min(f) as lo from w where timed between 1 and 5000",
+		"select v, count(*) as n, max(timed) as t from w where timed between 1 and 5000 group by v having count(*) > 1",
+		"select v, f from w where timed >= 2 and timed <= 4999 and v > 40 order by f desc limit 7",
+		"select distinct v from w where timed between 100 and 4000 order by v",
+		"select timed, v from w where timed between 1 and 5000 and v is null",
+	}
+	for _, q := range statements {
+		plan := compilePlan(t, q)
+		if !plan.Bound() {
+			t.Fatalf("%s: expected the bound-program tier", q)
+		}
+		want, err := plan.Execute(RowsOfSource(pt), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for _, failAfter := range []int{0, 700} {
+			src := &tieredPlanTable{planTable: pt, failAfter: failAfter}
+			got, err := plan.ExecuteTiered(src, Options{})
+			if err != nil {
+				t.Fatalf("%s (tier fails after %d): %v", q, failAfter, err)
+			}
+			if len(src.ranges) != 1 {
+				t.Fatalf("%s: the interval was not pushed down: %v", q, src.ranges)
+			}
+			if got.String() != want.String() {
+				t.Errorf("%s (tier fails after %d):\n%s\nin one piece:\n%s", q, failAfter, got, want)
+			}
+		}
 	}
 }

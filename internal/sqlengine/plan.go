@@ -428,18 +428,26 @@ func (p *Plan) Bound() bool { return p.prog != nil }
 // TieredSource is an ElementSource that can also serve a TIMED interval
 // from beyond its live window; *storage.Table implements it (the
 // history tier's index range scan merged with the hot window).
+// ForEachTimed yields the interval's elements in arrival order until fn
+// returns false; on an error fn has seen a prefix of them.
 type TieredSource interface {
 	ElementSource
-	TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error)
+	ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error
 }
+
+// tieredBatchRows is the most rows of a TIMED interval handed to the
+// bound program at a time.
+const tieredBatchRows = 1024
 
 // ExecuteTiered runs a Bound plan as an ad-hoc statement over its base
 // table: exactly what Execute does for the same statement over a
 // RangeCatalog, without the per-call planning and per-row name
 // resolution. A WHERE that pins TIMED to an interval (timeBounds, at
 // the execution's one clock reading) routes the scan through
-// TimedRange; otherwise, or when the tier fails, the live window is
-// scanned zero-copy. The full WHERE is re-applied either way.
+// ForEachTimed, a batch of rows at a time, so an aggregate over a long
+// interval holds one batch and not the interval; otherwise, or when the
+// tier fails, the live window is scanned zero-copy. The full WHERE is
+// re-applied either way.
 func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) {
 	if p.prog == nil {
 		return nil, fmt.Errorf("sqlengine: ExecuteTiered needs a bound plan")
@@ -449,8 +457,39 @@ func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) 
 	}
 	ev := newEvaluator(nil, opts)
 	if lo, hi, ok := ev.timeBounds(p.sp.stmt.Where, p.qual); ok {
-		if elems, err := src.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi)); err == nil {
-			return p.execute(RelationOfElements(src.Schema(), elems).Rows, ev)
+		// Every batch gets rows of its own: a grouped program keeps the
+		// first row of each group. Batches double up to the limit, so a
+		// short interval pays for a short batch.
+		ncols, size := len(p.inCols), 64
+		var rows [][]stream.Value
+		var arena []stream.Value
+		run := p.prog.start(p, ev)
+		var runErr error
+		srcErr := src.ForEachTimed(stream.Timestamp(lo), stream.Timestamp(hi), func(e stream.Element) bool {
+			if len(rows) == cap(rows) {
+				runErr = run.feed(rows)
+				rows = make([][]stream.Value, 0, size)
+				arena = make([]stream.Value, 0, size*ncols)
+				if size < tieredBatchRows {
+					size *= 2
+				}
+			}
+			start := len(arena)
+			for i := 0; i < e.Len(); i++ {
+				arena = append(arena, e.Value(i))
+			}
+			arena = append(arena, int64(e.Timestamp()))
+			rows = append(rows, arena[start:len(arena):len(arena)])
+			return runErr == nil
+		})
+		if runErr == nil && srcErr == nil {
+			runErr = run.feed(rows)
+		}
+		if runErr != nil {
+			return nil, runErr
+		}
+		if srcErr == nil {
+			return run.finish()
 		}
 	}
 	return p.execute(RowsOfSource(src), ev)

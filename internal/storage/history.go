@@ -15,7 +15,7 @@ import (
 // cached through a small buffer pool. The in-RAM window stays the hot
 // tier — continuous queries and incremental maintainers never touch
 // this code — while timed-range queries merge the two tiers
-// (Table.TimedRange).
+// (Table.ForEachTimed).
 //
 // # Crash consistency
 //
@@ -318,26 +318,22 @@ func (h *history) checkpointLocked() error {
 	return nil
 }
 
-// histRow is one record served from the disk tier.
-type histRow struct {
-	seq uint64
-	e   stream.Element
-}
-
-// Range returns the records with lo <= timed <= hi and seq < maxSeqExcl
+// Range hands fn the records with lo <= timed <= hi and seq < maxSeqExcl
 // (the caller passes the oldest hot-window sequence so a record is
 // never served from both tiers), ordered by seq — i.e. arrival order,
-// matching a hot-window scan. Runs under the shared lock: concurrent
-// scans proceed in parallel, appends wait.
-func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64) ([]histRow, error) {
+// matching a hot-window scan — until fn returns false. Records are
+// decoded one at a time, so a long interval costs its index entries,
+// not its rows. Runs under the shared lock: concurrent scans proceed in
+// parallel, appends wait; fn must not call back into the table.
+func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stream.Element) bool) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.broken != nil {
-		return nil, h.broken
+		return h.broken
 	}
 	entries, err := h.btRange(int64(lo), int64(hi))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	matched := entries[:0]
 	for _, e := range entries {
@@ -348,33 +344,30 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64) ([]histRow, 
 	// The index yields (timed, seq) order; arrival order is seq order.
 	// Timestamps are near-monotone, so this sort is cheap in practice.
 	sortEntriesBySeq(matched)
-	out := make([]histRow, 0, len(matched))
 	for _, ent := range matched {
 		fr, err := h.pool.get(ent.ref.page)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		var e stream.Element
 		rec, err := dataPageSlot(fr.data, ent.ref.slot)
 		if err == nil {
-			var seq uint64
-			var n int
-			seq, n = binary.Uvarint(rec)
+			seq, n := binary.Uvarint(rec)
 			if n <= 0 || seq != ent.key.seq {
 				err = fmt.Errorf("storage: history index points at record with seq %d, want %d", seq, ent.key.seq)
 			} else {
-				var e stream.Element
 				e, _, err = stream.DecodeElementCompact(h.schema, rec[n:], 0)
-				if err == nil {
-					out = append(out, histRow{seq: seq, e: e})
-				}
 			}
 		}
 		h.pool.unpin(fr, false)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if !fn(e) {
+			return nil
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // sortEntriesBySeq sorts by sequence number. Entries arrive almost

@@ -104,6 +104,14 @@ func TestHistoryEvictMigrateMerge(t *testing.T) {
 	if none, err := tab.TimedRange(50, 90); err != nil || len(none) != 0 {
 		t.Fatalf("disjoint TimedRange = %v, %v", none, err)
 	}
+	// ForEachTimed stops where its callback says so, in either tier.
+	for _, stop := range []int{3, 17} {
+		n := 0
+		err := tab.ForEachTimed(1, 20, func(stream.Element) bool { n++; return n < stop })
+		if err != nil || n != stop {
+			t.Fatalf("ForEachTimed stopped after %d rows (%v), want %d", n, err, stop)
+		}
+	}
 	if st := tab.Stats(); st.History == nil || st.History.Rows != 15 {
 		t.Fatalf("history stats = %+v, want 15 durable+tail rows", st.History)
 	}

@@ -731,17 +731,19 @@ func (t *Table) checkpointLocked() error {
 	return nil
 }
 
-// TimedRange returns every element with lo <= timed <= hi in arrival
-// order, merging the disk tier with the hot window. Elements the
-// window evicted are read back through the B+tree index and buffer
-// pool; for tables without a history tier the result is just the hot
-// rows. The two tiers are read under their own locks — the hot
-// snapshot fixes the boundary sequence first, and the disk scan
-// excludes anything at or above it, so an element migrating between
-// the two phases is served exactly once.
-func (t *Table) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
+// ForEachTimed hands fn every element with lo <= timed <= hi in
+// arrival order, merging the disk tier with the hot window, until fn
+// returns false. Elements the window evicted are read back through the
+// B+tree index and buffer pool, one at a time; for tables without a
+// history tier fn sees just the hot rows. The two tiers are read under
+// their own locks — the hot snapshot fixes the boundary sequence first,
+// and the disk scan excludes anything at or above it, so an element
+// migrating between the two phases is served exactly once. fn runs
+// under the history tier's shared lock and must not call back into the
+// table. On an error fn has seen a prefix of the range.
+func (t *Table) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error {
 	if hi < lo {
-		return nil, nil
+		return nil
 	}
 	var hot []stream.Element
 	var hotFirst uint64
@@ -755,21 +757,34 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
 			}
 		}
 	})
-	if h == nil {
-		return hot, nil
+	if h != nil {
+		more := true
+		err := h.Range(lo, hi, hotFirst, func(e stream.Element) bool {
+			more = fn(e)
+			return more
+		})
+		if err != nil {
+			return fmt.Errorf("storage: range scan of %s history: %w", t.name, err)
+		}
+		if !more {
+			return nil
+		}
 	}
-	rows, err := h.Range(lo, hi, hotFirst)
-	if err != nil {
-		return nil, fmt.Errorf("storage: range scan of %s history: %w", t.name, err)
+	for _, e := range hot {
+		if !fn(e) {
+			break
+		}
 	}
-	if len(rows) == 0 {
-		return hot, nil
-	}
-	out := make([]stream.Element, 0, len(rows)+len(hot))
-	for _, r := range rows {
-		out = append(out, r.e)
-	}
-	return append(out, hot...), nil
+	return nil
+}
+
+// TimedRange is ForEachTimed collected into a slice.
+func (t *Table) TimedRange(lo, hi stream.Timestamp) (out []stream.Element, err error) {
+	err = t.ForEachTimed(lo, hi, func(e stream.Element) bool {
+		out = append(out, e)
+		return true
+	})
+	return out, err
 }
 
 // SetObserver installs (or with nil removes) the table's lifecycle

@@ -347,13 +347,16 @@ func TestConcurrentInsertEquivalence(t *testing.T) {
 	}
 }
 
-// gateFS holds .gsnlog writes at a gate, so a test can park a group
-// commit's leader inside its write syscall while followers arrive.
+// gateFS holds .gsnlog writes — or, with atSync, .gsnlog fdatasyncs — at
+// a gate, so a test can park a group commit's leader inside the syscall
+// while followers arrive. It also counts the .gsnlog's Sync calls.
 type gateFS struct {
 	FS
 	mu      sync.Mutex
-	hold    chan struct{} // non-nil: writes block until it is closed
-	waiting chan struct{} // one token per write that reached the gate
+	hold    chan struct{} // non-nil: gated calls block until it is closed
+	waiting chan struct{} // one token per call that reached the gate
+	atSync  bool          // gate Sync, not Write
+	syncs   atomic.Int64
 }
 
 func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -364,20 +367,114 @@ func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	return &gateFile{File: f, g: g}, nil
 }
 
+func (g *gateFS) pass() {
+	g.mu.Lock()
+	hold := g.hold
+	g.mu.Unlock()
+	if hold != nil {
+		g.waiting <- struct{}{}
+		<-hold
+	}
+}
+
 type gateFile struct {
 	File
 	g *gateFS
 }
 
 func (f *gateFile) Write(p []byte) (int, error) {
-	f.g.mu.Lock()
-	hold := f.g.hold
-	f.g.mu.Unlock()
-	if hold != nil {
-		f.g.waiting <- struct{}{}
-		<-hold
+	if !f.g.atSync {
+		f.g.pass()
 	}
 	return f.File.Write(p)
+}
+
+func (f *gateFile) Sync() error {
+	f.g.syncs.Add(1)
+	if f.g.atSync {
+		f.g.pass()
+	}
+	return f.File.Sync()
+}
+
+// TestDurableProducersShareCommit: under sync=durable, producers that
+// arrive while a commit is on the disk ride the next one together. The
+// leader is parked inside its fdatasync while N followers stage behind
+// it; once released, the N followers' rows must go out as one group —
+// two fdatasyncs for N+1 acked appends, not N+1 — and every acked row
+// must be in a crash image taken after the last ack.
+func TestDurableProducersShareCommit(t *testing.T) {
+	const followers = 7
+	dir := t.TempDir()
+	store, err := NewStore(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	gate := &gateFS{FS: DefaultFS(), atSync: true, waiting: make(chan struct{}, 1+followers)}
+	store.SetFS(gate)
+	opts := TableOptions{
+		Window:          stream.Window{Kind: stream.CountWindow, Count: 64},
+		Permanent:       true,
+		Sync:            SyncDurable,
+		RecoverInterval: -1,
+	}
+	tab, err := store.CreateTable("share", prodSchema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := gate.syncs.Load()
+	hold := make(chan struct{})
+	gate.mu.Lock()
+	gate.hold = hold
+	gate.mu.Unlock()
+
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	insert := func(e stream.Element) {
+		defer wg.Done()
+		if err := tab.Insert(e); err != nil {
+			t.Errorf("producer %d: %v", elemKey(e).producer, err)
+		}
+		acked.Add(1)
+	}
+	wg.Add(1 + followers)
+	go insert(prodElem(t, 0, 0, 0))
+	<-gate.waiting // the leader is inside its fdatasync
+	for f := int64(1); f <= followers; f++ {
+		go insert(prodElem(t, f, 0, f))
+	}
+	// Rows are staged and published under one lock, so once the window
+	// holds them all every follower's record is staged behind the
+	// parked leader.
+	waitCond(t, "followers staged behind the parked leader", func() bool { return tab.Len() == 1+followers })
+	if n := acked.Load(); n != 0 {
+		t.Fatalf("%d producers acked before their rows were fdatasynced", n)
+	}
+	close(hold)
+	wg.Wait()
+
+	if got := gate.syncs.Load() - syncs; got > 2 {
+		t.Errorf("%d durable appends took %d fdatasyncs, want at most 2 (the leader's, then one shared by the followers)",
+			1+followers, got)
+	}
+	s2, err := NewStore(nil, crashCopy(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	tab2, err := s2.CreateTable("share", prodSchema, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	present := map[int64]bool{}
+	for _, k := range elemKeys(tab2.Snapshot()) {
+		present[k.producer] = true
+	}
+	if tab2.Len() != 1+followers || len(present) != 1+followers {
+		t.Errorf("crash image reopened to %d rows from %d producers, want all %d acked rows",
+			tab2.Len(), len(present), 1+followers)
+	}
 }
 
 // TestLeaderCommitFailureDegradesFollowers: the leader of a group commit
