@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci
+.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci loc
 
 all: ci
 
@@ -37,6 +37,12 @@ SEED ?= 1
 bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<git-ref> [WORKLOADS="pipeline_steady ..."] [PAIRS=10] [SEED=1]'; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SEED)"
+
+# loc prints the sizes ROADMAP.md tracks: tracked Go lines per layer row,
+# non-test and test apart, benchmark/ on its own row. REF=<git-ref>
+# counts a commit instead of the work tree (a PR's parent -> change).
+loc:
+	@bash scripts/loc.sh $(REF)
 
 # docs-check keeps the documentation honest: relative markdown links
 # must resolve, and every ```sql example in docs/sql-dialect.md must

@@ -14,15 +14,34 @@ import (
 // eviction critical section (the zero-copy ForEach path), so a query
 // sees one consistent instant per referenced table without an
 // intermediate element-slice copy.
+//
+// deps, when set, receives the identity and version of every table
+// resolved (the result cache validates its entries against them). The
+// version is read before the scan: an insert racing between the two
+// leaves the entry stamped one version behind, which costs a refresh on
+// the next lookup but can never serve rows older than the recorded
+// version.
 type storeCatalog struct {
 	store *storage.Store
+	deps  *[]resultDep
+}
+
+func (c storeCatalog) table(name string) (*storage.Table, error) {
+	tab, ok := c.store.Table(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown stream %q", name)
+	}
+	if c.deps != nil {
+		*c.deps = append(*c.deps, resultDep{name: tab.Name(), table: tab, version: tab.Version()})
+	}
+	return tab, nil
 }
 
 // Relation implements sqlengine.Catalog.
 func (c storeCatalog) Relation(name string) (*sqlengine.Relation, error) {
-	tab, ok := c.store.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown stream %q", name)
+	tab, err := c.table(name)
+	if err != nil {
+		return nil, err
 	}
 	return sqlengine.RelationOfSource(tab), nil
 }
@@ -32,10 +51,13 @@ func (c storeCatalog) Relation(name string) (*sqlengine.Relation, error) {
 // range scan — a B+tree index walk over the on-disk history merged
 // with the hot window — instead of a full window materialisation. For
 // tables without a history tier this degrades to a filtered hot scan.
+// The disk tier only changes when the hot window does (evictions
+// migrate rows and bump the version), so the version pin validates
+// tiered results exactly like hot-only ones.
 func (c storeCatalog) RelationRange(name string, lo, hi int64) (*sqlengine.Relation, error) {
-	tab, ok := c.store.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown stream %q", name)
+	tab, err := c.table(name)
+	if err != nil {
+		return nil, err
 	}
 	elems, err := tab.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi))
 	if err != nil {
@@ -43,6 +65,8 @@ func (c storeCatalog) RelationRange(name string, lo, hi int64) (*sqlengine.Relat
 	}
 	return sqlengine.RelationOfElements(tab.Schema(), elems), nil
 }
+
+var _ sqlengine.RangeCatalog = storeCatalog{}
 
 // Catalog exposes the container's stored streams (virtual sensor
 // outputs and source windows) to ad-hoc queries.

@@ -25,16 +25,23 @@ import (
 // client queries qualify for incremental maintenance.
 func deployVals(t testing.TB, c *Container, rows int) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "vals.csv")
+	deployValsAs(t, c, "vals", rows, 37)
+}
+
+// deployValsAs is deployVals for a sensor called name whose i-th value
+// is (i*step)%101.
+func deployValsAs(t testing.TB, c *Container, name string, rows, step int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".csv")
 	data := "v\n"
 	for i := 0; i < rows; i++ {
-		data += fmt.Sprintf("%d\n", (i*37)%101)
+		data += fmt.Sprintf("%d\n", (i*step)%101)
 	}
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	desc := fmt.Sprintf(`
-<virtual-sensor name="vals">
+<virtual-sensor name=%q>
   <output-structure>
     <field name="value" type="integer"/>
   </output-structure>
@@ -49,7 +56,7 @@ func deployVals(t testing.TB, c *Container, rows int) {
     </stream-source>
     <query>select * from s</query>
   </input-stream>
-</virtual-sensor>`, path)
+</virtual-sensor>`, name, path)
 	if err := c.DeployXML([]byte(desc)); err != nil {
 		t.Fatalf("DeployXML: %v", err)
 	}
@@ -480,6 +487,115 @@ func TestAggregateGroupUsesMaintainer(t *testing.T) {
 	if c.Metrics().Counter("client_query_incremental").Value() != before+20 {
 		t.Errorf("incremental tier served %d of 20 evaluations",
 			c.Metrics().Counter("client_query_incremental").Value()-before)
+	}
+}
+
+// TestRegisteredQueryReadsOtherSensors: a registered query is the same
+// statement as its ad-hoc spelling, so a subquery in it may name any
+// stored stream, not only the sensor it is registered on. A statement
+// that does not bind is not compiled; it runs on the interpreter over
+// the container's whole catalog — registered ≡ ad hoc, pulse after
+// pulse, and counted on the tier that ran it.
+func TestRegisteredQueryReadsOtherSensors(t *testing.T) {
+	c := testContainer(t)
+	deployValsAs(t, c, "aa", 60, 37)
+	deployValsAs(t, c, "bb", 60, 53)
+	aa, _ := c.Sensor("aa")
+	bb, _ := c.Sensor("bb")
+
+	const sql = "select value from aa where value > (select avg(value) from bb)"
+	var last atomic.Value
+	if _, err := c.RegisterQuery("aa", sql, 1, func(rel *sqlengine.Relation) { last.Store(rel.String()) }); err != nil {
+		t.Fatal(err)
+	}
+	compiled := c.Metrics().Counter("client_query_compiled").Value()
+	general := c.Metrics().Counter("client_query_general").Value()
+	const pulses = 10
+	sawRows := false
+	for i := 1; i <= pulses; i++ {
+		// bb first: aa's sweep then reads the bb window the ad-hoc
+		// statement below reads.
+		bb.Pulse()
+		aa.Pulse()
+		want, err := c.Query(sql)
+		if err != nil {
+			t.Fatalf("pulse %d: ad hoc: %v", i, err)
+		}
+		got, _ := last.Load().(string)
+		if got != want.String() {
+			t.Fatalf("pulse %d: registered:\n%s\nad hoc:\n%s", i, got, want)
+		}
+		sawRows = sawRows || len(want.Rows) > 0
+	}
+	if !sawRows {
+		t.Fatal("the statement never selected a row: the comparison is vacuous")
+	}
+	if st := c.QueryRepositoryRef().Stats()[0]; st.Evaluations != pulses || st.Errors != 0 {
+		t.Errorf("%d evaluations, %d errors; want %d and 0", st.Evaluations, st.Errors, pulses)
+	}
+	if got := c.Metrics().Counter("client_query_general").Value() - general; got != pulses {
+		t.Errorf("client_query_general moved by %d, want %d", got, pulses)
+	}
+	if got := c.Metrics().Counter("client_query_compiled").Value() - compiled; got != 0 {
+		t.Errorf("client_query_compiled moved by %d for a statement the interpreter ran", got)
+	}
+}
+
+// TestTierCountersNameTheEvaluatorThatRan: on each of the three drivers
+// — source queries, registered queries, ad-hoc reads — a statement is
+// counted *_compiled only when a bound program ran it and *_general only
+// when the interpreter did.
+func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
+	c := testContainer(t)
+	deploy(t, c, pipelineDescriptor("bound",
+		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature > -1000"))
+	deploy(t, c, pipelineDescriptor("interp",
+		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature >= (select min(temperature) from wrapper)"))
+	const boundSQL = "select n from bound where n > 0"
+	const interpSQL = "select n from interp where n >= (select min(n) from interp)"
+	for sensor, sql := range map[string]string{"bound": boundSQL, "interp": interpSQL} {
+		if _, err := c.RegisterQuery(sensor, sql, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, driver := range []string{"source_eval", "client_query", "adhoc_query"} {
+			for _, tier := range []string{"_compiled", "_general"} {
+				out[driver+tier] = c.Metrics().Counter(driver + tier).Value()
+			}
+		}
+		return out
+	}
+
+	// One sensor at a time, so every movement has one cause.
+	for _, step := range []struct{ sensor, sql, moves, still string }{
+		{"bound", boundSQL, "_compiled", "_general"},
+		{"interp", interpSQL, "_general", "_compiled"},
+	} {
+		vs, _ := c.Sensor(step.sensor)
+		// Whichever evaluator serves the source, its output layout is
+		// static, so the stream query over it runs bound.
+		if vs.streams[0].plan == nil {
+			t.Errorf("%s: the stream query did not compile", step.sensor)
+		}
+		before := counters()
+		const pulses = 5
+		for i := 0; i < pulses; i++ {
+			vs.Pulse()
+			if _, err := c.Query(step.sql); err != nil { // a new output row: a cache miss
+				t.Fatal(err)
+			}
+		}
+		after := counters()
+		for _, driver := range []string{"source_eval", "client_query", "adhoc_query"} {
+			if got := after[driver+step.moves] - before[driver+step.moves]; got != pulses {
+				t.Errorf("%s: %s%s moved by %d, want %d", step.sensor, driver, step.moves, got, pulses)
+			}
+			if got := after[driver+step.still] - before[driver+step.still]; got != 0 {
+				t.Errorf("%s: %s%s moved by %d, want 0", step.sensor, driver, step.still, got)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"gsn/internal/metrics"
 	"gsn/internal/sqlengine"
 	"gsn/internal/storage"
-	"gsn/internal/stream"
 )
 
 // resultCache is the one entry point of ad-hoc reads (Container.Query,
@@ -23,11 +22,12 @@ import (
 // the clock while the windows stand still.
 //
 // The plan. A statement over one base table whose every clause binds
-// (sqlengine.Plan.Bound) is compiled against that table's schema once
-// and re-executed over its zero-copy scan, or its TIMED range, on every
-// miss; the plan is pinned to the table object, so a redeploy that
-// recreates the table recompiles. Joins, subqueries, derived tables and
-// compounds run on the interpreter, sqlengine.Execute.
+// (sqlengine.Compile accepts it) is compiled against that table's
+// schema once and re-executed over its zero-copy scan, or its TIMED
+// range, on every miss; the plan is pinned to the table object, so a
+// redeploy that recreates the table recompiles. Joins, subqueries,
+// derived tables and compounds run on the interpreter,
+// sqlengine.Execute.
 //
 // Cached relations are shared: every consumer must treat them as
 // read-only, which the web/JSON/CSV serialisers already do.
@@ -81,52 +81,6 @@ func newResultCache(store *storage.Store, reg *metrics.Registry) *resultCache {
 	}
 }
 
-// recordingCatalog resolves tables against the store while recording
-// each table's identity and version. The version is read before the
-// scan: an insert racing between the two leaves the entry stamped one
-// version behind, which costs a refresh on the next lookup but can
-// never serve rows older than the recorded version.
-type recordingCatalog struct {
-	store *storage.Store
-	deps  []resultDep
-}
-
-func (rc *recordingCatalog) Relation(name string) (*sqlengine.Relation, error) {
-	tab, ok := rc.store.Table(name)
-	if !ok {
-		return nil, &unknownStreamError{name: name}
-	}
-	version := tab.Version()
-	rel := sqlengine.RelationOfSource(tab)
-	rc.deps = append(rc.deps, resultDep{name: tab.Name(), table: tab, version: version})
-	return rel, nil
-}
-
-// RelationRange implements sqlengine.RangeCatalog with the same
-// dependency recording: the disk tier only changes when the hot window
-// does (evictions migrate rows and bump the version), so the version
-// pin validates tiered results exactly like hot-only ones.
-func (rc *recordingCatalog) RelationRange(name string, lo, hi int64) (*sqlengine.Relation, error) {
-	tab, ok := rc.store.Table(name)
-	if !ok {
-		return nil, &unknownStreamError{name: name}
-	}
-	version := tab.Version()
-	elems, err := tab.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi))
-	if err != nil {
-		return nil, err
-	}
-	rc.deps = append(rc.deps, resultDep{name: tab.Name(), table: tab, version: version})
-	return sqlengine.RelationOfElements(tab.Schema(), elems), nil
-}
-
-// unknownStreamError mirrors storeCatalog's error text.
-type unknownStreamError struct{ name string }
-
-func (e *unknownStreamError) Error() string {
-	return "core: unknown stream \"" + e.name + "\""
-}
-
 // Query executes sql, serving from cache when every dependency is
 // unchanged.
 func (c *resultCache) Query(sql string, opts sqlengine.Options) (*sqlengine.Relation, error) {
@@ -150,7 +104,7 @@ func (c *resultCache) Query(sql string, opts sqlengine.Options) (*sqlengine.Rela
 			if entry != nil && entry.planTab == tab {
 				next.plan = entry.plan
 			} else if plan, err := sqlengine.Compile(stmt,
-				sqlengine.ColumnsOfSchema(tab.Schema()), name); err == nil && plan.Bound() {
+				sqlengine.ColumnsOfSchema(tab.Schema()), name); err == nil {
 				next.plan = plan
 			}
 		}
@@ -159,14 +113,12 @@ func (c *resultCache) Query(sql string, opts sqlengine.Options) (*sqlengine.Rela
 	var rel *sqlengine.Relation
 	var deps []resultDep
 	if next.plan != nil {
-		// The version is read before the scan, as recordingCatalog does.
+		// The version is read before the scan, as storeCatalog does.
 		deps = []resultDep{{name: next.planTab.Name(), table: next.planTab, version: next.planTab.Version()}}
 		rel, err = next.plan.ExecuteTiered(next.planTab, opts)
 		c.compiled.Inc()
 	} else {
-		rc := &recordingCatalog{store: c.store}
-		rel, err = sqlengine.Execute(stmt, rc, opts)
-		deps = rc.deps
+		rel, err = sqlengine.Execute(stmt, storeCatalog{store: c.store, deps: &deps}, opts)
 		c.general.Inc()
 	}
 	// A failed execution is not cached (the error may be transient: a
@@ -206,6 +158,3 @@ func (c *resultCache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// interface check: recordingCatalog serves TIMED-range pushdown too.
-var _ sqlengine.RangeCatalog = (*recordingCatalog)(nil)

@@ -238,13 +238,13 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 			in.sources = append(in.sources, src)
 		}
 		// Compile the output query once at deploy time when it runs over
-		// a single source whose column layout is itself known statically;
-		// other shapes (multi-source joins, uncompiled sources) keep the
-		// general Execute path.
-		if len(in.sources) == 1 && in.sources[0].plan != nil {
-			if plan, err := sqlengine.Compile(stmt, in.sources[0].plan.OutputColumns(),
-				in.sources[0].alias); err == nil {
-				in.plan = plan
+		// a single source; multi-source joins keep the general Execute
+		// path.
+		if len(in.sources) == 1 {
+			if cols := in.sources[0].outputColumns(c.engineOpts()); cols != nil {
+				if plan, err := sqlengine.Compile(stmt, cols, in.sources[0].alias); err == nil {
+					in.plan = plan
+				}
 			}
 		}
 		vs.streams = append(vs.streams, in)
@@ -698,12 +698,31 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 		return src.plan.ExecuteSource(src.table, c.engineOpts())
 	}
 	c.metrics.Counter("source_eval_general").Inc()
-	winRel := sqlengine.RelationOfSource(src.table)
-	cat := sqlengine.MapCatalog{
-		vsensor.WrapperTable(): winRel,
-		src.alias:              winRel,
+	return src.interpret(sqlengine.RelationOfSource(src.table), c.engineOpts())
+}
+
+// interpret runs the source query on the interpreter over win, the
+// window's rows under both names the statement may call them.
+func (src *sourceRuntime) interpret(win *sqlengine.Relation, opts sqlengine.Options) (*sqlengine.Relation, error) {
+	return sqlengine.Execute(src.stmt, sqlengine.MapCatalog{
+		vsensor.WrapperTable(): win,
+		src.alias:              win,
+	}, opts)
+}
+
+// outputColumns is the layout of the source query's result, which the
+// statement and the wrapper schema fix: the plan's, or, for a statement
+// that does not compile, the interpreter's over an empty window (nil
+// when even that fails — the trigger will report why).
+func (src *sourceRuntime) outputColumns(opts sqlengine.Options) []sqlengine.Column {
+	if src.plan != nil {
+		return src.plan.OutputColumns()
 	}
-	return sqlengine.Execute(src.stmt, cat, c.engineOpts())
+	rel, err := src.interpret(&sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.table.Schema())}, opts)
+	if err != nil {
+		return nil
+	}
+	return rel.Cols
 }
 
 // stop halts wrappers, drains in-flight triggers and drops no tables

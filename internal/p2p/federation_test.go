@@ -312,6 +312,58 @@ func TestFederationGroupByEquivalence(t *testing.T) {
 	}
 }
 
+// TestFederationUnboundGroupedStatement: a grouped statement that does
+// not bind is not compiled, so it is never shipped as partial rollups —
+// an owner asked for its partial refuses — and the coordinator still
+// answers it: over the raw row union, on the interpreter, with the
+// interpreter's rows or the interpreter's error text.
+func TestFederationUnboundGroupedStatement(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	rows := [][]stream.Value{
+		{"a", int64(1), 0.25}, {"b", int64(2), 0.5}, {"a", int64(3), 0.75}, {"b", int64(4), 1.0},
+	}
+	coord := newFedNode(t, "coord", clock, wrappers.NewRegistry(), nil)
+	union := &sqlengine.Relation{}
+	workers := make([]*fedNode, 2) // two owners: no whole-statement routing
+	for i := range workers {
+		w := newFedNode(t, fmt.Sprintf("worker%d", i), clock,
+			feedRegistry(map[string]*feedWrapper{"metrics": {clock: clock, rows: rows}}), nil)
+		if err := w.c.DeployXML([]byte(feedDescriptor("metrics", "metrics"))); err != nil {
+			t.Fatal(err)
+		}
+		coord.fed.AddPeer(w.url)
+		w.produce(clock, "metrics", len(rows))
+		workers[i] = w
+	}
+	coord.fed.GossipRound()
+	sort.Slice(workers, func(i, j int) bool { return workers[i].url < workers[j].url })
+	for _, w := range workers {
+		tab, _ := w.c.Store().Table("METRICS")
+		union.Cols = sqlengine.ColumnsOfSchema(tab.Schema())
+		union.Rows = append(union.Rows, sqlengine.RowsOfSource(tab)...)
+	}
+
+	for _, sql := range []string{
+		"select room, count(*) as n, sum(v) as s from metrics where v > (select min(v) from metrics) group by room",
+		"select room, frobnicate(v) as x, count(*) as n from metrics group by room",
+	} {
+		if _, err := workers[0].c.LocalPartial(sql); err == nil {
+			t.Errorf("%s: an owner computed a partial rollup of a statement that does not bind", sql)
+		}
+		want, wantErr := sqlengine.ExecuteSQL(sql, sqlengine.MapCatalog{"METRICS": union}, sqlengine.Options{Clock: clock})
+		got, gotErr := coord.c.Query(sql)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s:\ncluster error:     %v\ninterpreter error: %v", sql, gotErr, wantErr)
+		} else if wantErr == nil && got.String() != want.String() {
+			t.Errorf("%s:\ncluster:\n%s\ninterpreter over the union:\n%s", sql, got, want)
+		}
+	}
+	reg := coord.c.Metrics()
+	if p, u := reg.Counter("cluster_partial_queries").Value(), reg.Counter("cluster_union_queries").Value(); p != 0 || u != 2 {
+		t.Errorf("cluster_partial_queries %d, cluster_union_queries %d; want 0 and 2", p, u)
+	}
+}
+
 // TestFederationPartialBytesFlatInVolume pins what partial-aggregate
 // shipping is for: the bytes it moves per query follow the group count,
 // not the stream volume. Doubling an owner's window leaves them nearly

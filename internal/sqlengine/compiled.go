@@ -51,9 +51,9 @@ func errTooManyRows(max int) error {
 // error, surfaces exactly when the interpreter's per-row evaluation
 // would first reach it and is never computed again in that execution.
 //
-// Statement shapes the binder does not cover (subqueries, EXISTS,
-// IN (SELECT), unknown functions) leave Plan.prog nil and fall back to
-// the interpreted path.
+// A statement the binder does not cover (subqueries, EXISTS,
+// IN (SELECT), unknown functions) is not compiled: Compile refuses it
+// and the caller runs Execute.
 
 // boundExpr evaluates one compiled expression over a row.
 type boundExpr func(row []stream.Value, ctx *boundCtx) (stream.Value, error)
@@ -105,6 +105,10 @@ type boundProgram struct {
 	having  boundExpr   // post-aggregation predicate (agg slots + rep row)
 	grouped bool
 	ncells  int // memo slots the expressions above use
+	// reads lists, ascending, the input columns the expressions above
+	// read: a scan builds no others (an aggregate over one field of a
+	// wide window copies that field and never boxes TIMED).
+	reads []int
 }
 
 // newBoundProgram binds sp against cols, returning nil when any part
@@ -112,12 +116,13 @@ type boundProgram struct {
 func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 	stmt := sp.stmt
 	prog := &boundProgram{grouped: sp.grouped}
-	b := &binder{cols: cols, aggs: sp.aggs, ncells: &prog.ncells}
+	reads := make([]bool, len(cols))
+	b := &binder{cols: cols, aggs: sp.aggs, ncells: &prog.ncells, reads: reads}
 	// GROUP BY keys and aggregate arguments evaluate in plain row
 	// context: an aggregate call there is illegal (nested aggregates are
 	// rejected at analysis), so rowB sees no slots and such a shape falls
 	// back to the interpreter, which reports it.
-	rowB := &binder{cols: cols, ncells: &prog.ncells}
+	rowB := &binder{cols: cols, ncells: &prog.ncells, reads: reads}
 	if stmt.Where != nil {
 		if prog.where = b.bind(stmt.Where); prog.where == nil {
 			return nil
@@ -138,6 +143,9 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 	for _, item := range sp.proj {
 		if item.star {
 			prog.proj = append(prog.proj, boundProj{star: true, starIdx: item.starIdx})
+			for _, i := range item.starIdx {
+				reads[i] = true
+			}
 			continue
 		}
 		fn := b.bind(item.expr)
@@ -169,16 +177,23 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 			prog.order = append(prog.order, bo)
 		}
 	}
+	for i, read := range reads {
+		if read {
+			prog.reads = append(prog.reads, i)
+		}
+	}
 	return prog
 }
 
 // binder compiles expressions against one column layout. aggs, when
 // set, maps aggregate call nodes (by identity) to result slots; ncells
-// counts the program's memo slots.
+// counts the program's memo slots and reads marks the columns it binds
+// a reference to.
 type binder struct {
 	cols   []Column
 	aggs   []*sqlparser.FuncCall
 	ncells *int
+	reads  []bool
 	// hoisted is set while binding beneath a memoised subtree: the whole
 	// subtree is evaluated once, so nothing inside it needs a cell of
 	// its own.
@@ -244,6 +259,7 @@ func (b *binder) bindNode(e sqlparser.Expr) boundExpr {
 		if !ok {
 			return nil
 		}
+		b.reads[idx] = true
 		return func(row []stream.Value, _ *boundCtx) (stream.Value, error) { return row[idx], nil }
 
 	case *sqlparser.BinaryExpr:
@@ -670,29 +686,34 @@ func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, ev *evaluator) (*R
 	return r.finish()
 }
 
-// boundRun is one execution of a bound program. The input may arrive in
-// any number of batches (feed): a scan far larger than its result — an
-// aggregate over a long TIMED interval — is then never held in memory
-// whole. finish does what needs every row: projecting the groups,
-// DISTINCT, ORDER BY, LIMIT.
+// boundRun is one execution of a bound program, the one fold behind
+// everything a Plan does. The input may arrive in any number of batches
+// (feed, or scan over an element source): a scan far larger than its
+// result — an aggregate over a long TIMED interval — is then never held
+// in memory whole. finish does what needs every row: projecting the
+// groups, DISTINCT, ORDER BY, LIMIT. A distributed execution snapshots
+// the groups instead of finishing, and merges snapshots into a run
+// before finishing it (partial.go).
 type boundRun struct {
 	prog     *boundProgram
 	p        *Plan
 	ev       *evaluator
-	ctx      *boundCtx
+	ctx      boundCtx
 	out      *Relation
 	sortKeys [][]stream.Value
 
-	// Grouped programs: the hash buckets, in first-seen order.
+	// Grouped programs: the hash buckets, in first-seen order, and the
+	// number of rows WHERE let through to them.
 	groups  map[string]*boundGroup
 	order   []*boundGroup
 	single  *boundGroup // the one group of a GROUP BY-less aggregation
+	kept    int
 	keyVals []stream.Value
 	keyBuf  []byte
 }
 
 func (prog *boundProgram) start(p *Plan, ev *evaluator) *boundRun {
-	r := &boundRun{prog: prog, p: p, ev: ev, ctx: &boundCtx{ev: ev}, out: &Relation{Cols: p.sp.outCols}}
+	r := &boundRun{prog: prog, p: p, ev: ev, ctx: boundCtx{ev: ev}, out: &Relation{Cols: p.sp.outCols}}
 	if prog.ncells > 0 {
 		r.ctx.once = make([]onceCell, prog.ncells)
 	}
@@ -705,7 +726,7 @@ func (prog *boundProgram) start(p *Plan, ev *evaluator) *boundRun {
 
 // project appends row's projection (and its sort keys) to the output.
 func (r *boundRun) project(row []stream.Value) error {
-	prog, sp, ctx, out := r.prog, r.p.sp, r.ctx, r.out
+	prog, sp, ctx, out := r.prog, r.p.sp, &r.ctx, r.out
 	outRow := make([]stream.Value, 0, len(sp.outCols))
 	for _, pj := range prog.proj {
 		if pj.star {
@@ -743,10 +764,11 @@ func (r *boundRun) project(row []stream.Value) error {
 }
 
 // feed runs the per-row half of the program over one batch of input
-// rows. A grouped program keeps a group's first row as its
-// representative, so the caller must not reuse the rows' memory.
+// rows. It retains none of their memory — projections and group
+// representatives are copies — so the caller may overwrite the batch
+// before the next feed.
 func (r *boundRun) feed(rows [][]stream.Value) error {
-	prog, ctx := r.prog, r.ctx
+	prog, ctx := r.prog, &r.ctx
 	if prog.grouped {
 		return r.feedGrouped(rows)
 	}
@@ -765,6 +787,33 @@ func (r *boundRun) feed(rows [][]stream.Value) error {
 		}
 	}
 	return nil
+}
+
+// scan feeds the run every element each yields, a row at a time out of
+// one buffer: a scan costs the memory of one row whatever its length. A
+// row holds the columns the program reads (the element's fields, TIMED
+// last) and NULL elsewhere. scan stops each at the first evaluation
+// error.
+func (r *boundRun) scan(each func(func(stream.Element) bool)) error {
+	row := make([]stream.Value, len(r.p.inCols))
+	rows := [][]stream.Value{row}
+	reads, timed, feed := r.prog.reads, len(row)-1, r.feed
+	if r.prog.grouped {
+		feed = r.feedGrouped // per row, the dispatch in feed is measurable
+	}
+	var err error
+	each(func(e stream.Element) bool {
+		for _, c := range reads {
+			if c == timed {
+				row[c] = int64(e.Timestamp())
+			} else {
+				row[c] = e.Value(c)
+			}
+		}
+		err = feed(rows)
+		return err == nil
+	})
+	return err
 }
 
 func (r *boundRun) finish() (*Relation, error) {
@@ -786,21 +835,34 @@ func (r *boundRun) finish() (*Relation, error) {
 	return out, nil
 }
 
-// boundGroup is one hash bucket of the grouped compiled path: the
-// group's representative row (the first WHERE-surviving row, exactly
-// the interpreter's choice) and one accumulator per aggregate slot
-// (flat, one allocation per group).
+// boundGroup is one hash bucket of the grouped compiled path: its
+// encoded key, the group's representative row (a copy of the first
+// WHERE-surviving row, exactly the interpreter's choice) and one
+// accumulator per aggregate slot (flat, one allocation per group).
 type boundGroup struct {
+	key    string
 	rep    []stream.Value
 	states []aggState
 }
 
-func (r *boundRun) newGroup(rep []stream.Value) *boundGroup {
-	g := &boundGroup{rep: rep, states: make([]aggState, len(r.prog.aggs))}
+// newGroup adds the bucket of an encoded GROUP BY key (ignored by a
+// GROUP BY-less aggregation, which has one) with rep, copied, as its
+// representative row.
+func (r *boundRun) newGroup(key []byte, rep []stream.Value) *boundGroup {
+	g := &boundGroup{
+		key:    string(key),
+		rep:    append([]stream.Value(nil), rep...),
+		states: make([]aggState, len(r.prog.aggs)),
+	}
 	for i, a := range r.prog.aggs {
 		g.states[i] = aggState{kind: a.kind, distinct: a.distinct, intOnly: true}
 	}
 	r.order = append(r.order, g)
+	if len(r.prog.groupBy) == 0 {
+		r.single = g
+	} else {
+		r.groups[g.key] = g
+	}
 	return g
 }
 
@@ -810,7 +872,7 @@ func (r *boundRun) newGroup(rep []stream.Value) *boundGroup {
 // allocation-free and materialised only on first sight) and aggregates
 // fold into per-group slots.
 func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
-	prog, ctx, keyVals := r.prog, r.ctx, r.keyVals
+	prog, ctx, keyVals, kept := r.prog, &r.ctx, r.keyVals, 0
 	for _, row := range rows {
 		if prog.where != nil {
 			v, err := prog.where(row, ctx)
@@ -821,7 +883,8 @@ func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
 				continue
 			}
 		}
-		var g *boundGroup
+		kept++
+		g := r.single
 		if len(prog.groupBy) > 0 {
 			for i, fn := range prog.groupBy {
 				v, err := fn(row, ctx)
@@ -833,15 +896,10 @@ func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
 			r.keyBuf = appendRowKey(r.keyBuf[:0], keyVals)
 			// map[string([]byte)] lookups compile without a string
 			// allocation; the key is materialised only on a miss.
-			if g = r.groups[string(r.keyBuf)]; g == nil {
-				g = r.newGroup(row)
-				r.groups[string(r.keyBuf)] = g
-			}
-		} else {
-			if r.single == nil {
-				r.single = r.newGroup(row)
-			}
-			g = r.single
+			g = r.groups[string(r.keyBuf)]
+		}
+		if g == nil {
+			g = r.newGroup(r.keyBuf, row)
 		}
 		for i := range prog.aggs {
 			a := &prog.aggs[i]
@@ -860,6 +918,7 @@ func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
 			}
 		}
 	}
+	r.kept += kept
 	return nil
 }
 
@@ -867,12 +926,12 @@ func (r *boundRun) feedGrouped(rows [][]stream.Value) error {
 // row with the group's aggregate results installed in the context.
 // Output order is first-seen order, matching execGrouped.
 func (r *boundRun) projectGroups() error {
-	prog, ctx := r.prog, r.ctx
+	prog, ctx := r.prog, &r.ctx
 	// Aggregates without GROUP BY over an empty input still produce one
 	// row (COUNT(*) = 0), projected over an all-NULL representative;
 	// with GROUP BY an empty input produces no groups at all.
 	if len(r.order) == 0 && len(prog.groupBy) == 0 {
-		r.newGroup(make([]stream.Value, len(r.p.inCols)))
+		r.newGroup(nil, make([]stream.Value, len(r.p.inCols)))
 	}
 
 	ctx.agg = make([]stream.Value, len(prog.aggs))

@@ -224,8 +224,7 @@ func (ev *evaluator) execSimple(stmt *sqlparser.SelectStatement, outer *scope) (
 
 // filterWhere applies the statement's WHERE predicate to the input
 // rows, returning the surviving rows (the input slice when there is no
-// predicate). Shared by the local execution path and the partial
-// rollup a federation worker computes (WHERE is node-side work).
+// predicate).
 func (ev *evaluator) filterWhere(sp *simplePlan, src *Relation, outer *scope) ([][]stream.Value, error) {
 	rows := src.Rows
 	if sp.stmt.Where == nil {
@@ -246,8 +245,7 @@ func (ev *evaluator) filterWhere(sp *simplePlan, src *Relation, outer *scope) ([
 }
 
 // projector materialises projected output rows (and their sort keys)
-// for one SELECT core. runSimple and the partial-merge coordinator
-// share it, so a federated finalize is byte-identical to a local one.
+// for one SELECT core.
 type projector struct {
 	ev       *evaluator
 	sp       *simplePlan
@@ -363,10 +361,8 @@ func checkAggArity(aggs []*sqlparser.FuncCall) error {
 
 // foldGroups buckets the filtered rows by their GROUP BY key and folds
 // each row into the per-group accumulator states. It performs no
-// empty-input synthesis — the caller decides whether an aggregate-only
-// statement over zero rows produces its one row (locally: always;
-// on a federation worker: never, the coordinator synthesises after the
-// merge so an empty partition cannot fabricate a global group).
+// empty-input synthesis: execGrouped adds the one row of an
+// aggregate-only statement over zero rows.
 func (ev *evaluator) foldGroups(stmt *sqlparser.SelectStatement, src *Relation,
 	rows [][]stream.Value, aggs []*sqlparser.FuncCall, outer *scope) (map[string]*group, []string, error) {
 

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"gsn/internal/sqlparser"
@@ -84,7 +85,7 @@ func TestOneClockReadingPerExecution(t *testing.T) {
 	}
 	statements := []struct {
 		sql   string
-		bound bool // inside the bound-program subset
+		bound bool // compiles; the others run on the interpreter alone
 		rows  int
 	}{
 		{"select now() as t1, now() + 0 as t2, v from w where timed < now() and now() = now() order by now() - timed", true, 40},
@@ -96,8 +97,11 @@ func TestOneClockReadingPerExecution(t *testing.T) {
 	for _, d := range drivers {
 		for _, st := range statements {
 			t.Run(d.name+"/"+st.sql, func(t *testing.T) {
-				if got := compilePlan(t, st.sql).Bound(); got != st.bound {
-					t.Fatalf("Bound() = %v, want %v", got, st.bound)
+				if _, err := Compile(mustParse(t, st.sql), ColumnsOfSchema(planSchema), "w"); (err == nil) != st.bound {
+					t.Fatalf("Compile error = %v, want a plan: %v", err, st.bound)
+				}
+				if !st.bound && d.name != "interpreter" {
+					return
 				}
 				clock := &tickingClock{t: start}
 				rel, err := d.run(t, st.sql, Options{Clock: clock})
@@ -210,9 +214,6 @@ func TestRowIndependentSubtreesFoldLazily(t *testing.T) {
 		cat := MapCatalog{"W": RelationOfSource(pt)}
 		for _, q := range statements {
 			stmt, plan := mustParse(t, q), compilePlan(t, q)
-			if !plan.Bound() {
-				t.Fatalf("%s: expected the bound-program tier", q)
-			}
 			want, wantErr := Execute(stmt, cat, Options{})
 			got, gotErr := plan.Execute(RowsOfSource(pt), Options{})
 			if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
@@ -239,29 +240,12 @@ func TestRowIndependentSubtreesFoldLazily(t *testing.T) {
 // WHERE, projection, GROUP BY key, HAVING, ORDER BY and CASE arms, over
 // a frozen clock so the statements are comparable across executions.
 func TestHoistedSubtreesMatchExecute(t *testing.T) {
-	statements := []string{
-		"select v from w where timed >= now() - 1000000 and v > 2 * 3 - 10",
-		"select v + (10 - 3) as a, now() - timed as age, upper('x' || 'y') as s from w",
-		"select v, abs(-2) * f as g from w where f between 1 + 1 and 100 / 4",
-		"select v % (1 + 2) as k, 7 * 6 as c, count(*) as n from w group by v % (1 + 2), 7 * 6",
-		"select v, count(*) as n from w group by v having count(*) >= 3 - 2 and now() > 0",
-		"select v from w order by v * (2 - 3), now()",
-		"select case when v > 5 + 5 then 'hi' || '!' when v < -(5 + 5) then lower('LO') else cast(1 + 1 as varchar) end as c from w",
-		"select case 1 + 1 when 2 then v else 0 end as c from w",
-		"select v from w where v in (1 + 1, 2 * 5, -7) and 'abc' like 'a' || '%'",
-		"select now() as t, 1 + 1 as two from w limit 1 + 1",
-		"select sum(v + (2 - 1)) as s, max(now() - timed) as oldest from w where v is not null",
-	}
 	opts := Options{Clock: stream.NewManualClock(1_000_000)}
 	for _, nrows := range []int{0, 1, 60} {
 		pt := makePlanTable(t, nrows)
 		cat := MapCatalog{"W": RelationOfSource(pt)}
-		for _, q := range statements {
+		for _, q := range hoistedShapes {
 			stmt, plan := mustParse(t, q), compilePlan(t, q)
-			if !plan.Bound() {
-				t.Errorf("%s: expected the bound-program tier", q)
-				continue
-			}
 			want, err := Execute(stmt, cat, opts)
 			if err != nil {
 				t.Fatalf("%s: execute: %v", q, err)
@@ -285,54 +269,111 @@ func TestHoistedSubtreesMatchExecute(t *testing.T) {
 	}
 }
 
-// TestExecuteTieredNeedsBoundPlan: a plan that falls back to the
-// interpreter re-binds its subqueries to the scanned rows, which is not
-// what an ad-hoc statement over a catalog means, so it is refused.
-func TestExecuteTieredNeedsBoundPlan(t *testing.T) {
-	plan := compilePlan(t, "select v from w where v > (select avg(v) from w)")
-	if plan.Bound() {
-		t.Fatal("a subquery statement must not report Bound")
-	}
-	if _, err := plan.ExecuteTiered(&tieredPlanTable{planTable: makePlanTable(t, 3)}, Options{}); err == nil {
-		t.Fatal("ExecuteTiered ran an unbound plan")
-	}
+// hoistedShapes carry row-independent subtrees in every clause that
+// binds expressions.
+var hoistedShapes = []string{
+	"select v from w where timed >= now() - 1000000 and v > 2 * 3 - 10",
+	"select v + (10 - 3) as a, now() - timed as age, upper('x' || 'y') as s from w",
+	"select v, abs(-2) * f as g from w where f between 1 + 1 and 100 / 4",
+	"select v % (1 + 2) as k, 7 * 6 as c, count(*) as n from w group by v % (1 + 2), 7 * 6",
+	"select v, count(*) as n from w group by v having count(*) >= 3 - 2 and now() > 0",
+	"select v from w order by v * (2 - 3), now()",
+	"select case when v > 5 + 5 then 'hi' || '!' when v < -(5 + 5) then lower('LO') else cast(1 + 1 as varchar) end as c from w",
+	"select case 1 + 1 when 2 then v else 0 end as c from w",
+	"select v from w where v in (1 + 1, 2 * 5, -7) and 'abc' like 'a' || '%'",
+	"select now() as t, 1 + 1 as two from w limit 1 + 1",
+	"select sum(v + (2 - 1)) as s, max(now() - timed) as oldest from w where v is not null",
 }
 
-// TestExecuteTieredInBatches: an interval longer than any batch is fed
-// to the bound program piecewise, and the answer is the one the same
-// rows give in one piece — for the shapes that keep something across
-// batches (group representatives, sort keys, DISTINCT, a LIMIT). A tier
-// that fails part-way leaves nothing of the rows already fed in the
-// answer: the live window is scanned from the start.
-func TestExecuteTieredInBatches(t *testing.T) {
+// tieredShapes pin TIMED to an interval and keep something across
+// batches: group representatives, sort keys, DISTINCT, a LIMIT.
+var tieredShapes = []string{
+	"select count(*) as n, sum(v) as s, min(f) as lo from w where timed between 1 and 5000",
+	"select v, count(*) as n, max(timed) as t from w where timed between 1 and 5000 group by v having count(*) > 1",
+	"select v, f from w where timed >= 2 and timed <= 4999 and v > 40 order by f desc limit 7",
+	"select distinct v from w where timed between 100 and 4000 order by v",
+	"select timed, v from w where timed between 1 and 5000 and v is null",
+	"select v, f, timed, count(*) as n from w where timed between 1 and 5000 group by v order by max(f), v",
+}
+
+// TestBatchFedRunMatchesExecute is the feed contract: a bound run keeps
+// nothing of a batch it was fed, so a scan may carve every batch from
+// one buffer. For every shape that carries something from one batch to
+// the next — group representatives read by non-key projections and
+// HAVING, DISTINCT, sort keys on a column that is not projected, memo
+// cells of hoisted subtrees, a LIMIT — the rows fed in random splits
+// through one buffer that is scribbled over after each feed give what
+// Execute(rows) gives in one piece and what the interpreter gives. The
+// two scans built on that contract, ExecuteSource and ExecuteTiered, are
+// held to the same answer; a tier that fails part-way leaves nothing of
+// the rows already fed in it, the live window is scanned from the start.
+func TestBatchFedRunMatchesExecute(t *testing.T) {
 	pt := makePlanTable(t, 5000)
-	statements := []string{
-		"select count(*) as n, sum(v) as s, min(f) as lo from w where timed between 1 and 5000",
-		"select v, count(*) as n, max(timed) as t from w where timed between 1 and 5000 group by v having count(*) > 1",
-		"select v, f from w where timed >= 2 and timed <= 4999 and v > 40 order by f desc limit 7",
-		"select distinct v from w where timed between 100 and 4000 order by v",
-		"select timed, v from w where timed between 1 and 5000 and v is null",
+	all := RowsOfSource(pt)
+	cat := MapCatalog{"W": &Relation{Cols: ColumnsOfSchema(planSchema), Rows: all}}
+	opts := Options{Clock: stream.NewManualClock(1_000_000)}
+	rng := rand.New(rand.NewSource(20))
+	junk := []stream.Value{"scribbled", -1.5, int64(-99)}
+
+	shapes := map[string]bool{} // statement → pins TIMED
+	for _, q := range groupedShapes {
+		shapes[q] = false
 	}
-	for _, q := range statements {
+	for _, q := range hoistedShapes {
+		shapes[q] = false
+	}
+	for _, q := range tieredShapes {
+		shapes[q] = true
+	}
+	for q, tiered := range shapes {
 		plan := compilePlan(t, q)
-		if !plan.Bound() {
-			t.Fatalf("%s: expected the bound-program tier", q)
-		}
-		want, err := plan.Execute(RowsOfSource(pt), Options{})
+		want, err := Execute(mustParse(t, q), cat, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+			t.Fatalf("%s: interpreter: %v", q, err)
 		}
-		for _, failAfter := range []int{0, 700} {
-			src := &tieredPlanTable{planTable: pt, failAfter: failAfter}
-			got, err := plan.ExecuteTiered(src, Options{})
+		check := func(name string, got *Relation, err error) {
+			t.Helper()
 			if err != nil {
-				t.Fatalf("%s (tier fails after %d): %v", q, failAfter, err)
-			}
-			if len(src.ranges) != 1 {
-				t.Fatalf("%s: the interval was not pushed down: %v", q, src.ranges)
+				t.Fatalf("%s: %s: %v", q, name, err)
 			}
 			if got.String() != want.String() {
-				t.Errorf("%s (tier fails after %d):\n%s\nin one piece:\n%s", q, failAfter, got, want)
+				t.Errorf("%s: %s:\n%s\ninterpreter:\n%s", q, name, got, want)
+			}
+		}
+		got, err := plan.Execute(all, opts)
+		check("Execute in one piece", got, err)
+
+		for trial := 0; trial < 4; trial++ {
+			r := plan.prog.start(plan, newEvaluator(nil, opts))
+			buf := make([][]stream.Value, 1+rng.Intn(700))
+			for i := range buf {
+				buf[i] = make([]stream.Value, len(planSchema.Fields())+1)
+			}
+			for at := 0; at < len(all); {
+				n := min(1+rng.Intn(len(buf)), len(all)-at)
+				for i := 0; i < n; i++ {
+					copy(buf[i], all[at+i])
+				}
+				if err := r.feed(buf[:n]); err != nil {
+					t.Fatalf("%s: feed: %v", q, err)
+				}
+				for i := 0; i < n; i++ {
+					copy(buf[i], junk)
+				}
+				at += n
+			}
+			got, err := r.finish()
+			check("random batches from one buffer", got, err)
+		}
+
+		got, err = plan.ExecuteSource(pt, opts)
+		check("ExecuteSource", got, err)
+		for _, failAfter := range []int{0, 700} {
+			src := &tieredPlanTable{planTable: pt, failAfter: failAfter}
+			got, err := plan.ExecuteTiered(src, opts)
+			check(fmt.Sprintf("ExecuteTiered (tier fails after %d)", failAfter), got, err)
+			if tiered && len(src.ranges) != 1 {
+				t.Errorf("%s: the interval was not pushed down: %v", q, src.ranges)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 
-	"gsn/internal/sqlparser"
 	"gsn/internal/stream"
 )
 
@@ -11,12 +10,11 @@ import (
 // grouped statement whose aggregate states are mergeable can run as
 // per-node partial rollups (WHERE + GROUP BY fold, node-side) that a
 // coordinator merges and finalises (HAVING, projection, ORDER BY,
-// LIMIT — merge-side). The fold and finalize are the same code paths
-// runSimple uses (foldGroups / projectGroups in exec.go), so a
-// federated execution is byte-identical to a single-node interpreted
-// execution over the union of the nodes' rows folded in part order —
-// which PR 5's equivalence suite pins byte-identical to the compiled
-// tiers.
+// LIMIT — merge-side). Both halves are the bound run every other
+// execution of a Plan uses (compiled.go): a node feeds it and snapshots
+// its groups, the coordinator merges snapshots into a run's groups and
+// finishes it. A federated execution is therefore byte-identical to
+// Plan.Execute over the union of the nodes' rows folded in part order.
 //
 // Caveat the property tests respect: float SUM/AVG/STDDEV merge as
 // (Σ part₀) + (Σ part₁), which equals the union's left-fold only when
@@ -128,34 +126,28 @@ func (a *aggState) mergePartial(p AggPartial) error {
 }
 
 // Distributable reports whether the plan can run as partial rollups
-// merged on a coordinator: a grouped statement whose aggregates all
-// have mergeable states, with no DISTINCT aggregates, no subqueries
-// (they would re-resolve tables per node) and no NOW() (node clocks
-// diverge). Ungrouped statements ship rows, not states — routing or
-// union handles those.
+// merged on a coordinator: a grouped statement with no DISTINCT
+// aggregate (every other aggregate state is mergeable) and no NOW()
+// (node clocks diverge). Ungrouped statements ship rows, not states —
+// routing or union handles those.
 func (p *Plan) Distributable() bool {
-	sp := p.sp
-	if !sp.grouped {
+	if !p.sp.grouped {
 		return false
 	}
-	for _, a := range sp.aggs {
-		if a.Distinct {
-			return false
-		}
-		if _, ok := aggKinds[a.Name]; !ok {
+	for _, a := range p.prog.aggs {
+		if a.distinct {
 			return false
 		}
 	}
-	if hasSubquery(sp.stmt) {
-		return false
-	}
-	return !Volatile(sp.stmt)
+	return !Volatile(p.sp.stmt)
 }
 
-// evaluatorFor starts one interpreted execution of the plan with its
-// base tables bound to the given rows.
-func (p *Plan) evaluatorFor(rows [][]stream.Value, opts Options) *evaluator {
-	return newEvaluator(p.catalogOver(rows), opts)
+// startPartial starts one half of a distributed execution.
+func (p *Plan) startPartial(opts Options) (*boundRun, error) {
+	if !p.sp.grouped {
+		return nil, fmt.Errorf("sqlengine: an ungrouped statement has no partial rollup")
+	}
+	return p.prog.start(p, newEvaluator(nil, opts)), nil
 }
 
 // ExecutePartial runs the node-side half of a distributed execution
@@ -163,26 +155,22 @@ func (p *Plan) evaluatorFor(rows [][]stream.Value, opts Options) *evaluator {
 // It never synthesises the aggregate-only empty row — only the
 // coordinator knows whether every partition was empty.
 func (p *Plan) ExecutePartial(rows [][]stream.Value, opts Options) (*PartialRollup, error) {
-	ev := p.evaluatorFor(rows, opts)
-	src := &Relation{Cols: p.inCols, Rows: rows}
-	kept, err := ev.filterWhere(p.sp, src, nil)
+	r, err := p.startPartial(opts)
 	if err != nil {
 		return nil, err
 	}
-	groups, order, err := ev.foldGroups(p.sp.stmt, src, kept, p.sp.aggs, nil)
-	if err != nil {
+	if err := r.feed(rows); err != nil {
 		return nil, err
 	}
-	out := &PartialRollup{Rows: len(kept)}
-	for _, key := range order {
-		g := groups[key]
+	out := &PartialRollup{Rows: r.kept}
+	for _, g := range r.order {
 		gp := GroupPartial{
-			Key:  []byte(key),
+			Key:  []byte(g.key),
 			Rep:  stream.WrapRow(g.rep),
 			Aggs: make([]AggPartial, len(g.states)),
 		}
-		for i, st := range g.states {
-			gp.Aggs[i] = st.partial()
+		for i := range g.states {
+			gp.Aggs[i] = g.states[i].partial()
 		}
 		out.Groups = append(out.Groups, gp)
 	}
@@ -191,30 +179,30 @@ func (p *Plan) ExecutePartial(rows [][]stream.Value, opts Options) (*PartialRoll
 
 // MergePartials runs the coordinator half: merge the parts' group
 // states in part order (group output order is first-seen across parts,
-// matching a union concatenated in the same order), synthesise the
-// aggregate-only empty row if every part was empty, then finalise —
-// HAVING, projection, DISTINCT, ORDER BY, LIMIT/OFFSET — exactly as
-// Plan.Execute's interpreted tail does. nil parts are skipped (an
-// owner that contributed nothing).
+// matching a union concatenated in the same order), then finish the run
+// as every execution does — the aggregate-only empty row if every part
+// was empty, HAVING, projection, DISTINCT, ORDER BY, LIMIT/OFFSET. nil
+// parts are skipped (an owner that contributed nothing).
 func (p *Plan) MergePartials(parts []*PartialRollup, opts Options) (*Relation, error) {
-	ev := p.evaluatorFor(nil, opts)
-	groups := make(map[string]*group)
-	var order []string
+	r, err := p.startPartial(opts)
+	if err != nil {
+		return nil, err
+	}
 	for _, part := range parts {
 		if part == nil {
 			continue
 		}
 		for _, gp := range part.Groups {
-			if len(gp.Aggs) != len(p.sp.aggs) {
-				return nil, fmt.Errorf("sqlengine: partial rollup carries %d aggregate states, plan has %d",
-					len(gp.Aggs), len(p.sp.aggs))
+			if len(gp.Aggs) != len(p.prog.aggs) || len(gp.Rep) != len(p.inCols) {
+				return nil, fmt.Errorf("sqlengine: partial rollup carries %d aggregate states over %d columns, plan has %d over %d",
+					len(gp.Aggs), len(gp.Rep), len(p.prog.aggs), len(p.inCols))
 			}
-			key := string(gp.Key)
-			g, ok := groups[key]
-			if !ok {
-				g = newGroup(stream.UnwrapRow(gp.Rep), p.sp.aggs)
-				groups[key] = g
-				order = append(order, key)
+			g := r.single // feedGrouped's lookup
+			if len(p.prog.groupBy) > 0 {
+				g = r.groups[string(gp.Key)]
+			}
+			if g == nil {
+				g = r.newGroup(gp.Key, stream.UnwrapRow(gp.Rep))
 			}
 			for i := range gp.Aggs {
 				if err := g.states[i].mergePartial(gp.Aggs[i]); err != nil {
@@ -223,77 +211,5 @@ func (p *Plan) MergePartials(parts []*PartialRollup, opts Options) (*Relation, e
 			}
 		}
 	}
-	if len(groups) == 0 && len(p.sp.stmt.GroupBy) == 0 {
-		groups[""] = newGroup(make([]stream.Value, len(p.inCols)), p.sp.aggs)
-		order = append(order, "")
-	}
-
-	src := &Relation{Cols: p.inCols}
-	pr := newProjector(ev, p.sp)
-	if err := ev.projectGroups(p.sp.stmt, src, groups, order, p.sp.aggs, nil, pr.project); err != nil {
-		return nil, err
-	}
-	rel, sortKeys := pr.finish()
-	if len(p.sp.stmt.OrderBy) > 0 && sortKeys != nil {
-		sortRelation(rel, sortKeys, p.sp.stmt.OrderBy)
-	}
-	if err := ev.applyLimitOffset(rel, p.sp.stmt, nil); err != nil {
-		return nil, err
-	}
-	return rel, nil
+	return r.finish()
 }
-
-// hasSubquery reports whether the statement contains a subquery in any
-// position (expression, FROM, compound arm).
-func hasSubquery(stmt *sqlparser.SelectStatement) bool {
-	for s := stmt; s != nil; {
-		if subqueryCore(s) {
-			return true
-		}
-		if s.Compound == nil {
-			return false
-		}
-		s = s.Compound.Right
-	}
-	return false
-}
-
-func subqueryCore(s *sqlparser.SelectStatement) bool {
-	for _, c := range s.Columns {
-		if !c.Star && subqueryExpr(c.Expr) {
-			return true
-		}
-	}
-	for _, f := range s.From {
-		if subqueryTableRef(f) {
-			return true
-		}
-	}
-	if subqueryExpr(s.Where) || subqueryExpr(s.Having) ||
-		subqueryExpr(s.Limit) || subqueryExpr(s.Offset) {
-		return true
-	}
-	for _, g := range s.GroupBy {
-		if subqueryExpr(g) {
-			return true
-		}
-	}
-	for _, o := range s.OrderBy {
-		if subqueryExpr(o.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func subqueryTableRef(ref sqlparser.TableRef) bool {
-	switch t := ref.(type) {
-	case *sqlparser.SubqueryRef:
-		return true
-	case *sqlparser.JoinRef:
-		return subqueryTableRef(t.Left) || subqueryTableRef(t.Right) || subqueryExpr(t.On)
-	}
-	return false
-}
-
-func subqueryExpr(e sqlparser.Expr) bool { return anyExpr(e, isSubqueryNode) }

@@ -182,7 +182,6 @@ func TestDistributableDetection(t *testing.T) {
 	ineligible := []string{
 		"select v, f from w", // ungrouped row shape: ship rows, not states
 		"select v, count(distinct f) as n from w group by v",                   // DISTINCT state is not mergeable
-		"select v from w where v > (select avg(v) from w)",                     // subquery re-resolves tables per node
 		"select v, count(*) as n from w where timed > now() - 5000 group by v", // node clocks diverge
 	}
 	for _, q := range ineligible {
@@ -224,5 +223,32 @@ func TestWireValueRoundTrip(t *testing.T) {
 				t.Errorf("%#v round-tripped to %#v (wire %s)", v, back.V, data)
 			}
 		}
+	}
+}
+
+// TestMergePartialsRejectsMalformedParts: parts arrive from peers. One
+// whose groups do not have the plan's shape — another schema's row
+// width, another statement's aggregate count — or a statement with no
+// groups to merge is an error, never an index out of range.
+func TestMergePartialsRejectsMalformedParts(t *testing.T) {
+	plan := compilePlan(t, "select v, f, count(*) as n from w group by v")
+	good, err := plan.ExecutePartial(makePartitionRows(rand.New(rand.NewSource(3)), 10, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, fewer := *wireTrip(t, good), *wireTrip(t, good)
+	short.Groups[0].Rep = short.Groups[0].Rep[:1]
+	fewer.Groups[0].Aggs = nil
+	for name, part := range map[string]*PartialRollup{"short representative row": &short, "missing aggregate states": &fewer} {
+		if _, err := plan.MergePartials([]*PartialRollup{good, part}, Options{}); err == nil {
+			t.Errorf("%s: merged", name)
+		}
+	}
+	ungrouped := compilePlan(t, "select v, f from w")
+	if _, err := ungrouped.ExecutePartial(nil, Options{}); err == nil {
+		t.Error("an ungrouped statement computed a partial rollup")
+	}
+	if _, err := ungrouped.MergePartials([]*PartialRollup{good}, Options{}); err == nil {
+		t.Error("an ungrouped statement merged partial rollups")
 	}
 }

@@ -7,22 +7,23 @@ import (
 	"gsn/internal/stream"
 )
 
-// Plan is a SELECT statement compiled once against a fixed single-table
+// Plan is a SELECT statement bound once against a fixed single-table
 // input layout, so the per-trigger path pays none of the per-execution
 // planning Execute does (FROM resolution, aggregate collection,
-// projection and ORDER BY planning). The GSN container compiles each
-// deployed sensor's source and stream statements at deploy time and
-// re-runs the plan on every trigger.
+// projection and ORDER BY planning) and none of its per-row name
+// resolution. The GSN container compiles each deployed sensor's source
+// and stream statements at deploy time and re-runs the plan on every
+// trigger.
 //
-// Compile intentionally covers the statement shapes sensor descriptors
-// use (one base table, no joins, derived tables or compounds); anything
-// else returns an error and the caller falls back to Execute.
+// A Plan has one execution engine, the bound program (compiled.go): it
+// never consults the interpreter or a catalog. Compile covers the
+// statement shapes sensor descriptors use (one base table, no joins,
+// derived tables, compounds or subqueries); anything else returns an
+// error and the caller falls back to Execute.
 type Plan struct {
-	sp       *simplePlan
-	qual     string   // the FROM item's effective name (alias or table)
-	inCols   []Column // input layout, qualified by the FROM alias
-	bareCols []Column // input layout as compiled, for subquery re-binding
-	names    []string // base-table names the input answers to
+	sp     *simplePlan
+	qual   string   // the FROM item's effective name (alias or table)
+	inCols []Column // input layout, qualified by the FROM alias
 
 	// inc is the incremental aggregate program when the statement is an
 	// aggregate-only projection; nil otherwise.
@@ -33,9 +34,8 @@ type Plan struct {
 	// otherwise. inc and ginc are mutually exclusive.
 	ginc *GroupedIncProgram
 
-	// prog is the bound (column-index-resolved) execution program when
-	// the statement is inside the compiled subset; nil falls back to
-	// the interpreted evaluator. See compiled.go.
+	// prog is the bound (column-index-resolved) execution program. See
+	// compiled.go.
 	prog *boundProgram
 }
 
@@ -72,10 +72,12 @@ var incKinds = map[string]IncAggKind{
 	"LAST":  IncLast,
 }
 
-// Compile plans stmt against one input relation whose bare column
+// Compile binds stmt against one input relation whose bare column
 // layout is cols (see ColumnsOfSchema); tables lists the base-table
-// names the FROM clause may use for it. The returned plan is immutable
-// and safe for concurrent Execute calls.
+// names the FROM clause may use for it. A statement that does not bind
+// — an expression the binder does not cover, a name it cannot resolve —
+// is not compiled. The returned plan is immutable and safe for
+// concurrent Execute calls.
 func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (*Plan, error) {
 	if stmt.Compound != nil {
 		return nil, fmt.Errorf("sqlengine: compound statements are not compilable")
@@ -112,16 +114,14 @@ func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (
 	if err != nil {
 		return nil, err
 	}
-	canonical := make([]string, len(tables))
-	for i, t := range tables {
-		canonical[i] = stream.CanonicalName(t)
+	p := &Plan{sp: sp, qual: qual, inCols: inCols, prog: newBoundProgram(sp, inCols)}
+	if p.prog == nil {
+		return nil, fmt.Errorf("sqlengine: statement is outside the compiled subset")
 	}
-	p := &Plan{sp: sp, qual: qual, inCols: inCols, bareCols: cols, names: canonical}
 	p.inc = incrementalProgram(sp, inCols)
 	if p.inc == nil {
 		p.ginc = groupedIncrementalProgram(sp, inCols)
 	}
-	p.prog = newBoundProgram(sp, inCols)
 	return p, nil
 }
 
@@ -297,133 +297,29 @@ func (p *Plan) IncrementalGrouped() *GroupedIncProgram { return p.ginc }
 // OutputColumns returns the plan's projected column layout.
 func (p *Plan) OutputColumns() []Column { return p.sp.outCols }
 
-// ExecuteSource runs the compiled plan directly against a window
-// source. Aggregate-only plans never materialise rows at all: the
-// aggregate program folds each element in one ForEach pass inside the
-// table's critical section. Other plan shapes scan the source into rows
-// once (still zero-copy with respect to the element store) and run the
-// precompiled plan.
-func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error) {
-	if p.inc == nil {
-		return p.Execute(RowsOfSource(src), opts)
-	}
-	states := p.incStates()
-	var addErr error
-	src.ForEach(func(e stream.Element) bool {
-		addErr = p.incFold(states, func(col int) stream.Value { return inputValue(e, col) })
-		return addErr == nil
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
-	return p.incResult(states), nil
-}
-
-// incAggKindMap translates the incremental program kinds back to the
-// engine's aggregate states, so the compiled fold computes exactly what
-// execGrouped computes.
-var incAggKindMap = map[IncAggKind]aggKind{
-	IncCount: aggCount,
-	IncSum:   aggSum,
-	IncAvg:   aggAvg,
-	IncMin:   aggMin,
-	IncMax:   aggMax,
-	IncLast:  aggLast,
-}
-
-func (p *Plan) incStates() []*aggState {
-	states := make([]*aggState, len(p.inc))
-	for i, spec := range p.inc {
-		states[i] = newAggState(incAggKindMap[spec.Kind], false)
-	}
-	return states
-}
-
-// incFold feeds one input row (via the column accessor) into the
-// aggregate states.
-func (p *Plan) incFold(states []*aggState, value func(col int) stream.Value) error {
-	for i := range p.inc {
-		spec := &p.inc[i]
-		var v stream.Value
-		if spec.Col < 0 {
-			v = int64(1) // COUNT(*) counts rows, NULLs included
-		} else {
-			v = value(spec.Col)
-		}
-		if err := states[i].add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Plan) incResult(states []*aggState) *Relation {
-	row := make([]stream.Value, len(states))
-	for i, st := range states {
-		row[i] = st.result()
-	}
-	return &Relation{Cols: p.sp.outCols, Rows: [][]stream.Value{row}}
-}
-
-// Execute runs the compiled plan over the current window rows (as
-// produced by RowsOfSource against the layout the plan was compiled
-// for). It mirrors Execute's tail — ORDER BY and LIMIT/OFFSET — but
-// skips all per-call planning.
+// Execute runs the plan over the current window rows (as produced by
+// RowsOfSource against the layout the plan was compiled for).
 func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
-	return p.execute(rows, newEvaluator(nil, opts))
+	return p.prog.run(p, rows, newEvaluator(nil, opts))
 }
 
-// execute is one execution of the plan on ev, the evaluator whose clock
-// reading the whole execution shares.
-func (p *Plan) execute(rows [][]stream.Value, ev *evaluator) (*Relation, error) {
-	if p.inc != nil {
-		states := p.incStates()
-		for _, r := range rows {
-			row := r
-			if err := p.incFold(states, func(col int) stream.Value { return row[col] }); err != nil {
-				return nil, err
-			}
-		}
-		return p.incResult(states), nil
-	}
-	// Compiled subset: run the bound program (no name resolution, no
-	// scope allocation, no per-call planning).
-	if p.prog != nil {
-		return p.prog.run(p, rows, ev)
-	}
-	// Subqueries in expression position resolve the base tables through
-	// the catalog, so rebind them to the same live rows.
-	ev.cat = p.catalogOver(rows)
-	src := &Relation{Cols: p.inCols, Rows: rows}
-	rel, sortKeys, err := ev.runSimple(p.sp, src, nil)
-	if err != nil {
+// ExecuteSource runs the plan directly against a window source, never
+// materialising the window: the source's ForEach pass, inside the
+// table's critical section, feeds the program a row at a time, built
+// from the columns the statement reads.
+func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error) {
+	return p.executeSource(src, newEvaluator(nil, opts))
+}
+
+// executeSource is one execution over the live window on ev, the
+// evaluator whose clock reading the whole execution shares.
+func (p *Plan) executeSource(src ElementSource, ev *evaluator) (*Relation, error) {
+	r := p.prog.start(p, ev)
+	if err := r.scan(src.ForEach); err != nil {
 		return nil, err
 	}
-	if len(p.sp.stmt.OrderBy) > 0 && sortKeys != nil {
-		sortRelation(rel, sortKeys, p.sp.stmt.OrderBy)
-	}
-	if err := ev.applyLimitOffset(rel, p.sp.stmt, nil); err != nil {
-		return nil, err
-	}
-	return rel, nil
+	return r.finish()
 }
-
-// catalogOver binds the plan's base-table names to rows.
-func (p *Plan) catalogOver(rows [][]stream.Value) MapCatalog {
-	cat := make(MapCatalog, len(p.names))
-	view := &Relation{Cols: p.bareCols, Rows: rows}
-	for _, n := range p.names {
-		cat[n] = view
-	}
-	return cat
-}
-
-// Bound reports whether the statement is inside the bound-program
-// subset, so that executing the plan never consults the interpreter or
-// a catalog. A plan that is not re-binds expression subqueries to the
-// rows it is handed, which is right for a sensor's own window and wrong
-// for an ad-hoc statement whose subquery names a table of its own.
-func (p *Plan) Bound() bool { return p.prog != nil }
 
 // TieredSource is an ElementSource that can also serve a TIMED interval
 // from beyond its live window; *storage.Table implements it (the
@@ -435,62 +331,31 @@ type TieredSource interface {
 	ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error
 }
 
-// tieredBatchRows is the most rows of a TIMED interval handed to the
-// bound program at a time.
-const tieredBatchRows = 1024
-
-// ExecuteTiered runs a Bound plan as an ad-hoc statement over its base
+// ExecuteTiered runs the plan as an ad-hoc statement over its base
 // table: exactly what Execute does for the same statement over a
 // RangeCatalog, without the per-call planning and per-row name
 // resolution. A WHERE that pins TIMED to an interval (timeBounds, at
 // the execution's one clock reading) routes the scan through
-// ForEachTimed, a batch of rows at a time, so an aggregate over a long
-// interval holds one batch and not the interval; otherwise, or when the
-// tier fails, the live window is scanned zero-copy. The full WHERE is
-// re-applied either way.
+// ForEachTimed, so an aggregate over a long interval holds one row and
+// not the interval; otherwise, or when the tier fails — nothing of the
+// rows it had yielded is kept — the live window is scanned. The full
+// WHERE is re-applied either way.
 func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) {
-	if p.prog == nil {
-		return nil, fmt.Errorf("sqlengine: ExecuteTiered needs a bound plan")
-	}
-	if p.sp.stmt.Where == nil {
-		return p.ExecuteSource(src, opts)
-	}
 	ev := newEvaluator(nil, opts)
-	if lo, hi, ok := ev.timeBounds(p.sp.stmt.Where, p.qual); ok {
-		// Every batch gets rows of its own: a grouped program keeps the
-		// first row of each group. Batches double up to the limit, so a
-		// short interval pays for a short batch.
-		ncols, size := len(p.inCols), 64
-		var rows [][]stream.Value
-		var arena []stream.Value
-		run := p.prog.start(p, ev)
-		var runErr error
-		srcErr := src.ForEachTimed(stream.Timestamp(lo), stream.Timestamp(hi), func(e stream.Element) bool {
-			if len(rows) == cap(rows) {
-				runErr = run.feed(rows)
-				rows = make([][]stream.Value, 0, size)
-				arena = make([]stream.Value, 0, size*ncols)
-				if size < tieredBatchRows {
-					size *= 2
-				}
+	if p.sp.stmt.Where != nil {
+		if lo, hi, ok := ev.timeBounds(p.sp.stmt.Where, p.qual); ok {
+			r := p.prog.start(p, ev)
+			var tierErr error
+			err := r.scan(func(fn func(stream.Element) bool) {
+				tierErr = src.ForEachTimed(stream.Timestamp(lo), stream.Timestamp(hi), fn)
+			})
+			if err != nil {
+				return nil, err
 			}
-			start := len(arena)
-			for i := 0; i < e.Len(); i++ {
-				arena = append(arena, e.Value(i))
+			if tierErr == nil {
+				return r.finish()
 			}
-			arena = append(arena, int64(e.Timestamp()))
-			rows = append(rows, arena[start:len(arena):len(arena)])
-			return runErr == nil
-		})
-		if runErr == nil && srcErr == nil {
-			runErr = run.feed(rows)
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		if srcErr == nil {
-			return run.finish()
 		}
 	}
-	return p.execute(RowsOfSource(src), ev)
+	return p.executeSource(src, ev)
 }

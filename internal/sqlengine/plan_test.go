@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,6 @@ func TestCompiledPlanMatchesExecute(t *testing.T) {
 		"select v from w order by v desc limit 5",
 		"select distinct v from w order by v",
 		"select v, count(*) as n from w group by v having count(*) > 1",
-		"select v from w where v > (select avg(v) from w)",
 		"select v from w as x where x.v < 0",
 		"select stddev(v) as sd from w",
 	}
@@ -100,7 +100,8 @@ func TestCompiledPlanMatchesExecute(t *testing.T) {
 }
 
 // TestCompileRejectsUnsupportedShapes: statements the compiler cannot
-// pre-plan must be refused so the container falls back to Execute.
+// bind must be refused so the container falls back to Execute — a Plan
+// never runs the interpreter on the caller's behalf.
 func TestCompileRejectsUnsupportedShapes(t *testing.T) {
 	bad := []string{
 		"select * from w a, w b",
@@ -108,6 +109,14 @@ func TestCompileRejectsUnsupportedShapes(t *testing.T) {
 		"select * from (select v from w) d",
 		"select a.v from w a join w b on a.v = b.v",
 		"select * from other",
+		"select v from w where v > (select avg(v) from w)",
+		"select v, (select max(f) from w) as top from w",
+		"select v from w where exists (select 1 from w x where x.v > 0)",
+		"select v from w where v in (select v from w where f > 1)",
+		"select v, count(*) as n from w group by v having count(*) > (select 1)",
+		"select frobnicate(v) as x from w",
+		"select nosuch from w",
+		"select sum(count(v)) as s from w",
 	}
 	for _, q := range bad {
 		stmt, err := sqlparser.Parse(q)
@@ -131,6 +140,35 @@ func compileIncremental(t *testing.T, q string) []IncAggSpec {
 		t.Fatalf("%s: compile: %v", q, err)
 	}
 	return plan.Incremental()
+}
+
+// TestScanBuildsOnlyReadColumns pins which input columns a scan builds
+// rows from: exactly those the statement references (v, f, TIMED are
+// columns 0, 1, 2), so an aggregate over one field copies that field and
+// never boxes TIMED. That the rows so built answer like whole rows is
+// TestBatchFedRunMatchesExecute's.
+func TestScanBuildsOnlyReadColumns(t *testing.T) {
+	for sql, want := range map[string][]int{
+		"select count(*) from w":                                      nil,
+		"select avg(f) from w":                                        {1},
+		"select max(timed) from w":                                    {2},
+		"select * from w where v > 0":                                 {0, 1, 2},
+		"select v from w order by f":                                  {0, 1},
+		"select v, count(*) from w group by v having max(f) > 1":      {0, 1},
+		"select count(*) from w where timed >= now() - 10 group by f": {1, 2},
+	} {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		plan, err := Compile(stmt, ColumnsOfSchema(planSchema), "w")
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := plan.prog.reads; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: scan reads columns %v, want %v", sql, got, want)
+		}
+	}
 }
 
 func TestIncrementalProgramDetection(t *testing.T) {
@@ -312,5 +350,37 @@ func TestAggMaintainerFloatResync(t *testing.T) {
 	got := m.Result()
 	if got == nil || got.Rows[0][0] != 2.5 {
 		t.Errorf("sum after rebuild = %v, want 2.5", got)
+	}
+}
+
+// BenchmarkExecuteSourceAggregate is the trigger of an aggregate-only
+// source that has no maintainer attached (a time window, a poisoned
+// maintainer): one scan of the window through ExecuteSource.
+func BenchmarkExecuteSourceAggregate(b *testing.B) {
+	stmt, err := sqlparser.Parse("select count(*) as n, sum(v) as s, avg(f) as a, max(v) as mx from w")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := Compile(stmt, ColumnsOfSchema(planSchema), "w")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{100, 1000} {
+		pt := &planTable{schema: planSchema}
+		for i := 0; i < n; i++ {
+			e, err := stream.NewElement(planSchema, stream.Timestamp(i+1), int64(i%97), float64(i)/3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pt.elems = append(pt.elems, e)
+		}
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.ExecuteSource(pt, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

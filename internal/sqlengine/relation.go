@@ -183,12 +183,7 @@ func (c ChainCatalog) Relation(name string) (*Relation, error) {
 func RelationOfElements(schema *stream.Schema, elems []stream.Element) *Relation {
 	rel := &Relation{Cols: ColumnsOfSchema(schema), Rows: make([][]stream.Value, 0, len(elems))}
 	for _, e := range elems {
-		row := make([]stream.Value, 0, schema.Len()+1)
-		for i := 0; i < e.Len(); i++ {
-			row = append(row, e.Value(i))
-		}
-		row = append(row, int64(e.Timestamp()))
-		rel.Rows = append(rel.Rows, row)
+		rel.Rows = append(rel.Rows, appendRow(make([]stream.Value, 0, schema.Len()+1), e))
 	}
 	return rel
 }
@@ -235,14 +230,19 @@ func RowsOfSource(src ElementSource) [][]stream.Value {
 			arena = make([]stream.Value, 0, hint*ncols)
 		}
 		start := len(arena)
-		for i := 0; i < e.Len(); i++ {
-			arena = append(arena, e.Value(i))
-		}
-		arena = append(arena, int64(e.Timestamp()))
+		arena = appendRow(arena, e)
 		rows = append(rows, arena[start:len(arena):len(arena)])
 		return true
 	})
 	return rows
+}
+
+// appendRow appends e's relation row — its fields, then TIMED — to arena.
+func appendRow(arena []stream.Value, e stream.Element) []stream.Value {
+	for i := 0; i < e.Len(); i++ {
+		arena = append(arena, e.Value(i))
+	}
+	return append(arena, int64(e.Timestamp()))
 }
 
 // RelationOfSource is RowsOfSource with the column header attached.
