@@ -72,11 +72,13 @@ examples-smoke:
 # torn/corrupted responses, peer restarts — exactly-once must hold),
 # and the 4-node federation under the same storms (TestClusterChaos:
 # cross-node composition, partitioned-coordinator query semantics,
-# routed registrations surviving peer restarts). See
-# docs/operations.md for the contract these tests enforce.
+# routed registrations surviving peer restarts), beside the peer long
+# polls' wake-up contract (TestLongPoll*) and the shared routed-results
+# loop (TestRoutedResultsShareOnePoll). See docs/operations.md for the
+# contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
 		./internal/core ./internal/storage ./internal/p2p
 
 # ci is the tier-1 gate: everything a fresh clone must pass.

@@ -46,6 +46,8 @@ type Cluster interface {
 	UnionRows(owner, table string) (*sqlengine.Relation, error)
 	// RegisterRemote registers a continuous query on the owning peer
 	// and streams result revisions back into cb until stop is called.
+	// The callbacks of all routed registrations on one owner run in
+	// turn on one goroutine, so cb must not block.
 	RegisterRemote(owner, sensor, sql string, sampling float64, cb func(*sqlengine.Relation)) (stop func(), err error)
 	// Info reports membership, placements and transport byte counters
 	// for the operational surfaces (/api/cluster, gsnctl cluster).

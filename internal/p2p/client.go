@@ -38,10 +38,6 @@ const (
 // until the cooldown expires.
 var ErrCircuitOpen = errors.New("p2p: circuit open")
 
-// ErrUnknownSession reports a routed-query poll whose session the peer
-// reclaimed (idle sweep, or the peer restarted).
-var ErrUnknownSession = errors.New("p2p: unknown query session")
-
 // Client talks to one peer node's p2p interface.
 type Client struct {
 	// Base is the peer's base URL (e.g. "http://host:22001").
@@ -276,20 +272,22 @@ func (c *Client) RegisterContinuous(vs, sql string, sampling float64) (string, e
 	return out.ID, err
 }
 
-// PollResults long-polls one routed-query result revision (rev >
-// after) under ctx, also reporting the response-body bytes moved.
-func (c *Client) PollResults(ctx context.Context, id string, after uint64, wait time.Duration) (ResultsPage, int, error) {
-	_, body, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/p2p/results?id=%s&after=%d&wait=%d",
-		url.QueryEscape(id), after, wait.Milliseconds()), nil, maxJSONBody)
-	var served *statusError
-	if errors.As(err, &served) && served.code == http.StatusNotFound {
-		err = ErrUnknownSession
+// PollResults long-polls the listed routed sessions under ctx for a
+// result revision newer than each cursor and answers with a page per
+// session that has one or is gone (empty when wait elapsed first). It
+// also reports the response-body bytes moved.
+func (c *Client) PollResults(ctx context.Context, cursors []ResultsCursor, wait time.Duration) ([]ResultsPage, int, error) {
+	q := url.Values{"wait": {strconv.FormatInt(wait.Milliseconds(), 10)}}
+	for _, cur := range cursors {
+		q.Add("id", cur.ID)
+		q.Add("after", strconv.FormatUint(cur.After, 10))
 	}
-	var page ResultsPage
+	_, body, err := c.do(ctx, http.MethodGet, "/p2p/results?"+q.Encode(), nil, maxJSONBody)
+	var pages []ResultsPage
 	if err == nil {
-		err = json.Unmarshal(body, &page)
+		err = json.Unmarshal(body, &pages)
 	}
-	return page, len(body), err
+	return pages, len(body), err
 }
 
 // UnregisterContinuous tears a routed-query session down on the peer.
@@ -299,15 +297,16 @@ func (c *Client) UnregisterContinuous(id string) error {
 }
 
 // Gossip performs one push-pull round: send our snapshot, merge the
-// peer's response into reg. It returns the number of adopted entries.
-func (c *Client) Gossip(reg *directory.Registry) (int, error) {
+// peer's response into reg. It returns the number of adopted entries
+// and the peer's snapshot.
+func (c *Client) Gossip(reg *directory.Registry) (int, []directory.Entry, error) {
 	body, err := c.short(http.MethodPost, "/p2p/directory/merge", reg.Snapshot())
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var theirs []directory.Entry
 	if err := json.Unmarshal(body, &theirs); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return reg.Merge(theirs), nil
+	return reg.Merge(theirs), theirs, nil
 }

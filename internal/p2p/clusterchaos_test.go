@@ -124,7 +124,8 @@ func (p *fedChaosProducer) produce(n int) {
 // TestClusterChaos is the cluster-level mirror of TestNetChaos: a
 // 4-node federation — producer, two consumers whose wrapper="local"
 // edges resolve across the network, and a coordinator running partial
-// queries and a routed continuous registration — under rounds of
+// queries and two routed continuous registrations sharing one results
+// poll — under rounds of
 // partitions, dropped and torn stream responses, and full producer
 // restarts (same datadir, bumped epoch). The contract:
 //
@@ -135,8 +136,9 @@ func (p *fedChaosProducer) produce(n int) {
 //  3. partitioned-coordinator semantics — a query spanning an
 //     unreachable owner fails naming the node, never silently partial,
 //     and agrees with ground truth again after the heal;
-//  4. the routed registration survives producer restarts (its session
-//     is lost; the poll loop transparently re-registers);
+//  4. the routed registrations survive producer restarts (their
+//     sessions are lost; the shared poll loop transparently
+//     re-registers each);
 //  5. placement is not stale after a restart: the directory still maps
 //     the sensor to exactly its (restarted) owner.
 func TestClusterChaos(t *testing.T) {
@@ -183,31 +185,38 @@ func TestClusterChaos(t *testing.T) {
 		}
 	}
 
-	// The routed continuous registration: count over the producer's
-	// window, streamed back to the coordinator. Its peer session dies
-	// with every producer restart; the poll loop must re-register.
+	// Two routed continuous registrations: counts over the producer's
+	// window, streamed back to the coordinator through the one results
+	// poll it runs for the producer. Their peer sessions die with every
+	// producer restart; the shared loop must re-register both.
 	var regMu sync.Mutex
-	var lastCount int64
-	regID, err := coord.c.RegisterQuery("chaossrc", "select count(*) as n from chaossrc", 1.0,
-		func(rel *sqlengine.Relation) {
+	var lastCount [2]int64
+	var regIDs [2]int64
+	for i, sql := range []string{
+		"select count(*) as n from chaossrc",
+		"select count(*) as n from chaossrc where value > 0",
+	} {
+		id, err := coord.c.RegisterQuery("chaossrc", sql, 1.0, func(rel *sqlengine.Relation) {
 			if len(rel.Rows) == 1 {
 				if n, ok := rel.Rows[0][0].(int64); ok {
 					regMu.Lock()
-					lastCount = n
+					lastCount[i] = n
 					regMu.Unlock()
 				}
 			}
 		})
-	if err != nil {
-		t.Fatalf("routed registration: %v", err)
+		if err != nil {
+			t.Fatalf("routed registration: %v", err)
+		}
+		if id >= 0 {
+			t.Fatalf("routed registration id = %d, want negative", id)
+		}
+		regIDs[i] = id
 	}
-	if regID >= 0 {
-		t.Fatalf("routed registration id = %d, want negative", regID)
-	}
-	routedCount := func() int64 {
+	routedCaughtUp := func(want int64) bool {
 		regMu.Lock()
 		defer regMu.Unlock()
-		return lastCount
+		return lastCount[0] == want && lastCount[1] == want
 	}
 
 	windowOf := func(n *fedNode, table string) []int64 {
@@ -323,10 +332,10 @@ func TestClusterChaos(t *testing.T) {
 			t.Fatalf("round %d (%s): count = %v, want %d", round, fc.name, rel.Rows, total)
 		}
 
-		// Invariant 4: the routed registration caught up too — across
-		// restarts that means its session was transparently re-created.
+		// Invariant 4: the routed registrations caught up too — across
+		// restarts that means their sessions were transparently re-created.
 		waitForLong(t, 20*time.Second, func() bool {
-			return routedCount() == int64(total)
+			return routedCaughtUp(int64(total))
 		}, fc.name+": routed registration catch-up")
 	}
 	if !sawDegraded {
@@ -353,10 +362,12 @@ func TestClusterChaos(t *testing.T) {
 	if n := csnap["cluster_partial_queries"].(uint64); n < 6 {
 		t.Errorf("cluster_partial_queries = %d, want >= 6", n)
 	}
-	if n := csnap["cluster_routed_registrations"].(uint64); n != 1 {
-		t.Errorf("cluster_routed_registrations = %d, want 1", n)
+	if n := csnap["cluster_routed_registrations"].(uint64); n != 2 {
+		t.Errorf("cluster_routed_registrations = %d, want 2", n)
 	}
-	if err := coord.c.UnregisterQuery(regID); err != nil {
-		t.Errorf("unregister routed query: %v", err)
+	for _, id := range regIDs {
+		if err := coord.c.UnregisterQuery(id); err != nil {
+			t.Errorf("unregister routed query: %v", err)
+		}
 	}
 }

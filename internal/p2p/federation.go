@@ -1,8 +1,6 @@
 package p2p
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -32,8 +30,9 @@ type Federation struct {
 	httpc *http.Client
 
 	mu         sync.Mutex
-	peers      map[string]*Client // base URL → client
-	gossipStop chan struct{}      // nil while no gossip loop runs
+	peers      map[string]*Client    // base URL → client
+	routed     map[string]*ownerLoop // base URL → its routed results loop
+	gossipStop chan struct{}         // nil while no gossip loop runs
 	gossipDone chan struct{}
 
 	partialBytes atomic.Uint64
@@ -47,10 +46,11 @@ type Federation struct {
 // It starts nothing: periodic gossip is StartGossip's.
 func NewFederation(c *core.Container, httpc *http.Client) *Federation {
 	return &Federation{
-		c:     c,
-		self:  c.NodeAddress(),
-		httpc: httpc,
-		peers: make(map[string]*Client),
+		c:      c,
+		self:   c.NodeAddress(),
+		httpc:  httpc,
+		peers:  make(map[string]*Client),
+		routed: make(map[string]*ownerLoop),
 	}
 }
 
@@ -93,10 +93,15 @@ func (f *Federation) peerClient(base string) *Client {
 }
 
 // GossipWith performs one push-pull directory exchange with a peer and
-// returns the number of adopted entries. The peer joins the peer table,
-// so later rounds include it.
+// returns the number of adopted entries. The peer, and every node its
+// snapshot names, join the peer table, so later rounds include them —
+// a peer of a peer gossips from the round that learned it.
 func (f *Federation) GossipWith(base string) (int, error) {
-	return f.peerClient(base).Gossip(f.c.Directory())
+	n, theirs, err := f.peerClient(base).Gossip(f.c.Directory())
+	for _, e := range theirs {
+		f.AddPeer(e.Node)
+	}
+	return n, err
 }
 
 // GossipRound performs one push-pull directory exchange with every
@@ -239,64 +244,6 @@ func (f *Federation) UnionRows(owner, table string) (*sqlengine.Relation, error)
 		return nil, err
 	}
 	return relationOfTyped(tr), nil
-}
-
-// RegisterRemote implements core.Cluster: register the continuous
-// query on the owning peer and long-poll result revisions back into
-// cb. A reclaimed session (peer restart, idle sweep after a long
-// partition) transparently re-registers, so the subscription survives
-// the same failures the stream protocol does.
-func (f *Federation) RegisterRemote(owner, sensor, sql string, sampling float64, cb func(*sqlengine.Relation)) (func(), error) {
-	cl := f.peerClient(owner)
-	id, err := cl.RegisterContinuous(sensor, sql, sampling)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		after := uint64(0)
-		backoff := 100 * time.Millisecond
-		for ctx.Err() == nil {
-			page, n, err := cl.PollResults(ctx, id, after, 25*time.Second)
-			f.routedBytes.Add(uint64(n))
-			if ctx.Err() != nil {
-				return
-			}
-			if err != nil {
-				if errors.Is(err, ErrUnknownSession) {
-					// The peer forgot us (restart or idle sweep): start a
-					// fresh session and replay from its first revision.
-					if newID, rerr := cl.RegisterContinuous(sensor, sql, sampling); rerr == nil {
-						id, after = newID, 0
-						backoff = 100 * time.Millisecond
-						continue
-					}
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(backoff):
-				}
-				if backoff *= 2; backoff > 5*time.Second {
-					backoff = 5 * time.Second
-				}
-				continue
-			}
-			backoff = 100 * time.Millisecond
-			if page.Rev > after {
-				after = page.Rev
-				cb(relationOfTyped(page.Result))
-			}
-		}
-	}()
-	stop := func() {
-		cancel()
-		<-done
-		_ = cl.UnregisterContinuous(id)
-	}
-	return stop, nil
 }
 
 // Info implements core.Cluster.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -94,6 +96,7 @@ type fedNode struct {
 	t   *testing.T
 	c   *core.Container
 	fed *Federation
+	p2p *Server
 	srv *http.Server
 	url string
 }
@@ -121,12 +124,12 @@ func newFedNode(t *testing.T, name string, clock stream.Clock, reg *wrappers.Reg
 	n := &fedNode{t: t, c: c, url: url}
 	n.fed = NewFederation(c, httpc)
 	c.SetCluster(n.fed)
-	p2pSrv := NewServer(c, "")
-	n.srv = &http.Server{Handler: p2pSrv.Handler()}
+	n.p2p = NewServer(c, "")
+	n.srv = &http.Server{Handler: n.p2p.Handler()}
 	go n.srv.Serve(ln)
 	t.Cleanup(func() {
 		n.srv.Close()
-		p2pSrv.Close()
+		n.p2p.Close()
 		c.Close()
 	})
 	return n
@@ -587,6 +590,261 @@ func TestFederationRoutedRegistration(t *testing.T) {
 	}
 	if n := coord.c.MetricsSnapshot()["cluster_routed_registrations"].(uint64); n != 1 {
 		t.Errorf("cluster_routed_registrations = %d, want 1", n)
+	}
+}
+
+// TestGossipLearnsPeersOfPeers: in a chain A–B–C where C knows only B,
+// one gossip round puts A in C's peer table — a node named by a merged
+// snapshot gossips from the next round on, not once something first
+// queries it.
+func TestGossipLearnsPeersOfPeers(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	a := newFedNode(t, "a", clock, feedRegistry(map[string]*feedWrapper{"src": {clock: clock}}), nil)
+	if err := a.c.DeployXML([]byte(feedDescriptor("src", "src"))); err != nil {
+		t.Fatal(err)
+	}
+	b := newFedNode(t, "b", clock, wrappers.NewRegistry(), nil)
+	c := newFedNode(t, "c", clock, wrappers.NewRegistry(), nil)
+	b.fed.AddPeer(a.url)
+	b.fed.GossipRound()
+	c.fed.AddPeer(b.url)
+	c.fed.GossipRound()
+	if got := c.fed.Peers(); !slices.Contains(got, a.url) || slices.Contains(got, c.url) {
+		t.Fatalf("C's peers after one round = %v, want A (%s) and not C itself", got, a.url)
+	}
+}
+
+// routedTransport counts what a coordinator's routed path puts on the
+// wire: results polls in flight (and the most ever at once) and session
+// registrations.
+type routedTransport struct {
+	base *http.Transport
+
+	mu                    sync.Mutex
+	inFlight, maxInFlight int
+	registers             int
+}
+
+func (rt *routedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rt.mu.Lock()
+	results := req.URL.Path == "/p2p/results"
+	if results {
+		rt.inFlight++
+		rt.maxInFlight = max(rt.maxInFlight, rt.inFlight)
+	}
+	if req.Method == http.MethodPost && req.URL.Path == "/p2p/register" {
+		rt.registers++
+	}
+	rt.mu.Unlock()
+	if results {
+		defer func() {
+			rt.mu.Lock()
+			rt.inFlight--
+			rt.mu.Unlock()
+		}()
+	}
+	return rt.base.RoundTrip(req)
+}
+
+func (rt *routedTransport) counts() (inFlight, maxInFlight, registers int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.inFlight, rt.maxInFlight, rt.registers
+}
+
+// ownerLoops counts the goroutines running a routed results loop.
+func ownerLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "p2p.(*ownerLoop).run(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestRoutedResultsShareOnePoll: five routed registrations on one owner
+// (and a sixth, on a second sensor, listed first) ride one delivery loop
+// and one results poll at a time. Each sees its revisions in order; an
+// owner reaping one session makes that one register again and no other;
+// a reaped session that cannot register again (its sensor undeployed)
+// backs off alone while the others keep receiving; stop during an idle
+// 25 s poll returns at once and no callback follows it; the last stop
+// ends the loop.
+func TestRoutedResultsShareOnePoll(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	rows := make([][]stream.Value, 64)
+	for i := range rows {
+		rows[i] = []stream.Value{"a", int64(i + 1), 0.5}
+	}
+	worker := newFedNode(t, "worker", clock, feedRegistry(map[string]*feedWrapper{
+		"src": {clock: clock, rows: rows}, "src2": {clock: clock},
+	}), nil)
+	for _, name := range []string{"src", "src2"} {
+		if err := worker.c.DeployXML([]byte(feedDescriptor(name, name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := &routedTransport{base: http.DefaultTransport.(*http.Transport).Clone()}
+	t.Cleanup(rt.base.CloseIdleConnections)
+	coord := newFedNode(t, "coord", clock, wrappers.NewRegistry(), &http.Client{Transport: rt, Timeout: 35 * time.Second})
+	coord.fed.AddPeer(worker.url)
+	coord.fed.GossipRound()
+	worker.produce(clock, "src", 1)
+	produced := int64(1)
+	if n := ownerLoops(); n != 0 {
+		t.Fatalf("%d results loops before any registration", n)
+	}
+
+	// The spare registration, on src2, comes first in every poll.
+	spareSeeded := make(chan struct{})
+	var seedOnce sync.Once
+	stopSpare, err := coord.fed.RegisterRemote(worker.url, "src2", "select count(*) as n from src2", 1.0,
+		func(*sqlengine.Relation) { seedOnce.Do(func() { close(spareSeeded) }) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-spareSeeded:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the spare registration got no seeded result")
+	}
+
+	const regs = 5
+	var mu sync.Mutex
+	got := make([][]int64, regs)
+	delivered := func(i int) []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(got[i])
+	}
+	stops := make([]func(), regs)
+	for i := range stops {
+		sql := fmt.Sprintf("select count(*) as n from src where v > %d", -i)
+		stop, err := coord.fed.RegisterRemote(worker.url, "src", sql, 1.0, func(rel *sqlengine.Relation) {
+			mu.Lock()
+			got[i] = append(got[i], rel.Rows[0][0].(int64))
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stops[i] = stop
+	}
+	caughtUp := func(what string, within time.Duration, regs ...int) {
+		t.Helper()
+		waitForLong(t, within, func() bool {
+			for _, i := range regs {
+				if d := delivered(i); len(d) == 0 || d[len(d)-1] != produced {
+					return false
+				}
+			}
+			return true
+		}, what)
+	}
+	increasing := func(i int, strictly bool) {
+		t.Helper()
+		d := delivered(i)
+		for j := 1; j < len(d); j++ {
+			if d[j] < d[j-1] || (strictly && d[j] == d[j-1]) {
+				t.Fatalf("registration %d delivered %v out of order", i, d)
+			}
+		}
+	}
+	produce := func(n int) {
+		worker.produce(clock, "src", n)
+		produced += int64(n)
+	}
+
+	produce(10)
+	caughtUp("five registrations catch up", 15*time.Second, 0, 1, 2, 3, 4)
+	for i := range regs {
+		increasing(i, true)
+	}
+	if n := ownerLoops(); n != 1 {
+		t.Fatalf("%d results loops for one owner, want 1", n)
+	}
+
+	// reap makes the owner's reaper drop the session of the i-th
+	// registration in the loop's list (0 is the spare).
+	coord.fed.mu.Lock()
+	loop := coord.fed.routed[worker.url]
+	coord.fed.mu.Unlock()
+	reap := func(i int) {
+		t.Helper()
+		loop.mu.Lock()
+		id := loop.regs[i].id
+		loop.mu.Unlock()
+		worker.p2p.sessions.mu.Lock()
+		sess := worker.p2p.sessions.byID[id]
+		worker.p2p.sessions.mu.Unlock()
+		sess.mu.Lock()
+		sess.lastPoll = time.Now().Add(-time.Hour)
+		sess.mu.Unlock()
+		worker.p2p.sweepSessions(time.Minute)
+	}
+
+	// The owner's reaper drops registration 0's session: only it
+	// registers again, and all five keep receiving.
+	_, _, before := rt.counts()
+	reap(1)
+	produce(5)
+	caughtUp("catch-up after a reaped session", 15*time.Second, 0, 1, 2, 3, 4)
+	if _, _, after := rt.counts(); after != before+1 {
+		t.Fatalf("%d registrations after one session was reaped, want 1", after-before)
+	}
+	increasing(0, false) // the new session replays the current result once
+	for i := 1; i < regs; i++ {
+		increasing(i, true)
+	}
+
+	// The spare's sensor leaves the owner and its session is reaped: it
+	// cannot register again, and backs off alone. The five, listed
+	// after it, keep catching up within seconds.
+	if err := worker.c.Undeploy("src2"); err != nil {
+		t.Fatal(err)
+	}
+	_, _, before = rt.counts()
+	reap(0)
+	for range 3 {
+		produce(5)
+		caughtUp("catch-up beside a registration that cannot register again", 3*time.Second, 0, 1, 2, 3, 4)
+	}
+	if _, _, after := rt.counts(); after == before || after > before+12 {
+		t.Fatalf("%d re-registration attempts for the spare, want a backed-off few", after-before)
+	}
+	increasing(0, false)
+	for i := 1; i < regs; i++ {
+		increasing(i, true)
+	}
+
+	// Stop registration 4 while the shared poll idles on the owner.
+	waitForLong(t, 5*time.Second, func() bool { in, _, _ := rt.counts(); return in == 1 }, "an idle results poll")
+	t0 := time.Now()
+	stops[4]()
+	if took := time.Since(t0); took > time.Second {
+		t.Fatalf("stop during an idle poll took %v", took)
+	}
+	frozen := len(delivered(4))
+	produce(5)
+	caughtUp("catch-up after a stop", 15*time.Second, 0, 1, 2, 3)
+	if n := len(delivered(4)); n != frozen {
+		t.Fatalf("registration 4 got %d callbacks after its stop returned", n-frozen)
+	}
+	if _, maxIn, _ := rt.counts(); maxIn != 1 {
+		t.Fatalf("%d results polls in flight at once, want 1", maxIn)
+	}
+
+	stopSpare()
+	for _, stop := range stops[:4] {
+		stop()
+	}
+	if n := ownerLoops(); n != 0 {
+		t.Fatalf("%d results loops after the last stop", n)
+	}
+	if n := worker.c.QueryRepositoryRef().Count(); n != 0 {
+		t.Fatalf("owner still holds %d registered queries", n)
 	}
 }
 

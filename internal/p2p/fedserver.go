@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gsn/internal/sqlengine"
+	"gsn/internal/storage"
 	"gsn/internal/stream"
 )
 
@@ -72,13 +73,32 @@ const (
 	sessionReapInterval = 30 * time.Second
 )
 
+// sessionTable holds a server's routed sessions. Its signal, guarded by
+// mu like byID, fires on every session revision or removal, so results
+// polls wake on the event.
 type sessionTable struct {
-	mu   sync.Mutex
-	byID map[string]*querySession
+	mu     sync.Mutex
+	byID   map[string]*querySession
+	signal storage.Signal
 }
 
 func newSessionTable() *sessionTable {
 	return &sessionTable{byID: make(map[string]*querySession)}
+}
+
+// Changed returns a channel closed by the next revision or removal of
+// any session.
+func (st *sessionTable) Changed() <-chan struct{} {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.signal.Changed()
+}
+
+// fire wakes every waiter on Changed.
+func (st *sessionTable) fire() {
+	st.mu.Lock()
+	st.signal.Fire()
+	st.mu.Unlock()
 }
 
 // newSessionID returns a 128-bit random identifier. Randomness (not a
@@ -106,11 +126,22 @@ type RegisterResponse struct {
 	ID string `json:"id"`
 }
 
-// ResultsPage is one long-poll response of a routed continuous query:
-// the latest result revision newer than the poll's after= cursor.
+// ResultsCursor names one routed session of a results poll and the
+// last result revision the caller holds.
+type ResultsCursor struct {
+	ID    string
+	After uint64
+}
+
+// ResultsPage is one session's entry in a results poll answer: its
+// latest result revision newer than the poll's cursor, or Gone when
+// the owner no longer holds the session (idle sweep, restart) and the
+// caller must register again.
 type ResultsPage struct {
-	Rev    uint64      `json:"rev"`
-	Result TypedResult `json:"result"`
+	ID     string       `json:"id"`
+	Rev    uint64       `json:"rev,omitempty"`
+	Result *TypedResult `json:"result,omitempty"`
+	Gone   bool         `json:"gone,omitempty"`
 }
 
 // handleRegister registers a continuous query on behalf of a peer
@@ -137,6 +168,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		sess.rev++
 		sess.latest = rel
 		sess.mu.Unlock()
+		s.sessions.fire()
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -179,47 +211,82 @@ func (s *Server) sweepSessions(idleLimit time.Duration) {
 			stale = append(stale, sess)
 		}
 	}
+	if len(stale) > 0 {
+		s.sessions.signal.Fire()
+	}
 	s.sessions.mu.Unlock()
 	for _, sess := range stale {
 		_ = s.container.UnregisterQuery(sess.queryID)
 	}
 }
 
-// handleResults long-polls (see pollParams) for a routed query's next
-// result revision (rev > after). An unknown id is 404 — the poller
-// treats that as "session reclaimed, re-register".
+// handleResults long-polls (see pollWait) for the next result revision
+// of any of the listed sessions, given as repeated id=&after= pairs,
+// and answers with one page per session that has a revision newer than
+// its cursor or is gone — so a coordinator polls all its sessions on
+// this node at once. It wakes on the session table's change signal.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	s.sessions.mu.Lock()
-	sess := s.sessions.byID[q.Get("id")]
-	s.sessions.mu.Unlock()
-	if sess == nil {
-		http.Error(w, "unknown query session", http.StatusNotFound)
+	ids, afters := q["id"], q["after"]
+	if len(ids) == 0 || len(afters) != len(ids) {
+		http.Error(w, "want one or more id=&after= pairs", http.StatusBadRequest)
 		return
 	}
-	after, wait, err := pollParams(q)
+	cursors := make([]ResultsCursor, len(ids))
+	for i, id := range ids {
+		after, err := parseAfter(afters[i])
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		cursors[i] = ResultsCursor{ID: id, After: after}
+	}
+	wait, err := pollWait(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var (
+	type fresh struct {
 		rev    uint64
 		latest *sqlengine.Relation
-	)
-	if !longPoll(r.Context(), wait, func() bool {
-		sess.mu.Lock()
-		sess.lastPoll = time.Now()
-		rev, latest = sess.rev, sess.latest
-		sess.mu.Unlock()
-		return rev > after
+		gone   bool
+	}
+	found := make([]fresh, len(cursors))
+	if !longPoll(r.Context(), wait, s.sessions.Changed, func() bool {
+		ready := false
+		now := time.Now()
+		s.sessions.mu.Lock()
+		defer s.sessions.mu.Unlock()
+		for i, c := range cursors {
+			sess := s.sessions.byID[c.ID]
+			if sess == nil {
+				found[i], ready = fresh{gone: true}, true
+				continue
+			}
+			sess.mu.Lock()
+			sess.lastPoll = now
+			found[i] = fresh{rev: sess.rev, latest: sess.latest}
+			sess.mu.Unlock()
+			ready = ready || found[i].rev > c.After
+		}
+		return ready
 	}) {
 		return
 	}
-	page := ResultsPage{Rev: rev, Result: TypedResult{Rows: [][]stream.WireValue{}}}
-	if rev > after && latest != nil {
-		page.Result = typedOfRelation(latest)
+	pages := []ResultsPage{}
+	for i, c := range cursors {
+		switch f := found[i]; {
+		case f.gone:
+			pages = append(pages, ResultsPage{ID: c.ID, Gone: true})
+		case f.rev > c.After:
+			result := TypedResult{Rows: [][]stream.WireValue{}}
+			if f.latest != nil {
+				result = typedOfRelation(f.latest)
+			}
+			pages = append(pages, ResultsPage{ID: c.ID, Rev: f.rev, Result: &result})
+		}
 	}
-	writeJSON(w, page)
+	writeJSON(w, pages)
 }
 
 // handleUnregister tears a routed-query session down.
@@ -228,6 +295,7 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 	s.sessions.mu.Lock()
 	sess := s.sessions.byID[id]
 	delete(s.sessions.byID, id)
+	s.sessions.signal.Fire()
 	s.sessions.mu.Unlock()
 	if sess == nil {
 		http.Error(w, "unknown query session", http.StatusNotFound)

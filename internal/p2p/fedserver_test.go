@@ -3,7 +3,6 @@ package p2p
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -71,7 +70,8 @@ func TestRoutedSessionReaper(t *testing.T) {
 		return c.QueryRepositoryRef().Count() == 0
 	}, "timer sweep reclaiming orphaned sessions")
 
-	if _, _, err := cl.PollResults(context.Background(), id1, 0, 0); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("poll after reap returned %v, want ErrUnknownSession", err)
+	pages, _, err := cl.PollResults(context.Background(), []ResultsCursor{{ID: id1}}, 0)
+	if err != nil || len(pages) != 1 || pages[0].ID != id1 || !pages[0].Gone {
+		t.Errorf("poll after reap returned %+v, %v; want one gone page for %s", pages, err, id1)
 	}
 }

@@ -431,7 +431,7 @@ func TestRemoteWrapperStopPrompt(t *testing.T) {
 	defer srv.Close()
 
 	reg := wrappers.NewRegistry()
-	if err := RegisterRemote(reg, nil, nil); err != nil {
+	if err := RegisterRemoteHTTP(reg, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	w, err := reg.New("remote", wrappers.Config{

@@ -214,7 +214,7 @@ func TestDirectoryGossipOverHTTP(t *testing.T) {
 	local.Publish("my-own", "http://me", map[string]string{"type": "camera"}, 0)
 
 	client := &Client{Base: srv.URL}
-	adopted, err := client.Gossip(local)
+	adopted, _, err := client.Gossip(local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDirectoryGossipOverHTTP(t *testing.T) {
 func TestRemoteWrapperDirectURL(t *testing.T) {
 	producer, srv := producerNode(t, "")
 	reg := wrappers.NewRegistry()
-	if err := RegisterRemote(reg, nil, nil); err != nil {
+	if err := RegisterRemoteHTTP(reg, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	w, err := reg.New("remote", wrappers.Config{
@@ -286,7 +286,7 @@ func TestRemoteWrapperLogicalAddressing(t *testing.T) {
 		map[string]string{"type": "temperature", "location": "bc143"}, 0)
 
 	reg := wrappers.NewRegistry()
-	if err := RegisterRemote(reg, dir, nil); err != nil {
+	if err := RegisterRemoteHTTP(reg, dir, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The paper's Figure 1 address: wrapper="remote" with predicates.
@@ -315,7 +315,7 @@ func TestRemoteWrapperLogicalAddressing(t *testing.T) {
 
 func TestRemoteWrapperResolutionErrors(t *testing.T) {
 	reg := wrappers.NewRegistry()
-	RegisterRemote(reg, directory.NewRegistry(stream.SystemClock(), time.Hour), nil)
+	RegisterRemoteHTTP(reg, directory.NewRegistry(stream.SystemClock(), time.Hour), nil, nil)
 	if _, err := reg.New("remote", wrappers.Config{
 		Params: wrappers.Params{"type": "nothing-matches"}}); err == nil {
 		t.Error("unresolvable predicates accepted")
@@ -325,7 +325,7 @@ func TestRemoteWrapperResolutionErrors(t *testing.T) {
 		t.Error("unreachable peer accepted at deploy time")
 	}
 	regNoDir := wrappers.NewRegistry()
-	RegisterRemote(regNoDir, nil, nil)
+	RegisterRemoteHTTP(regNoDir, nil, nil, nil)
 	if _, err := regNoDir.New("remote", wrappers.Config{
 		Params: wrappers.Params{"type": "temperature"}}); err == nil {
 		t.Error("logical addressing without directory accepted")
@@ -351,7 +351,7 @@ func TestEndToEndFederation(t *testing.T) {
 
 	consumerDir := directory.NewRegistry(stream.SystemClock(), time.Hour)
 	consumerReg := wrappers.Default().Clone()
-	if err := RegisterRemote(consumerReg, consumerDir, nil); err != nil {
+	if err := RegisterRemoteHTTP(consumerReg, consumerDir, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	consumer, err2 := core.New(core.Options{
@@ -367,7 +367,7 @@ func TestEndToEndFederation(t *testing.T) {
 	// Learn the producer's sensors via gossip.
 	producer.Directory().Publish("REMOTE-TEMP", srv.URL,
 		map[string]string{"type": "temperature", "location": "bc143"}, time.Hour)
-	if _, err := (&Client{Base: srv.URL}).Gossip(consumerDir); err != nil {
+	if _, _, err := (&Client{Base: srv.URL}).Gossip(consumerDir); err != nil {
 		t.Fatal(err)
 	}
 

@@ -40,7 +40,7 @@ func TestRemoteWrapperReconnects(t *testing.T) {
 	go srv.Serve(ln)
 
 	reg := wrappers.NewRegistry()
-	if err := RegisterRemote(reg, nil, nil); err != nil {
+	if err := RegisterRemoteHTTP(reg, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	w, err := reg.New("remote", wrappers.Config{
@@ -131,7 +131,10 @@ func TestPeerEndpointValidation(t *testing.T) {
 		"/p2p/stream?vs=remote-temp&after=-1",
 		"/p2p/stream?vs=remote-temp&wait=-5",
 		"/p2p/stream?vs=remote-temp&limit=0",
+		"/p2p/results",
 		"/p2p/results?id=ghost",
+		"/p2p/results?id=a&after=1&id=b",
+		"/p2p/results?id=a&after=x",
 		"/p2p/query",
 		"/p2p/query?sql=select+1&partial=maybe",
 	}

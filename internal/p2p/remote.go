@@ -78,17 +78,12 @@ var reservedParams = map[string]bool{
 	"degrade-after": true, "dedup-window": true,
 }
 
-// RegisterRemote registers the "remote" wrapper kind into reg, bound to
-// the given directory (for logical addressing) and keyring (for
-// signature verification). Each container registers its own binding.
-func RegisterRemote(reg *wrappers.Registry, dir *directory.Registry, keys *integrity.KeyRing) error {
-	return RegisterRemoteHTTP(reg, dir, keys, nil)
-}
-
-// RegisterRemoteHTTP is RegisterRemote with an explicit HTTP client for
-// every peer connection the wrapper kind opens — the seam the network
-// fault-injection harness threads a FaultTransport through. nil uses
-// the default transport.
+// RegisterRemoteHTTP registers the "remote" wrapper kind into reg,
+// bound to the given directory (for logical addressing), keyring (for
+// signature verification) and HTTP client for every peer connection the
+// wrapper kind opens — the seam the network fault-injection harness
+// threads a FaultTransport through; nil uses the default transport.
+// Each container registers its own binding.
 func RegisterRemoteHTTP(reg *wrappers.Registry, dir *directory.Registry, keys *integrity.KeyRing, httpc *http.Client) error {
 	return reg.Register("remote", func(cfg wrappers.Config) (wrappers.Wrapper, error) {
 		return newRemote(cfg, dir, keys, httpc)

@@ -149,47 +149,75 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	w.Write(stream.EncodeSchema(nil, vs.OutputSchema()))
 }
 
-// pollParams parses the cursor and budget the two long-poll routes
-// (stream, results) share: after= names the last sequence number or
-// revision the caller holds (default 0), wait= is how long to hold the
-// request open for something newer, in milliseconds, capped at 30s
-// (default 0: answer at once).
-func pollParams(q url.Values) (after uint64, wait time.Duration, err error) {
-	if v := q.Get("after"); v != "" {
-		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return 0, 0, errors.New("bad after parameter")
-		}
+// parseAfter parses one after= cursor: the last sequence number or
+// revision the caller holds (empty means 0).
+func parseAfter(v string) (uint64, error) {
+	if v == "" {
+		return 0, nil
 	}
-	if v := q.Get("wait"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			return 0, 0, errors.New("bad wait parameter")
-		}
-		wait = time.Duration(min(ms, 30_000)) * time.Millisecond
+	after, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, errors.New("bad after parameter")
 	}
-	return after, wait, nil
+	return after, nil
 }
 
-// longPoll calls ready every 20ms until it reports true or wait has
-// elapsed; ready runs at least once. It returns false when the caller
-// went away meanwhile and there is nobody left to answer.
-func longPoll(ctx context.Context, wait time.Duration, ready func() bool) bool {
-	deadline := time.Now().Add(wait)
-	for !ready() && wait > 0 && time.Now().Before(deadline) {
+// pollWait parses the budget the two long-poll routes (stream, results)
+// share: wait= is how long to hold the request open for something
+// newer, in milliseconds, capped at 30s (default 0: answer at once).
+func pollWait(q url.Values) (time.Duration, error) {
+	v := q.Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.Atoi(v)
+	if err != nil || ms < 0 {
+		return 0, errors.New("bad wait parameter")
+	}
+	return time.Duration(min(ms, 30_000)) * time.Millisecond, nil
+}
+
+// longPoll answers once ready reports true or wait has elapsed. ready
+// runs once up front, once per wake-up and once at the deadline; with
+// wait = 0 it runs once and nothing is armed. changed returns the
+// signal of the state ready reads and is taken before each check, so a
+// change landing between the check and the wait still wakes it. It
+// returns false when the caller went away meanwhile and there is nobody
+// left to answer.
+func longPoll(ctx context.Context, wait time.Duration, changed func() <-chan struct{}, ready func() bool) bool {
+	if wait <= 0 {
+		ready()
+		return true
+	}
+	ch := changed()
+	if ready() {
+		return true
+	}
+	deadline := time.NewTimer(wait)
+	defer deadline.Stop()
+	for {
 		select {
 		case <-ctx.Done():
 			return false
-		case <-time.After(20 * time.Millisecond):
+		case <-deadline.C:
+			ready()
+			return true
+		case <-ch:
+			if ch = changed(); ready() {
+				return true
+			}
 		}
 	}
-	return true
 }
 
 // handleStream serves the elements with sequence number > after, the
 // response annotated with the table's epoch and window bounds so a
 // consumer can distinguish a resumable cursor from one that must
-// re-sync. With nothing newer it long-polls (see pollParams) before
-// returning an empty body.
+// re-sync. With nothing newer it long-polls (see pollWait) on the
+// table's change signal; a new epoch (truncate), a cursor past the
+// window's end (the sequence space restarted before this request) or a
+// closed table (undeploy) answer at once, so the consumer re-syncs or
+// meets the 404 on its next poll without waiting out the budget.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	vs, ok := s.container.Sensor(q.Get("vs"))
@@ -197,7 +225,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown virtual sensor", http.StatusNotFound)
 		return
 	}
-	after, wait, err := pollParams(q)
+	after, err := parseAfter(q.Get("after"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	wait, err := pollWait(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -215,12 +248,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
+		out                             = vs.Output()
+		epoch0                          = out.Epoch()
 		elems                           []stream.Element
 		first, winFirst, winLast, epoch uint64
 	)
-	if !longPoll(r.Context(), wait, func() bool {
-		elems, first, winFirst, winLast, epoch = vs.Output().SinceSeq(after)
-		return len(elems) > 0
+	if !longPoll(r.Context(), wait, out.Changed, func() bool {
+		elems, first, winFirst, winLast, epoch = out.SinceSeq(after)
+		return len(elems) > 0 || epoch != epoch0 || after > winLast || out.Closed()
 	}) {
 		return
 	}

@@ -191,6 +191,9 @@ type Table struct {
 	// query-result caches can validate entries without rescanning.
 	// Written under mu, read under at least the shared lock.
 	version uint64
+	// signal fires on every insert and Truncate and is closed by Close;
+	// guarded by mu.
+	signal Signal
 
 	// logErrors is atomic: background WAL flush failures are counted
 	// from the flusher goroutine without the table lock.
@@ -341,8 +344,24 @@ func (t *Table) stageAndPublish(elems []stream.Element) (log *Log, seq uint64, e
 	for _, e := range elems {
 		t.publishLocked(e)
 	}
+	t.signal.Fire()
 	t.maybeCheckpointLocked()
 	return log, seq, nil
+}
+
+// Changed returns a channel closed by the table's next insert, Truncate
+// or Close, whichever comes first (see Signal.Changed).
+func (t *Table) Changed() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.signal.Changed()
+}
+
+// Closed reports whether Close has released the table.
+func (t *Table) Closed() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.signal.Closed()
 }
 
 // commitFailed accounts for a group commit that failed after its rows
@@ -609,6 +628,7 @@ func (t *Table) Truncate() error {
 	t.seq = 0
 	t.bumpEpochLocked()
 	t.ckptLowWater = 0
+	t.signal.Fire()
 	if t.observer != nil {
 		t.observer.OnTruncate()
 	}
@@ -1036,6 +1056,7 @@ func (t *Table) Stats() TableStats {
 // WAL tail — the next open replays nothing.
 func (t *Table) Close() error {
 	t.mu.Lock()
+	t.signal.Close()
 	if t.recoverStop != nil {
 		close(t.recoverStop)
 		t.recoverStop = nil

@@ -121,6 +121,47 @@ func TestLastAndSinceAndLatest(t *testing.T) {
 	}
 }
 
+// TestChangedSignal pins the change signal long polls wait on: one
+// channel per generation, closed by the next insert, Truncate or Close
+// (never by a read), and already closed once the table is.
+func TestChangedSignal(t *testing.T) {
+	tab, _ := NewTable("t", tempSchema, stream.MustWindow("2"), stream.NewManualClock(0))
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	ch := tab.Changed()
+	if tab.Changed() != ch {
+		t.Fatal("two waits in one generation got different channels")
+	}
+	tab.Snapshot()
+	tab.Version()
+	if closed(ch) {
+		t.Fatal("a read closed the change signal")
+	}
+	tab.Insert(intElem(t, 1, 1))
+	if !closed(ch) {
+		t.Fatal("an insert left the change signal open")
+	}
+	ch = tab.Changed()
+	if closed(ch) {
+		t.Fatal("the next generation started closed")
+	}
+	tab.Truncate()
+	if !closed(ch) {
+		t.Fatal("Truncate left the change signal open")
+	}
+	ch = tab.Changed()
+	tab.Close()
+	if !closed(ch) || !closed(tab.Changed()) || !tab.Closed() {
+		t.Fatal("Close left a change signal open")
+	}
+}
+
 func TestForEachEarlyStop(t *testing.T) {
 	tab, _ := NewTable("t", tempSchema, stream.MustWindow("100"), stream.NewManualClock(0))
 	for i := int64(0); i < 10; i++ {
