@@ -73,12 +73,13 @@ examples-smoke:
 # and the 4-node federation under the same storms (TestClusterChaos:
 # cross-node composition, partitioned-coordinator query semantics,
 # routed registrations surviving peer restarts), beside the peer long
-# polls' wake-up contract (TestLongPoll*) and the shared routed-results
-# loop (TestRoutedResultsShareOnePoll). See docs/operations.md for the
-# contract these tests enforce.
+# polls' wake-up contract (TestLongPoll*), the shared routed-results
+# loop (TestRoutedResultsShareOnePoll) and a maintained time-window
+# source read by triggers while it is written (TestTimeWindowMaintainer*).
+# See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
 		./internal/core ./internal/storage ./internal/p2p
 
 # ci is the tier-1 gate: everything a fresh clone must pass.

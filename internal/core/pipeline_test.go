@@ -45,7 +45,7 @@ func pipelineDescriptor(name, sourceQuery string) string {
 }
 
 // TestIncrementalPipelineMatchesGeneral deploys the same workload
-// three ways — incremental aggregates (count window + agg-only query),
+// three ways — incremental aggregates (agg-only query),
 // compiled plan (same query with a WHERE so incremental is off), and
 // the general engine (derived-table FROM the compiler rejects) — and
 // checks the incremental and general tiers produce identical outputs
@@ -60,7 +60,7 @@ func TestIncrementalPipelineMatchesGeneral(t *testing.T) {
 	fast, _ := c.Sensor("fast")
 	slow, _ := c.Sensor("slow")
 	if fast.streams[0].sources[0].agg == nil {
-		t.Fatal("agg-only source query over a count window should run incrementally")
+		t.Fatal("agg-only source query should run incrementally")
 	}
 	if slow.streams[0].sources[0].plan != nil {
 		t.Fatal("derived-table source query should NOT compile (it is the fallback control)")

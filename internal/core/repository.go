@@ -91,39 +91,19 @@ type queryGroup struct {
 	// schema at Register time; nil when the shape needs the full
 	// engine (joins, subqueries, other tables).
 	plan *sqlengine.Plan
-	// agg incrementally maintains an aggregate-only plan — ungrouped
-	// (AggMaintainer) or grouped (GroupedAggMaintainer) — via the
-	// output table's observer hook; nil unless the shape and the
-	// window qualify.
-	agg incMaintainer
+	// agg maintains the plan's groups via the output table's observer
+	// hook; nil unless the shape qualifies (newIncMaintainer).
+	agg *sqlengine.AggMaintainer
 
 	subs map[int64]*ClientQuery
 }
 
-// incMaintainer is the common surface of the incremental serving tier:
-// a table observer whose Result materialises the maintained relation
-// in O(output), or nil when poisoned. *sqlengine.AggMaintainer and
-// *sqlengine.GroupedAggMaintainer implement it.
-type incMaintainer interface {
-	storage.Observer
-	Result() *sqlengine.Relation
-	NeedsResync() bool
-}
-
-// newIncMaintainer builds the incremental maintainer matching the
-// plan's shape — ungrouped or grouped aggregate-only — or nil. Only
-// count windows qualify: time-window eviction is clock-driven and the
-// observer hooks fire on access, so the maintained state could lag the
-// queried instant. schema is the window table's element schema.
-func newIncMaintainer(plan *sqlengine.Plan, window stream.Window, schema *stream.Schema) incMaintainer {
-	if window.Kind != stream.CountWindow {
-		return nil
-	}
-	if inc := plan.Incremental(); inc != nil {
+// newIncMaintainer builds the maintainer of the plan's groups, or nil
+// when the plan does not qualify. schema is the window table's element
+// schema.
+func newIncMaintainer(plan *sqlengine.Plan, schema *stream.Schema) *sqlengine.AggMaintainer {
+	if inc := plan.Incremental(); inc != nil && !groupedKeysApproximate(inc, schema) {
 		return sqlengine.NewAggMaintainer(inc)
-	}
-	if ginc := plan.IncrementalGrouped(); ginc != nil && !groupedKeysApproximate(ginc, schema) {
-		return sqlengine.NewGroupedAggMaintainer(ginc)
 	}
 	return nil
 }
@@ -135,7 +115,7 @@ func newIncMaintainer(plan *sqlengine.Plan, window stream.Window, schema *stream
 // float-keyed rollup could diverge byte-wise after eviction. Such
 // shapes stay on the compiled tier, which rescans. (The implicit TIMED
 // key, index == schema length, is an int.)
-func groupedKeysApproximate(prog *sqlengine.GroupedIncProgram, schema *stream.Schema) bool {
+func groupedKeysApproximate(prog *sqlengine.IncProgram, schema *stream.Schema) bool {
 	fields := schema.Fields()
 	for _, col := range prog.Keys {
 		if col < len(fields) && fields[col].Type == stream.TypeFloat {
@@ -297,10 +277,11 @@ func (r *QueryRepository) Close() {
 // sampling of 0 means 1 (always). The callback may be nil (evaluate and
 // discard — the Figure 4 load shape). out is the sensor's output table;
 // when non-nil the statement is compiled against its schema so the
-// per-trigger path pays no planning, and aggregate-only shapes over a
-// count window are maintained incrementally. Callbacks of different
-// groups may run concurrently; a group's subscribers are invoked
-// sequentially and share the result relation read-only.
+// per-trigger path pays no planning, and aggregate shapes the maintainer
+// covers (sqlengine.Plan.Incremental) are maintained incrementally.
+// Callbacks of different groups may run concurrently; a group's
+// subscribers are invoked sequentially and share the result relation
+// read-only.
 func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	cb func(*sqlengine.Relation), out *storage.Table) (int64, error) {
 	if sampling < 0 || sampling > 1 {
@@ -342,7 +323,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			if plan, err := sqlengine.Compile(stmt,
 				sqlengine.ColumnsOfSchema(sq.out.Schema()), canonical); err == nil {
 				g.plan = plan
-				g.agg = newIncMaintainer(plan, sq.out.Window(), sq.out.Schema())
+				g.agg = newIncMaintainer(plan, sq.out.Schema())
 			}
 		}
 		sq.groups[sql] = g
@@ -721,7 +702,7 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 		// Read under the table lock so the aggregates reflect exactly
 		// the live window. A poisoned maintainer (nil result) falls
 		// through to the compiled plan, which surfaces the type error.
-		shared.table.WithLock(func() { rel = g.agg.Result() })
+		shared.table.WithLock(func() { rel = g.agg.Result(opts) })
 		if rel != nil {
 			r.tierIncrement.Inc()
 			break

@@ -21,8 +21,7 @@ import (
 // values verbatim — the substrate for the client-query tests. Integer
 // inputs keep float aggregation exact, so the grouped/incremental and
 // serial interpreted paths must agree to the last byte even across
-// window eviction; the output is a count window so aggregate-only
-// client queries qualify for incremental maintenance.
+// window eviction.
 func deployVals(t testing.TB, c *Container, rows int) {
 	t.Helper()
 	deployValsAs(t, c, "vals", rows, 37)
@@ -696,7 +695,6 @@ func TestFloatGroupKeysStayCompiled(t *testing.T) {
 		stream.Field{Name: "fk", Type: stream.TypeFloat},
 		stream.Field{Name: "ik", Type: stream.TypeInt},
 	)
-	window := stream.Window{Kind: stream.CountWindow, Count: 10}
 	compile := func(sql string) *sqlengine.Plan {
 		t.Helper()
 		stmt, err := sqlengine.ParseCached(sql)
@@ -709,16 +707,16 @@ func TestFloatGroupKeysStayCompiled(t *testing.T) {
 		}
 		return plan
 	}
-	if m := newIncMaintainer(compile("select fk, count(*) as n from t group by fk"), window, schema); m != nil {
+	if m := newIncMaintainer(compile("select fk, count(*) as n from t group by fk"), schema); m != nil {
 		t.Error("float group key must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, fk, count(*) as n from t group by ik, fk"), window, schema); m != nil {
+	if m := newIncMaintainer(compile("select ik, fk, count(*) as n from t group by ik, fk"), schema); m != nil {
 		t.Error("mixed keys with a float column must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, avg(fk) as a from t group by ik"), window, schema); m == nil {
+	if m := newIncMaintainer(compile("select ik, avg(fk) as a from t group by ik"), schema); m == nil {
 		t.Error("integer group key (float only as aggregate input) should qualify")
 	}
-	if m := newIncMaintainer(compile("select ik, timed, count(*) as n from t group by ik, timed"), window, schema); m == nil {
+	if m := newIncMaintainer(compile("select ik, timed, count(*) as n from t group by ik, timed"), schema); m == nil {
 		t.Error("TIMED group key is an int and should qualify")
 	}
 }

@@ -75,10 +75,9 @@ type sourceRuntime struct {
 	// plan is the source query compiled against the wrapper schema at
 	// deploy time; nil when the statement shape needs the full engine.
 	plan *sqlengine.Plan
-	// agg incrementally maintains an aggregate-only source query —
-	// ungrouped or grouped (GROUP BY rollup) — over the count window;
-	// nil when the query or window does not qualify.
-	agg incMaintainer
+	// agg maintains the source query's groups as the window changes;
+	// nil when the query does not qualify.
+	agg *sqlengine.AggMaintainer
 
 	sampler *quality.Sampler
 	repair  *quality.Repairer
@@ -330,14 +329,14 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 
 	// Compile the source query against the wrapper schema once, at
 	// deploy time. Statement shapes the compiler does not cover fall
-	// back to per-trigger Execute. Aggregate-only queries over a count
-	// window additionally get incremental maintenance: the table streams
+	// back to per-trigger Execute. Aggregate queries the maintainer
+	// covers additionally get incremental maintenance: the table streams
 	// insert/evict events into the maintainer and each trigger reads the
 	// running aggregates instead of rescanning the window.
 	if plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(w.Schema()),
 		vsensor.WrapperTable(), spec.Alias); err == nil {
 		src.plan = plan
-		if src.agg = newIncMaintainer(plan, window, w.Schema()); src.agg != nil {
+		if src.agg = newIncMaintainer(plan, w.Schema()); src.agg != nil {
 			table.SetObserver(src.agg)
 		}
 	}
@@ -683,9 +682,10 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 		}
 		// Read under the table lock so the result reflects exactly the
 		// live window — never the instant between an insert and the
-		// eviction it displaces.
+		// eviction it displaces. WithLock applies time-window retention
+		// first, so every expired row has been evicted from the state.
 		var rel *sqlengine.Relation
-		src.table.WithLock(func() { rel = src.agg.Result() })
+		src.table.WithLock(func() { rel = src.agg.Result(c.engineOpts()) })
 		if rel != nil {
 			c.metrics.Counter("source_eval_incremental").Inc()
 			return rel, nil

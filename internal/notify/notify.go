@@ -84,6 +84,11 @@ type Manager struct {
 	closed bool
 
 	pending atomic.Int64 // events enqueued but not yet finished
+
+	// drained, while a Flush waits, is closed (and cleared) when pending
+	// drops to zero.
+	drainMu sync.Mutex
+	drained chan struct{}
 }
 
 // NewManager creates a notification manager.
@@ -191,7 +196,7 @@ func (m *Manager) Publish(sensor string, e stream.Element) {
 		case sub.queue <- ev:
 		default:
 			sub.dropped.Add(1)
-			m.pending.Add(-1)
+			m.finished()
 		}
 	}
 	m.mu.RUnlock()
@@ -214,22 +219,48 @@ func (m *Manager) deliverLoop(sub *subscription) {
 		} else {
 			sub.delivered.Add(1)
 		}
-		m.pending.Add(-1)
+		m.finished()
 	}
+}
+
+// finished retires one pending event, waking a waiting Flush when it
+// was the last.
+func (m *Manager) finished() {
+	if m.pending.Add(-1) != 0 {
+		return
+	}
+	m.drainMu.Lock()
+	if m.drained != nil {
+		close(m.drained)
+		m.drained = nil
+	}
+	m.drainMu.Unlock()
 }
 
 // Flush blocks until all enqueued events have been delivered (or
 // dropped/failed), up to the timeout. It returns false on timeout.
-// Tests and graceful shutdown use it.
+// Tests and graceful shutdown use it. The drain signal is taken before
+// each check, so a drain landing between the check and the wait still
+// wakes it.
 func (m *Manager) Flush(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for m.pending.Load() > 0 {
-		if time.Now().After(deadline) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		m.drainMu.Lock()
+		if m.drained == nil {
+			m.drained = make(chan struct{})
+		}
+		drained := m.drained
+		m.drainMu.Unlock()
+		if m.pending.Load() <= 0 {
+			return true
+		}
+		select {
+		case <-drained:
+		case <-deadline.C:
 			return false
 		}
-		time.Sleep(time.Millisecond)
 	}
-	return true
 }
 
 // Stats lists per-subscription delivery counters, ordered by id.

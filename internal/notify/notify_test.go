@@ -193,6 +193,38 @@ func TestQueueOverflowDropsAndCounts(t *testing.T) {
 	}
 }
 
+// TestFlushWakesOnDrain: Flush returns as the last delivery finishes,
+// not on a polling tick, and reports false when a blocked channel
+// outlasts its timeout.
+func TestFlushWakesOnDrain(t *testing.T) {
+	m := testManager()
+	defer m.Close()
+	block := make(chan struct{})
+	var last atomic.Int64 // UnixNano of the last delivery's return
+	m.Subscribe("s", FuncChannel{Fn: func(Event) error {
+		<-block
+		last.Store(time.Now().UnixNano())
+		return nil
+	}})
+	for i := 0; i < 3; i++ {
+		m.Publish("s", nElem(t, stream.Timestamp(i+1), int64(i)))
+	}
+	start := time.Now()
+	if m.Flush(20 * time.Millisecond) {
+		t.Fatal("Flush reported a drain while the channel was blocked")
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Fatalf("Flush gave up after %v, before its timeout", waited)
+	}
+	time.AfterFunc(10*time.Millisecond, func() { close(block) })
+	if !m.Flush(5 * time.Second) {
+		t.Fatal("Flush timed out after the channel unblocked")
+	}
+	if lag := time.Since(time.Unix(0, last.Load())); lag > 10*time.Millisecond {
+		t.Errorf("Flush returned %v after the last delivery", lag)
+	}
+}
+
 func TestManagerCloseIsIdempotentAndFinal(t *testing.T) {
 	m := testManager()
 	m.Subscribe("s", FuncChannel{Fn: func(Event) error { return nil }})

@@ -41,26 +41,35 @@ func IsAggregateFunc(name string) bool {
 	return ok
 }
 
-// aggState accumulates one aggregate over a group's rows.
+// aggState accumulates one aggregate over a group's rows: a scan feeds
+// it with add, a coordinator merges node snapshots into it with
+// mergePartial (partial.go), and an AggMaintainer also takes rows back
+// out, oldest first, with evict (incremental.go). Its zero value, given
+// a kind, is the empty state.
 type aggState struct {
 	kind     aggKind
 	distinct bool
 	seen     map[string]bool // distinct keys, lazily allocated
 
-	count   int64
-	sum     float64
-	sumSq   float64
-	intSum  int64
-	intOnly bool
-	min     stream.Value
-	max     stream.Value
-	first   stream.Value
-	last    stream.Value
-	any     bool
+	count  int64
+	sum    float64
+	sumSq  float64
+	intSum int64
+	floats int64 // float inputs summed (a merged part's count as one)
+	min    stream.Value
+	max    stream.Value
+	first  stream.Value
+	last   stream.Value
+	any    bool
+
+	// live is what evict needs of a maintained MIN, MAX or LAST: the
+	// monotonic deque of MIN/MAX candidates or the FIFO of LAST's non-NULL
+	// inputs, oldest first. min, max and last are its head or tail.
+	live []seqValue
 }
 
 func newAggState(kind aggKind, distinct bool) *aggState {
-	return &aggState{kind: kind, distinct: distinct, intOnly: true}
+	return &aggState{kind: kind, distinct: distinct}
 }
 
 // add feeds one input value (already evaluated). For COUNT(*) callers
@@ -123,7 +132,7 @@ func (a *aggState) add(v stream.Value) error {
 			a.sum += float64(x)
 			a.sumSq += float64(x) * float64(x)
 		case float64:
-			a.intOnly = false
+			a.floats++
 			a.sum += x
 			a.sumSq += x * x
 		default:
@@ -143,13 +152,18 @@ func (a *aggState) result() stream.Value {
 		if a.count == 0 {
 			return nil
 		}
-		if a.intOnly {
+		if a.floats == 0 {
 			return a.intSum
 		}
 		return a.sum
 	case aggAvg:
 		if a.count == 0 {
 			return nil
+		}
+		if a.floats == 0 {
+			// Exact as long as the int64 sum is: the float running sum
+			// of integers rounds once it passes 2^53.
+			return float64(a.intSum) / float64(a.count)
 		}
 		return a.sum / float64(a.count)
 	case aggMin:

@@ -109,6 +109,9 @@ type boundProgram struct {
 	// read: a scan builds no others (an aggregate over one field of a
 	// wide window copies that field and never boxes TIMED).
 	reads []int
+	// after lists, ascending, the input columns HAVING, the projection
+	// and ORDER BY read: all a group's representative row must carry.
+	after []int
 }
 
 // newBoundProgram binds sp against cols, returning nil when any part
@@ -116,15 +119,14 @@ type boundProgram struct {
 func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 	stmt := sp.stmt
 	prog := &boundProgram{grouped: sp.grouped}
-	reads := make([]bool, len(cols))
-	b := &binder{cols: cols, aggs: sp.aggs, ncells: &prog.ncells, reads: reads}
-	// GROUP BY keys and aggregate arguments evaluate in plain row
-	// context: an aggregate call there is illegal (nested aggregates are
-	// rejected at analysis), so rowB sees no slots and such a shape falls
-	// back to the interpreter, which reports it.
+	reads, after := make([]bool, len(cols)), make([]bool, len(cols))
+	b := &binder{cols: cols, aggs: sp.aggs, ncells: &prog.ncells, reads: after}
+	// WHERE, GROUP BY keys and aggregate arguments evaluate in plain row
+	// context: an aggregate call there is illegal, so rowB sees no slots
+	// and such a shape falls back to the interpreter, which reports it.
 	rowB := &binder{cols: cols, ncells: &prog.ncells, reads: reads}
 	if stmt.Where != nil {
-		if prog.where = b.bind(stmt.Where); prog.where == nil {
+		if prog.where = rowB.bind(stmt.Where); prog.where == nil {
 			return nil
 		}
 	}
@@ -144,7 +146,7 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 		if item.star {
 			prog.proj = append(prog.proj, boundProj{star: true, starIdx: item.starIdx})
 			for _, i := range item.starIdx {
-				reads[i] = true
+				after[i] = true
 			}
 			continue
 		}
@@ -177,9 +179,12 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 			prog.order = append(prog.order, bo)
 		}
 	}
-	for i, read := range reads {
-		if read {
+	for i := range reads {
+		if reads[i] || after[i] {
 			prog.reads = append(prog.reads, i)
+		}
+		if after[i] {
+			prog.after = append(prog.after, i)
 		}
 	}
 	return prog
@@ -200,12 +205,14 @@ type binder struct {
 	hoisted bool
 }
 
-// columnIndex mirrors Relation.ColumnIndex against the binder layout.
-func (b *binder) columnIndex(table, name string) (int, bool) {
-	table = stream.CanonicalName(table)
-	name = stream.CanonicalName(name)
+// columnIndex mirrors Relation.ColumnIndex against a bound layout: the
+// index of the column ref names in cols, or -1 when the name is unknown
+// or ambiguous (the interpreter reports which).
+func columnIndex(cols []Column, ref *sqlparser.ColumnRef) int {
+	table := stream.CanonicalName(ref.Table)
+	name := stream.CanonicalName(ref.Name)
 	found := -1
-	for i, c := range b.cols {
+	for i, c := range cols {
 		if c.Name != name {
 			continue
 		}
@@ -213,14 +220,11 @@ func (b *binder) columnIndex(table, name string) (int, bool) {
 			continue
 		}
 		if found >= 0 {
-			return -1, false // ambiguous: let the interpreter report it
+			return -1
 		}
 		found = i
 	}
-	if found < 0 {
-		return -1, false
-	}
-	return found, true
+	return found
 }
 
 // bind compiles e, returning nil when e (or a subexpression) is
@@ -255,8 +259,8 @@ func (b *binder) bindNode(e sqlparser.Expr) boundExpr {
 		return func([]stream.Value, *boundCtx) (stream.Value, error) { return v, nil }
 
 	case *sqlparser.ColumnRef:
-		idx, ok := b.columnIndex(x.Table, x.Name)
-		if !ok {
+		idx := columnIndex(b.cols, x)
+		if idx < 0 {
 			return nil
 		}
 		b.reads[idx] = true
@@ -693,7 +697,8 @@ func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, ev *evaluator) (*R
 // in memory whole. finish does what needs every row: projecting the
 // groups, DISTINCT, ORDER BY, LIMIT. A distributed execution snapshots
 // the groups instead of finishing, and merges snapshots into a run
-// before finishing it (partial.go).
+// before finishing it (partial.go); an AggMaintainer installs the groups
+// it keeps into a run and finishes it (incremental.go).
 type boundRun struct {
 	prog     *boundProgram
 	p        *Plan
@@ -855,7 +860,7 @@ func (r *boundRun) newGroup(key []byte, rep []stream.Value) *boundGroup {
 		states: make([]aggState, len(r.prog.aggs)),
 	}
 	for i, a := range r.prog.aggs {
-		g.states[i] = aggState{kind: a.kind, distinct: a.distinct, intOnly: true}
+		g.states[i] = aggState{kind: a.kind, distinct: a.distinct}
 	}
 	r.order = append(r.order, g)
 	if len(r.prog.groupBy) == 0 {

@@ -1,186 +1,202 @@
 package sqlengine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"gsn/internal/stream"
 )
 
-// AggMaintainer incrementally maintains the aggregates of a compiled
-// aggregate-only plan over a sliding window, so the dominant
-// `SELECT agg(col) FROM wrapper` trigger shape is O(aggregates) per
-// evaluation instead of O(window). It implements storage.Observer: the
-// table invokes OnInsert/OnEvict/OnTruncate under its own lock and in
-// arrival (FIFO) order; Result is called from the trigger workers, so
-// the maintainer carries its own mutex.
+// AggMaintainer keeps a plan's groups over a sliding window as the
+// window changes (Plan.Incremental), so evaluating the dominant
+// `SELECT agg(col) FROM wrapper` trigger shape, or a GROUP BY rollup, is
+// O(groups) instead of O(window). It implements storage.Observer: the
+// table calls OnInsert, OnEvict and OnTruncate under its own lock and
+// in arrival (FIFO) order, for count and time windows alike; Result is
+// called from trigger workers and sweeps, so the maintainer carries its
+// own mutex.
 //
-// COUNT/SUM/AVG subtract evicted inputs; MIN/MAX keep the classic
-// sliding-window monotonic deque; LAST keeps a FIFO of non-NULL inputs.
-// A value the aggregate cannot digest (non-numeric SUM input,
-// incomparable MIN operands) poisons the maintainer: Result returns nil
-// from then on and the caller falls back to full plan execution, which
-// reports the error through the normal path.
+// Each live group — one per encoded GROUP BY key vector, the one empty
+// key for an ungrouped aggregate — holds the aggregate states and the
+// arrival sequences of its live rows. The table evicts in arrival
+// order, so an evicted element is always its group's oldest live row.
+// An input a state cannot digest (a non-numeric SUM input, incomparable
+// MIN operands) or an eviction the maintainer never saw inserted
+// poisons it: Result returns nil until the next truncate, and the
+// caller executes the plan instead, which reports the error.
 type AggMaintainer struct {
-	specs []IncAggSpec
-	cols  []Column
+	prog *IncProgram
 
-	mu     sync.Mutex
-	states []incState
-	broken bool
-	seq    uint64 // next insert sequence number
-	headSq uint64 // sequence number of the next eviction (FIFO)
+	mu      sync.Mutex
+	groups  map[string]*liveGroup
+	single  *liveGroup // the live group of an ungrouped statement, found unhashed
+	broken  bool
+	seq     uint64         // next insert's arrival sequence
+	keyVals []stream.Value // scratch key vector, guarded by mu
+	keyBuf  []byte         // scratch encoded key, guarded by mu
 
-	// floatEvicts counts evicted float SUM/AVG inputs since the last
-	// rebuild. Subtract-on-evict float maintenance accumulates rounding
-	// error (and can be corrupted outright by catastrophic absorption
-	// when magnitudes differ wildly), so after resyncFloatEvery such
-	// evictions NeedsResync reports true and the owner rebuilds the
-	// state from the live window (storage.Table.SetObserver replays it).
-	floatEvicts uint64
+	// drift counts the evictions subtracted from a float sum since the
+	// last rebuild. Subtract-on-evict re-associates the sum (and can be
+	// corrupted outright by catastrophic absorption when magnitudes
+	// differ wildly), so after resyncFloatEvery of them NeedsResync
+	// reports true and the owner rebuilds the state from the live window
+	// (storage.Table.SetObserver replays it).
+	drift uint64
 }
 
 // resyncFloatEvery bounds float SUM/AVG drift: one O(window) rebuild
-// per this many evicted float inputs keeps amortised maintenance O(1).
+// per this many float subtractions keeps amortised maintenance O(1).
 const resyncFloatEvery = 65536
 
-// seqValue is one deque entry: the arrival sequence of the element it
-// came from, and the aggregate input value.
+// liveGroup is one live group: the bound run's group — its key values
+// in an otherwise NULL representative row, and its aggregate states —
+// and the arrival sequences of its live rows, seqs[head:], oldest first.
+// A push reuses the room evictions freed before it grows seqs, so a
+// steady window allocates nothing.
+type liveGroup struct {
+	boundGroup
+	seqs []uint64
+	head int
+}
+
+// seqValue is one entry of aggState.live: an input value and the
+// arrival sequence of the row it came from.
 type seqValue struct {
 	seq uint64
 	v   stream.Value
 }
 
-// incState is the running state of one aggregate column.
-type incState struct {
-	count  int64 // non-NULL inputs (all rows for COUNT(*))
-	intSum int64
-	fSum   float64
-	nFloat int64
-	deque  []seqValue // MIN/MAX monotonic deque, or LAST FIFO
-}
-
-// insert folds one arriving input value into the state. v is the
-// aggregate argument (nil for SQL NULL; ignored except by COUNT(*),
-// which passes spec.Col < 0 and no value). seq is the element's arrival
-// sequence. It returns false when the value poisons the state (the
-// owner falls back to full plan execution, which reports the error).
-func (st *incState) insert(spec *IncAggSpec, v stream.Value, seq uint64) bool {
-	if spec.Col < 0 { // COUNT(*)
-		st.count++
-		return true
+// insert is add for a maintained state: MIN, MAX and LAST also keep in
+// live what evict needs to find their next answer. seq is the row's
+// arrival sequence. It returns false when the state cannot digest v.
+func (a *aggState) insert(v stream.Value, seq uint64) bool {
+	if v == nil || a.kind != aggMin && a.kind != aggMax && a.kind != aggLast {
+		return a.add(v) == nil
 	}
-	if v == nil {
-		return true // SQL aggregates ignore NULLs
-	}
-	st.count++
-	switch spec.Kind {
-	case IncSum, IncAvg:
-		switch x := v.(type) {
-		case int64:
-			st.intSum += x
-		case float64:
-			st.fSum += x
-			st.nFloat++
-		default:
-			return false
+	if a.kind != aggLast {
+		// MIN keeps an increasing deque and MAX a decreasing one: drop the
+		// candidates v outlives and ties or beats.
+		want := -1
+		if a.kind == aggMax {
+			want = 1
 		}
-	case IncMin, IncMax:
-		want := -1 // MIN keeps an increasing deque: pop backs >= v
-		if spec.Kind == IncMax {
-			want = 1 // MAX keeps a decreasing deque: pop backs <= v
-		}
-		for len(st.deque) > 0 {
-			c, known, err := compare(st.deque[len(st.deque)-1].v, v)
+		for n := len(a.live); n > 0; n-- {
+			c, known, err := compare(a.live[n-1].v, v)
 			if err != nil || !known {
 				return false
 			}
 			if c*want > 0 {
 				break
 			}
-			st.deque = st.deque[:len(st.deque)-1]
+			a.live = a.live[:n-1]
 		}
-		st.deque = append(st.deque, seqValue{seq: seq, v: v})
-	case IncLast:
-		st.deque = append(st.deque, seqValue{seq: seq, v: v})
 	}
+	a.live = append(a.live, seqValue{seq: seq, v: v})
+	a.count++
+	a.setEnds()
 	return true
 }
 
-// evict subtracts one evicted input value. seq is the arrival sequence
-// the value carried on insert; floatEvicts is bumped for evicted float
-// SUM/AVG inputs so the owner can bound rounding drift (NeedsResync).
-// It returns false when the value poisons the state.
-func (st *incState) evict(spec *IncAggSpec, v stream.Value, seq uint64, floatEvicts *uint64) bool {
-	if spec.Col < 0 {
-		st.count--
-		return true
-	}
+// evict takes back out one input insert folded in, which must be the
+// oldest live one; seq is its arrival sequence. Each subtraction from a
+// float sum counts in drift. It returns false when the state cannot
+// digest v.
+func (a *aggState) evict(v stream.Value, seq uint64, drift *uint64) bool {
 	if v == nil {
 		return true
 	}
-	st.count--
-	switch spec.Kind {
-	case IncSum, IncAvg:
+	a.count--
+	switch a.kind {
+	case aggSum, aggAvg:
 		switch x := v.(type) {
 		case int64:
-			st.intSum -= x
+			a.intSum -= x
+			a.sum -= float64(x)
 		case float64:
-			st.fSum -= x
-			st.nFloat--
-			*floatEvicts++
+			a.floats--
+			a.sum -= x
 		default:
 			return false
 		}
-	case IncMin, IncMax, IncLast:
-		if len(st.deque) > 0 && st.deque[0].seq == seq {
-			st.deque = st.deque[1:]
+		if a.floats == 0 {
+			a.sum = float64(a.intSum) // nothing left to drift
+		} else {
+			*drift++
+		}
+	case aggMin, aggMax, aggLast:
+		if len(a.live) > 0 && a.live[0].seq == seq {
+			a.live = a.live[1:]
+			a.setEnds()
 		}
 	}
 	return true
 }
 
-// result finalises the aggregate value. Empty-state semantics match
-// aggState: COUNT is 0, the rest are NULL.
-func (st *incState) result(kind IncAggKind) stream.Value {
-	switch kind {
-	case IncCount:
-		return st.count
-	case IncSum:
-		if st.count == 0 {
-			return nil
-		}
-		if st.nFloat == 0 {
-			return st.intSum
-		}
-		return float64(st.intSum) + st.fSum
-	case IncAvg:
-		if st.count == 0 {
-			return nil
-		}
-		return (float64(st.intSum) + st.fSum) / float64(st.count)
-	case IncMin, IncMax:
-		if len(st.deque) > 0 {
-			return st.deque[0].v
-		}
-		return nil
-	case IncLast:
-		if len(st.deque) > 0 {
-			return st.deque[len(st.deque)-1].v
-		}
-		return nil
+// setEnds reads a maintained MIN or MAX off its deque's head, or LAST
+// off its FIFO's tail.
+func (a *aggState) setEnds() {
+	var v stream.Value
+	if n := len(a.live); n > 0 && a.kind == aggLast {
+		v = a.live[n-1].v
+	} else if n > 0 {
+		v = a.live[0].v
 	}
-	return nil
+	switch a.kind {
+	case aggMin:
+		a.min = v
+	case aggMax:
+		a.max = v
+	default:
+		a.last = v
+	}
 }
 
-// NewAggMaintainer builds a maintainer for a plan's incremental program
-// (Plan.Incremental).
-func NewAggMaintainer(specs []IncAggSpec) *AggMaintainer {
-	cols := make([]Column, len(specs))
-	for i, s := range specs {
-		cols[i] = s.Out
+// NewAggMaintainer builds the maintainer of a plan's incremental form.
+func NewAggMaintainer(prog *IncProgram) *AggMaintainer {
+	return &AggMaintainer{
+		prog:    prog,
+		groups:  make(map[string]*liveGroup),
+		keyVals: make([]stream.Value, len(prog.Keys)),
 	}
-	return &AggMaintainer{specs: specs, cols: cols, states: make([]incState, len(specs))}
+}
+
+// NewGroupedAggMaintainer returns NewAggMaintainer(prog).
+//
+// Deprecated: use NewAggMaintainer, which maintains grouped plans too.
+func NewGroupedAggMaintainer(prog *IncProgram) *AggMaintainer { return NewAggMaintainer(prog) }
+
+// group encodes e's GROUP BY key into the scratch buffers (callers hold
+// mu) and returns its live group, or nil. Lookups via
+// groups[string(m.keyBuf)] compile without a string allocation — these
+// run per element on the ingest path, under the table lock — so the key
+// string is materialised only on first sight of a group.
+func (m *AggMaintainer) group(e stream.Element) *liveGroup {
+	if m.single != nil {
+		return m.single
+	}
+	for i, col := range m.prog.Keys {
+		m.keyVals[i] = inputValue(e, col)
+	}
+	m.keyBuf = appendRowKey(m.keyBuf[:0], m.keyVals)
+	return m.groups[string(m.keyBuf)]
+}
+
+// input is the value aggregate slot i folds in for e.
+func (m *AggMaintainer) input(e stream.Element, i int) stream.Value {
+	if col := m.prog.args[i]; col >= 0 {
+		return inputValue(e, col)
+	}
+	return int64(1) // COUNT(*), as the bound run feeds it
+}
+
+// inputValue extracts an input column from an element, mapping the
+// implicit TIMED column (index == element length) to the timestamp.
+func inputValue(e stream.Element, col int) stream.Value {
+	if col == e.Len() {
+		return int64(e.Timestamp())
+	}
+	return e.Value(col)
 }
 
 // OnInsert implements storage.Observer.
@@ -192,55 +208,76 @@ func (m *AggMaintainer) OnInsert(e stream.Element) {
 	}
 	seq := m.seq
 	m.seq++
-	for i := range m.specs {
-		spec := &m.specs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
+	g := m.group(e)
+	if g == nil {
+		p := m.prog.plan
+		g = &liveGroup{boundGroup: boundGroup{
+			key:    string(m.keyBuf),
+			rep:    make([]stream.Value, len(p.inCols)),
+			states: make([]aggState, len(m.prog.args)),
+		}}
+		for i, col := range m.prog.Keys {
+			g.rep[col] = m.keyVals[i]
 		}
-		if !m.states[i].insert(spec, v, seq) {
+		for i := range g.states {
+			g.states[i].kind = p.prog.aggs[i].kind
+		}
+		m.groups[g.key] = g
+		if len(m.prog.Keys) == 0 {
+			m.single = g
+		}
+	}
+	if g.head > 0 && len(g.seqs) == cap(g.seqs) {
+		g.seqs = g.seqs[:copy(g.seqs, g.seqs[g.head:])]
+		g.head = 0
+	}
+	g.seqs = append(g.seqs, seq)
+	for i := range g.states {
+		if !g.states[i].insert(m.input(e, i), seq) {
 			m.broken = true
 			return
 		}
 	}
 }
 
-// OnEvict implements storage.Observer. Eviction order is the table's
-// arrival order, so the evicted element always carries the sequence
-// number at the head.
+// OnEvict implements storage.Observer.
 func (m *AggMaintainer) OnEvict(e stream.Element) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.broken {
 		return
 	}
-	seq := m.headSq
-	m.headSq++
-	for i := range m.specs {
-		spec := &m.specs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !m.states[i].evict(spec, v, seq, &m.floatEvicts) {
+	g := m.group(e)
+	if g == nil {
+		// An eviction never seen inserted: the observer was attached
+		// mid-window without a replay. Poison rather than drift.
+		m.broken = true
+		return
+	}
+	seq := g.seqs[g.head]
+	g.head++
+	for i := range g.states {
+		if !g.states[i].evict(m.input(e, i), seq, &m.drift) {
 			m.broken = true
 			return
 		}
 	}
+	if g.head == len(g.seqs) {
+		delete(m.groups, g.key)
+		m.single = nil
+	}
 }
 
 // OnTruncate implements storage.Observer: the window was cleared, so
-// every running aggregate restarts empty.
+// the maintainer restarts empty and unpoisoned.
 func (m *AggMaintainer) OnTruncate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.states {
-		m.states[i] = incState{}
-	}
+	m.groups = make(map[string]*liveGroup)
+	m.single = nil
 	m.seq = 0
-	m.headSq = 0
 	m.broken = false
-	m.floatEvicts = 0
+	m.drift = 0
 }
 
 // NeedsResync reports that enough float inputs have been subtracted
@@ -249,213 +286,36 @@ func (m *AggMaintainer) OnTruncate() {
 func (m *AggMaintainer) NeedsResync() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.floatEvicts >= resyncFloatEvery
+	return m.drift >= resyncFloatEvery
 }
 
-// inputValue extracts the aggregate input column from an element,
-// mapping the implicit TIMED column (index == element length) to the
-// timestamp.
-func inputValue(e stream.Element, col int) stream.Value {
-	if col == e.Len() {
-		return int64(e.Timestamp())
-	}
-	return e.Value(col)
-}
-
-// Result builds the single-row aggregate relation, or nil when the
-// maintainer is poisoned and the caller must fall back to full
-// execution. Empty-window semantics match aggState: COUNT is 0, the
-// rest are NULL.
-func (m *AggMaintainer) Result() *Relation {
+// Result is the plan's answer over the live window: a bound run of the
+// plan with the live groups installed oldest first — the first-seen
+// order a window scan produces — and finished as every run is, so
+// HAVING, the projection, ORDER BY, LIMIT and the one row of an
+// aggregate without GROUP BY over an empty window are the bound run's.
+// It returns nil when the maintainer is poisoned or the run fails; the
+// caller then executes the plan, which reports the error.
+func (m *AggMaintainer) Result(opts Options) *Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.broken {
 		return nil
 	}
-	row := make([]stream.Value, len(m.specs))
-	for i := range m.specs {
-		row[i] = m.states[i].result(m.specs[i].Kind)
-	}
-	return &Relation{Cols: m.cols, Rows: [][]stream.Value{row}}
-}
-
-// GroupedAggMaintainer incrementally maintains a grouped aggregate-only
-// plan (SELECT key..., agg(col)... FROM w GROUP BY key...) over a
-// sliding count window: one hash bucket per live group-key vector, each
-// holding the same incState machinery AggMaintainer uses per aggregate,
-// plus a FIFO of the group's live row sequences so group membership —
-// and the first-seen output order the interpreter produces — survives
-// eviction exactly. Insert and evict are O(group keys + aggregates);
-// Result is O(output), independent of the window size.
-//
-// It implements storage.Observer with the same contract as
-// AggMaintainer: table callbacks arrive under the table lock in arrival
-// (FIFO) order, Result carries its own mutex, and an input the
-// aggregates cannot digest poisons the maintainer (Result returns nil,
-// the caller falls back to full plan execution which reports the
-// error).
-//
-// Result projects each group's key values as captured when the group
-// was first seen, while a window rescan projects the oldest live
-// row's. The two can differ only when distinct key representations
-// compare equal — float -0.0 vs +0.0 — so callers wanting byte
-// identity with the scanning tiers must not attach this maintainer to
-// plans whose group keys are float columns (the container's
-// newIncMaintainer enforces that).
-type GroupedAggMaintainer struct {
-	prog *GroupedIncProgram
-
-	mu      sync.Mutex
-	groups  map[string]*incGroup
-	broken  bool
-	seq     uint64         // next insert sequence number
-	keysBuf []stream.Value // scratch key vector, guarded by mu
-	keyBuf  []byte         // scratch encoded key, guarded by mu
-
-	floatEvicts uint64 // see AggMaintainer.floatEvicts
-}
-
-// incGroup is the live state of one group-key vector.
-type incGroup struct {
-	keys   []stream.Value // the group's key values, in GROUP BY order
-	seqs   []uint64       // arrival sequences of the group's live rows (FIFO)
-	states []incState
-}
-
-// NewGroupedAggMaintainer builds a maintainer for a plan's grouped
-// incremental program (Plan.IncrementalGrouped).
-func NewGroupedAggMaintainer(prog *GroupedIncProgram) *GroupedAggMaintainer {
-	return &GroupedAggMaintainer{
-		prog:    prog,
-		groups:  make(map[string]*incGroup),
-		keysBuf: make([]stream.Value, len(prog.Keys)),
-	}
-}
-
-// encodeGroupKey fills the scratch key vector from the element and
-// encodes it into the scratch byte buffer (callers hold mu). Lookups
-// via groups[string(m.keyBuf)] compile without a string allocation —
-// these run per element on the ingest path, under the table lock — so
-// the key string is materialised only on first sight of a group.
-func (m *GroupedAggMaintainer) encodeGroupKey(e stream.Element) {
-	for i, col := range m.prog.Keys {
-		m.keysBuf[i] = inputValue(e, col)
-	}
-	m.keyBuf = appendRowKey(m.keyBuf[:0], m.keysBuf)
-}
-
-// OnInsert implements storage.Observer.
-func (m *GroupedAggMaintainer) OnInsert(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return
-	}
-	seq := m.seq
-	m.seq++
-	m.encodeGroupKey(e)
-	g := m.groups[string(m.keyBuf)]
-	if g == nil {
-		g = &incGroup{
-			keys:   append([]stream.Value(nil), m.keysBuf...),
-			states: make([]incState, len(m.prog.Aggs)),
-		}
-		m.groups[string(m.keyBuf)] = g
-	}
-	g.seqs = append(g.seqs, seq)
-	for i := range m.prog.Aggs {
-		spec := &m.prog.Aggs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !g.states[i].insert(spec, v, seq) {
-			m.broken = true
-			return
-		}
-	}
-}
-
-// OnEvict implements storage.Observer. The table evicts in arrival
-// order, so the evicted element is always its group's oldest live row.
-func (m *GroupedAggMaintainer) OnEvict(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return
-	}
-	m.encodeGroupKey(e)
-	g := m.groups[string(m.keyBuf)]
-	if g == nil || len(g.seqs) == 0 {
-		// An eviction we never saw inserted: the observer was attached
-		// mid-window without a replay. Poison rather than drift.
-		m.broken = true
-		return
-	}
-	seq := g.seqs[0]
-	g.seqs = g.seqs[1:]
-	for i := range m.prog.Aggs {
-		spec := &m.prog.Aggs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !g.states[i].evict(spec, v, seq, &m.floatEvicts) {
-			m.broken = true
-			return
-		}
-	}
-	if len(g.seqs) == 0 {
-		delete(m.groups, string(m.keyBuf))
-	}
-}
-
-// OnTruncate implements storage.Observer: the window was cleared, so
-// every group restarts empty.
-func (m *GroupedAggMaintainer) OnTruncate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.groups = make(map[string]*incGroup)
-	m.seq = 0
-	m.broken = false
-	m.floatEvicts = 0
-}
-
-// NeedsResync mirrors AggMaintainer.NeedsResync: enough float inputs
-// have been subtracted out that the owner should rebuild the state from
-// the live window.
-func (m *GroupedAggMaintainer) NeedsResync() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.floatEvicts >= resyncFloatEvery
-}
-
-// Result builds the grouped aggregate relation — one row per live
-// group, ordered by each group's oldest live row (exactly the
-// first-seen order a window scan produces) — or nil when the maintainer
-// is poisoned. A GROUP BY over an empty window yields no rows, per SQL.
-func (m *GroupedAggMaintainer) Result() *Relation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return nil
-	}
-	ordered := make([]*incGroup, 0, len(m.groups))
+	live := make([]*liveGroup, 0, len(m.groups))
 	for _, g := range m.groups {
-		ordered = append(ordered, g)
+		live = append(live, g)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seqs[0] < ordered[j].seqs[0] })
-	rows := make([][]stream.Value, len(ordered))
-	for r, g := range ordered {
-		row := make([]stream.Value, len(m.prog.Proj))
-		for i, slot := range m.prog.Proj {
-			if slot.Key {
-				row[i] = g.keys[slot.Idx]
-			} else {
-				row[i] = g.states[slot.Idx].result(m.prog.Aggs[slot.Idx].Kind)
-			}
-		}
-		rows[r] = row
+	slices.SortFunc(live, func(a, b *liveGroup) int { return cmp.Compare(a.seqs[a.head], b.seqs[b.head]) })
+	p := m.prog.plan
+	r := p.prog.start(p, newEvaluator(nil, opts))
+	r.order = make([]*boundGroup, len(live))
+	for i, g := range live {
+		r.order[i] = &g.boundGroup
 	}
-	return &Relation{Cols: m.prog.Cols, Rows: rows}
+	rel, err := r.finish()
+	if err != nil {
+		return nil
+	}
+	return rel
 }

@@ -1,0 +1,288 @@
+package sqlengine
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"gsn/internal/stream"
+)
+
+// TestIncrementalProgramDetection pins the one eligibility rule of the
+// maintainer on ungrouped statements: no WHERE, maintainable aggregates
+// over plain columns, and nothing reading a column outside an
+// aggregate. Everything after aggregation is the bound run's, so
+// HAVING, ORDER BY, LIMIT and expressions over aggregates qualify.
+func TestIncrementalProgramDetection(t *testing.T) {
+	checkDetection(t, map[string]bool{
+		"select count(*) as n from w":                                          true,
+		"select count(v) as n, sum(v) as s, avg(v) as a from w":                true,
+		"select min(v) as mn, max(v) as mx, last(v) as l from w":               true,
+		"select min(timed) as oldest from w":                                   true,
+		"select count(*) as n from w order by n limit 1":                       true,
+		"select sum(v) / count(*) as m, now() as t from w having count(*) > 2": true,
+		"select v from w":                         false, // neither aggregate nor GROUP BY
+		"select v, count(*) as n from w":          false, // reads a non-key column
+		"select count(*) as n from w where v > 0": false, // WHERE needs the rows
+		"select first(v) as f from w":             false, // not a maintained kind
+		"select count(distinct v) as n from w":    false, // needs the set
+	})
+}
+
+// TestGroupedIncrementalProgramDetection pins the same rule on grouped
+// statements: plain-column keys, and nothing after grouping reading a
+// non-key column. HAVING, ORDER BY, LIMIT, DISTINCT and expressions
+// over keys and aggregates qualify.
+func TestGroupedIncrementalProgramDetection(t *testing.T) {
+	checkDetection(t, map[string]bool{
+		"select v, count(*) as n from w group by v":                                     true,
+		"select v, count(f) as n, sum(f) as s, avg(f) as a from w group by v":           true,
+		"select v, f, min(timed) as oldest from w group by v, f":                        true,
+		"select count(*) as n, v from w group by v":                                     true, // key after aggregate
+		"select v from w group by v":                                                    true, // no aggregates
+		"select w.v, max(f) as mx from w group by w.v":                                  true,
+		"select v + 1 as k, count(*) as n from w group by v having count(*) > 1":        true,
+		"select distinct v, count(*) as n from w group by v order by n desc, v limit 2": true,
+		"select v, count(*) as n from w where f > 0 group by v":                         false, // WHERE needs the rows
+		"select v, stddev(f) as sd from w group by v":                                   false, // not a maintained kind
+		"select v, sum(f + 1) as s from w group by v":                                   false, // non-column argument
+		"select v % 7 as b, count(*) as n from w group by v % 7":                        false, // expression key
+		"select v, f from w group by v":                                                 false, // projects a non-key column
+		"select v, count(*) as n from w group by v having max(f) > f":                   false,
+		"select v, count(*) as n from w group by v order by f":                          false,
+	})
+}
+
+func checkDetection(t *testing.T, cases map[string]bool) {
+	t.Helper()
+	for q, want := range cases {
+		if got := compilePlan(t, q).Incremental() != nil; got != want {
+			t.Errorf("%s: maintainable = %v, want %v", q, got, want)
+		}
+	}
+}
+
+// incShapes and groupedIncShapes are the maintained statements the
+// property tests drive.
+var incShapes = []string{
+	"select count(*) as n, count(v) as nv, sum(v) as s, avg(v) as a, min(v) as mn, " +
+		"max(v) as mx, last(v) as l, sum(f) as sf, avg(f) as af from w",
+	"select sum(v) * 2 as s2, max(f) as mx from w having count(*) > 3",
+}
+
+var groupedIncShapes = []string{
+	"select v, count(*) as n, count(f) as nf, sum(f) as s, avg(f) as a, min(f) as mn, " +
+		"max(f) as mx, last(f) as l from w group by v",
+	"select v, max(timed) - min(timed) as span from w group by v having count(*) > 1 order by span desc, v limit 3",
+	"select distinct count(*) % 2 as odd from w group by v",
+}
+
+// TestAggMaintainerMatchesExecute drives each shape through random
+// inserts (NULLs, few keys so groups appear, empty and reappear) and
+// the evictions every window kind makes — one per insert past a count,
+// a burst when a time window's clock jumps, the whole window — and
+// truncates, checking after every step that the maintained result is
+// cell for cell the window scan's and the interpreter's. The float
+// inputs are dyadic, so every sum is exact in any order.
+func TestAggMaintainerMatchesExecute(t *testing.T) {
+	checkMaintainerMatchesExecute(t, incShapes, 42)
+}
+
+// TestGroupedAggMaintainerMatchesExecute is the same property on the
+// grouped shapes, where the few keys make groups appear, empty and
+// reappear with a later first-live row.
+func TestGroupedAggMaintainerMatchesExecute(t *testing.T) {
+	checkMaintainerMatchesExecute(t, groupedIncShapes, 43)
+}
+
+func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, q := range shapes {
+		plan := compilePlan(t, q)
+		m := NewAggMaintainer(plan.Incremental())
+		var live []stream.Element
+		for step := 0; step < 600; step++ {
+			var v, f stream.Value = int64(rng.Intn(5)), float64(rng.Intn(80)-40) / 4
+			if rng.Intn(9) == 0 {
+				v = nil
+			}
+			if rng.Intn(7) == 0 {
+				f = nil
+			}
+			e, err := stream.NewElement(planSchema, stream.Timestamp(step+1), v, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, e)
+			m.OnInsert(e)
+			evict := len(live) - 16
+			switch rng.Intn(40) {
+			case 0:
+				evict = len(live)
+			case 1, 2, 3:
+				evict = rng.Intn(len(live) + 1)
+			}
+			for ; evict > 0; evict-- {
+				m.OnEvict(live[0])
+				live = live[1:]
+			}
+			if rng.Intn(80) == 0 {
+				m.OnTruncate()
+				live = nil
+			}
+
+			pt := &planTable{schema: planSchema, elems: live}
+			want, err := Execute(plan.sp.stmt, MapCatalog{"W": RelationOfSource(pt)}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := plan.ExecuteSource(pt, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.Result(Options{})
+			if got == nil || got.String() != want.String() || scan.String() != want.String() {
+				t.Fatalf("%s, step %d (live=%d):\nmaintained:\n%v\nscan:\n%v\nexecute:\n%v", q, step, len(live), got, scan, want)
+			}
+		}
+	}
+}
+
+// TestAggMaintainerPoisoned: an input a state cannot digest, and an
+// eviction the maintainer never saw inserted (attached mid-window
+// without a replay), poison it so callers fall back to executing the
+// plan, which reports the error; truncate resets it.
+func TestAggMaintainerPoisoned(t *testing.T) {
+	checkPoisoned(t, "select sum(s) as x from w")
+}
+
+// TestGroupedAggMaintainerPoisoned is the same on a grouped statement.
+func TestGroupedAggMaintainerPoisoned(t *testing.T) {
+	checkPoisoned(t, "select k, sum(s) as x from w group by k")
+}
+
+func checkPoisoned(t *testing.T, q string) {
+	t.Helper()
+	strSchema := stream.MustSchema(
+		stream.Field{Name: "k", Type: stream.TypeString},
+		stream.Field{Name: "s", Type: stream.TypeString},
+	)
+	e, err := stream.NewElement(strSchema, 1, "room-a", "not-a-number")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(mustParse(t, q), ColumnsOfSchema(strSchema), "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewAggMaintainer(plan.Incremental())
+	if m.OnInsert(e); m.Result(Options{}) != nil {
+		t.Errorf("%s: SUM over a string should poison the maintainer", q)
+	}
+	if m.OnTruncate(); m.Result(Options{}) == nil {
+		t.Errorf("%s: truncate should reset the poisoned state", q)
+	}
+	if m.OnEvict(e); m.Result(Options{}) != nil {
+		t.Errorf("%s: eviction of an unseen element should poison the maintainer", q)
+	}
+}
+
+// TestAggMaintainerFloatResync: once enough evictions have been
+// subtracted from a float sum the maintainer asks for a rebuild, and a
+// truncate+replay (what storage.Table.SetObserver performs) clears the
+// request and the accumulated rounding error.
+func TestAggMaintainerFloatResync(t *testing.T) {
+	checkFloatResync(t, "select sum(f) as s from w")
+}
+
+// TestGroupedAggMaintainerFloatResync is the same on a grouped
+// statement.
+func TestGroupedAggMaintainerFloatResync(t *testing.T) {
+	checkFloatResync(t, "select v, sum(f) as s from w group by v")
+}
+
+func checkFloatResync(t *testing.T, q string) {
+	t.Helper()
+	e, err := stream.NewElement(planSchema, 1, int64(3), 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewAggMaintainer(compilePlan(t, q).Incremental())
+	m.OnInsert(e) // one float stays live: each eviction leaves a float sum
+	for i := 0; i < resyncFloatEvery+10; i++ {
+		m.OnInsert(e)
+		m.OnEvict(e)
+		if i < resyncFloatEvery-1 && m.NeedsResync() {
+			t.Fatalf("%s: resync requested too early at %d", q, i)
+		}
+	}
+	if !m.NeedsResync() {
+		t.Fatalf("%s: resync not requested after %d float evictions", q, resyncFloatEvery+10)
+	}
+	m.OnTruncate()
+	m.OnInsert(e)
+	if m.NeedsResync() {
+		t.Errorf("%s: rebuild should clear the resync request", q)
+	}
+	if got := m.Result(Options{}); got == nil || len(got.Rows) != 1 || got.Rows[0][len(got.Cols)-1] != 2.5 {
+		t.Errorf("%s: sum after rebuild = %v, want one row ending in 2.5", q, got)
+	}
+}
+
+// TestIntAggregatesExactAcrossTiers: integer SUM and AVG stay exact on
+// every tier once the live sum passes 2^53 — millisecond timestamps over
+// a 6000-row window — so the maintainer, a window scan, the interpreter
+// and a merge of two partial rollups answer identical cells, compared
+// without tolerance.
+func TestIntAggregatesExactAcrossTiers(t *testing.T) {
+	plan := compilePlan(t, "select count(*) as n, sum(timed) as s, avg(timed) as a, avg(v) as av, "+
+		"min(timed) as lo, max(timed) as hi from w")
+	m := NewAggMaintainer(plan.Incremental())
+	rng := rand.New(rand.NewSource(5))
+	var live []stream.Element
+	for i := 0; i < 9000; i++ {
+		ts := stream.Timestamp(1_760_000_000_000 + int64(i)*1000 + rng.Int63n(1000))
+		e, err := stream.NewElement(planSchema, ts, int64(ts)+rng.Int63n(7), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, e)
+		m.OnInsert(e)
+		if len(live) > 6000 {
+			m.OnEvict(live[0])
+			live = live[1:]
+		}
+		if i%500 != 499 {
+			continue
+		}
+		pt := &planTable{schema: planSchema, elems: live}
+		rows := RowsOfSource(pt)
+		scan, err := plan.ExecuteSource(pt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		interp, err := Execute(plan.sp.stmt, MapCatalog{"W": RelationOfSource(pt)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := plan.ExecutePartial(rows[:len(rows)/3], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, err := plan.ExecutePartial(rows[len(rows)/3:], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := plan.MergePartials([]*PartialRollup{head, tail}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Result(Options{})
+		for name, rel := range map[string]*Relation{"scan": scan, "interpreter": interp, "merge": merged} {
+			if got == nil || !reflect.DeepEqual(got.Rows, rel.Rows) {
+				t.Fatalf("insert %d (live=%d): maintained %v, %s %v", i, len(live), got, name, rel.Rows)
+			}
+		}
+	}
+}

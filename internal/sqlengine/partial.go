@@ -66,7 +66,7 @@ func (a *aggState) partial() AggPartial {
 		IntSum:  a.intSum,
 		Sum:     a.sum,
 		SumSq:   a.sumSq,
-		IntOnly: a.intOnly,
+		IntOnly: a.floats == 0,
 		Min:     stream.WrapValue(a.min),
 		Max:     stream.WrapValue(a.max),
 		First:   stream.WrapValue(a.first),
@@ -94,7 +94,7 @@ func (a *aggState) mergePartial(p AggPartial) error {
 	a.sum += p.Sum
 	a.sumSq += p.SumSq
 	if !p.IntOnly {
-		a.intOnly = false
+		a.floats++
 	}
 	if p.Min.V != nil {
 		if a.min == nil {

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 
 	"gsn/internal/sqlparser"
 	"gsn/internal/stream"
@@ -25,51 +26,9 @@ type Plan struct {
 	qual   string   // the FROM item's effective name (alias or table)
 	inCols []Column // input layout, qualified by the FROM alias
 
-	// inc is the incremental aggregate program when the statement is an
-	// aggregate-only projection; nil otherwise.
-	inc []IncAggSpec
-
-	// ginc is the grouped incremental program when the statement is a
-	// grouped aggregate-only projection over plain column keys; nil
-	// otherwise. inc and ginc are mutually exclusive.
-	ginc *GroupedIncProgram
-
 	// prog is the bound (column-index-resolved) execution program. See
 	// compiled.go.
 	prog *boundProgram
-}
-
-// IncAggKind enumerates the aggregates the incremental maintainer can
-// keep under sliding count-window eviction in O(1)/O(log w) per update.
-type IncAggKind int
-
-// Incrementally maintainable aggregate kinds.
-const (
-	IncCount IncAggKind = iota // COUNT(col) / COUNT(*)
-	IncSum
-	IncAvg
-	IncMin
-	IncMax
-	IncLast
-)
-
-// IncAggSpec is one output column of an incremental aggregate plan.
-type IncAggSpec struct {
-	Kind IncAggKind
-	// Col is the input column index of the aggregate argument, or -1
-	// for COUNT(*).
-	Col int
-	// Out is the output column descriptor.
-	Out Column
-}
-
-var incKinds = map[string]IncAggKind{
-	"COUNT": IncCount,
-	"SUM":   IncSum,
-	"AVG":   IncAvg,
-	"MIN":   IncMin,
-	"MAX":   IncMax,
-	"LAST":  IncLast,
 }
 
 // Compile binds stmt against one input relation whose bare column
@@ -118,181 +77,71 @@ func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (
 	if p.prog == nil {
 		return nil, fmt.Errorf("sqlengine: statement is outside the compiled subset")
 	}
-	p.inc = incrementalProgram(sp, inCols)
-	if p.inc == nil {
-		p.ginc = groupedIncrementalProgram(sp, inCols)
-	}
 	return p, nil
 }
 
-// resolveColRef resolves a plain column reference against the input
-// layout, returning -1 when the name is unknown or ambiguous.
-func resolveColRef(ref *sqlparser.ColumnRef, inCols []Column) int {
-	idx := -1
-	for j, c := range inCols {
-		if c.Name != stream.CanonicalName(ref.Name) {
-			continue
-		}
-		if ref.Table != "" && c.Table != stream.CanonicalName(ref.Table) {
-			continue
-		}
-		if idx >= 0 {
-			return -1 // ambiguous
-		}
-		idx = j
-	}
-	return idx
-}
-
-// incAggSpec recognises one incrementally maintainable aggregate call
-// (COUNT/SUM/AVG/MIN/MAX/LAST over a plain column or COUNT(*)), or nil.
-func incAggSpec(fc *sqlparser.FuncCall, inCols []Column, out Column) *IncAggSpec {
-	if fc.Distinct {
-		return nil
-	}
-	kind, ok := incKinds[fc.Name]
-	if !ok {
-		return nil
-	}
-	spec := &IncAggSpec{Kind: kind, Col: -1, Out: out}
-	if fc.CountStar {
-		return spec
-	}
-	if len(fc.Args) != 1 {
-		return nil
-	}
-	ref, ok := fc.Args[0].(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	if spec.Col = resolveColRef(ref, inCols); spec.Col < 0 {
-		return nil
-	}
-	return spec
-}
-
-// incrementalProgram recognises the dominant source-query shape —
-// SELECT agg(col)[ AS alias], ... FROM w with no WHERE/GROUP BY/
-// HAVING/ORDER BY/DISTINCT/LIMIT — and returns its aggregate program,
-// or nil when the statement does not qualify.
-func incrementalProgram(sp *simplePlan, inCols []Column) []IncAggSpec {
-	stmt := sp.stmt
-	if !sp.grouped || len(stmt.GroupBy) > 0 || stmt.Where != nil || stmt.Having != nil ||
-		stmt.Distinct || len(stmt.OrderBy) > 0 || stmt.Limit != nil || stmt.Offset != nil {
-		return nil
-	}
-	specs := make([]IncAggSpec, 0, len(sp.proj))
-	for i, item := range sp.proj {
-		if item.star {
-			return nil
-		}
-		fc, ok := item.expr.(*sqlparser.FuncCall)
-		if !ok {
-			return nil
-		}
-		spec := incAggSpec(fc, inCols, sp.outCols[i])
-		if spec == nil {
-			return nil
-		}
-		specs = append(specs, *spec)
-	}
-	if len(specs) == 0 {
-		return nil
-	}
-	return specs
-}
-
-// GroupedProjSlot maps one output column of a grouped incremental
-// program to its source: a GROUP BY key (Idx into Keys) or an
-// aggregate (Idx into Aggs).
-type GroupedProjSlot struct {
-	Key bool
-	Idx int
-}
-
-// GroupedIncProgram is the compiled form of a grouped aggregate-only
-// statement the GroupedAggMaintainer can keep under sliding
-// count-window eviction: plain-column group keys, incrementally
-// maintainable aggregates, and a projection drawing only from those.
-type GroupedIncProgram struct {
-	// Keys are the input column indices of the GROUP BY keys, in
-	// clause order.
+// IncProgram is a plan an AggMaintainer can keep over a sliding window:
+// every GROUP BY key and aggregate argument is a plain input column.
+type IncProgram struct {
+	plan *Plan
+	// Keys are the input columns of the GROUP BY keys, in clause order;
+	// none for an ungrouped aggregate.
 	Keys []int
-	// Aggs are the aggregate slots, in projection order.
-	Aggs []IncAggSpec
-	// Proj maps each output column to a key or aggregate slot.
-	Proj []GroupedProjSlot
-	// Cols is the output column layout.
-	Cols []Column
+	args []int // each aggregate slot's input column; -1 for COUNT(*)
 }
 
-// groupedIncrementalProgram recognises the grouped rollup shape —
-// SELECT key..., agg(col)... FROM w GROUP BY key... with no WHERE/
-// HAVING/ORDER BY/DISTINCT/LIMIT, every key a plain column reference
-// and every projected column either a key or a maintainable aggregate
-// — or returns nil. Shapes outside it (HAVING, expression keys,
-// filtered rollups) still compile into the bound-program tier.
-func groupedIncrementalProgram(sp *simplePlan, inCols []Column) *GroupedIncProgram {
-	stmt := sp.stmt
-	if len(stmt.GroupBy) == 0 || stmt.Where != nil || stmt.Having != nil ||
-		stmt.Distinct || len(stmt.OrderBy) > 0 || stmt.Limit != nil || stmt.Offset != nil {
+// Incremental returns the plan's maintainable form, or nil when the
+// statement does not qualify. A maintainer keeps, per live group, the
+// key values and the aggregate states, so a statement qualifies when
+// its run needs nothing else: an aggregate or GROUP BY statement with
+// no WHERE, every aggregate a non-DISTINCT COUNT, SUM, AVG, MIN, MAX or
+// LAST over a plain column (or COUNT(*)), every GROUP BY key a plain
+// column, and nothing after grouping — HAVING, the projection, ORDER BY
+// — reading a column that is not a key. The container pairs it with an
+// AggMaintainer observing the source's window table.
+func (p *Plan) Incremental() *IncProgram {
+	stmt := p.sp.stmt
+	if !p.sp.grouped || stmt.Where != nil {
 		return nil
 	}
-	prog := &GroupedIncProgram{Keys: make([]int, len(stmt.GroupBy)), Cols: sp.outCols}
+	column := func(e sqlparser.Expr) int {
+		if ref, ok := e.(*sqlparser.ColumnRef); ok {
+			return columnIndex(p.inCols, ref)
+		}
+		return -1
+	}
+	inc := &IncProgram{plan: p, Keys: make([]int, len(stmt.GroupBy)), args: make([]int, len(p.sp.aggs))}
 	for i, g := range stmt.GroupBy {
-		ref, ok := g.(*sqlparser.ColumnRef)
-		if !ok {
-			return nil
-		}
-		if prog.Keys[i] = resolveColRef(ref, inCols); prog.Keys[i] < 0 {
+		if inc.Keys[i] = column(g); inc.Keys[i] < 0 {
 			return nil
 		}
 	}
-	for i, item := range sp.proj {
-		if item.star {
+	for i, a := range p.sp.aggs {
+		if kind := aggKinds[a.Name]; a.Distinct || kind == aggStddev || kind == aggFirst {
 			return nil
 		}
-		switch x := item.expr.(type) {
-		case *sqlparser.ColumnRef:
-			idx := resolveColRef(x, inCols)
-			if idx < 0 {
+		inc.args[i] = -1
+		if !a.CountStar {
+			if len(a.Args) != 1 {
 				return nil
 			}
-			slot := -1
-			for j, k := range prog.Keys {
-				if k == idx {
-					slot = j
-					break
-				}
-			}
-			if slot < 0 {
-				return nil // projects a non-key column: rep-row semantics need the scan
-			}
-			prog.Proj = append(prog.Proj, GroupedProjSlot{Key: true, Idx: slot})
-		case *sqlparser.FuncCall:
-			spec := incAggSpec(x, inCols, sp.outCols[i])
-			if spec == nil {
+			if inc.args[i] = column(a.Args[0]); inc.args[i] < 0 {
 				return nil
 			}
-			prog.Proj = append(prog.Proj, GroupedProjSlot{Idx: len(prog.Aggs)})
-			prog.Aggs = append(prog.Aggs, *spec)
-		default:
+		}
+	}
+	for _, c := range p.prog.after {
+		if !slices.Contains(inc.Keys, c) {
 			return nil
 		}
 	}
-	return prog
+	return inc
 }
 
-// Incremental returns the plan's aggregate program, or nil when the
-// statement is not aggregate-only. The container pairs it with an
-// AggMaintainer observing the source's window table.
-func (p *Plan) Incremental() []IncAggSpec { return p.inc }
-
-// IncrementalGrouped returns the plan's grouped incremental program,
-// or nil when the statement is not a maintainable grouped rollup. The
-// container pairs it with a GroupedAggMaintainer observing the window
-// table.
-func (p *Plan) IncrementalGrouped() *GroupedIncProgram { return p.ginc }
+// IncrementalGrouped returns Incremental().
+//
+// Deprecated: Incremental answers for grouped statements too.
+func (p *Plan) IncrementalGrouped() *IncProgram { return p.Incremental() }
 
 // OutputColumns returns the plan's projected column layout.
 func (p *Plan) OutputColumns() []Column { return p.sp.outCols }

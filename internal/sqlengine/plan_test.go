@@ -129,19 +129,6 @@ func TestCompileRejectsUnsupportedShapes(t *testing.T) {
 	}
 }
 
-func compileIncremental(t *testing.T, q string) []IncAggSpec {
-	t.Helper()
-	stmt, err := sqlparser.Parse(q)
-	if err != nil {
-		t.Fatalf("%s: parse: %v", q, err)
-	}
-	plan, err := Compile(stmt, ColumnsOfSchema(planSchema), "w")
-	if err != nil {
-		t.Fatalf("%s: compile: %v", q, err)
-	}
-	return plan.Incremental()
-}
-
 // TestScanBuildsOnlyReadColumns pins which input columns a scan builds
 // rows from: exactly those the statement references (v, f, TIMED are
 // columns 0, 1, 2), so an aggregate over one field copies that field and
@@ -171,191 +158,9 @@ func TestScanBuildsOnlyReadColumns(t *testing.T) {
 	}
 }
 
-func TestIncrementalProgramDetection(t *testing.T) {
-	eligible := []string{
-		"select count(*) as n from w",
-		"select count(v) as n, sum(v) as s, avg(v) as a from w",
-		"select min(v) as mn, max(v) as mx, last(v) as l from w",
-		"select min(timed) as oldest from w",
-	}
-	for _, q := range eligible {
-		if compileIncremental(t, q) == nil {
-			t.Errorf("%s: should be incrementally maintainable", q)
-		}
-	}
-	ineligible := []string{
-		"select v from w",                         // no aggregates
-		"select count(*) as n from w where v > 0", // WHERE needs rescan
-		"select v, count(*) as n from w group by v",
-		"select first(v) as f from w",          // FIRST needs the head
-		"select stddev(v) as sd from w",        // not in the inc set
-		"select count(distinct v) as n from w", // distinct needs the set
-		"select sum(v + 1) as s from w",        // non-column argument
-		"select count(*) as n from w order by n",
-		"select count(*) as n from w limit 1",
-	}
-	for _, q := range ineligible {
-		if compileIncremental(t, q) != nil {
-			t.Errorf("%s: should NOT be incrementally maintainable", q)
-		}
-	}
-}
-
-// TestAggMaintainerMatchesExecute simulates a sliding count window with
-// random inserts (including NULLs and floats) and checks after every
-// step that the incremental result equals full re-execution over the
-// live window.
-func TestAggMaintainerMatchesExecute(t *testing.T) {
-	const query = "select count(*) as n, count(v) as nv, sum(v) as s, avg(v) as a, " +
-		"min(v) as mn, max(v) as mx, last(v) as l, sum(f) as sf from w"
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(stmt, ColumnsOfSchema(planSchema), "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := plan.Incremental()
-	if specs == nil {
-		t.Fatal("query should be incrementally maintainable")
-	}
-	m := NewAggMaintainer(specs)
-
-	const windowSize = 16
-	rng := rand.New(rand.NewSource(42))
-	var live []stream.Element
-	for step := 0; step < 400; step++ {
-		var v stream.Value = int64(rng.Intn(40) - 20)
-		if rng.Intn(7) == 0 {
-			v = nil
-		}
-		e, err := stream.NewElement(planSchema, stream.Timestamp(step+1), v, rng.Float64()*10-5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, e)
-		m.OnInsert(e)
-		for len(live) > windowSize {
-			m.OnEvict(live[0])
-			live = live[1:]
-		}
-		if step%3 == 0 && step > 0 && rng.Intn(50) == 0 {
-			m.OnTruncate()
-			live = nil
-		}
-
-		got := m.Result()
-		if got == nil {
-			t.Fatalf("step %d: maintainer poisoned unexpectedly", step)
-		}
-		pt := &planTable{schema: planSchema, elems: live}
-		want, err := Execute(stmt, MapCatalog{stream.CanonicalName("w"): RelationOfSource(pt)}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gs, ws := got.String(), want.String(); !aggRowsEqual(t, got, want) {
-			t.Fatalf("step %d (live=%d):\nincremental:\n%s\nexecute:\n%s", step, len(live), gs, ws)
-		}
-	}
-}
-
-// aggRowsEqual compares single-row aggregate relations, tolerating
-// float rounding differences between running-sum and rescanned AVG/SUM.
-func aggRowsEqual(t *testing.T, a, b *Relation) bool {
-	t.Helper()
-	if len(a.Rows) != 1 || len(b.Rows) != 1 || len(a.Rows[0]) != len(b.Rows[0]) {
-		return false
-	}
-	for i := range a.Rows[0] {
-		av, bv := a.Rows[0][i], b.Rows[0][i]
-		af, aok := av.(float64)
-		bf, bok := bv.(float64)
-		if aok && bok {
-			d := af - bf
-			if d < -1e-9 || d > 1e-9 {
-				return false
-			}
-			continue
-		}
-		if av != bv {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAggMaintainerPoisoned: an input the aggregate cannot digest must
-// poison the maintainer so triggers fall back to full execution (which
-// reports the error), rather than silently computing garbage.
-func TestAggMaintainerPoisoned(t *testing.T) {
-	strSchema := stream.MustSchema(stream.Field{Name: "s", Type: stream.TypeString})
-	stmt, err := sqlparser.Parse("select sum(s) as x from w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(stmt, ColumnsOfSchema(strSchema), "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewAggMaintainer(plan.Incremental())
-	e, err := stream.NewElement(strSchema, 1, "not-a-number")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OnInsert(e)
-	if m.Result() != nil {
-		t.Error("maintainer should be poisoned by SUM over a string")
-	}
-	m.OnTruncate()
-	if m.Result() == nil {
-		t.Error("truncate should reset the poisoned state")
-	}
-}
-
-// TestAggMaintainerFloatResync: after enough float evictions the
-// maintainer asks for a rebuild, and a truncate+replay (what
-// storage.Table.SetObserver performs) clears both the drift counter
-// and any accumulated rounding error.
-func TestAggMaintainerFloatResync(t *testing.T) {
-	stmt, err := sqlparser.Parse("select sum(f) as s from w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(stmt, ColumnsOfSchema(planSchema), "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewAggMaintainer(plan.Incremental())
-	e, err := stream.NewElement(planSchema, 1, int64(0), 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < resyncFloatEvery+10; i++ {
-		m.OnInsert(e)
-		m.OnEvict(e)
-		if i < resyncFloatEvery-1 && m.NeedsResync() {
-			t.Fatalf("resync requested too early at %d", i)
-		}
-	}
-	if !m.NeedsResync() {
-		t.Fatalf("resync not requested after %d float evictions", resyncFloatEvery+10)
-	}
-	// SetObserver replay = truncate + re-insert of the live window.
-	m.OnTruncate()
-	m.OnInsert(e)
-	if m.NeedsResync() {
-		t.Error("rebuild should clear the resync request")
-	}
-	got := m.Result()
-	if got == nil || got.Rows[0][0] != 2.5 {
-		t.Errorf("sum after rebuild = %v, want 2.5", got)
-	}
-}
-
 // BenchmarkExecuteSourceAggregate is the trigger of an aggregate-only
-// source that has no maintainer attached (a time window, a poisoned
-// maintainer): one scan of the window through ExecuteSource.
+// source whose maintainer is poisoned: one scan of the window through
+// ExecuteSource.
 func BenchmarkExecuteSourceAggregate(b *testing.B) {
 	stmt, err := sqlparser.Parse("select count(*) as n, sum(v) as s, avg(f) as a, max(v) as mx from w")
 	if err != nil {
