@@ -74,13 +74,16 @@ examples-smoke:
 # cross-node composition, partitioned-coordinator query semantics,
 # routed registrations surviving peer restarts), beside the peer long
 # polls' wake-up contract (TestLongPoll*), the shared routed-results
-# loop (TestRoutedResultsShareOnePoll) and a maintained time-window
-# source read by triggers while it is written (TestTimeWindowMaintainer*).
+# loop (TestRoutedResultsShareOnePoll), a maintained time-window
+# source read by triggers while it is written (TestTimeWindowMaintainer*),
+# and the run-to-completion contracts: concurrent arrivals on one stream
+# evaluate one at a time, a redeploy waits for the evaluation in flight,
+# no subscriber call after Unsubscribe returns.
 # See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
-		./internal/core ./internal/storage ./internal/p2p
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish' \
+		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
 # ci is the tier-1 gate: everything a fresh clone must pass.
 ci: vet build race benchsmoke examples-smoke docs-check chaos

@@ -93,8 +93,10 @@ type NodeOptions struct {
 	Advertise string
 	// Clock overrides the time source (nil = system clock).
 	Clock Clock
-	// SyncProcessing processes triggers inline for deterministic
-	// simulation (tests, benchmarks).
+	// SyncProcessing runs registered-query sweeps on the goroutine whose
+	// output triggered them and turns wrapper supervision off, for
+	// deterministic simulation (tests, benchmarks). Triggers evaluate
+	// on the goroutine that delivered their element either way.
 	SyncProcessing bool
 	// SignKeyID signs outgoing peer streams with this keyring entry.
 	SignKeyID string
@@ -325,8 +327,10 @@ func (n *Node) SensorStats(name string) (SensorStats, error) {
 func (n *Node) Query(sql string) (*Relation, error) { return n.container.Query(sql) }
 
 // Subscribe delivers every output element of a sensor to fn (empty
-// sensor name = all sensors). It returns the subscription id for
-// Unsubscribe.
+// sensor name = all sensors). fn runs on the goroutine that produced
+// the element, one call at a time, so it must not block, deploy or
+// unsubscribe: hand such work to a goroutine. It returns the
+// subscription id for Unsubscribe.
 func (n *Node) Subscribe(sensor string, fn func(Event)) (int64, error) {
 	return n.container.Subscribe(sensor, notify.FuncChannel{Fn: func(ev notify.Event) error {
 		fn(ev)

@@ -134,8 +134,9 @@ func RunFigure3(cfg Figure3Config, w io.Writer) (*Figure3Result, error) {
 // runFigure3Point measures one (size, interval) cell: a fresh container
 // with the four device networks paced in real time. The measured
 // quantity is the node-internal time from element arrival to
-// stored-and-notified output — including queueing in the worker pools,
-// which is where load at short intervals shows up.
+// stored-and-notified output — including the wait for an evaluation of
+// the same stream still running, which is where load at short
+// intervals shows up.
 func runFigure3Point(cfg Figure3Config, size string, interval time.Duration) (Figure3Point, error) {
 	dataDir, err := os.MkdirTemp("", "gsn-fig3-*")
 	if err != nil {
@@ -189,8 +190,8 @@ func runFigure3Point(cfg Figure3Config, size string, interval time.Duration) (Fi
 	}
 
 	// Warm up so windows fill to steady state, then measure. The
-	// trigger_latency histogram spans enqueue→done, so worker-pool
-	// queueing under load is part of the measurement, as in the paper.
+	// trigger_latency histogram spans arrival→done, so waiting under
+	// load is part of the measurement, as in the paper.
 	// Slow intervals need a window long enough to catch several ticks.
 	duration := cfg.Duration
 	if min := 3 * interval; duration < min {

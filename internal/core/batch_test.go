@@ -101,8 +101,8 @@ func TestBatchIngestEquivalence(t *testing.T) {
 	}
 
 	// Identical trigger counts: the batch terminal accounts one trigger
-	// per slide boundary crossed, matching the per-element count. In
-	// sync mode a burst's crossings collapse into one evaluation, so
+	// per slide boundary crossed, matching the per-element count. A
+	// burst's crossings collapse into one evaluation, so
 	// the batched node reports the surplus as Coalesced and produces
 	// correspondingly fewer (identical-content) outputs.
 	stA, stB := vsA.Stats(), vsB.Stats()

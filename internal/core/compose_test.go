@@ -210,6 +210,38 @@ func TestUndeployRefusesAndCascades(t *testing.T) {
 	}
 }
 
+// TestLocalEdgesDeliverInSubscriptionOrder: sibling downstream sensors
+// of one upstream evaluate — and so publish — in the order their edges
+// subscribed, on every delivery.
+func TestLocalEdgesDeliverInSubscriptionOrder(t *testing.T) {
+	c := testContainer(t)
+	deployChain(t, c, "t0", "d1")
+	deploy(t, c, tierDescriptor("d2", "t0"))
+	var order []string
+	if _, err := c.Subscribe("", notify.FuncChannel{Fn: func(ev notify.Event) error {
+		if ev.Sensor != "T0" {
+			order = append(order, ev.Sensor)
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		c.Pulse()
+	}
+	if !c.Notifier().Flush(time.Second) {
+		t.Fatal("notifications did not drain")
+	}
+	if len(order) != 200 {
+		t.Fatalf("%d downstream events, want 200", len(order))
+	}
+	for i, s := range order {
+		if want := []string{"D1", "D2"}[i%2]; s != want {
+			t.Fatalf("event %d came from %s, want %s: siblings ran out of subscription order", i, s, want)
+		}
+	}
+}
+
 // TestRedeployPreservesState is the tentpole acceptance scenario:
 // redeploying the middle tier of a chain with an unchanged output
 // schema preserves its output rows, keeps every registered client
@@ -429,7 +461,7 @@ func TestLocalSelfDependencyRejected(t *testing.T) {
 // race detector, including tearing down and rebuilding the middle tier
 // of a three-sensor chain while elements flow.
 func TestConcurrentLifecycleRace(t *testing.T) {
-	c, err := New(Options{Name: "race-node"}) // async: worker pools + supervision live
+	c, err := New(Options{Name: "race-node"}) // async: repository pool + supervision live
 	if err != nil {
 		t.Fatal(err)
 	}

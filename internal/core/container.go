@@ -10,6 +10,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -51,9 +52,11 @@ type Options struct {
 	Directory *directory.Registry
 	// Notify tunes the notification manager.
 	Notify notify.Options
-	// SyncProcessing processes triggers inline on the producing
-	// goroutine instead of through the worker pool. Deterministic mode
-	// for tests and benchmarks.
+	// SyncProcessing runs each registered-query sweep on the goroutine
+	// whose output triggered it instead of the repository's pool, and
+	// turns the supervision loop off: the deterministic mode of tests
+	// and benchmarks. Triggers evaluate on the goroutine that delivered
+	// their element either way.
 	SyncProcessing bool
 	// MaxQueryRows bounds query results (0 = engine default).
 	MaxQueryRows int
@@ -61,7 +64,7 @@ type Options struct {
 	// them. *log.Logger satisfies it.
 	Logger Logger
 	// SuperviseInterval is the supervision loop period (default 1s;
-	// the loop only runs in asynchronous mode).
+	// the loop does not run under SyncProcessing).
 	SuperviseInterval time.Duration
 	// MaxWrapperRestarts bounds consecutive restarts of a silent
 	// source's wrapper before supervision marks the source terminally
@@ -203,10 +206,10 @@ func (c *Container) engineOpts() sqlengine.Options {
 }
 
 // Deploy validates a descriptor and brings the virtual sensor online:
-// wrapper instantiation, window tables, worker pool, directory
-// publication. Local sources are recorded as dependency-graph edges;
-// every upstream they name must already be deployed (see DeployAll for
-// batches). Deployment is atomic — on any error nothing remains.
+// wrapper instantiation, window tables, directory publication. Local
+// sources are recorded as dependency-graph edges; every upstream they
+// name must already be deployed (see DeployAll for batches).
+// Deployment is atomic — on any error nothing remains.
 func (c *Container) Deploy(desc *vsensor.Descriptor) error {
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
@@ -258,8 +261,8 @@ func (c *Container) deploy(desc *vsensor.Descriptor) error {
 	}
 	c.metrics.Counter("deployments").Inc()
 	c.metrics.Counter("deploys_total").Inc()
-	c.logf("gsn: deployed %s (pool-size %d, %d input stream(s), %d local dep(s))",
-		name, desc.LifeCycle.PoolSize, len(desc.Streams), len(deps))
+	c.logf("gsn: deployed %s (%d input stream(s), %d local dep(s))",
+		name, len(desc.Streams), len(deps))
 	return nil
 }
 
@@ -281,14 +284,7 @@ func (c *Container) attachNotification(sensor string, n vsensor.Notification) er
 		if w == nil {
 			return nil // nowhere to log; silently skip
 		}
-		ch = notify.FuncChannel{ChannelName: "log", Fn: func(ev notify.Event) error {
-			data, err := notify.MarshalEvent(ev)
-			if err != nil {
-				return err
-			}
-			w.Printf("notify %s #%d %s", ev.Sensor, ev.Seq, data)
-			return nil
-		}}
+		ch = notify.NewLogChannel(loggerWriter{w})
 	case "webhook":
 		ch = notify.NewWebhookChannel(n.Target)
 	case "file":
@@ -304,9 +300,19 @@ func (c *Container) attachNotification(sensor string, n vsensor.Notification) er
 	return err
 }
 
+// loggerWriter adapts the container's Logger to the writer a
+// notify.LogChannel prints its lines to; a log channel may block, so it
+// is delivered from its own queue, never on the producing goroutine.
+type loggerWriter struct{ l Logger }
+
+func (w loggerWriter) Write(p []byte) (int, error) {
+	w.l.Printf("%s", bytes.TrimSuffix(p, []byte("\n")))
+	return len(p), nil
+}
+
 // Undeploy removes a virtual sensor: wrappers stop, tables drop,
 // subscriptions and client queries for it are cancelled, the directory
-// entry is withdrawn. Running queries finish first (pool drain). A
+// entry is withdrawn. Evaluations in flight finish first. A
 // sensor other sensors consume through local sources refuses to
 // undeploy — remove the dependents first or use UndeployCascade.
 func (c *Container) Undeploy(name string) error {
@@ -517,8 +523,8 @@ func (c *Container) Redeploy(desc *vsensor.Descriptor) error {
 // from its descriptor (its wrappers were running moments ago), so the
 // sensor keeps serving either way.
 func (c *Container) swapPreserving(name string, old *VirtualSensor, desc *vsensor.Descriptor, deps []string) error {
-	// Drain: stop wrappers, let queued triggers finish against the old
-	// windows, then retire them. Downstream subscribers keep receiving
+	// Drain: stop wrappers, let evaluations in flight finish against the
+	// old windows, then retire them. Downstream subscribers keep receiving
 	// through the drain (the fanout is keyed by name, not runtime).
 	old.stop()
 	c.dropSourceTables(old)

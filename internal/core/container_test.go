@@ -370,7 +370,7 @@ func TestSamplingRateReducesTriggers(t *testing.T) {
 	}
 	src := st.Sources[0]
 	if src.Sampled.In != 200 || src.Sampled.Out != st.Triggers {
-		t.Errorf("sampler stats = %+v vs triggers %d", src.Sampled, st.Triggers)
+		t.Errorf("sampler stats = %+v, triggers %d", src.Sampled, st.Triggers)
 	}
 }
 

@@ -347,53 +347,119 @@ func TestDescriptorRoundTripThroughRedeploy(t *testing.T) {
 	}
 }
 
-func TestTriggerOverflowSheds(t *testing.T) {
-	// An async container with pool-size 1 and a blocking-slow query
-	// cannot drain fast pulses; overload must shed triggers, not grow
-	// without bound.
-	c, err := New(Options{})
+// slowDescriptor's source query joins the window with itself, so an
+// evaluation takes a while; t is the newest timestamp it saw.
+const slowDescriptor = `
+<virtual-sensor name="slow">
+  <output-structure><field name="n" type="integer"/><field name="t" type="integer"/></output-structure>
+  <storage size="1000"/>
+  <input-stream name="in">
+    <stream-source alias="s" storage-size="100">
+      <address wrapper="random-walk"><predicate key="seed" val="1"/></address>
+      <query>select count(*) as n, max(a.timed) as t from WRAPPER a, WRAPPER b where a.value >= b.value</query>
+    </stream-source>
+    <query>select * from s</query>
+  </input-stream>
+</virtual-sensor>`
+
+// TestConcurrentArrivalsEvaluateOneAtATime: several goroutines deliver
+// to one slow stream at once. Its evaluations never overlap — every
+// output saw at least the window the one before it saw — every trigger
+// is an output or coalesced into one, arrivals did coalesce, and the
+// last output covers the last arrival.
+func TestConcurrentArrivalsEvaluateOneAtATime(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	c, err := New(Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.DeployXML([]byte(`
-<virtual-sensor name="slow">
-  <life-cycle pool-size="1"/>
-  <output-structure><field name="n" type="integer"/></output-structure>
-  <input-stream name="in">
-    <stream-source alias="s" storage-size="400">
-      <address wrapper="random-walk"><predicate key="seed" val="1"/></address>
-      <query>select count(*) as n from WRAPPER a, WRAPPER b where a.value >= b.value</query>
-    </stream-source>
-    <query>select * from s</query>
-  </input-stream>
-</virtual-sensor>`))
+	deploy(t, c, slowDescriptor)
+	vs, _ := c.Sensor("slow")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				clock.Advance(time.Millisecond)
+				vs.Pulse()
+			}
+		}()
+	}
+	wg.Wait()
+	// The last arrivals may still be caught up on the stream's own
+	// goroutine.
+	waitFor(t, func() bool {
+		st := vs.Stats()
+		return st.Outputs+st.Coalesced+st.Dropped+st.Errors >= st.Triggers
+	})
+	st := vs.Stats()
+	if st.Errors != 0 || st.Dropped != 0 || st.Triggers != 200 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.Outputs+st.Coalesced != st.Triggers {
+		t.Errorf("outputs %d + coalesced %d != triggers %d", st.Outputs, st.Coalesced, st.Triggers)
+	}
+	if st.Coalesced == 0 {
+		t.Error("no arrival met a running evaluation")
+	}
+	outs := vs.Output().Snapshot()
+	for i := 1; i < len(outs); i++ {
+		if outs[i].Value(1).(int64) < outs[i-1].Value(1).(int64) {
+			t.Fatalf("output %d saw an older window than output %d: evaluations overlapped", i, i-1)
+		}
+	}
+	var newest int64
+	for _, e := range vs.streams[0].sources[0].table.Snapshot() {
+		newest = max(newest, int64(e.Timestamp()))
+	}
+	if last := outs[len(outs)-1].Value(1).(int64); last != newest {
+		t.Errorf("last output saw arrivals up to %d, the window holds %d", last, newest)
+	}
+}
+
+// TestRedeployWaitsForInlineEvaluation: a redeploy swap waits for the
+// evaluation a producing goroutine is running on the old runtime, under
+// SyncProcessing too, so once Redeploy returns the old runtime writes
+// no more output.
+func TestRedeployWaitsForInlineEvaluation(t *testing.T) {
+	c, err := New(Options{SyncProcessing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Push far more triggers than a single worker can process: the
-	// quadratic self-join over the window slows each trigger to tens of
-	// milliseconds.
-	for i := 0; i < 2000; i++ {
-		c.Pulse()
+	defer c.Close()
+	deploy(t, c, slowDescriptor)
+	old, _ := c.Sensor("slow")
+	for i := 0; i < 100; i++ {
+		old.Pulse() // fill the window: every evaluation is a full self-join
 	}
-	vs, _ := c.Sensor("slow")
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := vs.Stats()
-		if st.Errors > 0 {
-			t.Fatalf("overload produced errors: %+v", st)
-		}
-		if st.Outputs+st.Dropped+st.Coalesced >= 2000 {
-			if st.Dropped == 0 && st.Coalesced == 0 {
-				t.Skip("machine fast enough to drain; overload not reproducible here")
+	desc, err := vsensor.Parse([]byte(slowDescriptor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				old.Pulse()
 			}
-			return // coalesced/shed some load and finished the rest: correct
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool wedged: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}()
+	base := old.Stats().Outputs
+	waitFor(t, func() bool { return old.Stats().Outputs > base+2 })
+	if err := c.Redeploy(desc); err != nil {
+		t.Fatal(err)
+	}
+	after := old.Stats().Outputs
+	close(stop)
+	<-done // the pulse in flight when Redeploy returned has finished
+	if got := old.Stats().Outputs; got != after {
+		t.Errorf("the old runtime wrote %d outputs after Redeploy returned", got-after)
 	}
 }
 

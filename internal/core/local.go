@@ -12,13 +12,12 @@ import (
 
 // Local composition: a stream source with wrapper="local" subscribes to
 // another deployed sensor's output stream in-process. Delivery is
-// push-based and zero-copy — the upstream trigger pipeline hands its
-// freshly inserted output elements straight to every subscriber's
-// quality chain (fanoutLocal), with no polling wrapper and no table
-// rescan. In synchronous mode the whole downstream cascade runs inline
-// on the producing goroutine, which keeps multi-tier pipelines
-// deterministic for tests and the cascade benchmark; in asynchronous
-// mode each tier hands off to its own worker pool.
+// push-based and zero-copy — the upstream evaluation hands its freshly
+// inserted output elements straight to every subscriber's quality
+// chain, with no polling wrapper and no table rescan — and runs to
+// completion: each downstream sensor inserts, evaluates and publishes
+// on the upstream's goroutine, depth-first, before the next sibling in
+// subscription order.
 
 // localSub is one downstream subscription on a sensor's output stream.
 type localSub struct {
@@ -28,17 +27,18 @@ type localSub struct {
 }
 
 // localFanout is the container's composition bus: upstream sensor name →
-// live downstream subscriptions. It has its own lock (never held while
-// delivering) so lifecycle operations and the trigger hot path cannot
-// deadlock through it.
+// its downstream subscriptions, oldest first. Each list is copy-on-write,
+// so a delivery walks it outside the lock without copying it, and
+// lifecycle operations and the trigger hot path cannot deadlock through
+// the lock.
 type localFanout struct {
 	mu     sync.RWMutex
 	nextID int64
-	subs   map[string]map[int64]*localSub
+	subs   map[string][]*localSub
 }
 
 func newLocalFanout() *localFanout {
-	return &localFanout{subs: make(map[string]map[int64]*localSub)}
+	return &localFanout{subs: make(map[string][]*localSub)}
 }
 
 // subscribe registers a downstream delivery pair for a sensor's output.
@@ -46,12 +46,8 @@ func (f *localFanout) subscribe(sensor string, emit wrappers.EmitFunc, emitBatch
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.nextID++
-	m := f.subs[sensor]
-	if m == nil {
-		m = make(map[int64]*localSub)
-		f.subs[sensor] = m
-	}
-	m[f.nextID] = &localSub{id: f.nextID, emit: emit, emitBatch: emitBatch}
+	old := f.subs[sensor]
+	f.subs[sensor] = append(old[:len(old):len(old)], &localSub{id: f.nextID, emit: emit, emitBatch: emitBatch})
 	return f.nextID
 }
 
@@ -60,32 +56,30 @@ func (f *localFanout) subscribe(sensor string, emit wrappers.EmitFunc, emitBatch
 func (f *localFanout) unsubscribe(sensor string, id int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m := f.subs[sensor]; m != nil {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(f.subs, sensor)
+	var kept []*localSub
+	for _, s := range f.subs[sensor] {
+		if s.id != id {
+			kept = append(kept, s)
 		}
+	}
+	if len(kept) == 0 {
+		delete(f.subs, sensor)
+	} else {
+		f.subs[sensor] = kept
 	}
 }
 
 // deliver pushes a burst of output elements to every subscriber of the
-// sensor. The subscription snapshot is taken under the lock but
+// sensor, in subscription order. The list is read under the lock but
 // delivery runs outside it: a subscriber's chain inserts into its own
-// window table and may cascade further tiers, and none of that may
-// serialise against lifecycle changes here. Each subscriber gets its
-// own slice (batch sinks take ownership and stamp arrival in place);
-// the element payloads themselves are shared, never copied.
+// window table and evaluates its sensor, which may cascade further
+// tiers, and none of that may serialise against lifecycle changes here.
+// Each subscriber gets its own slice (batch sinks take ownership and
+// stamp arrival in place); the element payloads themselves are shared,
+// never copied.
 func (f *localFanout) deliver(sensor string, elems []stream.Element) {
 	f.mu.RLock()
-	m := f.subs[sensor]
-	if len(m) == 0 {
-		f.mu.RUnlock()
-		return
-	}
-	list := make([]*localSub, 0, len(m))
-	for _, s := range m {
-		list = append(list, s)
-	}
+	list := f.subs[sensor]
 	f.mu.RUnlock()
 	for _, s := range list {
 		if len(elems) == 1 {

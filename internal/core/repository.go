@@ -625,8 +625,8 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 // reading windows, further triggers collapse into it (the pending
 // sweep sees their elements — inserts complete before scheduling, and
 // the sweep clears the flag before materialising any window). The
-// async trigger pipeline uses this so a burst costs one repository
-// sweep, not one per output element.
+// trigger pipeline uses this so a burst costs one repository sweep,
+// not one per output element.
 func (r *QueryRepository) ScheduleSweep(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) {
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()

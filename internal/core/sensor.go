@@ -17,8 +17,10 @@ import (
 )
 
 // VirtualSensor is the runtime of one deployed descriptor: its wrappers,
-// quality chains, window tables, worker pool and output table. It is
-// created and owned by the container's virtual sensor manager.
+// quality chains, window tables and output table. It is created and
+// owned by the container's virtual sensor manager. It runs no
+// goroutines of its own: a trigger is evaluated by the goroutine that
+// delivered its element.
 type VirtualSensor struct {
 	name      string
 	desc      *vsensor.Descriptor
@@ -27,15 +29,13 @@ type VirtualSensor struct {
 	outTable  *storage.Table
 	streams   []*inputStream
 
-	triggers chan trigger
+	// wg counts the evaluations in flight. One joins it only under
+	// lifeMu's read lock with stopping false, and stop sets stopping
+	// under the write lock before it waits — so a lifecycle operation
+	// (undeploy, redeploy swap) returns only once the runtime has
+	// stopped evaluating.
 	wg       sync.WaitGroup
 	stopOnce sync.Once
-
-	// lifeMu guards the trigger channel's lifecycle: enqueue sends only
-	// under the read lock with stopping false, and stop closes the
-	// channel under the write lock after setting stopping — so a
-	// lifecycle operation (undeploy, redeploy swap) racing a producer
-	// can never send on a closed channel.
 	lifeMu   sync.RWMutex
 	stopping bool
 
@@ -56,12 +56,15 @@ type inputStream struct {
 	count   *quality.CountLimiter
 	sources []*sourceRuntime
 
-	// queued is true while an evaluation for this stream is scheduled
-	// but has not started reading the window yet. Arrivals in that span
-	// coalesce into the pending evaluation (which sees their elements,
-	// unless it is itself shed by a full queue) instead of enqueueing
-	// another trigger.
-	queued atomic.Bool
+	// mu guards the evaluation state. The stream evaluates one trigger
+	// at a time and queues none: an arrival that finds it running sets
+	// pending — its element is already in the window — and returns, and
+	// the running evaluation goes round once more for it. pendingSince
+	// is when the first such arrival came.
+	mu           sync.Mutex
+	running      bool
+	pending      bool
+	pendingSince time.Time
 }
 
 // sourceRuntime is one <stream-source> at runtime.
@@ -99,24 +102,17 @@ type sourceRuntime struct {
 	notBefore    atomic.Int64 // unix nanos; supervision waits until then
 }
 
-// trigger is one unit of work for the processing pool: an element
-// arrived on a source of a stream (the paper: "production of a new
-// output stream element is always triggered by the arrival of a data
-// stream element from one of its input streams").
-type trigger struct {
-	stream   *inputStream
-	enqueued time.Time
-}
-
 // SensorStats summarises a virtual sensor's activity.
 type SensorStats struct {
 	Name     string
 	Triggers uint64
 	Outputs  uint64
 	Errors   uint64
-	Dropped  uint64
-	// Coalesced counts triggers collapsed into an already-pending
-	// evaluation of the same input stream (overload back-pressure).
+	// Dropped counts triggers shed because the runtime was stopping.
+	Dropped uint64
+	// Coalesced counts triggers an evaluation of the same input stream
+	// covered: the rest of a burst, or an arrival that found another
+	// already waiting for the running evaluation to go round again.
 	Coalesced   uint64
 	LastError   string
 	OutputLive  int
@@ -168,7 +164,6 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 		desc:      desc,
 		container: c,
 		outSchema: outSchema,
-		triggers:  make(chan trigger, triggerQueueSize(desc.LifeCycle.PoolSize)),
 	}
 	vs.statLastError.Store("")
 
@@ -249,14 +244,6 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 		vs.streams = append(vs.streams, in)
 	}
 	return vs, nil
-}
-
-func triggerQueueSize(poolSize int) int {
-	n := poolSize * 8
-	if n < 64 {
-		n = 64
-	}
-	return n
 }
 
 // sourceTableName builds the window table name for a source.
@@ -342,8 +329,8 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	}
 
 	// Quality chain, innermost stage first: the terminal sink inserts
-	// into the window table and enqueues the trigger. With a slide > 1
-	// the window advances on every arrival but processing fires only on
+	// into the window table and fires the stream. With a slide > 1 the
+	// window advances on every arrival but processing fires only on
 	// every slide-th element.
 	terminal := func(e stream.Element) {
 		if err := table.Insert(e); err != nil {
@@ -351,16 +338,13 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 			return
 		}
 		if src.arrivals.Add(1)%uint64(src.slide) == 0 {
-			vs.enqueue(trigger{stream: in})
+			vs.fire(in, 1)
 		}
 	}
 	// The batch terminal lands a whole burst with one InsertBatch (one
-	// table lock, one WAL group append) and accounts one trigger per
-	// slide boundary the burst crosses — the same count the per-element
-	// path would produce. Async mode relies on PR 1's coalescing to
-	// collapse them into one evaluation; sync mode collapses them here
-	// (enqueueCoalesced), so a burst costs one evaluation covering its
-	// full window in either mode.
+	// table lock, one WAL group append) and fires once for all the slide
+	// boundaries the burst crosses — the trigger count the per-element
+	// path would produce, served by one evaluation over the whole burst.
 	terminalBatch := func(batch []stream.Element) {
 		if len(batch) == 0 {
 			return
@@ -373,7 +357,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		n := uint64(len(batch))
 		total := src.arrivals.Add(n)
 		slide := uint64(src.slide)
-		vs.enqueueCoalesced(trigger{stream: in}, int(total/slide-(total-n)/slide))
+		vs.fire(in, int(total/slide-(total-n)/slide))
 	}
 	src.buffer = quality.NewDisconnectBuffer(spec.DisconnectBuffer, terminal)
 	src.buffer.SetBatchSink(terminalBatch)
@@ -446,98 +430,82 @@ func (vs *VirtualSensor) ingressBatch(src *sourceRuntime, elems []stream.Element
 	src.sampler.OfferBatch(elems)
 }
 
-// enqueue hands a trigger to the worker pool (or processes inline in
-// synchronous mode). When an evaluation for the same input stream is
-// already scheduled and has not yet read its window, the trigger
-// coalesces into it: if that evaluation runs, it sees this arrival's
-// element (the insert completed before the coalescing check, and the
-// worker clears the queued flag before scanning the window), so one
-// evaluation covers the whole burst. A full queue still drops the
-// trigger — and with it any arrivals that coalesced into it — matching
-// the pre-existing overload contract: window tables advance, only
-// recomputation is shed, and the next successful trigger's evaluation
-// covers everything still live in the window.
-func (vs *VirtualSensor) enqueue(tr trigger) {
-	vs.statTriggers.Add(1)
-	tr.enqueued = time.Now()
-	if vs.container.opts.SyncProcessing {
-		// Best-effort stop check (no lock held across the inline
-		// evaluation): a producer racing a lifecycle swap sheds its
-		// trigger instead of processing on a retired runtime.
-		vs.lifeMu.RLock()
-		stopped := vs.stopping
-		vs.lifeMu.RUnlock()
-		if stopped {
-			vs.statDropped.Add(1)
-			return
-		}
-		vs.process(tr)
-		return
-	}
-	if !tr.stream.queued.CompareAndSwap(false, true) {
-		vs.statCoalesced.Add(1)
-		vs.container.metrics.Counter("triggers_coalesced").Inc()
-		return
-	}
-	// The read lock brackets the send against stop()'s close: a
-	// lifecycle swap racing a producer drops the trigger instead of
-	// panicking on a closed channel.
-	vs.lifeMu.RLock()
-	if vs.stopping {
-		vs.lifeMu.RUnlock()
-		tr.stream.queued.Store(false)
-		vs.statDropped.Add(1)
-		return
-	}
-	select {
-	case vs.triggers <- tr:
-	default:
-		tr.stream.queued.Store(false)
-		vs.statDropped.Add(1)
-	}
-	vs.lifeMu.RUnlock()
-}
-
-// enqueueCoalesced accounts n slide crossings from one burst. In
-// synchronous mode the burst evaluates once — the single evaluation
-// sees the whole burst in the window, exactly what async coalescing
-// converges to — with the collapsed triggers counted in
-// SensorStats.Coalesced. Async mode enqueues each trigger and lets the
-// queued-flag coalescing collapse them.
-func (vs *VirtualSensor) enqueueCoalesced(tr trigger, n int) {
+// fire accounts n triggers of one input stream — the slide crossings of
+// an arrival or of a burst, whose elements are already in the window —
+// and evaluates the stream on the calling goroutine (the paper:
+// "production of a new output stream element is always triggered by
+// the arrival of a data stream element from one of its input
+// streams"). A burst evaluates once, so n-1 of its triggers coalesce.
+// An arrival that finds the stream evaluating leaves it pending and
+// returns: the running evaluation goes round again and sees its
+// element. Once stop has begun, triggers are shed.
+func (vs *VirtualSensor) fire(in *inputStream, n int) {
 	if n <= 0 {
 		return
 	}
-	if vs.container.opts.SyncProcessing && n > 1 {
-		vs.statTriggers.Add(uint64(n))
-		// Same best-effort stop shed as enqueue's sync path: a burst
-		// racing a lifecycle swap must not process on a retired runtime.
-		vs.lifeMu.RLock()
-		stopped := vs.stopping
+	vs.statTriggers.Add(uint64(n))
+	arrived := time.Now()
+	vs.lifeMu.RLock()
+	if vs.stopping {
 		vs.lifeMu.RUnlock()
-		if stopped {
-			vs.statDropped.Add(uint64(n))
-			return
-		}
-		vs.statCoalesced.Add(uint64(n - 1))
-		vs.container.metrics.Counter("triggers_coalesced").Add(uint64(n - 1))
-		tr.enqueued = time.Now()
-		vs.process(tr)
+		vs.statDropped.Add(uint64(n))
 		return
 	}
-	for i := 0; i < n; i++ {
-		vs.enqueue(tr)
+	coalesced := n - 1
+	in.mu.Lock()
+	run := !in.running
+	switch {
+	case run:
+		in.running = true
+		vs.wg.Add(1)
+	case in.pending:
+		coalesced++
+	default:
+		in.pending, in.pendingSince = true, arrived
+	}
+	in.mu.Unlock()
+	vs.lifeMu.RUnlock()
+	if coalesced > 0 {
+		vs.statCoalesced.Add(uint64(coalesced))
+		vs.container.metrics.Counter("triggers_coalesced").Add(uint64(coalesced))
+	}
+	if run {
+		vs.evaluate(in, arrived, true)
 	}
 }
 
-// start launches the worker pool and the wrappers.
-func (vs *VirtualSensor) start() error {
-	if !vs.container.opts.SyncProcessing {
-		for i := 0; i < vs.desc.LifeCycle.PoolSize; i++ {
-			vs.wg.Add(1)
-			go vs.worker()
+// inlineRounds bounds the evaluations of one stream a delivering
+// goroutine runs back to back. Arrivals still pending after that are
+// caught up on a goroutine of the stream's own, so a producer that
+// keeps a stream busy goes back to producing.
+const inlineRounds = 4
+
+// evaluate runs the stream's evaluation, and again for as long as
+// arrivals leave it pending: up to inlineRounds times on the delivering
+// goroutine (inline), without bound on a catch-up goroutine. The caller
+// has set running and counted the evaluation in wg.
+func (vs *VirtualSensor) evaluate(in *inputStream, arrived time.Time, inline bool) {
+	defer vs.wg.Done()
+	for round := 1; ; round++ {
+		vs.safeProcess(in, arrived)
+		in.mu.Lock()
+		if !in.pending {
+			in.running = false
+			in.mu.Unlock()
+			return
+		}
+		in.pending, arrived = false, in.pendingSince
+		in.mu.Unlock()
+		if inline && round == inlineRounds {
+			vs.wg.Add(1) // this evaluation's own count keeps wg above zero
+			go vs.evaluate(in, arrived, false)
+			return
 		}
 	}
+}
+
+// start launches the wrappers.
+func (vs *VirtualSensor) start() error {
 	for _, in := range vs.streams {
 		for _, src := range in.sources {
 			if err := vs.startWrapper(src); err != nil {
@@ -562,43 +530,32 @@ func (vs *VirtualSensor) startWrapper(src *sourceRuntime) error {
 	return src.wrapper.Start(emit)
 }
 
-// worker consumes triggers until the channel closes. A panicking query
-// (life-cycle manager duty) is recovered and counted; the worker
-// survives.
-func (vs *VirtualSensor) worker() {
-	defer vs.wg.Done()
-	for tr := range vs.triggers {
-		// Clear the coalescing flag before the evaluation reads any
-		// window: an arrival after this point schedules a fresh trigger,
-		// an arrival before it is already in the table and covered by
-		// this evaluation.
-		tr.stream.queued.Store(false)
-		vs.safeProcess(tr)
-	}
-}
-
-func (vs *VirtualSensor) safeProcess(tr trigger) {
+// safeProcess runs one evaluation with panic isolation (life-cycle
+// manager duty): a panicking query is recovered and counted, and the
+// goroutine that delivered the element carries on.
+func (vs *VirtualSensor) safeProcess(in *inputStream, arrived time.Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			vs.recordError(fmt.Errorf("core: %s: processing panic: %v", vs.name, r))
 		}
 	}()
-	vs.process(tr)
+	vs.process(in, arrived)
 }
 
 // process executes steps 2–5 of the paper's processing pipeline for one
-// trigger. Source evaluation picks the cheapest applicable tier:
-// incremental aggregates (O(1), no window scan), compiled plan over the
-// zero-copy window view (no snapshot copy, no re-planning), or the full
-// engine for statement shapes the compiler does not cover.
-func (vs *VirtualSensor) process(tr trigger) {
+// trigger of the stream. Source evaluation picks the cheapest
+// applicable tier: incremental aggregates (O(1), no window scan),
+// compiled plan over the zero-copy window view (no snapshot copy, no
+// re-planning), or the full engine for statement shapes the compiler
+// does not cover.
+func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 	c := vs.container
 	start := time.Now()
 
 	// Steps 2+3: select each source's window and evaluate the source
 	// query into a temporary relation named by the alias.
-	temps := make(sqlengine.MapCatalog, len(tr.stream.sources))
-	for _, src := range tr.stream.sources {
+	temps := make(sqlengine.MapCatalog, len(in.sources))
+	for _, src := range in.sources {
 		rel, err := vs.evalSource(src)
 		if err != nil {
 			vs.recordError(fmt.Errorf("core: %s/%s source query: %w", vs.name, src.alias, err))
@@ -610,63 +567,44 @@ func (vs *VirtualSensor) process(tr trigger) {
 	// Step 4: the input stream's output query over the temporaries.
 	var outRel *sqlengine.Relation
 	var err error
-	if tr.stream.plan != nil {
-		outRel, err = tr.stream.plan.Execute(temps[tr.stream.sources[0].alias].Rows, c.engineOpts())
+	if in.plan != nil {
+		outRel, err = in.plan.Execute(temps[in.sources[0].alias].Rows, c.engineOpts())
 	} else {
-		outRel, err = sqlengine.Execute(tr.stream.stmt, temps, c.engineOpts())
+		outRel, err = sqlengine.Execute(in.stmt, temps, c.engineOpts())
 	}
 	if err != nil {
-		vs.recordError(fmt.Errorf("core: %s/%s output query: %w", vs.name, tr.stream.spec.Name, err))
+		vs.recordError(fmt.Errorf("core: %s/%s output query: %w", vs.name, in.spec.Name, err))
 		return
 	}
 
-	// Step 5: persist and notify.
+	// Step 5: persist the outputs with one InsertBatch, then notify:
+	// in-process subscribers are called here, downstream sensors on
+	// local edges evaluate here, depth-first, and the registered-query
+	// sweep goes to the repository's pool (inline under SyncProcessing).
 	elems, err := elementsFromRelation(vs.outSchema, outRel, c.clock.Now())
 	if err != nil {
 		vs.recordError(err)
 		return
 	}
-	inserted := 0
-	var insertErr error
-	for _, e := range elems {
-		if err := vs.outTable.Insert(e); err != nil {
+	if len(elems) > 0 {
+		if err := vs.outTable.InsertBatch(elems); err != nil {
 			vs.recordError(err)
-			insertErr = err
-			break
+			return
 		}
-		inserted++
-		vs.statOutputs.Add(1)
-		c.notifier.Publish(vs.name, e)
-	}
-	// Only the successfully inserted prefix reaches downstream — and
-	// all of it does, even when a later insert failed: delivery is
-	// push-based with no rescan, so skipping published elements would
-	// permanently diverge downstream windows from this output table.
-	elems = elems[:inserted]
-	// Local composition fan-out: downstream sensors whose local sources
-	// subscribe to this output receive the burst push-based, outside
-	// any table lock (their chains insert into their own windows and
-	// may cascade further tiers).
-	if len(elems) > 0 {
+		vs.statOutputs.Add(uint64(len(elems)))
+		for _, e := range elems {
+			c.notifier.Publish(vs.name, e)
+		}
 		c.locals.deliver(vs.name, elems)
-	}
-	// The client-query sweep (repository layer) observes its own wall
-	// time into client_query_time. Async mode schedules it on the
-	// repository's pool with per-sensor coalescing, so a burst of
-	// outputs costs one sweep and never blocks this trigger worker.
-	if len(elems) > 0 {
 		if c.opts.SyncProcessing {
 			c.queries.EvaluateFor(vs.name, c.Catalog(), c.engineOpts())
 		} else {
 			c.queries.ScheduleSweep(vs.name, c.Catalog(), c.engineOpts())
 		}
 	}
-	if insertErr != nil {
-		return
-	}
 
 	c.metrics.Histogram("processing_time").Observe(time.Since(start))
-	c.metrics.Histogram("trigger_latency").Observe(time.Since(tr.enqueued))
+	c.metrics.Histogram("trigger_latency").Observe(time.Since(arrived))
 	c.metrics.Counter("elements_processed").Inc()
 }
 
@@ -725,9 +663,11 @@ func (src *sourceRuntime) outputColumns(opts sqlengine.Options) []sqlengine.Colu
 	return rel.Cols
 }
 
-// stop halts wrappers, drains in-flight triggers and drops no tables
-// (the container owns table lifecycle). Queued triggers finish before
-// stop returns — the drain a graceful redeploy swap relies on.
+// stop halts the wrappers and waits for every evaluation in flight,
+// with the rounds arrivals already left pending; triggers after that
+// are shed. It drops no tables (the container owns table lifecycle).
+// Undeploy and the redeploy swap rely on this drain: once stop returns,
+// the runtime neither reads its windows nor writes its output again.
 func (vs *VirtualSensor) stop() {
 	vs.stopOnce.Do(func() {
 		for _, in := range vs.streams {
@@ -739,7 +679,6 @@ func (vs *VirtualSensor) stop() {
 		}
 		vs.lifeMu.Lock()
 		vs.stopping = true
-		close(vs.triggers)
 		vs.lifeMu.Unlock()
 		vs.wg.Wait()
 	})

@@ -204,7 +204,7 @@ func TestGroupedQueryOverTimeWindowOutput(t *testing.T) {
 // TestTimeWindowMaintainerRace runs a maintained time-window source
 // under the race detector: a goroutine inserts into it and moves the
 // clock while another feeds the second source, whose triggers read the
-// maintained aggregate on the sensor's workers. Once all settles, the
+// maintained aggregate on the delivering goroutine. Once all settles, the
 // maintained answer is the interpreter's.
 func TestTimeWindowMaintainerRace(t *testing.T) {
 	clock := stream.NewManualClock(1_000_000)

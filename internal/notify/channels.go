@@ -42,7 +42,10 @@ func MarshalEvent(ev Event) ([]byte, error) {
 }
 
 // FuncChannel adapts a function to the Channel interface (the in-process
-// channel used by Subscribe APIs and tests).
+// channel used by Subscribe APIs and tests). The manager calls Fn on the
+// publishing goroutine — for a virtual sensor, the one evaluating its
+// trigger — so Fn must not block, deploy or undeploy sensors, or
+// unsubscribe; hand such work to a goroutine.
 type FuncChannel struct {
 	ChannelName string
 	Fn          func(Event) error

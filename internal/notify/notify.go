@@ -1,14 +1,23 @@
 // Package notify implements GSN's notification manager (paper §4):
 // delivery of new stream elements to registered clients over an
-// extensible set of notification channels. Each subscription gets its
-// own bounded queue and delivery goroutine so one slow client cannot
-// stall the processing pipeline — overflow drops the newest event and
-// counts it, which is the correct behaviour for observations.
+// extensible set of notification channels.
+//
+// An event reaches a subscriber by one of two routes. A channel whose
+// Deliver cannot block — FuncChannel, whose function must not block,
+// and *ChanChannel, whose send never waits — is called directly on the
+// publishing goroutine while its subscription is idle (nothing queued,
+// nothing in flight), so an in-process subscriber sees an element with
+// no hand-off. Every other event, and every event of a channel that may
+// block (webhook, file, log), takes the subscription's own bounded
+// queue and delivery goroutine, so one slow client cannot stall the
+// processing pipeline — overflow drops the newest event and counts it,
+// which is the correct behaviour for observations. Either way a
+// subscriber sees its events one at a time, in publish order, and never
+// after its Unsubscribe has returned.
 package notify
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +37,10 @@ type Event struct {
 }
 
 // Channel delivers events to one kind of client endpoint. Deliver may
-// block (network I/O); the manager calls it from the subscription's own
-// goroutine. Implementations must be safe for use from one goroutine at
-// a time.
+// block (network I/O) unless the channel is one the manager calls
+// directly (FuncChannel, *ChanChannel); a channel that may block is
+// only called from its subscription's own goroutine. The manager never
+// calls Deliver concurrently for one subscription.
 type Channel interface {
 	// Name identifies the channel instance in stats and logs.
 	Name() string
@@ -65,20 +75,42 @@ type subscription struct {
 	id      int64
 	sensor  string // canonical; "" subscribes to every sensor
 	channel Channel
-	queue   chan Event
-	done    chan struct{}
+	direct  bool // Deliver cannot block, so a publisher may call it
+
+	// mu orders every hand-over to the subscription — a direct delivery
+	// or an enqueue — against close: once closed is set no publisher
+	// touches the channel or the queue again. It is held across a
+	// direct Deliver, which cannot block; that is what lets close wait
+	// out a delivery in flight.
+	mu     sync.Mutex
+	closed bool
+	// queued counts events in the queue or in the delivery loop's hands.
+	// A direct delivery needs it at zero, so it never overtakes them.
+	queued atomic.Int64
+	queue  chan queuedEvent
+	done   chan struct{}
 
 	delivered atomic.Uint64
 	failed    atomic.Uint64
 	dropped   atomic.Uint64
 }
 
+// queuedEvent is an event handed to the delivery loop with the attempts
+// already spent on it (a failed direct delivery spent one).
+type queuedEvent struct {
+	ev       Event
+	attempts int
+}
+
 // Manager fans events out to subscriptions.
 type Manager struct {
 	opts Options
 
+	// mu guards nextID, seq, closed and every replacement of subs.
+	// Publishers read subs without it: the list is copy-on-write, in
+	// subscription order.
 	mu     sync.RWMutex
-	subs   map[int64]*subscription
+	subs   atomic.Pointer[[]*subscription]
 	nextID int64
 	seq    map[string]*atomic.Uint64
 	closed bool
@@ -107,9 +139,16 @@ func NewManager(opts Options) *Manager {
 	}
 	return &Manager{
 		opts: opts,
-		subs: make(map[int64]*subscription),
 		seq:  make(map[string]*atomic.Uint64),
 	}
+}
+
+// list is the current subscriptions, oldest first.
+func (m *Manager) list() []*subscription {
+	if p := m.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Subscribe registers a channel for a sensor's events. An empty sensor
@@ -128,26 +167,51 @@ func (m *Manager) Subscribe(sensor string, ch Channel) (int64, error) {
 		id:      m.nextID,
 		sensor:  stream.CanonicalName(sensor),
 		channel: ch,
-		queue:   make(chan Event, m.opts.QueueSize),
+		direct:  cannotBlock(ch),
+		queue:   make(chan queuedEvent, m.opts.QueueSize),
 		done:    make(chan struct{}),
 	}
-	m.subs[sub.id] = sub
+	old := m.list()
+	subs := append(old[:len(old):len(old)], sub)
+	m.subs.Store(&subs)
 	go m.deliverLoop(sub)
 	return sub.id, nil
+}
+
+// cannotBlock reports whether a channel's Deliver returns without
+// waiting, which is what lets a publisher call it.
+func cannotBlock(ch Channel) bool {
+	switch ch.(type) {
+	case FuncChannel, *FuncChannel, *ChanChannel:
+		return true
+	}
+	return false
+}
+
+// removeLocked takes the subscriptions keep rejects out of the list and
+// returns them. Called with mu held.
+func (m *Manager) removeLocked(keep func(*subscription) bool) []*subscription {
+	var kept, victims []*subscription
+	for _, sub := range m.list() {
+		if keep(sub) {
+			kept = append(kept, sub)
+		} else {
+			victims = append(victims, sub)
+		}
+	}
+	m.subs.Store(&kept)
+	return victims
 }
 
 // Unsubscribe removes a subscription and closes its channel.
 func (m *Manager) Unsubscribe(id int64) error {
 	m.mu.Lock()
-	sub, ok := m.subs[id]
-	delete(m.subs, id)
+	victims := m.removeLocked(func(sub *subscription) bool { return sub.id != id })
 	m.mu.Unlock()
-	if !ok {
+	if len(victims) == 0 {
 		return fmt.Errorf("notify: no subscription %d", id)
 	}
-	close(sub.queue)
-	<-sub.done
-	return sub.channel.Close()
+	return victims[0].close()
 }
 
 // UnsubscribeSensor removes every subscription bound to the sensor
@@ -155,70 +219,115 @@ func (m *Manager) Unsubscribe(id int64) error {
 func (m *Manager) UnsubscribeSensor(sensor string) {
 	canonical := stream.CanonicalName(sensor)
 	m.mu.Lock()
-	var victims []*subscription
-	for id, sub := range m.subs {
-		if sub.sensor == canonical {
-			victims = append(victims, sub)
-			delete(m.subs, id)
-		}
-	}
+	victims := m.removeLocked(func(sub *subscription) bool { return sub.sensor != canonical })
 	m.mu.Unlock()
 	for _, sub := range victims {
-		close(sub.queue)
-		<-sub.done
-		sub.channel.Close()
+		sub.close()
 	}
 }
 
+// close ends a subscription already out of the list. Setting closed
+// waits out a direct delivery in flight and turns every later publisher
+// away; the delivery loop then drains what was queued before, and the
+// channel closes after both — so once close returns, the channel is
+// never called again.
+func (sub *subscription) close() error {
+	sub.mu.Lock()
+	sub.closed = true
+	close(sub.queue)
+	sub.mu.Unlock()
+	<-sub.done
+	return sub.channel.Close()
+}
+
 // Publish fans a new element out to matching subscriptions. It never
-// blocks: full queues drop the event for that subscription.
+// waits for a subscriber that may block: an idle non-blocking channel
+// is called here, anything else is queued, and a full queue drops the
+// event for that subscription.
 func (m *Manager) Publish(sensor string, e stream.Element) {
 	canonical := stream.CanonicalName(sensor)
 	m.mu.RLock()
 	counter, ok := m.seq[canonical]
+	m.mu.RUnlock()
 	if !ok {
-		m.mu.RUnlock()
 		m.mu.Lock()
 		if m.seq[canonical] == nil {
 			m.seq[canonical] = &atomic.Uint64{}
 		}
 		counter = m.seq[canonical]
 		m.mu.Unlock()
-		m.mu.RLock()
 	}
 	ev := Event{Sensor: canonical, Seq: counter.Add(1), Element: e}
-	for _, sub := range m.subs {
-		if sub.sensor != "" && sub.sensor != canonical {
-			continue
-		}
-		m.pending.Add(1)
-		select {
-		case sub.queue <- ev:
-		default:
-			sub.dropped.Add(1)
-			m.finished()
+	for _, sub := range m.list() {
+		if sub.sensor == "" || sub.sensor == canonical {
+			m.offer(sub, ev)
 		}
 	}
-	m.mu.RUnlock()
+}
+
+// offer hands ev to one subscription: delivered on this goroutine when
+// the channel cannot block and the subscription is idle, queued
+// otherwise. A failed direct attempt is queued with the attempts it has
+// left, so a route never changes how often an event is tried.
+func (m *Manager) offer(sub *subscription, ev Event) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if sub.closed {
+		return
+	}
+	attempts := 0
+	if sub.direct && sub.queued.Load() == 0 {
+		if sub.attempt(ev) == nil {
+			sub.delivered.Add(1)
+			return
+		}
+		attempts = 1
+		if attempts >= m.opts.Retries {
+			sub.failed.Add(1)
+			return
+		}
+	}
+	m.pending.Add(1)
+	sub.queued.Add(1)
+	select {
+	case sub.queue <- queuedEvent{ev: ev, attempts: attempts}:
+	default:
+		sub.queued.Add(-1)
+		sub.dropped.Add(1)
+		m.finished()
+	}
+}
+
+// attempt makes one delivery attempt. A panicking channel fails the
+// attempt; the panic reaches neither the publisher nor the other
+// subscribers.
+func (sub *subscription) attempt(ev Event) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("notify: channel %s panicked: %v", sub.channel.Name(), r)
+		}
+	}()
+	return sub.channel.Deliver(ev)
 }
 
 func (m *Manager) deliverLoop(sub *subscription) {
 	defer close(sub.done)
-	policy := resilience.Policy{
-		Base:        m.opts.RetryDelay,
-		Cap:         4 * m.opts.RetryDelay,
-		MaxAttempts: m.opts.Retries,
-		Seed:        sub.id,
-	}
-	for ev := range sub.queue {
+	for q := range sub.queue {
+		policy := resilience.Policy{
+			Base:        m.opts.RetryDelay,
+			Cap:         4 * m.opts.RetryDelay,
+			MaxAttempts: m.opts.Retries - q.attempts,
+			Seed:        sub.id,
+		}
 		err := resilience.Do(nil, policy, func() error {
-			return sub.channel.Deliver(ev)
+			return sub.attempt(q.ev)
 		})
 		if err != nil {
 			sub.failed.Add(1)
 		} else {
 			sub.delivered.Add(1)
 		}
+		sub.queued.Add(-1)
 		m.finished()
 	}
 }
@@ -238,10 +347,11 @@ func (m *Manager) finished() {
 }
 
 // Flush blocks until all enqueued events have been delivered (or
-// dropped/failed), up to the timeout. It returns false on timeout.
-// Tests and graceful shutdown use it. The drain signal is taken before
-// each check, so a drain landing between the check and the wait still
-// wakes it.
+// dropped/failed), up to the timeout. It returns false on timeout. A
+// direct delivery has finished when its Publish returns, so only queued
+// events are waited for. Tests and graceful shutdown use it. The drain
+// signal is taken before each check, so a drain landing between the
+// check and the wait still wakes it.
 func (m *Manager) Flush(timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -265,10 +375,9 @@ func (m *Manager) Flush(timeout time.Duration) bool {
 
 // Stats lists per-subscription delivery counters, ordered by id.
 func (m *Manager) Stats() []SubscriptionStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]SubscriptionStats, 0, len(m.subs))
-	for _, sub := range m.subs {
+	subs := m.list()
+	out := make([]SubscriptionStats, 0, len(subs))
+	for _, sub := range subs {
 		out = append(out, SubscriptionStats{
 			ID:        sub.id,
 			Sensor:    sub.sensor,
@@ -278,7 +387,6 @@ func (m *Manager) Stats() []SubscriptionStats {
 			Dropped:   sub.dropped.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -290,17 +398,11 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
-	subs := make([]*subscription, 0, len(m.subs))
-	for id, sub := range m.subs {
-		subs = append(subs, sub)
-		delete(m.subs, id)
-	}
+	subs := m.removeLocked(func(*subscription) bool { return false })
 	m.mu.Unlock()
 	var first error
 	for _, sub := range subs {
-		close(sub.queue)
-		<-sub.done
-		if err := sub.channel.Close(); err != nil && first == nil {
+		if err := sub.close(); err != nil && first == nil {
 			first = err
 		}
 	}

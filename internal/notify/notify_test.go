@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,14 +172,31 @@ func TestRetryEventualSuccess(t *testing.T) {
 	}
 }
 
+// blockingChannel is a channel the manager never calls directly: its
+// Deliver waits for release, as a network channel waits for its peer.
+// delivered, when set, runs after each delivery.
+type blockingChannel struct {
+	release   <-chan struct{}
+	delivered func()
+}
+
+func (c blockingChannel) Name() string { return "blocking" }
+
+func (c blockingChannel) Deliver(Event) error {
+	<-c.release
+	if c.delivered != nil {
+		c.delivered()
+	}
+	return nil
+}
+
+func (c blockingChannel) Close() error { return nil }
+
 func TestQueueOverflowDropsAndCounts(t *testing.T) {
 	m := NewManager(Options{QueueSize: 1, Retries: 1, RetryDelay: time.Millisecond})
 	defer m.Close()
 	block := make(chan struct{})
-	m.Subscribe("s", FuncChannel{Fn: func(Event) error {
-		<-block
-		return nil
-	}})
+	m.Subscribe("s", blockingChannel{release: block})
 	for i := 0; i < 10; i++ {
 		m.Publish("s", nElem(t, stream.Timestamp(i+1), int64(i)))
 	}
@@ -201,10 +219,8 @@ func TestFlushWakesOnDrain(t *testing.T) {
 	defer m.Close()
 	block := make(chan struct{})
 	var last atomic.Int64 // UnixNano of the last delivery's return
-	m.Subscribe("s", FuncChannel{Fn: func(Event) error {
-		<-block
+	m.Subscribe("s", blockingChannel{release: block, delivered: func() {
 		last.Store(time.Now().UnixNano())
-		return nil
 	}})
 	for i := 0; i < 3; i++ {
 		m.Publish("s", nElem(t, stream.Timestamp(i+1), int64(i)))
@@ -222,6 +238,134 @@ func TestFlushWakesOnDrain(t *testing.T) {
 	}
 	if lag := time.Since(time.Unix(0, last.Load())); lag > 10*time.Millisecond {
 		t.Errorf("Flush returned %v after the last delivery", lag)
+	}
+}
+
+// TestDirectDeliveryWaitsBehindQueue: events that meet their subscriber
+// busy — an earlier event queued and still being delivered — queue
+// behind it instead of being delivered directly, so the subscriber sees
+// publish order; once the queue has drained, delivery is direct again
+// and done by the time Publish returns.
+func TestDirectDeliveryWaitsBehindQueue(t *testing.T) {
+	m := testManager()
+	defer m.Close()
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var got []int64
+	failed := false
+	m.Subscribe("s", FuncChannel{Fn: func(ev Event) error {
+		v := ev.Element.Value(0).(int64)
+		if v == 1 {
+			if !failed {
+				failed = true
+				return fmt.Errorf("busy") // the direct attempt fails: 1 is queued
+			}
+			<-release // and its retry keeps the subscriber busy
+		}
+		mu.Lock()
+		got = append(got, v)
+		mu.Unlock()
+		return nil
+	}})
+	for i := int64(1); i <= 3; i++ {
+		m.Publish("s", nElem(t, stream.Timestamp(i), i))
+	}
+	close(release)
+	if !m.Flush(time.Second) {
+		t.Fatal("Flush timed out")
+	}
+	m.Publish("s", nElem(t, 4, 4))
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(got) != "[1 2 3 4]" {
+		t.Errorf("delivered %v, want [1 2 3 4] with 4 done before Publish returned", got)
+	}
+	if st := m.Stats()[0]; st.Delivered != 4 || st.Failed != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestUnsubscribeRacingPublish: publishers racing Unsubscribe, on the
+// direct route and — for the events whose attempts fail — the queued
+// one, never reach the channel after Unsubscribe has returned.
+func TestUnsubscribeRacingPublish(t *testing.T) {
+	m := testManager()
+	defer m.Close()
+	var unsubscribed atomic.Bool
+	var calls, late atomic.Int64
+	id, err := m.Subscribe("s", FuncChannel{Fn: func(ev Event) error {
+		calls.Add(1)
+		if unsubscribed.Load() {
+			late.Add(1)
+		}
+		if ev.Seq%5 == 0 {
+			return fmt.Errorf("flaky") // this event takes the queue
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := nElem(t, 1, 1)
+	var published atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Publish("s", e)
+					published.Add(1)
+				}
+			}
+		}()
+	}
+	spin := func(cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("publishers stalled")
+			}
+		}
+	}
+	spin(func() bool { return calls.Load() >= 100 })
+	if err := m.Unsubscribe(id); err != nil {
+		t.Fatal(err)
+	}
+	unsubscribed.Store(true)
+	after := published.Load()
+	spin(func() bool { return published.Load() >= after+1000 })
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d deliveries after Unsubscribe returned", n)
+	}
+}
+
+// TestPanickingChannelCountsFailed: a channel that panics fails its
+// deliveries on its own subscription; the publisher survives and the
+// next subscriber still gets the event.
+func TestPanickingChannelCountsFailed(t *testing.T) {
+	m := testManager()
+	defer m.Close()
+	m.Subscribe("s", FuncChannel{Fn: func(Event) error { panic("subscriber bug") }})
+	var got atomic.Int64
+	m.Subscribe("s", FuncChannel{Fn: func(Event) error { got.Add(1); return nil }})
+	m.Publish("s", nElem(t, 1, 1))
+	if !m.Flush(time.Second) {
+		t.Fatal("Flush timed out")
+	}
+	st := m.Stats()
+	if st[0].Failed != 1 || st[0].Delivered != 0 {
+		t.Errorf("panicking subscription stats = %+v", st[0])
+	}
+	if got.Load() != 1 || st[1].Delivered != 1 {
+		t.Errorf("second subscriber got %d events (stats %+v)", got.Load(), st[1])
 	}
 }
 

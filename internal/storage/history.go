@@ -322,9 +322,12 @@ func (h *history) checkpointLocked() error {
 // (the caller passes the oldest hot-window sequence so a record is
 // never served from both tiers), ordered by seq — i.e. arrival order,
 // matching a hot-window scan — until fn returns false. Records are
-// decoded one at a time, so a long interval costs its index entries,
-// not its rows. Runs under the shared lock: concurrent scans proceed in
-// parallel, appends wait; fn must not call back into the table.
+// decoded one at a time into one value buffer, so a long interval costs
+// its index entries, not its rows, and fn's element is valid only
+// during the call. Consecutive records mostly share a data page, which
+// stays pinned across them. Runs under the shared lock: concurrent
+// scans proceed in parallel, appends wait; fn must not call back into
+// the table.
 func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stream.Element) bool) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -344,22 +347,31 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stre
 	// The index yields (timed, seq) order; arrival order is seq order.
 	// Timestamps are near-monotone, so this sort is cheap in practice.
 	sortEntriesBySeq(matched)
+	var fr *frame
+	defer func() {
+		if fr != nil {
+			h.pool.unpin(fr, false)
+		}
+	}()
+	vals := make([]stream.Value, 0, h.schema.Len())
 	for _, ent := range matched {
-		fr, err := h.pool.get(ent.ref.page)
+		if fr == nil || fr.pid != ent.ref.page {
+			if fr != nil {
+				h.pool.unpin(fr, false)
+			}
+			if fr, err = h.pool.get(ent.ref.page); err != nil {
+				return err
+			}
+		}
+		rec, err := dataPageSlot(fr.data, ent.ref.slot)
 		if err != nil {
 			return err
 		}
-		var e stream.Element
-		rec, err := dataPageSlot(fr.data, ent.ref.slot)
-		if err == nil {
-			seq, n := binary.Uvarint(rec)
-			if n <= 0 || seq != ent.key.seq {
-				err = fmt.Errorf("storage: history index points at record with seq %d, want %d", seq, ent.key.seq)
-			} else {
-				e, _, err = stream.DecodeElementCompact(h.schema, rec[n:], 0)
-			}
+		seq, n := binary.Uvarint(rec)
+		if n <= 0 || seq != ent.key.seq {
+			return fmt.Errorf("storage: history index points at record with seq %d, want %d", seq, ent.key.seq)
 		}
-		h.pool.unpin(fr, false)
+		e, _, err := stream.DecodeElementCompactInto(h.schema, rec[n:], 0, vals)
 		if err != nil {
 			return err
 		}

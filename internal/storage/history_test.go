@@ -115,6 +115,70 @@ func TestHistoryEvictMigrateMerge(t *testing.T) {
 	if st := tab.Stats(); st.History == nil || st.History.Rows != 15 {
 		t.Fatalf("history stats = %+v, want 15 durable+tail rows", st.History)
 	}
+	// A caller keeping what TimedRange returned across several data
+	// pages: every element must keep its own values, although the scan
+	// decodes each disk row into the one buffer it reuses.
+	for i := int64(21); i <= 3000; i++ {
+		if err := tab.Insert(intElem(t, stream.Timestamp(i), i*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, err := tab.TimedRange(1, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tab.Stats(); st.History.Pages < 5 {
+		t.Fatalf("history spans %d pages; the range must cross several data pages", st.History.Pages)
+	}
+	if len(kept) != 3000 {
+		t.Fatalf("TimedRange kept %d rows, want 3000", len(kept))
+	}
+	for i, e := range kept {
+		if e.Timestamp() != stream.Timestamp(i+1) || e.Value(0) != int64(i+1)*10 {
+			t.Fatalf("kept row %d = (%d, %v)", i, e.Timestamp(), e.Value(0))
+		}
+	}
+}
+
+// BenchmarkHistoryTimedRange reads a 1000-row TIMED range back from the
+// disk tier of a table holding 200 000 rows behind a 1000-row hot
+// window, the way a bound scan reads it: one pass, one field per row.
+func BenchmarkHistoryTimedRange(b *testing.B) {
+	s, err := NewStore(stream.NewManualClock(0), b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	tab, err := s.CreateTable("h", tempSchema, historyOptions("1000"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]stream.Element, 0, 1000)
+	for i := 0; i < 200_000; i++ {
+		e, err := stream.NewElement(tempSchema, stream.Timestamp(i/10+1), int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if batch = append(batch, e); len(batch) == cap(batch) {
+			if err := tab.InsertBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	var sum int64
+	b.ReportAllocs()
+	for b.Loop() {
+		rows := 0
+		err := tab.ForEachTimed(10_000, 10_099, func(e stream.Element) bool {
+			sum += e.Value(0).(int64)
+			rows++
+			return true
+		})
+		if err != nil || rows != 1000 {
+			b.Fatalf("range read %d rows: %v", rows, err)
+		}
+	}
 }
 
 // TestHistoryEquivalenceProperty: a disk-history table with a tiny hot

@@ -760,7 +760,10 @@ func (t *Table) checkpointLocked() error {
 // and the disk scan excludes anything at or above it, so an element
 // migrating between the two phases is served exactly once. fn runs
 // under the history tier's shared lock and must not call back into the
-// table. On an error fn has seen a prefix of the range.
+// table, and its element is valid only during the call (disk rows are
+// decoded into one reused buffer): a caller that keeps elements clones
+// them, as TimedRange does. On an error fn has seen a prefix of the
+// range.
 func (t *Table) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error {
 	if hi < lo {
 		return nil
@@ -798,10 +801,11 @@ func (t *Table) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bo
 	return nil
 }
 
-// TimedRange is ForEachTimed collected into a slice.
+// TimedRange is ForEachTimed collected into a slice of elements the
+// caller owns.
 func (t *Table) TimedRange(lo, hi stream.Timestamp) (out []stream.Element, err error) {
 	err = t.ForEachTimed(lo, hi, func(e stream.Element) bool {
-		out = append(out, e)
+		out = append(out, e.Clone())
 		return true
 	})
 	return out, err

@@ -107,6 +107,15 @@ func EncodeElementCompact(buf []byte, e Element, prev Timestamp) []byte {
 // timestamp delta against prev. The arrival and production stamps are
 // set to the logical timestamp.
 func DecodeElementCompact(schema *Schema, data []byte, prev Timestamp) (Element, int, error) {
+	return DecodeElementCompactInto(schema, data, prev, nil)
+}
+
+// DecodeElementCompactInto is DecodeElementCompact decoding the values
+// into buf when it has room for them (a buffer as long as the schema
+// always has). The element then shares buf: it is valid until the
+// caller reuses buf, which lets a scan decode record after record
+// without allocating a value slice for each.
+func DecodeElementCompactInto(schema *Schema, data []byte, prev Timestamp, buf []Value) (Element, int, error) {
 	r := &sliceReader{data: data}
 	delta, err := r.varint()
 	if err != nil {
@@ -123,7 +132,10 @@ func DecodeElementCompact(schema *Schema, data []byte, prev Timestamp) (Element,
 	if n > uint64(len(data)) {
 		return Element{}, 0, fmt.Errorf("stream: implausible value count %d", n)
 	}
-	values := make([]Value, 0, n)
+	values := buf[:0]
+	if uint64(cap(values)) < n {
+		values = make([]Value, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		tag, err := r.byte()
 		if err != nil {

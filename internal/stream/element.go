@@ -127,6 +127,13 @@ func (e Element) Values() []Value {
 	return out
 }
 
+// Clone returns the element with a value slice of its own, for keeping
+// an element past the life of the buffer it was decoded into.
+func (e Element) Clone() Element {
+	e.values = append([]Value(nil), e.values...)
+	return e
+}
+
 // Size returns the approximate wire size of the element payload in
 // bytes. It is used by the stream quality manager for rate accounting
 // and by the evaluation harness to report stream element sizes (SES).

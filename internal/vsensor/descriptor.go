@@ -44,8 +44,10 @@ type Descriptor struct {
 
 // LifeCycle carries resource-management attributes.
 type LifeCycle struct {
-	// PoolSize is the number of processing workers dedicated to the
-	// sensor (the paper's pool-size attribute). Default 1.
+	// PoolSize is the paper's pool-size attribute. It is parsed and
+	// validated, so descriptors in the paper's format deploy unchanged,
+	// but it sizes no pool: a trigger evaluates on the goroutine that
+	// delivered its element. Default 1.
 	PoolSize int `xml:"pool-size,attr"`
 }
 
