@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos ci loc
+.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos fuzz-smoke ci loc
 
 all: ci
 
@@ -76,14 +76,24 @@ examples-smoke:
 # polls' wake-up contract (TestLongPoll*), the shared routed-results
 # loop (TestRoutedResultsShareOnePoll), a maintained time-window
 # source read by triggers while it is written (TestTimeWindowMaintainer*),
+# filtered registered queries joining and leaving the maintained tier
+# while their window is written (TestFilteredMaintainerRace),
 # and the run-to-completion contracts: concurrent arrivals on one stream
 # evaluate one at a time, a redeploy waits for the evaluation in flight,
 # no subscriber call after Unsubscribe returns.
 # See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
+# fuzz-smoke fuzzes the maintained tier against the bound scan for a
+# few seconds: random non-volatile WHEREs over int, float and string
+# columns, random insert/evict/truncate sequences (its seed corpus runs
+# in every `go test`). A failing input lands in
+# internal/sqlengine/testdata/fuzz, where `go test` replays it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMaintainedMatchesScan$$' -fuzztime=10s -parallel 2 ./internal/sqlengine
+
 # ci is the tier-1 gate: everything a fresh clone must pass.
-ci: vet build race benchsmoke examples-smoke docs-check chaos
+ci: vet build race benchsmoke examples-smoke docs-check chaos fuzz-smoke

@@ -45,8 +45,7 @@ func pipelineDescriptor(name, sourceQuery string) string {
 }
 
 // TestIncrementalPipelineMatchesGeneral deploys the same workload
-// three ways — incremental aggregates (agg-only query),
-// compiled plan (same query with a WHERE so incremental is off), and
+// two ways — incremental aggregates (agg-only query) and
 // the general engine (derived-table FROM the compiler rejects) — and
 // checks the incremental and general tiers produce identical outputs
 // element for element.

@@ -150,8 +150,8 @@ type sensorQueries struct {
 // fanoutObserver dispatches table lifecycle events to the aggregate
 // maintainers of every qualifying group on a sensor. The observer list
 // is immutable after construction — membership changes install a fresh
-// fanout via SetObserver, which replays the live window so every
-// maintainer restarts consistent.
+// fanout via SwapObserver, which replays the live window into the one
+// maintainer that joins, so the others keep their state untouched.
 type fanoutObserver struct{ obs []storage.Observer }
 
 func (f *fanoutObserver) OnInsert(e stream.Element) {
@@ -328,7 +328,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 		}
 		sq.groups[sql] = g
 		if g.agg != nil {
-			r.resetObserverLocked(sq)
+			r.resetObserverLocked(sq, g.agg)
 		}
 	}
 
@@ -349,10 +349,12 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 }
 
 // resetObserverLocked reinstalls the output table's fanout observer
-// from the sensor's current aggregate-maintained groups. SetObserver
-// replays the live window, so every maintainer restarts consistent
-// with it.
-func (r *QueryRepository) resetObserverLocked(sq *sensorQueries) {
+// from the sensor's current aggregate-maintained groups and, under the
+// same table lock, replays the live window into replay alone — the
+// maintainer that joins or must be rebuilt; nil when one leaves. One
+// registration on a full window so costs O(window) observer calls,
+// whatever the number of maintainers already attached.
+func (r *QueryRepository) resetObserverLocked(sq *sensorQueries, replay storage.Observer) {
 	if sq.out == nil {
 		return
 	}
@@ -362,27 +364,28 @@ func (r *QueryRepository) resetObserverLocked(sq *sensorQueries) {
 			obs = append(obs, g.agg)
 		}
 	}
+	var set storage.Observer
 	switch len(obs) {
 	case 0:
-		sq.out.SetObserver(nil)
 	case 1:
-		sq.out.SetObserver(obs[0])
+		set = obs[0]
 	default:
-		sq.out.SetObserver(&fanoutObserver{obs: obs})
+		set = &fanoutObserver{obs: obs}
 	}
+	sq.out.SwapObserver(set, replay)
 }
 
-// resyncSensor rebuilds every maintainer watching the sensor from the
-// live window (SetObserver truncate+replays through the fanout), so
-// subtract-on-evict float drift cannot accumulate past the resync
-// bound on the client-query path either. Reinstalling the whole set
-// keeps the single-observer contract simple; a spurious concurrent
-// resync just replays twice, each time to a consistent state.
-func (r *QueryRepository) resyncSensor(sensor string) {
+// resync rebuilds a group's maintainer from the live window (a
+// truncate and a replay into it alone), so subtract-on-evict float
+// drift cannot accumulate past the resync bound on the client-query
+// path either. A spurious concurrent resync just replays twice, each
+// time to a consistent state; a group unregistered meanwhile is left
+// alone.
+func (r *QueryRepository) resync(g *queryGroup) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sq := r.bySensor[sensor]; sq != nil {
-		r.resetObserverLocked(sq)
+	if sq := r.bySensor[g.sensor]; sq != nil && sq.groups[g.sql] == g {
+		r.resetObserverLocked(sq, g.agg)
 	}
 }
 
@@ -403,7 +406,7 @@ func (r *QueryRepository) Unregister(id int64) error {
 		if len(g.subs) == 0 {
 			delete(sq.groups, g.sql)
 			if g.agg != nil {
-				r.resetObserverLocked(sq)
+				r.resetObserverLocked(sq, nil)
 			}
 			if len(sq.groups) == 0 {
 				delete(r.bySensor, q.Sensor)
@@ -693,10 +696,9 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 	switch {
 	case g.agg != nil:
 		if g.agg.NeedsResync() {
-			// Bounded float drift: reinstall the sensor's observer set,
-			// which truncate+replays the live window into every
-			// maintainer (mirrors the sensor-source resync path).
-			r.resyncSensor(g.sensor)
+			// Bounded float drift: truncate+replay the live window into
+			// this maintainer (mirrors the sensor-source resync path).
+			r.resync(g)
 			r.metrics.Counter("client_query_resyncs").Inc()
 		}
 		// Read under the table lock so the aggregates reflect exactly

@@ -70,17 +70,17 @@ var clientQueryShapes = []string{
 	"select count(*) as n, min(value) as lo, max(value) as hi from vals",                      // incremental
 	"select value from vals where value > 5",                                                  // compiled filter
 	"select value, timed from vals where value <= 20 order by value desc",                     // compiled sort
-	"select avg(value) from vals where timed > 0",                                             // compiled agg+filter
+	"select avg(value) from vals where timed > 0",                                             // incremental agg+filter
 	"select value from vals order by timed desc limit 3",                                      // compiled limit
 	"select value from vals where value > (select avg(value) from vals)",                      // fallback subquery
-	"select count(*) from vals where value between -1000 and 1000",                            // compiled between
+	"select count(*) from vals where value between -1000 and 1000",                            // incremental between
 	"select value * 2 as dbl from vals where value >= -1e12 limit 5",                          // compiled expr
 	"select distinct value from vals where value > -1000000 order by value",                   // compiled distinct
 	"select value, count(*) as n from vals group by value",                                    // incremental grouped
 	"select value % 7 as bucket, count(*) as n, avg(value) as a from vals group by value % 7", // compiled grouped (expr key)
 	"select value, count(*) as n from vals group by value having count(*) > 1",                // compiled grouped + HAVING
 	"select value, count(*) as n from vals group by value having count(*) > 1000",             // HAVING filters all groups
-	"select value, count(*) as n from vals where value > 100000 group by value",               // empty group set
+	"select value, count(*) as n from vals where value > 100000 group by value",               // incremental, empty group set
 	"select value % 5 as b, max(value) as m from vals group by value % 5 order by m desc, b",  // grouped + ORDER BY
 	// Row-independent subtrees (hoisted by the bound program) in every
 	// clause that binds expressions; the container's clock stands still
@@ -254,6 +254,97 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 	}
 	if delivered.Load() == 0 {
 		t.Error("no callback ever fired under the race")
+	}
+}
+
+// TestFilteredMaintainerRace registers and unregisters filtered
+// aggregate queries on a sensor while arrivals write its output window
+// and sweeps read the maintainers on the repository's pool (run with
+// -race): each registration replays the window into its own maintainer
+// under the table lock while arrivals reach the others. Once all
+// settles, every maintained answer is the interpreter's.
+func TestFilteredMaintainerRace(t *testing.T) {
+	c, err := New(Options{Name: "race", Clock: stream.NewManualClock(1_000_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deployVals(t, c, 400)
+	if _, err := c.RegisterQuery("vals",
+		"select count(*) as n, sum(value) as s, min(value) as lo from vals where value % 3 = 1", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var pulsed atomic.Bool
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			c.Pulse()
+		}
+		pulsed.Store(true)
+	}()
+	go func() { // until the arrivals stop, and at least 200 times
+		defer wg.Done()
+		var ids []int64
+		for i := 0; i < 200 || !pulsed.Load(); i++ {
+			sql := fmt.Sprintf("select value, count(*) as n, max(value) as hi from vals "+
+				"where value > %d group by value", i%17*5)
+			if i%2 == 1 {
+				sql = fmt.Sprintf("select count(*) as n, avg(value) as a from vals where value between %d and 80", i%13)
+			}
+			id, err := c.RegisterQuery("vals", sql, 1, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ids = append(ids, id); len(ids) > 4 {
+				if err := c.UnregisterQuery(ids[0]); err != nil {
+					t.Error(err)
+					return
+				}
+				ids = ids[1:]
+			}
+		}
+	}()
+	wg.Wait()
+	vs, _ := c.Sensor("vals")
+	waitFor(t, func() bool {
+		st := vs.Stats()
+		return st.Outputs+st.Dropped+st.Coalesced+st.Errors >= st.Triggers
+	})
+
+	repo, opts := c.QueryRepositoryRef(), c.engineOpts()
+	repo.mu.RLock()
+	var groups []*queryGroup
+	for _, g := range repo.bySensor[stream.CanonicalName("vals")].groups {
+		groups = append(groups, g)
+	}
+	repo.mu.RUnlock()
+	maintained := 0
+	for _, g := range groups {
+		if g.agg == nil {
+			t.Errorf("%s: not maintained", g.sql)
+			continue
+		}
+		maintained++
+		var got *sqlengine.Relation
+		vs.Output().WithLock(func() { got = g.agg.Result(opts) })
+		want, err := sqlengine.ExecuteSQL(g.sql, c.Catalog(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.String() != want.String() {
+			t.Errorf("%s:\nmaintained:\n%v\ninterpreter:\n%v", g.sql, got, want)
+		}
+	}
+	if maintained < 5 {
+		t.Errorf("%d maintained groups left, want 5: the stable one and the last four registered", maintained)
+	}
+	for _, st := range repo.Stats() {
+		if st.Errors != 0 {
+			t.Errorf("%s: %d errors", st.SQL, st.Errors)
+		}
 	}
 }
 
@@ -543,11 +634,12 @@ func TestRegisteredQueryReadsOtherSensors(t *testing.T) {
 // TestTierCountersNameTheEvaluatorThatRan: on each of the three drivers
 // — source queries, registered queries, ad-hoc reads — a statement is
 // counted *_compiled only when a bound program ran it and *_general only
-// when the interpreter did.
+// when the interpreter did. The "bound" source admits rows by the clock
+// (a NOW()-relative WHERE), which keeps it off the maintainer.
 func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
 	c := testContainer(t)
 	deploy(t, c, pipelineDescriptor("bound",
-		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature > -1000"))
+		"select count(temperature) as n, avg(temperature) as a from wrapper where timed > now() - 3600000"))
 	deploy(t, c, pipelineDescriptor("interp",
 		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature >= (select min(temperature) from wrapper)"))
 	const boundSQL = "select n from bound where n > 0"
@@ -596,6 +688,102 @@ func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRegistrationReplaysOnlyTheNewMaintainer: registering a query on a
+// full window replays the window into the new group's maintainer alone
+// — O(window) observer calls, whatever the number of maintained groups
+// already attached — and unregistering one replays nothing. Every
+// result, before and after, is the interpreter's.
+func TestRegistrationReplaysOnlyTheNewMaintainer(t *testing.T) {
+	c := testContainer(t)
+	deployVals(t, c, 300)
+	sqls := []string{
+		"select count(*) as n, avg(value) as a from vals where value > 20 and value <= 70",
+		"select value, count(*) as n from vals where value % 2 = 0 group by value",
+		"select max(value) as hi, min(value) as lo from vals where value < 50",
+	}
+	got := make([]atomic.Value, len(sqls))
+	want := make([]atomic.Value, len(sqls))
+	live := make([]bool, len(sqls))
+	ids := make([]int64, len(sqls))
+	// The shadow repository evaluates the live statements on the
+	// interpreter, each pulse.
+	var shadow *QueryRepository
+	reshadow := func() {
+		t.Helper()
+		shadow = NewQueryRepository(nil)
+		for i, sql := range sqls {
+			if !live[i] {
+				continue
+			}
+			if _, err := shadow.Register("vals", sql, 1, func(rel *sqlengine.Relation) { want[i].Store(rel.String()) }, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	register := func(i int) {
+		t.Helper()
+		var err error
+		if ids[i], err = c.RegisterQuery("vals", sqls[i], 1, func(rel *sqlengine.Relation) { got[i].Store(rel.String()) }); err != nil {
+			t.Fatal(err)
+		}
+		live[i] = true
+		reshadow()
+	}
+	pulse := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			c.Pulse()
+			shadow.EvaluateForSerial("vals", c.Catalog(), c.engineOpts())
+			for i, sql := range sqls {
+				if g, w := got[i].Load(), want[i].Load(); live[i] && g != w {
+					t.Fatalf("%s:\nmaintained:\n%v\ninterpreter:\n%v", sql, g, w)
+				}
+			}
+		}
+	}
+	repo := c.QueryRepositoryRef()
+	maintainer := func(i int) *sqlengine.AggMaintainer {
+		t.Helper()
+		repo.mu.RLock()
+		defer repo.mu.RUnlock()
+		g := repo.bySensor[stream.CanonicalName("vals")].groups[sqls[i]]
+		if g == nil || g.agg == nil {
+			t.Fatalf("%s: not maintained", sqls[i])
+		}
+		return g.agg
+	}
+
+	register(0)
+	pulse(150) // the 100-row output window is full
+	const window = 100
+	first := maintainer(0)
+	for i := 1; i < len(sqls); i++ {
+		before := first.Inserts()
+		register(i)
+		if n := first.Inserts() - before; n != 0 {
+			t.Errorf("registering %q replayed %d inserts into the first maintainer, want 0", sqls[i], n)
+		}
+		if n := maintainer(i).Inserts(); n != window {
+			t.Errorf("%q: its maintainer saw %d inserts on registration, want the window's %d", sqls[i], n, window)
+		}
+	}
+	pulse(20)
+
+	kept := []*sqlengine.AggMaintainer{first, maintainer(2)}
+	before := []uint64{kept[0].Inserts(), kept[1].Inserts()}
+	if err := c.UnregisterQuery(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	live[1] = false
+	reshadow()
+	for i, m := range kept {
+		if n := m.Inserts() - before[i]; n != 0 {
+			t.Errorf("an unregistration replayed %d inserts into a remaining maintainer", n)
+		}
+	}
+	pulse(20)
 }
 
 // TestGroupedAggregateGroupUsesMaintainer confirms grouped rollup

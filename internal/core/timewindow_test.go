@@ -72,14 +72,19 @@ func pairDescriptor(aPath, bPath, bSize string, bLoop bool) string {
 
 // TestTimeWindowMatchesCountWindow is the metamorphic pair: one reading
 // per millisecond, a count window of N and a time window of N ms hold
-// the same N rows, so their maintained source queries must produce
-// identical output elements on every trigger.
+// the same N rows, so their maintained source queries — unfiltered, and
+// filtered by a WHERE that NULL rows fail — must produce identical
+// output elements on every trigger.
 func TestTimeWindowMatchesCountWindow(t *testing.T) {
 	c := testContainer(t)
 	clock := c.Clock().(*stream.ManualClock)
 	path := writeCSV(t, "v", 300, intRow)
-	for name, size := range map[string]string{"bycount": "20", "bytime": "20ms"} {
-		deploy(t, c, fmt.Sprintf(`
+	const aggs = "select count(*) as n, sum(v) as s, avg(v) as a, min(v) as lo, max(v) as hi, last(v) as l from WRAPPER"
+	shapes := map[string]string{"": aggs, "filtered-": aggs + " where v > -30 and not (v % 4 = 1)"}
+	for prefix, query := range shapes {
+		for name, size := range map[string]string{"bycount": "20", "bytime": "20ms"} {
+			name = prefix + name
+			deploy(t, c, fmt.Sprintf(`
 <virtual-sensor name=%q>
   <output-structure>
     <field name="n" type="integer"/><field name="s" type="integer"/><field name="a" type="double"/>
@@ -89,31 +94,33 @@ func TestTimeWindowMatchesCountWindow(t *testing.T) {
   <input-stream name="in">%s
     <query>select * from src</query>
   </input-stream>
-</virtual-sensor>`, name, csvSource("src", size, path,
-			"select count(*) as n, sum(v) as s, avg(v) as a, min(v) as lo, max(v) as hi, last(v) as l from WRAPPER", false)))
-		if vs, _ := c.Sensor(name); vs.streams[0].sources[0].agg == nil {
-			t.Fatalf("%s: the aggregate source query should be maintained", name)
+</virtual-sensor>`, name, csvSource("src", size, path, query, false)))
+			if vs, _ := c.Sensor(name); vs.streams[0].sources[0].agg == nil {
+				t.Fatalf("%s: the aggregate source query should be maintained", name)
+			}
 		}
 	}
 	for i := 0; i < 200; i++ {
 		clock.Advance(time.Millisecond)
 		c.Pulse()
 	}
-	byCount, _ := c.Sensor("bycount")
-	byTime, _ := c.Sensor("bytime")
-	ce, te := byCount.Output().Snapshot(), byTime.Output().Snapshot()
-	if len(ce) != 200 || len(te) != 200 {
-		t.Fatalf("outputs: count window %d, time window %d, want 200 each", len(ce), len(te))
-	}
-	for i := range ce {
-		if ce[i].String() != te[i].String() {
-			t.Fatalf("trigger %d: count window %v, time window %v", i, ce[i], te[i])
+	for prefix := range shapes {
+		byCount, _ := c.Sensor(prefix + "bycount")
+		byTime, _ := c.Sensor(prefix + "bytime")
+		ce, te := byCount.Output().Snapshot(), byTime.Output().Snapshot()
+		if len(ce) != 200 || len(te) != 200 {
+			t.Fatalf("%soutputs: count window %d, time window %d, want 200 each", prefix, len(ce), len(te))
+		}
+		for i := range ce {
+			if ce[i].String() != te[i].String() {
+				t.Fatalf("%strigger %d: count window %v, time window %v", prefix, i, ce[i], te[i])
+			}
 		}
 	}
 	m := c.Metrics()
 	if inc, other := m.Counter("source_eval_incremental").Value(),
-		m.Counter("source_eval_compiled").Value()+m.Counter("source_eval_general").Value(); inc != 400 || other != 0 {
-		t.Errorf("source evaluations: %d incremental, %d rescans; want 400 and 0", inc, other)
+		m.Counter("source_eval_compiled").Value()+m.Counter("source_eval_general").Value(); inc != 800 || other != 0 {
+		t.Errorf("source evaluations: %d incremental, %d rescans; want 800 and 0", inc, other)
 	}
 }
 

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -21,10 +22,14 @@ import (
 // key for an ungrouped aggregate — holds the aggregate states and the
 // arrival sequences of its live rows. The table evicts in arrival
 // order, so an evicted element is always its group's oldest live row.
+// A plan with a WHERE runs its bound predicate on the element at insert
+// and again at evict, and folds in or takes out only the rows it
+// admits: the predicate never calls NOW(), so both runs answer alike.
 // An input a state cannot digest (a non-numeric SUM input, incomparable
-// MIN operands) or an eviction the maintainer never saw inserted
-// poisons it: Result returns nil until the next truncate, and the
-// caller executes the plan instead, which reports the error.
+// MIN operands), a WHERE that fails on an element, or an eviction the
+// maintainer never saw inserted poisons it: Result returns nil until
+// the next truncate, and the caller executes the plan instead, which
+// reports the error.
 type AggMaintainer struct {
 	prog *IncProgram
 
@@ -32,9 +37,17 @@ type AggMaintainer struct {
 	groups  map[string]*liveGroup
 	single  *liveGroup // the live group of an ungrouped statement, found unhashed
 	broken  bool
-	seq     uint64         // next insert's arrival sequence
+	seq     uint64         // next insert's arrival sequence: the OnInsert calls so far
 	keyVals []stream.Value // scratch key vector, guarded by mu
 	keyBuf  []byte         // scratch encoded key, guarded by mu
+
+	// where is the plan's bound WHERE, nil when it has none; row and ctx
+	// are its scratch input row and evaluation context, guarded by mu.
+	// ctx's memo cells keep the predicate's row-independent parts, which
+	// never change, across elements.
+	where boundExpr
+	row   []stream.Value
+	ctx   boundCtx
 
 	// drift counts the evictions subtracted from a float sum since the
 	// last rebuild. Subtract-on-evict re-associates the sum (and can be
@@ -75,8 +88,12 @@ func (a *aggState) insert(v stream.Value, seq uint64) bool {
 		return a.add(v) == nil
 	}
 	if a.kind != aggLast {
-		// MIN keeps an increasing deque and MAX a decreasing one: drop the
-		// candidates v outlives and ties or beats.
+		// MIN keeps a non-decreasing deque and MAX a non-increasing one:
+		// drop the candidates v outlives and beats. A tie stays, so the
+		// head is the oldest of equal values, as a scan's add keeps it —
+		// unless the two are identical: then the queued twin answers for
+		// v, and its entry lives on as long as v does (a run of equal
+		// timestamps keeps one entry, not one per row).
 		want := -1
 		if a.kind == aggMax {
 			want = 1
@@ -86,7 +103,12 @@ func (a *aggState) insert(v stream.Value, seq uint64) bool {
 			if err != nil || !known {
 				return false
 			}
-			if c*want > 0 {
+			if c == 0 && identical(a.live[n-1].v, v) {
+				a.live[n-1].seq = seq
+				a.count++
+				return true
+			}
+			if c*want >= 0 {
 				break
 			}
 			a.live = a.live[:n-1]
@@ -96,6 +118,25 @@ func (a *aggState) insert(v stream.Value, seq uint64) bool {
 	a.count++
 	a.setEnds()
 	return true
+}
+
+// identical reports whether two values that compare equal are also the
+// same value to a reader: the same type and, for floats, the same bits
+// (-0 and +0 compare equal but print apart). It answers false for kinds
+// it does not know, which only costs a deque entry.
+func identical(a, b stream.Value) bool {
+	switch x := a.(type) {
+	case int64:
+		y, ok := b.(int64)
+		return ok && x == y
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	}
+	return false
 }
 
 // evict takes back out one input insert folded in, which must be the
@@ -154,11 +195,17 @@ func (a *aggState) setEnds() {
 
 // NewAggMaintainer builds the maintainer of a plan's incremental form.
 func NewAggMaintainer(prog *IncProgram) *AggMaintainer {
-	return &AggMaintainer{
+	m := &AggMaintainer{
 		prog:    prog,
 		groups:  make(map[string]*liveGroup),
 		keyVals: make([]stream.Value, len(prog.Keys)),
 	}
+	if bp := prog.plan.prog; bp.where != nil {
+		m.where = bp.where
+		m.row = make([]stream.Value, len(prog.plan.inCols))
+		m.ctx = boundCtx{ev: newEvaluator(nil, Options{}), once: make([]onceCell, bp.ncells)}
+	}
+	return m
 }
 
 // NewGroupedAggMaintainer returns NewAggMaintainer(prog).
@@ -199,15 +246,31 @@ func inputValue(e stream.Element, col int) stream.Value {
 	return e.Value(col)
 }
 
+// admits reports whether the plan's WHERE keeps e, reading e's values
+// as boundRun.scan does. A failing WHERE poisons the maintainer (callers
+// hold mu and have checked that there is a WHERE).
+func (m *AggMaintainer) admits(e stream.Element) bool {
+	for _, c := range m.prog.plan.prog.reads {
+		m.row[c] = inputValue(e, c)
+	}
+	v, err := m.where(m.row, &m.ctx)
+	if err != nil {
+		m.broken = true
+		return false
+	}
+	t, known := truth(v)
+	return known && t
+}
+
 // OnInsert implements storage.Observer.
 func (m *AggMaintainer) OnInsert(e stream.Element) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.broken {
-		return
-	}
 	seq := m.seq
 	m.seq++
+	if m.broken || m.where != nil && !m.admits(e) {
+		return
+	}
 	g := m.group(e)
 	if g == nil {
 		p := m.prog.plan
@@ -244,7 +307,7 @@ func (m *AggMaintainer) OnInsert(e stream.Element) {
 func (m *AggMaintainer) OnEvict(e stream.Element) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.broken {
+	if m.broken || m.where != nil && !m.admits(e) {
 		return
 	}
 	g := m.group(e)
@@ -275,9 +338,16 @@ func (m *AggMaintainer) OnTruncate() {
 	defer m.mu.Unlock()
 	m.groups = make(map[string]*liveGroup)
 	m.single = nil
-	m.seq = 0
 	m.broken = false
 	m.drift = 0
+}
+
+// Inserts reports how many OnInsert calls the maintainer has had,
+// replays included: what keeping it in step with its window has cost.
+func (m *AggMaintainer) Inserts() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.seq
 }
 
 // NeedsResync reports that enough float inputs have been subtracted

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,10 +10,11 @@ import (
 )
 
 // TestIncrementalProgramDetection pins the one eligibility rule of the
-// maintainer on ungrouped statements: no WHERE, maintainable aggregates
-// over plain columns, and nothing reading a column outside an
-// aggregate. Everything after aggregation is the bound run's, so
-// HAVING, ORDER BY, LIMIT and expressions over aggregates qualify.
+// maintainer on ungrouped statements: a WHERE that does not call NOW(),
+// maintainable aggregates over plain columns, and nothing reading a
+// column outside an aggregate. Everything after aggregation is the
+// bound run's, so HAVING, ORDER BY, LIMIT and expressions over
+// aggregates qualify.
 func TestIncrementalProgramDetection(t *testing.T) {
 	checkDetection(t, map[string]bool{
 		"select count(*) as n from w":                                          true,
@@ -21,18 +23,20 @@ func TestIncrementalProgramDetection(t *testing.T) {
 		"select min(timed) as oldest from w":                                   true,
 		"select count(*) as n from w order by n limit 1":                       true,
 		"select sum(v) / count(*) as m, now() as t from w having count(*) > 2": true,
-		"select v from w":                         false, // neither aggregate nor GROUP BY
-		"select v, count(*) as n from w":          false, // reads a non-key column
-		"select count(*) as n from w where v > 0": false, // WHERE needs the rows
-		"select first(v) as f from w":             false, // not a maintained kind
-		"select count(distinct v) as n from w":    false, // needs the set
+		"select count(*) as n from w where v > 0":                              true,
+		"select sum(v) as s from w where f is null or timed % 2 = 0":           true,
+		"select v from w":                                      false, // neither aggregate nor GROUP BY
+		"select v, count(*) as n from w":                       false, // reads a non-key column
+		"select count(*) as n from w where timed >= now() - 5": false, // admits by the clock, not the row
+		"select first(v) as f from w":                          false, // not a maintained kind
+		"select count(distinct v) as n from w":                 false, // needs the set
 	})
 }
 
 // TestGroupedIncrementalProgramDetection pins the same rule on grouped
 // statements: plain-column keys, and nothing after grouping reading a
-// non-key column. HAVING, ORDER BY, LIMIT, DISTINCT and expressions
-// over keys and aggregates qualify.
+// non-key column. A WHERE without NOW(), HAVING, ORDER BY, LIMIT,
+// DISTINCT and expressions over keys and aggregates qualify.
 func TestGroupedIncrementalProgramDetection(t *testing.T) {
 	checkDetection(t, map[string]bool{
 		"select v, count(*) as n from w group by v":                                     true,
@@ -43,7 +47,8 @@ func TestGroupedIncrementalProgramDetection(t *testing.T) {
 		"select w.v, max(f) as mx from w group by w.v":                                  true,
 		"select v + 1 as k, count(*) as n from w group by v having count(*) > 1":        true,
 		"select distinct v, count(*) as n from w group by v order by n desc, v limit 2": true,
-		"select v, count(*) as n from w where f > 0 group by v":                         false, // WHERE needs the rows
+		"select v, count(*) as n from w where f > 0 group by v":                         true,
+		"select v, count(*) as n from w where timed >= now() - 5 group by v":            false, // admits by the clock
 		"select v, stddev(f) as sd from w group by v":                                   false, // not a maintained kind
 		"select v, sum(f + 1) as s from w group by v":                                   false, // non-column argument
 		"select v % 7 as b, count(*) as n from w group by v % 7":                        false, // expression key
@@ -77,6 +82,21 @@ var groupedIncShapes = []string{
 	"select distinct count(*) % 2 as odd from w group by v",
 }
 
+// filteredIncShapes are maintained statements with a WHERE: predicates
+// that come out NULL or unknown (a NULL f, a NULL v, an IN list holding
+// NULL), a WHERE on TIMED, one reading a column nothing else reads, a
+// WHERE beside GROUP BY and HAVING, and one that admits nothing (its
+// answer is still the one row, COUNT 0 and NULL elsewhere).
+var filteredIncShapes = []string{
+	"select count(*) as n, sum(v) as s, min(f) as mn, max(f) as mx, last(v) as l from w where f > v - 3",
+	"select count(*) as n, avg(v) as a, max(timed) as t from w where v in (1, 3, null) or f is null",
+	"select count(*) as n, min(timed) as lo, max(timed) as hi, sum(v) as s from w where timed % 3 <> 0",
+	"select count(*) as n, sum(v) as s, last(v) as l from w where f between -4 and 6",
+	"select v, count(*) as n, sum(f) as s, min(f) as mn from w where f >= 0 or v = 2 " +
+		"group by v having count(*) > 1 order by n desc, v",
+	"select count(*) as n, sum(v) as s, max(f) as mx from w where v > 100",
+}
+
 // TestAggMaintainerMatchesExecute drives each shape through random
 // inserts (NULLs, few keys so groups appear, empty and reappear) and
 // the evictions every window kind makes — one per insert past a count,
@@ -93,6 +113,13 @@ func TestAggMaintainerMatchesExecute(t *testing.T) {
 // reappear with a later first-live row.
 func TestGroupedAggMaintainerMatchesExecute(t *testing.T) {
 	checkMaintainerMatchesExecute(t, groupedIncShapes, 43)
+}
+
+// TestFilteredAggMaintainerMatchesExecute is the same property on the
+// filtered shapes: the maintainer folds in and takes out exactly the
+// rows a scan keeps, and never one its WHERE leaves NULL or unknown.
+func TestFilteredAggMaintainerMatchesExecute(t *testing.T) {
+	checkMaintainerMatchesExecute(t, filteredIncShapes, 44)
 }
 
 func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
@@ -145,6 +172,123 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 			if got == nil || got.String() != want.String() || scan.String() != want.String() {
 				t.Fatalf("%s, step %d (live=%d):\nmaintained:\n%v\nscan:\n%v\nexecute:\n%v", q, step, len(live), got, scan, want)
 			}
+		}
+	}
+}
+
+// TestFilteredAggMaintainerPoisonedByWhereError: a WHERE that fails on
+// some rows (a LIKE reached only when v >= 4, over a float) poisons the
+// maintainer at the first such arrival, and the plan's own execution
+// reports the error in the interpreter's words. Until then the rows it
+// admits are maintained as usual; a truncate resets the poison.
+func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
+	const q = "select count(*) as n, sum(v) as s from w where v < 4 or f like '1%'"
+	plan := compilePlan(t, q)
+	m := NewAggMaintainer(plan.Incremental())
+	elem := func(ts int, v int64) stream.Element {
+		e, err := stream.NewElement(planSchema, stream.Timestamp(ts), v, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	live := []stream.Element{elem(1, 1), elem(2, 3)}
+	replay := func() {
+		m.OnTruncate()
+		for _, e := range live {
+			m.OnInsert(e)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		pt := &planTable{schema: planSchema, elems: live}
+		scan, err := plan.ExecuteSource(pt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Result(Options{}); got == nil || got.String() != scan.String() {
+			t.Fatalf("%s: maintained %v, scan %v", stage, got, scan)
+		}
+	}
+	replay()
+	check("before the failing row")
+
+	live = append(live, elem(3, 7))
+	m.OnInsert(live[2])
+	if got := m.Result(Options{}); got != nil {
+		t.Fatalf("a failing WHERE should poison the maintainer, got %v", got)
+	}
+	pt := &planTable{schema: planSchema, elems: live}
+	_, planErr := plan.Execute(RowsOfSource(pt), Options{})
+	_, interpErr := Execute(plan.sp.stmt, MapCatalog{"W": RelationOfSource(pt)}, Options{})
+	if planErr == nil || interpErr == nil || planErr.Error() != interpErr.Error() {
+		t.Fatalf("plan error %v, interpreter error %v: want the same error", planErr, interpErr)
+	}
+
+	live = live[:2]
+	replay()
+	check("after a truncate and replay")
+}
+
+// TestMaintainedMinMaxKeepsOldestOfEqualValues: MIN and MAX over values
+// that compare equal but print apart (-0 and +0) answer the oldest live
+// one, the one a scan's fold keeps, as rows arrive and as the oldest
+// are evicted. A run of identical values keeps one deque entry.
+func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
+	plan := compilePlan(t, "select min(f) as mn, max(f) as mx from w")
+	m := NewAggMaintainer(plan.Incremental())
+	var live []stream.Element
+	check := func(stage string) {
+		t.Helper()
+		pt := &planTable{schema: planSchema, elems: live}
+		scan, err := plan.ExecuteSource(pt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		interp, err := Execute(plan.sp.stmt, MapCatalog{"W": RelationOfSource(pt)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Result(Options{}); got == nil || got.String() != scan.String() || scan.String() != interp.String() {
+			t.Fatalf("%s (live=%d): maintained %q, scan %q, interpreter %q", stage, len(live), got, scan, interp)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for i, f := range []float64{negZero, 0, negZero, 0, 0, 0, negZero, negZero, 0} {
+		e, err := stream.NewElement(planSchema, stream.Timestamp(i+1), int64(i), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, e)
+		m.OnInsert(e)
+		check("insert")
+		if len(live) > 4 {
+			m.OnEvict(live[0])
+			live = live[1:]
+			check("evict")
+		}
+	}
+	for len(live) > 0 {
+		m.OnEvict(live[0])
+		live = live[1:]
+		check("evict")
+	}
+
+	for i := 0; i < 50; i++ {
+		e, err := stream.NewElement(planSchema, stream.Timestamp(100+i), int64(i), 2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live = append(live, e); len(live) > 10 {
+			m.OnEvict(live[0])
+			live = live[1:]
+		}
+		m.OnInsert(e)
+		check("identical run")
+	}
+	for i, st := range m.single.states {
+		if n := len(st.live); n != 1 {
+			t.Errorf("state %d keeps %d deque entries for a run of identical values, want 1", i, n)
 		}
 	}
 }

@@ -81,7 +81,8 @@ func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (
 }
 
 // IncProgram is a plan an AggMaintainer can keep over a sliding window:
-// every GROUP BY key and aggregate argument is a plain input column.
+// every GROUP BY key and aggregate argument is a plain input column, and
+// its WHERE, if any, answers the same for an element whenever it runs.
 type IncProgram struct {
 	plan *Plan
 	// Keys are the input columns of the GROUP BY keys, in clause order;
@@ -93,15 +94,17 @@ type IncProgram struct {
 // Incremental returns the plan's maintainable form, or nil when the
 // statement does not qualify. A maintainer keeps, per live group, the
 // key values and the aggregate states, so a statement qualifies when
-// its run needs nothing else: an aggregate or GROUP BY statement with
-// no WHERE, every aggregate a non-DISTINCT COUNT, SUM, AVG, MIN, MAX or
+// its run needs nothing else: an aggregate or GROUP BY statement whose
+// WHERE, if any, does not call NOW() (the maintainer runs it once on an
+// element's arrival and once on its eviction, and the two answers must
+// agree), every aggregate a non-DISTINCT COUNT, SUM, AVG, MIN, MAX or
 // LAST over a plain column (or COUNT(*)), every GROUP BY key a plain
 // column, and nothing after grouping — HAVING, the projection, ORDER BY
 // — reading a column that is not a key. The container pairs it with an
 // AggMaintainer observing the source's window table.
 func (p *Plan) Incremental() *IncProgram {
 	stmt := p.sp.stmt
-	if !p.sp.grouped || stmt.Where != nil {
+	if !p.sp.grouped || volatileExpr(stmt.Where) {
 		return nil
 	}
 	column := func(e sqlparser.Expr) int {

@@ -815,17 +815,25 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) (out []stream.Element, err e
 // observer. The current live contents are replayed into the observer as
 // inserts under the same critical section, so the observer's state
 // starts consistent with the window no matter when it is attached.
-func (t *Table) SetObserver(o Observer) {
+func (t *Table) SetObserver(o Observer) { t.SwapObserver(o, o) }
+
+// SwapObserver installs o (nil removes the observer) and, in the same
+// critical section, replays the live contents — a truncate, then one
+// insert per live element — into replay alone (nil replays nothing).
+// An owner that fans the table out to many observers swaps in the new
+// set and replays only the member that is new or must be rebuilt: the
+// others have seen every event already and see none twice.
+func (t *Table) SwapObserver(o, replay Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evictLocked()
 	t.observer = o
-	if o == nil {
+	if replay == nil {
 		return
 	}
-	o.OnTruncate()
+	replay.OnTruncate()
 	for i := t.head; i < len(t.elems); i++ {
-		o.OnInsert(t.elems[i])
+		replay.OnInsert(t.elems[i])
 	}
 }
 

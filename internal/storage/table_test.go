@@ -452,6 +452,46 @@ func TestObserverMirrorsWindow(t *testing.T) {
 	}
 }
 
+// observerPair fans a table's events out to two observers.
+type observerPair struct{ a, b Observer }
+
+func (p observerPair) OnInsert(e stream.Element) { p.a.OnInsert(e); p.b.OnInsert(e) }
+func (p observerPair) OnEvict(e stream.Element)  { p.a.OnEvict(e); p.b.OnEvict(e) }
+func (p observerPair) OnTruncate()               { p.a.OnTruncate(); p.b.OnTruncate() }
+
+// TestSwapObserverReplaysOnlyTheNamedObserver: swapping in a set that
+// adds an observer replays the full window into the newcomer alone, the
+// member already attached sees no event, and both mirror the window
+// afterwards; a swap naming no replay target replays nothing.
+func TestSwapObserverReplaysOnlyTheNamedObserver(t *testing.T) {
+	tab, _ := NewTable("t", tempSchema, stream.MustWindow("5"), stream.NewManualClock(0))
+	old := &tableObserverLog{}
+	tab.SetObserver(old)
+	for i := int64(0); i < 8; i++ {
+		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
+	}
+	before := *old
+	fresh := &tableObserverLog{}
+	tab.SwapObserver(observerPair{old, fresh}, fresh)
+	if *old != before {
+		t.Fatalf("the attached observer saw the replay: %+v, was %+v", *old, before)
+	}
+	if fresh.truncates != 1 || fresh.inserts != 5 || fresh.liveDelta != 5 {
+		t.Fatalf("the new observer's replay: %+v, want one truncate and 5 inserts", *fresh)
+	}
+	for i := int64(8); i < 11; i++ {
+		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
+	}
+	if old.liveDelta != tab.Len() || fresh.liveDelta != tab.Len() {
+		t.Errorf("observers live %d and %d, table live %d", old.liveDelta, fresh.liveDelta, tab.Len())
+	}
+	before = *old
+	tab.SwapObserver(old, nil)
+	if *old != before {
+		t.Errorf("a swap without a replay target replayed: %+v, was %+v", *old, before)
+	}
+}
+
 // TestTimeWindowBoundaryEviction pins the half-open window semantics at
 // the storage layer: an element whose timestamp is exactly now-Size is
 // outside the window (Window.Covers is strict) and must be evicted.
