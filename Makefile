@@ -69,7 +69,8 @@ examples-smoke:
 # a three-tier pipeline with randomized disk faults (TestChaos), the
 # WAL fault matrix and self-healing recovery paths, the two-node
 # replication pipeline under network chaos (TestNetChaos: partitions,
-# torn/corrupted responses, peer restarts — exactly-once must hold),
+# torn/corrupted responses, peer restarts — exactly-once must hold;
+# truncated query and results answers never decode),
 # and the 4-node federation under the same storms (TestClusterChaos:
 # cross-node composition, partitioned-coordinator query semantics,
 # routed registrations surviving peer restarts), beside the peer long
@@ -87,13 +88,16 @@ chaos:
 		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
-# fuzz-smoke fuzzes the maintained tier against the bound scan for a
-# few seconds: random non-volatile WHEREs over int, float and string
-# columns, random insert/evict/truncate sequences (its seed corpus runs
-# in every `go test`). A failing input lands in
-# internal/sqlengine/testdata/fuzz, where `go test` replays it.
+# fuzz-smoke runs two fuzzers for a few seconds each: the maintained
+# tier against the bound scan (random non-volatile WHEREs over int,
+# float and string columns, random insert/evict/truncate sequences),
+# and the peer-answer decoders on arbitrary bytes (no panic, allocation
+# bounded by the input, an answer that decodes re-encodes to the same
+# bytes). Their seed corpora run in every `go test`. A failing input
+# lands in the package's testdata/fuzz, where `go test` replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaintainedMatchesScan$$' -fuzztime=10s -parallel 2 ./internal/sqlengine
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerAnswerDecode$$' -fuzztime=10s -parallel 2 ./internal/p2p
 
 # ci is the tier-1 gate: everything a fresh clone must pass.
 ci: vet build race benchsmoke examples-smoke docs-check chaos fuzz-smoke

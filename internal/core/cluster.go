@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gsn/internal/sqlengine"
@@ -223,6 +224,7 @@ func (c *Container) queryRouted(sql string) (*sqlengine.Relation, error) {
 		}
 		cols = sqlengine.ColumnsOfSchema(schema)
 	}
+	names := (&sqlengine.Relation{Cols: cols}).Names()
 
 	if plan, err := sqlengine.Compile(stmt, cols, table); err == nil && plan.Distributable() {
 		parts := make([]*sqlengine.PartialRollup, 0, len(owners)+1)
@@ -237,6 +239,9 @@ func (c *Container) queryRouted(sql string) (*sqlengine.Relation, error) {
 			pr, err := cl.PartialQuery(owner, sql)
 			if err != nil {
 				return nil, fmt.Errorf("core: cluster query incomplete: owner %s unreachable: %w", owner, err)
+			}
+			if err := sameColumns(owner, table, pr.Cols, names); err != nil {
+				return nil, err
 			}
 			parts = append(parts, pr)
 		}
@@ -269,15 +274,27 @@ func (c *Container) queryRouted(sql string) (*sqlengine.Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: cluster query incomplete: owner %s unreachable: %w", owner, err)
 		}
-		if len(rel.Cols) != len(union.Cols) {
-			return nil, fmt.Errorf("core: owner %s serves %s with %d columns, expected %d (schema drift?)",
-				owner, table, len(rel.Cols), len(union.Cols))
+		if err := sameColumns(owner, table, rel.Names(), names); err != nil {
+			return nil, err
 		}
 		union.Rows = append(union.Rows, rel.Rows...)
 	}
 	c.metrics.Counter("cluster_union_queries").Inc()
 	cat := sqlengine.ChainCatalog{sqlengine.MapCatalog{table: union}, c.Catalog()}
 	return sqlengine.Execute(stmt, cat, c.engineOpts())
+}
+
+// sameColumns errors unless an owner's answer is over the columns the
+// coordinator compiled against, by name and in order: rows and
+// representative rows are read by position, so an owner whose table
+// orders the same fields differently would be merged into the wrong
+// columns.
+func sameColumns(owner, table string, got, want []string) error {
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("core: owner %s serves %s with columns %v, this node compiled against %v (schema drift?)",
+			owner, table, got, want)
+	}
+	return nil
 }
 
 // LocalPartial runs the node-side half of a distributed grouped query

@@ -27,9 +27,10 @@ import (
 const shortTimeout = 5 * time.Second
 
 // Response body caps, so a misbehaving peer cannot balloon memory: one
-// for the JSON and schema answers, one for a page of stream elements.
+// for the control-plane, schema and query answers, one for a page of
+// stream elements.
 const (
-	maxJSONBody   = 8 << 20
+	maxAnswerBody = 8 << 20
 	maxStreamBody = 256 << 20
 )
 
@@ -112,13 +113,13 @@ func (c *Client) do(ctx context.Context, method, path string, in any, limit int6
 // gated by the breaker. Only a transport-level failure (the peer is
 // unreachable or stalled) counts against the breaker; a served error
 // status is a healthy connection.
-func (c *Client) short(method, path string, in any) ([]byte, error) {
+func (c *Client) short(method, path string, in any) (http.Header, []byte, error) {
 	if c.Breaker != nil && !c.Breaker.Allow() {
-		return nil, ErrCircuitOpen
+		return nil, nil, ErrCircuitOpen
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), shortTimeout)
 	defer cancel()
-	_, body, err := c.do(ctx, method, path, in, maxJSONBody)
+	hdr, body, err := c.do(ctx, method, path, in, maxAnswerBody)
 	if c.Breaker != nil {
 		var served *statusError
 		if err == nil || errors.As(err, &served) {
@@ -127,12 +128,29 @@ func (c *Client) short(method, path string, in any) ([]byte, error) {
 			c.Breaker.Failure()
 		}
 	}
-	return body, err
+	return hdr, body, err
+}
+
+// decodeAnswer decodes a whole answer body from peer with read, naming
+// the peer in any failure. An answer in another content type than the
+// binary codec's comes from a node that predates it; no other format is
+// read.
+func decodeAnswer[T any](peer string, hdr http.Header, body []byte, read func(*stream.Reader) T) (T, error) {
+	var zero T
+	if ct := hdr.Get("Content-Type"); ct != binaryType {
+		return zero, fmt.Errorf("p2p: %s answers in the pre-binary format (%s); older node?", peer, ct)
+	}
+	r := stream.NewReader(body)
+	v := read(r)
+	if err := r.Done(); err != nil {
+		return zero, fmt.Errorf("p2p: bad answer from %s: %w", peer, err)
+	}
+	return v, nil
 }
 
 // Schema fetches a remote sensor's output schema.
 func (c *Client) Schema(vs string) (*stream.Schema, error) {
-	body, err := c.short(http.MethodGet, "/p2p/schema?vs="+url.QueryEscape(vs), nil)
+	_, body, err := c.short(http.MethodGet, "/p2p/schema?vs="+url.QueryEscape(vs), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -243,27 +261,23 @@ func (c *Client) decodeStream(hdr http.Header, body []byte) ([]stream.Element, *
 	return out, schema, nil
 }
 
-// Query runs a one-shot statement on the peer and decodes the answer
-// into out: a *TypedResult, or with partial a *sqlengine.PartialRollup
-// (the peer's WHERE + GROUP BY fold as mergeable aggregate states). It
-// also reports how many response-body bytes crossed the wire — the
-// federation's transport accounting.
-func (c *Client) Query(sql string, partial bool, out any) (int, error) {
+// Query runs a one-shot statement on the peer and returns the answer
+// for decodeAnswer: a relation, or with partial a
+// sqlengine.PartialRollup (the peer's WHERE + GROUP BY fold as
+// mergeable aggregate states). The body comes back on error too, so
+// the caller accounts the bytes that crossed the wire.
+func (c *Client) Query(sql string, partial bool) (http.Header, []byte, error) {
 	path := "/p2p/query?sql=" + url.QueryEscape(sql)
 	if partial {
 		path += "&partial=1"
 	}
-	body, err := c.short(http.MethodGet, path, nil)
-	if err != nil {
-		return len(body), err
-	}
-	return len(body), json.Unmarshal(body, out)
+	return c.short(http.MethodGet, path, nil)
 }
 
 // RegisterContinuous registers a continuous query on the peer and
 // returns the session id to poll with.
 func (c *Client) RegisterContinuous(vs, sql string, sampling float64) (string, error) {
-	body, err := c.short(http.MethodPost, "/p2p/register", RegisterRequest{VS: vs, SQL: sql, Sampling: sampling})
+	_, body, err := c.short(http.MethodPost, "/p2p/register", RegisterRequest{VS: vs, SQL: sql, Sampling: sampling})
 	if err != nil {
 		return "", err
 	}
@@ -276,23 +290,23 @@ func (c *Client) RegisterContinuous(vs, sql string, sampling float64) (string, e
 // result revision newer than each cursor and answers with a page per
 // session that has one or is gone (empty when wait elapsed first). It
 // also reports the response-body bytes moved.
-func (c *Client) PollResults(ctx context.Context, cursors []ResultsCursor, wait time.Duration) ([]ResultsPage, int, error) {
+func (c *Client) PollResults(ctx context.Context, cursors []ResultsCursor, wait time.Duration) ([]resultsPage, int, error) {
 	q := url.Values{"wait": {strconv.FormatInt(wait.Milliseconds(), 10)}}
 	for _, cur := range cursors {
 		q.Add("id", cur.ID)
 		q.Add("after", strconv.FormatUint(cur.After, 10))
 	}
-	_, body, err := c.do(ctx, http.MethodGet, "/p2p/results?"+q.Encode(), nil, maxJSONBody)
-	var pages []ResultsPage
+	hdr, body, err := c.do(ctx, http.MethodGet, "/p2p/results?"+q.Encode(), nil, maxAnswerBody)
+	var pages []resultsPage
 	if err == nil {
-		err = json.Unmarshal(body, &pages)
+		pages, err = decodeAnswer(c.Base, hdr, body, readPages)
 	}
 	return pages, len(body), err
 }
 
 // UnregisterContinuous tears a routed-query session down on the peer.
 func (c *Client) UnregisterContinuous(id string) error {
-	_, err := c.short(http.MethodDelete, "/p2p/register?id="+url.QueryEscape(id), nil)
+	_, _, err := c.short(http.MethodDelete, "/p2p/register?id="+url.QueryEscape(id), nil)
 	return err
 }
 
@@ -300,7 +314,7 @@ func (c *Client) UnregisterContinuous(id string) error {
 // peer's response into reg. It returns the number of adopted entries
 // and the peer's snapshot.
 func (c *Client) Gossip(reg *directory.Registry) (int, []directory.Entry, error) {
-	body, err := c.short(http.MethodPost, "/p2p/directory/merge", reg.Snapshot())
+	_, body, err := c.short(http.MethodPost, "/p2p/directory/merge", reg.Snapshot())
 	if err != nil {
 		return 0, nil, err
 	}

@@ -213,37 +213,34 @@ func (f *Federation) RemoteSource(sensor string, params map[string]string) (wrap
 
 // PartialQuery implements core.Cluster.
 func (f *Federation) PartialQuery(owner, sql string) (*sqlengine.PartialRollup, error) {
-	var pr sqlengine.PartialRollup
-	n, err := f.peerClient(owner).Query(sql, true, &pr)
-	f.partialBytes.Add(uint64(n))
+	hdr, body, err := f.peerClient(owner).Query(sql, true)
+	f.partialBytes.Add(uint64(len(body)))
 	if err != nil {
 		return nil, err
 	}
-	return &pr, nil
+	return decodeAnswer(owner, hdr, body, sqlengine.ReadPartial)
 }
 
 // RouteQuery implements core.Cluster.
 func (f *Federation) RouteQuery(owner, sql string) (*sqlengine.Relation, error) {
-	var tr TypedResult
-	n, err := f.peerClient(owner).Query(sql, false, &tr)
-	f.routedBytes.Add(uint64(n))
+	hdr, body, err := f.peerClient(owner).Query(sql, false)
+	f.routedBytes.Add(uint64(len(body)))
 	if err != nil {
 		return nil, err
 	}
-	return relationOfTyped(tr), nil
+	return decodeAnswer(owner, hdr, body, sqlengine.ReadRelation)
 }
 
 // UnionRows implements core.Cluster: the raw-row fallback transport,
 // accounted separately from routed statements so partial-aggregate
 // shipping has a bytes-moved baseline.
 func (f *Federation) UnionRows(owner, table string) (*sqlengine.Relation, error) {
-	var tr TypedResult
-	n, err := f.peerClient(owner).Query("SELECT * FROM "+table, false, &tr)
-	f.unionBytes.Add(uint64(n))
+	hdr, body, err := f.peerClient(owner).Query("SELECT * FROM "+table, false)
+	f.unionBytes.Add(uint64(len(body)))
 	if err != nil {
 		return nil, err
 	}
-	return relationOfTyped(tr), nil
+	return decodeAnswer(owner, hdr, body, sqlengine.ReadRelation)
 }
 
 // Info implements core.Cluster.

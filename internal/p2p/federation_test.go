@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -150,16 +149,19 @@ func (n *fedNode) produce(clock *stream.ManualClock, sensor string, count int) {
 	}
 }
 
-// jsonOf renders a relation through the same typed wire shape the
-// federation uses, for order- and type-exact comparison that ignores
+// typedOf renders a relation's column names and rows with each value's
+// dynamic type, for order- and type-exact comparison that ignores
 // table qualifiers (a routed result legitimately loses them).
-func jsonOf(t *testing.T, rel *sqlengine.Relation) string {
-	t.Helper()
-	b, err := json.Marshal(typedOfRelation(rel))
-	if err != nil {
-		t.Fatal(err)
+func typedOf(rel *sqlengine.Relation) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q", rel.Names())
+	for _, row := range rel.Rows {
+		b.WriteString("\n")
+		for _, v := range row {
+			fmt.Fprintf(&b, " %T(%#v)", v, v)
+		}
 	}
-	return string(b)
+	return b.String()
 }
 
 // TestFederationGroupByEquivalence is the distributed half of the
@@ -450,8 +452,8 @@ func TestFederationRoutedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsonOf(t, got) != jsonOf(t, want) {
-		t.Errorf("routed result diverged\nrouted: %s\nowner:  %s", jsonOf(t, got), jsonOf(t, want))
+	if typedOf(got) != typedOf(want) {
+		t.Errorf("routed result diverged\nrouted: %s\nowner:  %s", typedOf(got), typedOf(want))
 	}
 	if n := coord.c.MetricsSnapshot()["cluster_routed_queries"].(uint64); n != 1 {
 		t.Errorf("cluster_routed_queries = %d, want 1", n)
@@ -939,4 +941,59 @@ func hostOf(t *testing.T, base string) string {
 		t.Fatalf("unexpected base URL %q", base)
 	}
 	return strings.TrimPrefix(base, prefix)
+}
+
+// orderedDescriptor publishes sensor m over the feed with the integer
+// fields hi = v, sv = 10v and k = 3, in the given order.
+func orderedDescriptor(order ...string) string {
+	exprs := map[string]string{"hi": "v", "sv": "v * 10", "k": "3"}
+	var fields, sel []string
+	for _, name := range order {
+		fields = append(fields, `<field name="`+name+`" type="integer"/>`)
+		sel = append(sel, exprs[name]+" as "+name)
+	}
+	return `
+<virtual-sensor name="m">
+  <output-structure>` + strings.Join(fields, "") + `</output-structure>
+  <storage size="100"/>
+  <input-stream name="in">
+    <stream-source alias="s" storage-size="1">
+      <address wrapper="feed"><predicate key="feed" val="m"/></address>
+      <query>select ` + strings.Join(sel, ", ") + ` from WRAPPER</query>
+    </stream-source>
+    <query>select * from s</query>
+  </input-stream>
+</virtual-sensor>`
+}
+
+// TestFederationRefusesOwnerSchemaMismatch: representative rows and
+// union rows are read by position, so an owner whose base table has the
+// same number of columns in another order must be refused, naming the
+// owner — never merged into the wrong columns (hi % k computed from
+// the owner's sv).
+func TestFederationRefusesOwnerSchemaMismatch(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	rows := [][]stream.Value{{"a", int64(1), 0.5}, {"a", int64(2), 0.5}, {"a", int64(4), 0.5}}
+	nodes := map[string]*fedNode{}
+	for name, order := range map[string][]string{"a": {"hi", "sv", "k"}, "b": {"sv", "hi", "k"}} {
+		n := newFedNode(t, name, clock, feedRegistry(map[string]*feedWrapper{"m": {clock: clock, rows: rows}}), nil)
+		if err := n.c.DeployXML([]byte(orderedDescriptor(order...))); err != nil {
+			t.Fatal(err)
+		}
+		n.produce(clock, "m", len(rows))
+		nodes[name] = n
+	}
+	a, b := nodes["a"], nodes["b"]
+	a.fed.AddPeer(b.url)
+	a.fed.GossipRound()
+
+	for _, sql := range []string{
+		"select hi % k as r, count(*) as n from m group by hi % k", // partial rollups
+		"select hi from m order by hi",                             // raw row union
+	} {
+		rel, err := a.c.Query(sql)
+		if err == nil || !strings.Contains(err.Error(), b.url) {
+			t.Errorf("%s: got %v, %v; want a refusal naming %s", sql, rel, err, b.url)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -13,39 +14,6 @@ import (
 	"gsn/internal/storage"
 	"gsn/internal/stream"
 )
-
-// TypedResult is the exact-typed JSON shape of a query response: rows
-// ride as tagged WireValues, so int64, float64, []byte and string
-// survive the hop bit-identically — the property the cluster
-// equivalence tests pin.
-type TypedResult struct {
-	Columns []string             `json:"columns"`
-	Rows    [][]stream.WireValue `json:"rows"`
-}
-
-// typedOfRelation converts an engine relation to its wire form.
-func typedOfRelation(rel *sqlengine.Relation) TypedResult {
-	out := TypedResult{Columns: rel.Names(), Rows: make([][]stream.WireValue, len(rel.Rows))}
-	for i, row := range rel.Rows {
-		out.Rows[i] = stream.WrapRow(row)
-	}
-	return out
-}
-
-// relationOfTyped converts a wire result back to an engine relation.
-func relationOfTyped(tr TypedResult) *sqlengine.Relation {
-	rel := &sqlengine.Relation{
-		Cols: make([]sqlengine.Column, len(tr.Columns)),
-		Rows: make([][]stream.Value, len(tr.Rows)),
-	}
-	for i, name := range tr.Columns {
-		rel.Cols[i] = sqlengine.Column{Name: name}
-	}
-	for i, row := range tr.Rows {
-		rel.Rows[i] = stream.UnwrapRow(row)
-	}
-	return rel
-}
 
 // --- Routed continuous queries -------------------------------------
 
@@ -133,15 +101,56 @@ type ResultsCursor struct {
 	After uint64
 }
 
-// ResultsPage is one session's entry in a results poll answer: its
+// resultsPage is one session's entry in a results poll answer: its
 // latest result revision newer than the poll's cursor, or Gone when
 // the owner no longer holds the session (idle sweep, restart) and the
 // caller must register again.
-type ResultsPage struct {
-	ID     string       `json:"id"`
-	Rev    uint64       `json:"rev,omitempty"`
-	Result *TypedResult `json:"result,omitempty"`
-	Gone   bool         `json:"gone,omitempty"`
+type resultsPage struct {
+	ID     string
+	Gone   bool
+	Rev    uint64
+	Result *sqlengine.Relation
+}
+
+// The byte after a page's id: a result revision follows, or the
+// session is gone.
+const (
+	pageResult byte = iota
+	pageGone
+)
+
+// appendPages appends a results poll answer (the pages grammar in
+// stream/codec.go).
+func appendPages(buf []byte, pages []resultsPage) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(pages)))
+	for _, p := range pages {
+		buf = stream.AppendBlob(buf, p.ID)
+		if p.Gone {
+			buf = append(buf, pageGone)
+			continue
+		}
+		buf = binary.AppendUvarint(append(buf, pageResult), p.Rev)
+		buf = sqlengine.AppendRelation(buf, p.Result)
+	}
+	return buf
+}
+
+// readPages decodes a results poll answer; r reports any failure.
+func readPages(r *stream.Reader) []resultsPage {
+	pages := make([]resultsPage, r.Count(2))
+	for i := range pages {
+		p := &pages[i]
+		p.ID = string(r.Blob())
+		switch flag := r.Byte(); flag {
+		case pageResult:
+			p.Rev, p.Result = r.Uvarint(), sqlengine.ReadRelation(r)
+		case pageGone:
+			p.Gone = true
+		default:
+			r.Fail(fmt.Errorf("p2p: bad results page flag %d", flag))
+		}
+	}
+	return pages
 }
 
 // handleRegister registers a continuous query on behalf of a peer
@@ -273,20 +282,20 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	pages := []ResultsPage{}
+	var pages []resultsPage
 	for i, c := range cursors {
 		switch f := found[i]; {
 		case f.gone:
-			pages = append(pages, ResultsPage{ID: c.ID, Gone: true})
+			pages = append(pages, resultsPage{ID: c.ID, Gone: true})
 		case f.rev > c.After:
-			result := TypedResult{Rows: [][]stream.WireValue{}}
-			if f.latest != nil {
-				result = typedOfRelation(f.latest)
+			result := f.latest
+			if result == nil {
+				result = &sqlengine.Relation{}
 			}
-			pages = append(pages, ResultsPage{ID: c.ID, Rev: f.rev, Result: &result})
+			pages = append(pages, resultsPage{ID: c.ID, Rev: f.rev, Result: result})
 		}
 	}
-	writeJSON(w, pages)
+	writeBinary(w, appendPages(nil, pages))
 }
 
 // handleUnregister tears a routed-query session down.

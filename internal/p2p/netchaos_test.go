@@ -6,12 +6,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gsn/internal/core"
+	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 	"gsn/internal/wrappers"
 )
@@ -537,5 +539,115 @@ func TestRemoteWrapperRetriesSignatureFailure(t *testing.T) {
 	time.Sleep(150 * time.Millisecond) // a double-delivery would land here
 	if got := received.Load(); got != 1 {
 		t.Errorf("delivered %d copies, want exactly 1", got)
+	}
+}
+
+// TestNetChaosTruncatedQueryAnswer: an owner's answer cut short on the
+// wire never decodes into a smaller answer. A federated statement —
+// partial rollups, a raw row union, a routed statement — whose answer
+// is truncated fails naming the owner; a routed registration whose
+// results poll is truncated retries, and every revision it delivers is
+// whole.
+func TestNetChaosTruncatedQueryAnswer(t *testing.T) {
+	clock := stream.NewManualClock(1_000_000)
+	var solo [][]stream.Value
+	for v := int64(1); v <= 5; v++ {
+		solo = append(solo, []stream.Value{"x", v, 0.5})
+	}
+	worker := newFedNode(t, "worker", clock, feedRegistry(map[string]*feedWrapper{
+		"m":    {clock: clock, rows: [][]stream.Value{{"a", int64(1), 0.5}, {"b", int64(2), 0.25}}},
+		"solo": {clock: clock, rows: solo},
+	}), nil)
+	for _, name := range []string{"m", "solo"} {
+		if err := worker.c.DeployXML([]byte(feedDescriptor(name, name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft := NewFaultTransport(nil)
+	coord := newFedNode(t, "coord", clock, feedRegistry(map[string]*feedWrapper{
+		"m": {clock: clock, rows: [][]stream.Value{{"a", int64(3), 1.5}}},
+	}), &http.Client{Transport: ft, Timeout: 10 * time.Second})
+	if err := coord.c.DeployXML([]byte(feedDescriptor("m", "m"))); err != nil {
+		t.Fatal(err)
+	}
+	coord.fed.AddPeer(worker.url)
+	coord.fed.GossipRound()
+	worker.produce(clock, "m", 2)
+	coord.produce(clock, "m", 1)
+	worker.produce(clock, "solo", 2)
+
+	answered := func() uint64 {
+		info := coord.fed.Info()
+		return info.PartialBytes + info.UnionBytes + info.RoutedBytes
+	}
+	for _, sql := range []string{
+		"select room, count(*) as n from m group by room", // partial rollups
+		"select room, v from m order by v",                // raw row union
+		"select room, v from solo order by v",             // routed statement
+	} {
+		before := answered()
+		want, err := coord.c.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		size := int(answered() - before)
+		for _, cut := range []int{-1, 1, size / 2, size - 1} {
+			ft.Inject(NetFault{Path: "/p2p/query", TruncateBody: cut})
+			if rel, err := coord.c.Query(sql); err == nil || !strings.Contains(err.Error(), worker.url) {
+				t.Errorf("%s cut to %d of %d bytes: got %v, %v; want an error naming %s", sql, cut, size, rel, err, worker.url)
+			}
+		}
+		if got, err := coord.c.Query(sql); err != nil || typedOf(got) != typedOf(want) {
+			t.Errorf("%s after the faults: got %v, %v; want %v", sql, got, err, want)
+		}
+	}
+
+	// Three truncated results polls before the seeded revision arrives,
+	// two more before the last one.
+	truncatePolls := func(cuts ...int) {
+		for _, cut := range cuts {
+			ft.Inject(NetFault{Path: "/p2p/results", TruncateBody: cut})
+		}
+	}
+	var mu sync.Mutex
+	var delivered []*sqlengine.Relation
+	truncatePolls(-1, 20, 40)
+	requests := ft.Requests()
+	id, err := coord.c.RegisterQuery("solo", "select count(*) as n, sum(v) as s from solo", 1.0, func(rel *sqlengine.Relation) {
+		mu.Lock()
+		delivered = append(delivered, rel)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.c.UnregisterQuery(id)
+	lastCount := func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(delivered) == 0 {
+			return 0
+		}
+		n, _ := delivered[len(delivered)-1].Rows[0][0].(int64)
+		return n
+	}
+	waitForLong(t, 15*time.Second, func() bool { return lastCount() == 2 }, "the seeded revision past three truncated polls")
+	if polls := ft.Requests() - requests; polls < 5 {
+		t.Errorf("%d requests delivered the first revision; want the register and four polls", polls)
+	}
+	truncatePolls(-1, 30)
+	worker.produce(clock, "solo", len(solo)-2)
+	waitForLong(t, 15*time.Second, func() bool { return lastCount() == int64(len(solo)) }, "the last revision past two truncated polls")
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, rel := range delivered {
+		if len(rel.Rows) != 1 || len(rel.Rows[0]) != 2 {
+			t.Fatalf("delivered a partial result %v", rel)
+		}
+		n, _ := rel.Rows[0][0].(int64)
+		if s, _ := rel.Rows[0][1].(int64); n < 1 || s != n*(n+1)/2 {
+			t.Errorf("delivered a wrong result %v", rel)
+		}
 	}
 }

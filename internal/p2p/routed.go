@@ -220,9 +220,9 @@ func (l *ownerLoop) poll(ctx context.Context, regs []*routedReg) error {
 			l.mu.Lock()
 			reg.id = ""
 			l.mu.Unlock()
-		case p.Rev > reg.after && p.Result != nil:
+		case p.Rev > reg.after:
 			reg.after = p.Rev
-			reg.deliver(relationOfTyped(*p.Result))
+			reg.deliver(p.Result)
 		}
 	}
 	return nil

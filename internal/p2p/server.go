@@ -145,8 +145,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown virtual sensor", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(stream.EncodeSchema(nil, vs.OutputSchema()))
+	writeBinary(w, stream.EncodeSchema(nil, vs.OutputSchema()))
 }
 
 // parseAfter parses one after= cursor: the last sequence number or
@@ -272,7 +271,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Type", binaryType)
 	w.Header().Set(schemaHeader,
 		base64.StdEncoding.EncodeToString(stream.EncodeSchema(nil, vs.OutputSchema())))
 	w.Header().Set(epochHeader, strconv.FormatUint(epoch, 10))
@@ -292,16 +291,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery runs a one-shot statement for a peer coordinator and
-// answers with exact-typed rows (routed statements, union fallbacks).
-// With partial=1 it answers with the node-side half of a distributed
+// answers with its relation (routed statements, union fallbacks). With
+// partial=1 it answers with the node-side half of a distributed
 // grouped query instead: WHERE + GROUP BY folded over the local window,
 // shipped as mergeable aggregate states — a statement that does not
 // distribute is a client error and the coordinator falls back to typed
-// rows. Both forms go through the container's version-stamped result
-// cache and are strictly local (LocalQuery/LocalPartial, like every
-// peer-serving route): a node answering a coordinator must never
-// re-route the statement back into the cluster, or two owners of one
-// sensor would bounce it between themselves forever.
+// rows. A relation comes from the container's version-stamped result
+// cache; a partial compiles and folds the window on every call. Both
+// are strictly local (LocalQuery/LocalPartial, like every peer-serving
+// route): a node answering a coordinator must never re-route the
+// statement back into the cluster, or two owners of one sensor would
+// bounce it between themselves forever. Both answer in the binary
+// codec (stream/codec.go).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sql := q.Get("sql")
@@ -310,16 +311,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		out any
+		out []byte
 		err error
 	)
 	switch q.Get("partial") {
 	case "1":
-		out, err = s.container.LocalPartial(sql)
+		var pr *sqlengine.PartialRollup
+		if pr, err = s.container.LocalPartial(sql); err == nil {
+			out = sqlengine.AppendPartial(nil, pr)
+		}
 	case "":
 		var rel *sqlengine.Relation
 		if rel, err = s.container.LocalQuery(sql); err == nil {
-			out = typedOfRelation(rel)
+			out = sqlengine.AppendRelation(nil, rel)
 		}
 	default:
 		err = errors.New("bad partial parameter")
@@ -328,7 +332,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, out)
+	writeBinary(w, out)
 }
 
 // handleDirectoryMerge implements push-pull gossip: the peer posts its
@@ -348,4 +352,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// binaryType is the content type of every answer in the binary codec.
+const binaryType = "application/octet-stream"
+
+func writeBinary(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", binaryType)
+	w.Write(b)
 }

@@ -1,7 +1,9 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gsn/internal/stream"
 )
@@ -28,16 +30,16 @@ import (
 // DISTINCT aggregates have no mergeable form (their dedup sets live
 // node-side); Distributable excludes them.
 type AggPartial struct {
-	Count   int64            `json:"count"`
-	IntSum  int64            `json:"int_sum"`
-	Sum     float64          `json:"sum"`
-	SumSq   float64          `json:"sum_sq"`
-	IntOnly bool             `json:"int_only"`
-	Min     stream.WireValue `json:"min"`
-	Max     stream.WireValue `json:"max"`
-	First   stream.WireValue `json:"first"`
-	Last    stream.WireValue `json:"last"`
-	Any     bool             `json:"any"`
+	Count   int64
+	IntSum  int64
+	Sum     float64
+	SumSq   float64
+	IntOnly bool
+	Min     stream.Value
+	Max     stream.Value
+	First   stream.Value
+	Last    stream.Value
+	Any     bool
 }
 
 // GroupPartial is one group's contribution from one node: the encoded
@@ -46,17 +48,21 @@ type AggPartial struct {
 // the projection may read non-key columns from it), and one AggPartial
 // per aggregate call in statement order.
 type GroupPartial struct {
-	Key  []byte             `json:"key"`
-	Rep  []stream.WireValue `json:"rep"`
-	Aggs []AggPartial       `json:"aggs"`
+	Key  []byte
+	Rep  []stream.Value
+	Aggs []AggPartial
 }
 
-// PartialRollup is one node's full partial result: groups in
-// first-seen order plus the number of input rows that survived WHERE
-// (the raw-stream volume a coordinator avoided shipping).
+// PartialRollup is one node's full partial result: the base-table
+// column names it was folded over (a representative row is read by
+// position, so a coordinator must refuse a part folded over another
+// column order), groups in first-seen order, and the number of input
+// rows that survived WHERE (the raw-stream volume a coordinator avoided
+// shipping).
 type PartialRollup struct {
-	Groups []GroupPartial `json:"groups"`
-	Rows   int            `json:"rows"`
+	Cols   []string
+	Groups []GroupPartial
+	Rows   int
 }
 
 // partial snapshots the accumulator for shipping.
@@ -67,12 +73,76 @@ func (a *aggState) partial() AggPartial {
 		Sum:     a.sum,
 		SumSq:   a.sumSq,
 		IntOnly: a.floats == 0,
-		Min:     stream.WrapValue(a.min),
-		Max:     stream.WrapValue(a.max),
-		First:   stream.WrapValue(a.first),
-		Last:    stream.WrapValue(a.last),
+		Min:     a.min,
+		Max:     a.max,
+		First:   a.first,
+		Last:    a.last,
 		Any:     a.any,
 	}
+}
+
+// AppendPartial appends p's peer-answer encoding (the partial grammar
+// in stream/codec.go).
+func AppendPartial(buf []byte, p *PartialRollup) []byte {
+	buf = appendNames(buf, p.Cols)
+	buf = binary.AppendVarint(buf, int64(p.Rows))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Groups)))
+	for _, g := range p.Groups {
+		buf = appendValues(stream.AppendBlob(buf, g.Key), g.Rep)
+		buf = binary.AppendUvarint(buf, uint64(len(g.Aggs)))
+		for _, a := range g.Aggs {
+			buf = binary.AppendVarint(buf, a.Count)
+			buf = binary.AppendVarint(buf, a.IntSum)
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.Sum))
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.SumSq))
+			var flags byte
+			if a.IntOnly {
+				flags |= aggIntOnly
+			}
+			if a.Any {
+				flags |= aggAny
+			}
+			buf = append(buf, flags)
+			for _, v := range [...]stream.Value{a.Min, a.Max, a.First, a.Last} {
+				buf = stream.AppendValue(buf, v)
+			}
+		}
+	}
+	return buf
+}
+
+// The flags byte of an encoded AggPartial.
+const (
+	aggIntOnly byte = 1 << iota
+	aggAny
+)
+
+// aggMinLen is the shortest encoded AggPartial: one-byte varints, two
+// floats, the flags and four null values.
+const aggMinLen = 1 + 1 + 8 + 8 + 1 + 4
+
+// ReadPartial decodes one rollup written by AppendPartial; r reports
+// any failure.
+func ReadPartial(r *stream.Reader) *PartialRollup {
+	p := &PartialRollup{Cols: readNames(r), Rows: int(r.Varint())}
+	p.Groups = make([]GroupPartial, r.Count(3))
+	for i := range p.Groups {
+		g := &p.Groups[i]
+		g.Key = append([]byte{}, r.Blob()...)
+		g.Rep = readValues(r)
+		g.Aggs = make([]AggPartial, r.Count(aggMinLen))
+		for j := range g.Aggs {
+			a := &g.Aggs[j]
+			a.Count, a.IntSum, a.Sum, a.SumSq = r.Varint(), r.Varint(), r.Float64(), r.Float64()
+			flags := r.Byte()
+			if flags&^(aggIntOnly|aggAny) != 0 {
+				r.Fail(fmt.Errorf("sqlengine: bad aggregate flags %#x", flags))
+			}
+			a.IntOnly, a.Any = flags&aggIntOnly != 0, flags&aggAny != 0
+			a.Min, a.Max, a.First, a.Last = r.Value(), r.Value(), r.Value(), r.Value()
+		}
+	}
+	return p
 }
 
 // mergePartial folds one shipped snapshot into the accumulator. Merge
@@ -84,10 +154,10 @@ func (a *aggState) mergePartial(p AggPartial) error {
 	}
 	if p.Any {
 		if !a.any {
-			a.first = p.First.V
+			a.first = p.First
 			a.any = true
 		}
-		a.last = p.Last.V
+		a.last = p.Last
 	}
 	a.count += p.Count
 	a.intSum += p.IntSum
@@ -96,29 +166,29 @@ func (a *aggState) mergePartial(p AggPartial) error {
 	if !p.IntOnly {
 		a.floats++
 	}
-	if p.Min.V != nil {
+	if p.Min != nil {
 		if a.min == nil {
-			a.min = p.Min.V
+			a.min = p.Min
 		} else {
-			c, ok, err := compare(p.Min.V, a.min)
+			c, ok, err := compare(p.Min, a.min)
 			if err != nil {
 				return err
 			}
 			if ok && c < 0 {
-				a.min = p.Min.V
+				a.min = p.Min
 			}
 		}
 	}
-	if p.Max.V != nil {
+	if p.Max != nil {
 		if a.max == nil {
-			a.max = p.Max.V
+			a.max = p.Max
 		} else {
-			c, ok, err := compare(p.Max.V, a.max)
+			c, ok, err := compare(p.Max, a.max)
 			if err != nil {
 				return err
 			}
 			if ok && c > 0 {
-				a.max = p.Max.V
+				a.max = p.Max
 			}
 		}
 	}
@@ -162,11 +232,14 @@ func (p *Plan) ExecutePartial(rows [][]stream.Value, opts Options) (*PartialRoll
 	if err := r.feed(rows); err != nil {
 		return nil, err
 	}
-	out := &PartialRollup{Rows: r.kept}
+	out := &PartialRollup{Rows: r.kept, Cols: make([]string, len(p.inCols))}
+	for i, c := range p.inCols {
+		out.Cols[i] = c.Name
+	}
 	for _, g := range r.order {
 		gp := GroupPartial{
 			Key:  []byte(g.key),
-			Rep:  stream.WrapRow(g.rep),
+			Rep:  g.rep,
 			Aggs: make([]AggPartial, len(g.states)),
 		}
 		for i := range g.states {
@@ -202,7 +275,7 @@ func (p *Plan) MergePartials(parts []*PartialRollup, opts Options) (*Relation, e
 				g = r.groups[string(gp.Key)]
 			}
 			if g == nil {
-				g = r.newGroup(gp.Key, stream.UnwrapRow(gp.Rep))
+				g = r.newGroup(gp.Key, gp.Rep)
 			}
 			for i := range gp.Aggs {
 				if err := g.states[i].mergePartial(gp.Aggs[i]); err != nil {

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -30,26 +29,23 @@ func makePartitionRows(rng *rand.Rand, n int, keySkew int) [][]stream.Value {
 	return rows
 }
 
-// wireTrip round-trips a partial rollup through its JSON wire
+// wireTrip round-trips a partial rollup through its binary wire
 // encoding, as the federation endpoints do, so the test pins that the
 // codec — not just the in-memory merge — preserves equivalence.
 func wireTrip(t *testing.T, p *PartialRollup) *PartialRollup {
 	t.Helper()
-	data, err := json.Marshal(p)
-	if err != nil {
-		t.Fatalf("marshal partial: %v", err)
+	r := stream.NewReader(AppendPartial(nil, p))
+	out := ReadPartial(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("decode partial: %v", err)
 	}
-	var out PartialRollup
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("unmarshal partial: %v", err)
-	}
-	return &out
+	return out
 }
 
 // TestPartialMergeEquivalence is the distributed GROUP BY property
 // test: for random partitionings of random rows across 2–4 workers —
 // including empty partitions and heavy key skew — per-partition
-// ExecutePartial shipped through the JSON wire codec and merged with
+// ExecutePartial shipped through the binary wire codec and merged with
 // MergePartials must be byte-identical to the interpreted Plan.Execute
 // over the partitions' union concatenated in part order.
 func TestPartialMergeEquivalence(t *testing.T) {
@@ -187,41 +183,6 @@ func TestDistributableDetection(t *testing.T) {
 	for _, q := range ineligible {
 		if compilePlan(t, q).Distributable() {
 			t.Errorf("%s: should NOT be distributable", q)
-		}
-	}
-}
-
-// TestWireValueRoundTrip pins the tagged JSON codec: every dynamic
-// value type survives bit-exactly, including negative zero, huge
-// int64s outside float53, and invalid-UTF-8 byte payloads.
-func TestWireValueRoundTrip(t *testing.T) {
-	values := []stream.Value{
-		nil,
-		int64(0), int64(-1), int64(1<<62 + 12345), int64(-1 << 62),
-		float64(0.1), float64(-0.25), float64(1e300), float64(5e-324),
-		"plain", "", "snowman ☃",
-		[]byte{0xff, 0xfe, 0x00, 0x41}, []byte{},
-		true, false,
-	}
-	for _, v := range values {
-		data, err := json.Marshal(stream.WrapValue(v))
-		if err != nil {
-			t.Fatalf("%#v: marshal: %v", v, err)
-		}
-		var back stream.WireValue
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("%#v: unmarshal %s: %v", v, data, err)
-		}
-		switch orig := v.(type) {
-		case []byte:
-			got, ok := back.V.([]byte)
-			if !ok || string(got) != string(orig) {
-				t.Errorf("bytes %x round-tripped to %#v", orig, back.V)
-			}
-		default:
-			if back.V != v {
-				t.Errorf("%#v round-tripped to %#v (wire %s)", v, back.V, data)
-			}
 		}
 	}
 }

@@ -18,6 +18,7 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -97,6 +98,73 @@ func (r *Relation) Names() []string {
 		out[i] = c.Name
 	}
 	return out
+}
+
+// AppendRelation appends rel's peer-answer encoding (the relation
+// grammar in stream/codec.go): column names, row count, then every
+// row's values. Table qualifiers do not travel.
+func AppendRelation(buf []byte, rel *Relation) []byte {
+	buf = appendNames(buf, rel.Names())
+	buf = binary.AppendUvarint(buf, uint64(len(rel.Rows)))
+	for _, row := range rel.Rows {
+		for _, v := range row {
+			buf = stream.AppendValue(buf, v)
+		}
+	}
+	return buf
+}
+
+// ReadRelation decodes one relation written by AppendRelation; r
+// reports any failure. The rows share one backing array.
+func ReadRelation(r *stream.Reader) *Relation {
+	rel := &Relation{Cols: make([]Column, r.Count(1))}
+	for i := range rel.Cols {
+		rel.Cols[i].Name = string(r.Blob())
+	}
+	n := len(rel.Cols)
+	rel.Rows = make([][]stream.Value, r.Count(max(n, 1)))
+	vals := make([]stream.Value, len(rel.Rows)*n)
+	for i := range vals {
+		vals[i] = r.Value()
+	}
+	for i := range rel.Rows {
+		rel.Rows[i] = vals[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rel
+}
+
+// appendNames appends a counted list of names.
+func appendNames(buf []byte, names []string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, name := range names {
+		buf = stream.AppendBlob(buf, name)
+	}
+	return buf
+}
+
+func readNames(r *stream.Reader) []string {
+	names := make([]string, r.Count(1))
+	for i := range names {
+		names[i] = string(r.Blob())
+	}
+	return names
+}
+
+// appendValues appends a counted row of values.
+func appendValues(buf []byte, row []stream.Value) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(row)))
+	for _, v := range row {
+		buf = stream.AppendValue(buf, v)
+	}
+	return buf
+}
+
+func readValues(r *stream.Reader) []stream.Value {
+	row := make([]stream.Value, r.Count(1))
+	for i := range row {
+		row[i] = r.Value()
+	}
+	return row
 }
 
 // String renders a compact table for tests and logs.

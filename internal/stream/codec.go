@@ -18,6 +18,23 @@ import (
 //	string   := len:uvarint bytes
 //	bytes    := len:uvarint bytes
 //	bool     := 0|1 byte
+//
+// The peer answers (/p2p/query, /p2p/results) are built from the same
+// values. Counts come first, so a truncated answer never decodes, and
+// every varint is minimal, so an answer that decodes re-encodes to the
+// same bytes:
+//
+//	relation := ncols:uvarint name:string{ncols} nrows:uvarint value{nrows*ncols}
+//	partial  := ncols:uvarint name:string{ncols} rows:varint ngroups:uvarint group*
+//	group    := key:bytes nrep:uvarint value{nrep} naggs:uvarint agg{naggs}
+//	agg      := count:varint intsum:varint sum:float64 sumsq:float64
+//	            flags:byte min:value max:value first:value last:value
+//	flags    := bit 0 int-only | bit 1 any
+//	pages    := n:uvarint page*
+//	page     := id:string 0 rev:uvarint relation | id:string 1 (gone)
+//
+// A relation's names are the columns' (no table qualifier); a partial's
+// are the owner's base-table columns the rollup was folded over.
 
 const (
 	tagNull byte = iota
@@ -40,13 +57,13 @@ func EncodeElement(buf []byte, e Element) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(e.produced))
 	buf = binary.AppendUvarint(buf, uint64(len(e.values)))
 	for _, v := range e.values {
-		buf = appendValue(buf, v)
+		buf = AppendValue(buf, v)
 	}
 	return buf
 }
 
-// appendValue appends one tagged value encoding.
-func appendValue(buf []byte, v Value) []byte {
+// AppendValue appends one tagged value encoding.
+func AppendValue(buf []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		buf = append(buf, tagNull)
@@ -57,13 +74,9 @@ func appendValue(buf []byte, v Value) []byte {
 		buf = append(buf, tagFloat)
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
 	case string:
-		buf = append(buf, tagString)
-		buf = binary.AppendUvarint(buf, uint64(len(x)))
-		buf = append(buf, x...)
+		buf = AppendBlob(append(buf, tagString), x)
 	case []byte:
-		buf = append(buf, tagBytes)
-		buf = binary.AppendUvarint(buf, uint64(len(x)))
-		buf = append(buf, x...)
+		buf = AppendBlob(append(buf, tagBytes), x)
 	case bool:
 		buf = append(buf, tagBool)
 		if x {
@@ -77,6 +90,12 @@ func appendValue(buf []byte, v Value) []byte {
 		panic(fmt.Sprintf("stream: cannot encode value of type %T", v))
 	}
 	return buf
+}
+
+// AppendBlob appends a length-prefixed string or byte slice.
+func AppendBlob[T string | []byte](buf []byte, b T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
 }
 
 // EncodeElementCompact appends the compact (WAL v2) payload of e: a
@@ -97,7 +116,7 @@ func EncodeElementCompact(buf []byte, e Element, prev Timestamp) []byte {
 			buf = binary.AppendVarint(buf, x)
 			continue
 		}
-		buf = appendValue(buf, v)
+		buf = AppendValue(buf, v)
 	}
 	return buf
 }
@@ -116,46 +135,23 @@ func DecodeElementCompact(schema *Schema, data []byte, prev Timestamp) (Element,
 // caller reuses buf, which lets a scan decode record after record
 // without allocating a value slice for each.
 func DecodeElementCompactInto(schema *Schema, data []byte, prev Timestamp, buf []Value) (Element, int, error) {
-	r := &sliceReader{data: data}
-	delta, err := r.varint()
-	if err != nil {
-		return Element{}, 0, err
-	}
-	ts := Timestamp(int64(prev) + delta)
-	n, err := r.uvarint()
-	if err != nil {
-		return Element{}, 0, err
-	}
-	if schema != nil && int(n) != schema.Len() {
-		return Element{}, 0, fmt.Errorf("stream: decoded %d values for schema with %d fields", n, schema.Len())
-	}
-	if n > uint64(len(data)) {
-		return Element{}, 0, fmt.Errorf("stream: implausible value count %d", n)
-	}
+	r := NewReader(data)
+	ts := Timestamp(int64(prev) + r.Varint())
+	n := r.valueCount(schema)
 	values := buf[:0]
-	if uint64(cap(values)) < n {
+	if cap(values) < n {
 		values = make([]Value, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		tag, err := r.byte()
-		if err != nil {
-			return Element{}, 0, err
-		}
-		var v Value
-		if tag == tagInt {
+	for i := 0; i < n; i++ {
+		if tag := r.Byte(); tag == tagInt {
 			// Compact integers are zigzag varints.
-			x, err := r.varint()
-			if err != nil {
-				return Element{}, 0, err
-			}
-			v = x
+			values = append(values, r.Varint())
 		} else {
-			v, err = r.valueForTag(tag)
-			if err != nil {
-				return Element{}, 0, err
-			}
+			values = append(values, r.valueForTag(tag))
 		}
-		values = append(values, v)
+	}
+	if r.err != nil {
+		return Element{}, 0, r.err
 	}
 	e := Element{
 		schema:   schema,
@@ -172,36 +168,14 @@ func DecodeElementCompactInto(schema *Schema, data []byte, prev Timestamp, buf [
 // schema, and returns the element and the number of bytes consumed. The
 // decoded value count must match the schema.
 func DecodeElement(schema *Schema, data []byte) (Element, int, error) {
-	r := &sliceReader{data: data}
-	ts, err := r.uint64()
-	if err != nil {
-		return Element{}, 0, err
+	r := NewReader(data)
+	ts, arrival, produced := r.Uint64(), r.Uint64(), r.Uint64()
+	values := make([]Value, r.valueCount(schema))
+	for i := range values {
+		values[i] = r.Value()
 	}
-	arrival, err := r.uint64()
-	if err != nil {
-		return Element{}, 0, err
-	}
-	produced, err := r.uint64()
-	if err != nil {
-		return Element{}, 0, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return Element{}, 0, err
-	}
-	if schema != nil && int(n) != schema.Len() {
-		return Element{}, 0, fmt.Errorf("stream: decoded %d values for schema with %d fields", n, schema.Len())
-	}
-	if n > uint64(len(data)) {
-		return Element{}, 0, fmt.Errorf("stream: implausible value count %d", n)
-	}
-	values := make([]Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := r.value()
-		if err != nil {
-			return Element{}, 0, err
-		}
-		values = append(values, v)
+	if r.err != nil {
+		return Element{}, 0, r.err
 	}
 	e := Element{
 		schema:   schema,
@@ -250,113 +224,155 @@ func ReadElement(r io.ByteReader, schema *Schema) (Element, error) {
 	return e, err
 }
 
-// sliceReader is a minimal cursor over a byte slice.
-type sliceReader struct {
+// Reader is a bounds-checked cursor over an encoding that came from
+// outside the program: a peer's answer or a log record. The first
+// failure sticks — every later read returns the zero value and Done
+// reports the failure — so a decoder reads a whole structure and
+// checks once. Counts are bounded by the bytes left, so no decoder
+// allocates beyond a small multiple of its input.
+type Reader struct {
 	data []byte
 	off  int
+	err  error
 }
 
-func (r *sliceReader) byte() (byte, error) {
+// NewReader returns a Reader over data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Done reports the first failure, or an error when bytes are left
+// over: a whole answer must be consumed exactly.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off < len(r.data) {
+		r.Fail(fmt.Errorf("stream: %d trailing bytes", len(r.data)-r.off))
+	}
+	return r.err
+}
+
+// Fail records err unless an earlier failure stuck, and drains the
+// input so every later read fails too. A decoder calls it for a format
+// error of its own.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.off = len(r.data)
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.off >= len(r.data) {
-		return 0, io.ErrUnexpectedEOF
+		r.Fail(io.ErrUnexpectedEOF)
+		return 0
 	}
 	b := r.data[r.off]
 	r.off++
-	return b, nil
+	return b
 }
 
-func (r *sliceReader) uint64() (uint64, error) {
+// Uint64 reads a big-endian 8-byte integer.
+func (r *Reader) Uint64() uint64 {
 	if r.off+8 > len(r.data) {
-		return 0, io.ErrUnexpectedEOF
+		r.Fail(io.ErrUnexpectedEOF)
+		return 0
 	}
 	u := binary.BigEndian.Uint64(r.data[r.off:])
 	r.off += 8
-	return u, nil
+	return u
 }
 
-func (r *sliceReader) uvarint() (uint64, error) {
+// Float64 reads a float64's 8 big-endian bits.
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Uvarint reads a varint, which must be minimal: a longer encoding of
+// the same number would not survive a re-encode.
+func (r *Reader) Uvarint() uint64 {
 	u, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+	if n <= 0 || n > 1 && r.data[r.off+n-1] == 0 {
+		r.badVarint(n)
+		return 0
 	}
 	r.off += n
-	return u, nil
+	return u
 }
 
-func (r *sliceReader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	r.off += n
-	return v, nil
+// Varint reads a zigzag varint.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-// value decodes one tagged value (the inverse of appendValue).
-func (r *sliceReader) value() (Value, error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
+// badVarint fails on a varint binary.Uvarint read n bytes of: none
+// (the input ended), an overflow, or a longer encoding than the
+// minimal one.
+func (r *Reader) badVarint(n int) {
+	if n == 0 {
+		r.Fail(io.ErrUnexpectedEOF)
+	} else {
+		r.Fail(fmt.Errorf("stream: malformed varint at byte %d", r.off))
 	}
-	return r.valueForTag(tag)
 }
+
+// Count reads a count of items that take at least each bytes apiece,
+// refusing one the bytes left cannot hold before anything is sized by
+// it.
+func (r *Reader) Count(each int) int {
+	n, left := r.Uvarint(), uint64(len(r.data)-r.off)
+	// n <= left first, so the product cannot overflow.
+	if n > left || n*uint64(each) > left {
+		r.Fail(fmt.Errorf("stream: count %d exceeds the %d bytes left", n, left))
+		return 0
+	}
+	return int(n)
+}
+
+// Blob reads a length-prefixed string or byte slice. The slice shares
+// the reader's input.
+func (r *Reader) Blob() []byte {
+	n := r.Uvarint()
+	if n > uint64(len(r.data)-r.off) {
+		r.Fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
+// valueCount reads an element's value count, which must match schema.
+func (r *Reader) valueCount(schema *Schema) int {
+	n := r.Count(1)
+	if schema != nil && n != schema.Len() && r.err == nil {
+		r.Fail(fmt.Errorf("stream: decoded %d values for schema with %d fields", n, schema.Len()))
+		return 0
+	}
+	return n
+}
+
+// Value reads one tagged value (the inverse of AppendValue).
+func (r *Reader) Value() Value { return r.valueForTag(r.Byte()) }
 
 // valueForTag decodes the payload of one full-width tagged value.
-func (r *sliceReader) valueForTag(tag byte) (Value, error) {
+func (r *Reader) valueForTag(tag byte) Value {
 	switch tag {
 	case tagNull:
-		return nil, nil
+		return nil
 	case tagInt:
-		u, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		return int64(u), nil
+		return int64(r.Uint64())
 	case tagFloat:
-		u, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(u), nil
+		return r.Float64()
 	case tagString:
-		b, err := r.blob()
-		if err != nil {
-			return nil, err
-		}
-		return string(b), nil
+		return string(r.Blob())
 	case tagBytes:
-		b, err := r.blob()
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		return cp, nil
+		return append([]byte{}, r.Blob()...)
 	case tagBool:
-		b, err := r.byte()
-		if err != nil {
-			return nil, err
+		if b := r.Byte(); b <= 1 {
+			return b == 1
 		}
-		return b != 0, nil
-	default:
-		return nil, fmt.Errorf("stream: unknown value tag %d", tag)
 	}
-}
-
-func (r *sliceReader) blob() ([]byte, error) {
-	size, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	if r.err == nil {
+		r.Fail(fmt.Errorf("stream: malformed value (tag %d) at byte %d", tag, r.off))
 	}
-	if size > maxBlobLen {
-		return nil, fmt.Errorf("stream: blob of %d bytes exceeds limit", size)
-	}
-	if r.off+int(size) > len(r.data) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	b := r.data[r.off : r.off+int(size)]
-	r.off += int(size)
-	return b, nil
+	return nil
 }
 
 // EncodeSchema appends a binary encoding of the schema to buf (used as
@@ -364,9 +380,7 @@ func (r *sliceReader) blob() ([]byte, error) {
 func EncodeSchema(buf []byte, s *Schema) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.Len()))
 	for _, f := range s.Fields() {
-		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
-		buf = append(buf, f.Name...)
-		buf = append(buf, byte(f.Type))
+		buf = append(AppendBlob(buf, f.Name), byte(f.Type))
 	}
 	return buf
 }
@@ -374,25 +388,13 @@ func EncodeSchema(buf []byte, s *Schema) []byte {
 // DecodeSchema decodes a schema written by EncodeSchema and returns the
 // bytes consumed.
 func DecodeSchema(data []byte) (*Schema, int, error) {
-	r := &sliceReader{data: data}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
+	r := NewReader(data)
+	fields := make([]Field, r.Count(2))
+	for i := range fields {
+		fields[i] = Field{Name: string(r.Blob()), Type: FieldType(r.Byte())}
 	}
-	if n > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("stream: implausible field count %d", n)
-	}
-	fields := make([]Field, 0, n)
-	for i := uint64(0); i < n; i++ {
-		name, err := r.blob()
-		if err != nil {
-			return nil, 0, err
-		}
-		t, err := r.byte()
-		if err != nil {
-			return nil, 0, err
-		}
-		fields = append(fields, Field{Name: string(name), Type: FieldType(t)})
+	if r.err != nil {
+		return nil, 0, r.err
 	}
 	s, err := NewSchema(fields...)
 	if err != nil {

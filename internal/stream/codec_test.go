@@ -102,6 +102,76 @@ func TestDecodeElementGarbage(t *testing.T) {
 	}
 }
 
+// TestValueCodecRoundTrip pins the tagged value codec the peer answers
+// ride on: every dynamic value type survives bit-exactly — negative
+// zero, a NaN's payload, the infinities, the smallest subnormal, int64s
+// outside float53, invalid UTF-8 in strings and bytes, and an empty
+// string apart from empty bytes.
+func TestValueCodecRoundTrip(t *testing.T) {
+	values := []Value{
+		nil,
+		int64(0), int64(-1), int64(1<<62 + 12345), int64(1 << 62), int64(-1 << 62),
+		float64(0.1), float64(-0.25), float64(1e300), float64(5e-324),
+		math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef),
+		math.Inf(1), math.Inf(-1),
+		"plain", "", "snowman ☃", "\xff\xfe",
+		[]byte{0xff, 0xfe, 0x00, 0x41}, []byte{},
+		true, false,
+	}
+	for _, v := range values {
+		data := AppendValue(nil, v)
+		r := NewReader(data)
+		back := r.Value()
+		if err := r.Done(); err != nil {
+			t.Fatalf("%#v: decode %x: %v", v, data, err)
+		}
+		switch orig := v.(type) {
+		case float64:
+			got, ok := back.(float64)
+			if !ok || math.Float64bits(got) != math.Float64bits(orig) {
+				t.Errorf("float %x round-tripped to %#v", math.Float64bits(orig), back)
+			}
+		case []byte:
+			got, ok := back.([]byte)
+			if !ok || got == nil || !bytes.Equal(got, orig) {
+				t.Errorf("bytes %x round-tripped to %#v", orig, back)
+			}
+		default:
+			if back != v {
+				t.Errorf("%#v round-tripped to %#v (wire %x)", v, back, data)
+			}
+		}
+	}
+}
+
+// TestReaderRefusesMalformed: input from a peer is never trusted. An
+// unknown tag, a bool byte other than 0/1, a non-minimal varint (which
+// would not re-encode to the same bytes), a count the remaining bytes
+// cannot hold and trailing bytes are errors, not values.
+func TestReaderRefusesMalformed(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"unknown tag":        {9},
+		"bool byte 2":        {tagBool, 2},
+		"non-minimal varint": {tagString, 0x80, 0x00},
+		"oversized count":    {tagBytes, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'},
+		"short int":          {tagInt, 0, 0, 0},
+		"trailing bytes":     {tagNull, 0},
+		"empty":              {},
+		"overflowing varint": {tagString, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		r := NewReader(data)
+		v := r.Value()
+		if err := r.Done(); err == nil {
+			t.Errorf("%s: %x decoded to %#v", name, data, v)
+		}
+	}
+	// 128 items of at least one byte each, with two bytes left.
+	r := NewReader([]byte{0x80, 0x01, 0, 0})
+	if n := r.Count(1); n != 0 || r.Done() == nil {
+		t.Errorf("a count of 128 over 2 bytes read as %d", n)
+	}
+}
+
 func TestWriteReadElementStream(t *testing.T) {
 	var buf bytes.Buffer
 	elems := []Element{
