@@ -88,16 +88,20 @@ chaos:
 		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
-# fuzz-smoke runs two fuzzers for a few seconds each: the maintained
+# fuzz-smoke runs three fuzzers for a few seconds each: the maintained
 # tier against the bound scan (random non-volatile WHEREs over int,
 # float and string columns, random insert/evict/truncate sequences),
-# and the peer-answer decoders on arbitrary bytes (no panic, allocation
+# the peer-answer decoders on arbitrary bytes (no panic, allocation
 # bounded by the input, an answer that decodes re-encodes to the same
-# bytes). Their seed corpora run in every `go test`. A failing input
+# bytes), and the history index against a sorted reference (ascending,
+# equal-timestamp and out-of-order key runs between checkpoints, TIMED
+# ranges on and beside its separators). Their seed corpora run in every
+# `go test`. A failing input
 # lands in the package's testdata/fuzz, where `go test` replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaintainedMatchesScan$$' -fuzztime=10s -parallel 2 ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerAnswerDecode$$' -fuzztime=10s -parallel 2 ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzHistoryIndex$$' -fuzztime=10s -parallel 2 ./internal/storage
 
 # ci is the tier-1 gate: everything a fresh clone must pass.
 ci: vet build race benchsmoke examples-smoke docs-check chaos fuzz-smoke

@@ -111,6 +111,40 @@ func putIntEntry(p []byte, i int, k btKey, child pageID) {
 	binary.BigEndian.PutUint32(p[off+16:], child)
 }
 
+// searchKey returns the index of the first of a node's n keys that is
+// above k, n when none is: a leaf's insert position for k, one past the
+// separator whose child covers k. The keys start at byte off of p, one
+// every stride bytes, sorted; only their (timed, seq) prefix is read.
+func searchKey(p []byte, off, stride, n int, k btKey) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		o := off + m*stride
+		t := int64(binary.BigEndian.Uint64(p[o:]))
+		if t > k.timed || t == k.timed && binary.BigEndian.Uint64(p[o+8:]) > k.seq {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// searchTimed returns the index of the first of a node's n keys (laid
+// out as for searchKey) whose timed is at least t, n when none is.
+func searchTimed(p []byte, off, stride, n int, t int64) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int64(binary.BigEndian.Uint64(p[off+m*stride:])) < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // btSplit reports a node split to the parent: right absorbs keys
 // >= sep.
 type btSplit struct {
@@ -170,15 +204,10 @@ func (h *history) btInsertRec(pid pageID, k btKey, ref btRef) (pageID, *btSplit,
 		return pid, nil, fmt.Errorf("storage: history page %d is not an index node (kind %d)", pid, kind)
 	}
 
-	// Find the child covering k.
+	// The child covering k sits left of the first separator above k;
+	// -1 is child0.
 	n := nodeCount(fr.data)
-	idx := -1 // -1 = child0
-	for i := 0; i < n; i++ {
-		if k.less(intKey(fr.data, i)) {
-			break
-		}
-		idx = i
-	}
+	idx := searchKey(fr.data, btHdrLen+4, intEntryLen, n, k) - 1
 	child := intChild0(fr.data)
 	if idx >= 0 {
 		child = intChild(fr.data, idx)
@@ -274,13 +303,7 @@ func (h *history) btInsertRec(pid pageID, k btKey, ref btRef) (pageID, *btSplit,
 // btInsertLeaf inserts into a leaf (fr is pinned for pid; consumed).
 func (h *history) btInsertLeaf(pid pageID, fr *frame, k btKey, ref btRef) (pageID, *btSplit, error) {
 	n := nodeCount(fr.data)
-	pos := n
-	for i := 0; i < n; i++ {
-		if k.less(leafEntry(fr.data, i).key) {
-			pos = i
-			break
-		}
-	}
+	pos := searchKey(fr.data, btHdrLen, leafEntryLen, n, k)
 	h.pool.unpin(fr, false)
 	wpid, wfr, err := h.writableNode(pid)
 	if err != nil {
@@ -361,14 +384,12 @@ func (h *history) btRangeRec(pid pageID, lo, hi int64, out *[]btEntry) error {
 	kind := fr.data[0]
 	if kind == pageKindLeaf {
 		n := nodeCount(fr.data)
-		for i := 0; i < n; i++ {
+		for i := searchTimed(fr.data, btHdrLen, leafEntryLen, n, lo); i < n; i++ {
 			e := leafEntry(fr.data, i)
 			if e.key.timed > hi {
 				break
 			}
-			if e.key.timed >= lo {
-				*out = append(*out, e)
-			}
+			*out = append(*out, e)
 		}
 		h.pool.unpin(fr, false)
 		return nil
@@ -380,22 +401,15 @@ func (h *history) btRangeRec(pid pageID, lo, hi int64, out *[]btEntry) error {
 	// Child i covers keys in [sep(i-1), sep(i)) with sep(-1) = -inf and
 	// sep(n) = +inf. Collect the children whose interval can intersect
 	// [lo, hi], then unpin before recursing so the pin depth stays one
-	// tree path.
+	// tree path. Keys in child i are strictly below sep(i), so a child
+	// whose sep(i) has timed < lo holds no key in range; sequence
+	// numbers start at 1, so a sep(i) with timed == lo lies above (lo, 0)
+	// and its child may hold keys at lo.
 	n := nodeCount(fr.data)
-	loKey := btKey{timed: lo, seq: 0}
 	var kids []pageID
-	for i := 0; i <= n; i++ {
-		if i < n {
-			// Keys in child i are strictly below sep(i): if that bound
-			// is <= (lo, 0) every key has timed < lo.
-			if upper := intKey(fr.data, i); !loKey.less(upper) {
-				continue
-			}
-		}
-		if i > 0 {
-			if lower := intKey(fr.data, i-1); lower.timed > hi {
-				break
-			}
+	for i := searchTimed(fr.data, btHdrLen+4, intEntryLen, n, lo); i <= n; i++ {
+		if i > 0 && intKey(fr.data, i-1).timed > hi {
+			break
 		}
 		if i == 0 {
 			kids = append(kids, intChild0(fr.data))

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"gsn/internal/stream"
@@ -345,8 +347,9 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stre
 		}
 	}
 	// The index yields (timed, seq) order; arrival order is seq order.
-	// Timestamps are near-monotone, so this sort is cheap in practice.
-	sortEntriesBySeq(matched)
+	// Timestamps that arrived in order leave it sorted already, which
+	// pdqsort confirms in linear time; out-of-order ones cost n log n.
+	slices.SortFunc(matched, func(a, b btEntry) int { return cmp.Compare(a.key.seq, b.key.seq) })
 	var fr *frame
 	defer func() {
 		if fr != nil {
@@ -380,21 +383,6 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stre
 		}
 	}
 	return nil
-}
-
-// sortEntriesBySeq sorts by sequence number. Entries arrive almost
-// sorted (time and arrival order rarely diverge), so insertion sort
-// beats the allocation-happy generic sort on the common case.
-func sortEntriesBySeq(entries []btEntry) {
-	for i := 1; i < len(entries); i++ {
-		e := entries[i]
-		j := i - 1
-		for j >= 0 && entries[j].key.seq > e.key.seq {
-			entries[j+1] = entries[j]
-			j--
-		}
-		entries[j+1] = e
-	}
 }
 
 // DurableSeq returns the highest sequence number covered by the last

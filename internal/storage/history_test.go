@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -231,6 +232,127 @@ func TestHistoryEquivalenceProperty(t *testing.T) {
 			t.Fatalf("query %d [%d,%d]: tiered scan diverges from all-RAM: %d vs %d rows",
 				q, lo, hi, len(got), len(want))
 		}
+	}
+}
+
+// TestHistoryRangeOutOfOrderTimestamps: a TIMED range over rows whose
+// timestamps run against their arrival order — 40 000 reversed, then as
+// many shuffled — must come back in arrival order, byte-identical to an
+// all-RAM table over the same inserts.
+func TestHistoryRangeOutOfOrderTimestamps(t *testing.T) {
+	const n = 40_000
+	reversed := make([]stream.Timestamp, n)
+	for i := range reversed {
+		reversed[i] = stream.Timestamp(n - i)
+	}
+	shuffled := make([]stream.Timestamp, n)
+	for i, v := range rand.New(rand.NewSource(7)).Perm(n) {
+		shuffled[i] = stream.Timestamp(v/2 + 1) // pairs share a timestamp
+	}
+	for _, run := range []struct {
+		name string
+		ts   []stream.Timestamp
+	}{{"reversed", reversed}, {"shuffled", shuffled}} {
+		t.Run(run.name, func(t *testing.T) {
+			s, err := NewStore(stream.NewManualClock(0), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			disk, err := s.CreateTable("disk", tempSchema, historyOptions("16"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ram, err := NewTable("ram", tempSchema, stream.MustWindow("100000"), stream.NewManualClock(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([]stream.Element, 0, 1000)
+			for i, ts := range run.ts {
+				batch = append(batch, intElem(t, ts, int64(i)))
+				if len(batch) == cap(batch) || i == len(run.ts)-1 {
+					if err := disk.InsertBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					if err := ram.InsertBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					batch = batch[:0]
+				}
+			}
+			for _, q := range [][2]stream.Timestamp{{0, n + 1}, {1, n / 2}, {n / 3, n / 3}, {n/4 + 1, 3 * n / 4}} {
+				got, err := disk.TimedRange(q[0], q[1])
+				if err != nil {
+					t.Fatalf("[%d,%d]: %v", q[0], q[1], err)
+				}
+				want, err := ram.TimedRange(q[0], q[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) == 0 || !bytes.Equal(elemBytes(got), elemBytes(want)) {
+					t.Fatalf("[%d,%d]: tiered scan diverges from all-RAM: %d vs %d rows",
+						q[0], q[1], len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHistoryAppend times InsertBatch into a history table holding
+// 20k or 200k rows in its disk tier: every row the 1000-row hot window
+// evicts is appended to a data page and inserted into the index, so the
+// per-row cost (ns/row) follows the index depth, not the table's size.
+// The table is refilled to its starting size, off the clock, whenever
+// the timed inserts have grown it by half.
+func BenchmarkHistoryAppend(b *testing.B) {
+	for _, resident := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
+			s, err := NewStore(stream.NewManualClock(0), b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			tab, err := s.CreateTable("h", tempSchema, historyOptions("1000"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]stream.Element, 1000)
+			next := 0
+			insert := func() {
+				for i := range batch {
+					e, err := stream.NewElement(tempSchema, stream.Timestamp(next/10+1), int64(next))
+					if err != nil {
+						b.Fatal(err)
+					}
+					batch[i] = e
+					next++
+				}
+				if err := tab.InsertBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fill := func() {
+				if err := tab.Truncate(); err != nil {
+					b.Fatal(err)
+				}
+				for next = 0; next < resident+len(batch); {
+					insert()
+				}
+			}
+			fill()
+			rows := 0
+			b.ResetTimer()
+			for range b.N {
+				if next >= resident+resident/2 {
+					b.StopTimer()
+					fill()
+					b.StartTimer()
+				}
+				insert()
+				rows += len(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		})
 	}
 }
 

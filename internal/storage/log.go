@@ -622,11 +622,12 @@ func (l *Log) RewriteHead(keep uint64) error {
 		rf.Close()
 		return err
 	}
-	r := bufio.NewReader(rf)
+	rr := recordReader{r: bufio.NewReader(rf), schema: l.schema, version: hdr.version,
+		vals: make([]stream.Value, 0, l.schema.Len())}
 	prev := hdr.baseTS
 	off := hdr.len
 	for i := uint64(0); i < drop; i++ {
-		e, n, err := readRecord(r, l.schema, hdr.version, prev)
+		e, n, err := rr.next(prev)
 		if err != nil {
 			rf.Close()
 			return fmt.Errorf("storage: log %s: decoding record %d for head truncation: %w", l.path, i, err)
@@ -902,26 +903,41 @@ func readLogHeader(f io.ReadSeeker) (logHeader, error) {
 	return h, nil
 }
 
-// readRecord reads one length-prefixed record in the given format,
-// returning the element and the record's total encoded size.
-func readRecord(r *bufio.Reader, schema *stream.Schema, version int,
-	prev stream.Timestamp) (stream.Element, int, error) {
-	size, err := binary.ReadUvarint(r)
+// recordReader reads length-prefixed records in one format into one
+// reused record buffer, so a pass over a log allocates only what the
+// elements it returns keep. With vals non-nil the values decode into
+// that one slice too: each element is then valid only until the next
+// read, which suits a pass that needs just timestamps and offsets.
+type recordReader struct {
+	r       *bufio.Reader
+	schema  *stream.Schema
+	version int
+	rec     []byte
+	vals    []stream.Value
+}
+
+// next reads one record, returning the element and the record's total
+// encoded size.
+func (rr *recordReader) next(prev stream.Timestamp) (stream.Element, int, error) {
+	size, err := binary.ReadUvarint(rr.r)
 	if err != nil {
 		return stream.Element{}, 0, err
 	}
 	if size > maxRecordLen {
 		return stream.Element{}, 0, fmt.Errorf("storage: record of %d bytes exceeds limit", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if uint64(cap(rr.rec)) < size {
+		rr.rec = make([]byte, size)
+	}
+	buf := rr.rec[:size]
+	if _, err := io.ReadFull(rr.r, buf); err != nil {
 		return stream.Element{}, 0, err
 	}
 	var e stream.Element
-	if version >= 2 {
-		e, _, err = stream.DecodeElementCompact(schema, buf, prev)
+	if rr.version >= 2 {
+		e, _, err = stream.DecodeElementCompactInto(rr.schema, buf, prev, rr.vals)
 	} else {
-		e, _, err = stream.DecodeElement(schema, buf)
+		e, _, err = stream.DecodeElement(rr.schema, buf)
 	}
 	if err != nil {
 		return stream.Element{}, 0, err
@@ -968,10 +984,10 @@ func replayLogFile(fsys FS, path string) (*logReplay, error) {
 	}
 	rep := &logReplay{schema: hdr.schema, hdrLen: hdr.len, clean: hdr.len,
 		version: hdr.version, base: hdr.base, baseTS: hdr.baseTS}
-	r := bufio.NewReader(f)
+	rr := recordReader{r: bufio.NewReader(f), schema: hdr.schema, version: hdr.version}
 	prev := hdr.baseTS
 	for {
-		e, n, err := readRecord(r, hdr.schema, hdr.version, prev)
+		e, n, err := rr.next(prev)
 		if err != nil {
 			// EOF or torn tail: keep the clean prefix.
 			return rep, nil
