@@ -151,6 +151,9 @@ func main() {
 	st, _ = node.SensorStats("building-alarm")
 	fmt.Printf("building-alarm kept deriving through the swap: %d outputs, %d errors, %d client query evaluations on room-a\n",
 		st.Outputs, st.Errors, evaluations)
+	if st.Errors > 0 || st.Outputs == 0 {
+		log.Fatalf("building-alarm: the two-source stream is silent or failing (last error: %q)", st.LastError)
+	}
 
 	if err := node.UnregisterQuery(queryID); err != nil {
 		log.Fatal(err) // the id survived the redeploy

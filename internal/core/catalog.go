@@ -74,50 +74,54 @@ func (c *Container) Catalog() sqlengine.Catalog {
 	return storeCatalog{store: c.store}
 }
 
-// elementsFromRelation converts query result rows into stream elements
-// of the given schema. Field values are taken by (unqualified) column
-// name when every schema field resolves uniquely in the relation, and
-// positionally otherwise — so both
+// outputMap places a stream plan's result columns in the output
+// structure, resolved once at deploy. Field values are taken by
+// (unqualified) column name when every schema field resolves uniquely
+// among the columns, and positionally otherwise — so both
 //
 //	select avg(temperature) as temperature from wrapper
 //	select avg(temperature) from wrapper
 //
 // populate a single-field output structure. The element timestamp comes
 // from an unambiguous TIMED column when present, else from now.
-func elementsFromRelation(schema *stream.Schema, rel *sqlengine.Relation, now stream.Timestamp) ([]stream.Element, error) {
-	idx := make([]int, schema.Len())
-	nameBased := true
+type outputMap struct {
+	fields []int // the column filling each schema field
+	timed  int   // the TIMED column, -1 when there is none
+}
+
+func newOutputMap(schema *stream.Schema, cols []sqlengine.Column) (outputMap, error) {
+	rel := &sqlengine.Relation{Cols: cols}
+	m := outputMap{fields: make([]int, schema.Len()), timed: -1}
 	for i, f := range schema.Fields() {
 		j, err := rel.ColumnIndex("", f.Name)
 		if err != nil {
-			nameBased = false
+			if len(cols) < schema.Len() {
+				return m, fmt.Errorf("core: query produces %d columns for output structure %s", len(cols), schema)
+			}
+			for k := range m.fields {
+				m.fields[k] = k
+			}
 			break
 		}
-		idx[i] = j
+		m.fields[i] = j
 	}
-	if !nameBased {
-		if len(rel.Cols) < schema.Len() {
-			return nil, fmt.Errorf("core: query produced %d columns for output structure %s",
-				len(rel.Cols), schema)
-		}
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	timedIdx := -1
 	if j, err := rel.ColumnIndex("", sqlengine.TimedColumn); err == nil {
-		timedIdx = j
+		m.timed = j
 	}
+	return m, nil
+}
 
-	out := make([]stream.Element, 0, len(rel.Rows))
-	for _, row := range rel.Rows {
-		values := make([]stream.Value, schema.Len())
-		for i, j := range idx {
+// elements converts result rows into stream elements of schema.
+func (m outputMap) elements(schema *stream.Schema, rows [][]stream.Value, now stream.Timestamp) ([]stream.Element, error) {
+	out := make([]stream.Element, 0, len(rows))
+	for _, row := range rows {
+		values := make([]stream.Value, len(m.fields))
+		for i, j := range m.fields {
 			values[i] = row[j]
 		}
 		ts := now
-		if timedIdx >= 0 {
-			if t, ok := row[timedIdx].(int64); ok {
+		if m.timed >= 0 {
+			if t, ok := row[m.timed].(int64); ok {
 				ts = stream.Timestamp(t)
 			}
 		}

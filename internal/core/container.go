@@ -387,7 +387,7 @@ func (c *Container) dropSourceTables(vs *VirtualSensor) {
 // Keep in lockstep with newVirtualSensor/buildSource: any fallible
 // step added there must be mirrored here, or a redeploy can pass
 // preflight and then fail mid-swap (newVirtualSensor carries the
-// matching reminder).
+// matching reminder; the stream query's compile is rolled back).
 func (c *Container) preflight(desc *vsensor.Descriptor) error {
 	if _, ok := storage.ParseSyncPolicy(desc.Storage.Sync); !ok {
 		return fmt.Errorf("core: %s: unknown storage sync policy %q", desc.Name, desc.Storage.Sync)

@@ -115,7 +115,8 @@ func TestWindowedAverageConverges(t *testing.T) {
 // TestDeployIgnoresRetiredLanesAttr: a descriptor written for the
 // removed ingest-lane tier (lanes="auto") still deploys and ingests
 // through the one write path under sync="durable"; no lane counter
-// survives in the metrics snapshot.
+// survives in the metrics snapshot. The paper's pool-size is ignored
+// the same way, even at a value its old validation refused.
 func TestDeployIgnoresRetiredLanesAttr(t *testing.T) {
 	c, err := New(Options{
 		Name:           "durable-node",
@@ -127,9 +128,9 @@ func TestDeployIgnoresRetiredLanesAttr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	deploy(t, c, strings.Replace(moteAvgDescriptor,
-		`<storage size="50" />`,
-		`<storage size="50" permanent-storage="true" sync="durable" lanes="auto"/>`, 1))
+	deploy(t, c, strings.NewReplacer(
+		`<storage size="50" />`, `<storage size="50" permanent-storage="true" sync="durable" lanes="auto"/>`,
+		`pool-size="4"`, `pool-size="99999"`).Replace(moteAvgDescriptor))
 
 	for i := 0; i < 20; i++ {
 		c.Pulse()
@@ -166,6 +167,122 @@ func TestDeployValidationAtomicity(t *testing.T) {
 		t.Fatalf("tables leaked by failed deploy: %v", got)
 	}
 	deploy(t, c, moteAvgDescriptor)
+}
+
+// twoSourceDescriptor is a two-source stream: the mote source "temps" and a
+// second source "lights" whose seed predicate and stream query vary.
+func twoSourceDescriptor(lightSeed, streamQuery string) string {
+	return fmt.Sprintf(`
+<virtual-sensor name="pair">
+  <output-structure>
+    <field name="t" type="double"/>
+    <field name="l" type="double"/>
+  </output-structure>
+  <input-stream name="rooms">
+    <stream-source alias="temps" storage-size="5">
+      <address wrapper="mote">
+        <predicate key="sensors" val="temperature"/><predicate key="seed" val="1"/>
+      </address>
+      <query>select avg(temperature) as t from WRAPPER</query>
+    </stream-source>
+    <stream-source alias="lights" storage-size="5">
+      <address wrapper="mote">
+        <predicate key="sensors" val="light"/><predicate key="seed" val=%q/>
+      </address>
+      <query>select avg(light) as l from WRAPPER</query>
+    </stream-source>
+    <query>%s</query>
+  </input-stream>
+</virtual-sensor>`, lightSeed, streamQuery)
+}
+
+// TestFailedDeployDropsEarlierSourceWindows: a stream whose second
+// source cannot be built — before or after its window is created —
+// leaves no window behind, so the corrected descriptor deploys without
+// a restart.
+func TestFailedDeployDropsEarlierSourceWindows(t *testing.T) {
+	c := testContainer(t)
+	deploy(t, c, moteAvgDescriptor)
+	before := fmt.Sprint(c.Store().List())
+	const query = "select temps.t, lights.l from temps, lights"
+	for _, bad := range []string{
+		twoSourceDescriptor("notanint", query),
+		strings.Replace(twoSourceDescriptor("2", query), `val="light"/>`,
+			`val="light"/><predicate key="gap-timeout" val="soon"/>`, 1),
+	} {
+		if err := c.DeployXML([]byte(bad)); err == nil {
+			t.Fatalf("a source that cannot be built deployed:\n%s", bad)
+		}
+		if after := fmt.Sprint(c.Store().List()); after != before {
+			t.Fatalf("failed deploy left tables: %s, was %s", after, before)
+		}
+	}
+	deploy(t, c, twoSourceDescriptor("2", query))
+}
+
+// TestStreamQueryRefusedAtDeploy: a stream query that does not bind
+// over its sources' results, or cannot fill the output structure, is
+// refused at deploy, naming the sensor and the stream, and leaves no
+// table behind; so is a source query whose result has no layout.
+func TestStreamQueryRefusedAtDeploy(t *testing.T) {
+	c := testContainer(t)
+	for _, q := range []string{
+		"select nosuch from temps, lights",
+		"select temps.t, lights.l from temps join lights on temps.t = lights.l",
+		"select temps.t from temps, lights",
+		"select * from temps, temps",
+	} {
+		err := c.DeployXML([]byte(twoSourceDescriptor("2", q)))
+		if err == nil || !strings.Contains(err.Error(), "PAIR/rooms: stream query refused") {
+			t.Errorf("%s: deploy error = %v", q, err)
+		}
+		if got := c.Store().List(); len(got) != 0 {
+			t.Fatalf("%s: refused deploy left tables %v", q, got)
+		}
+	}
+	noLayout := strings.Replace(twoSourceDescriptor("2", "select temps.t, lights.l from temps, lights"),
+		"select avg(light) as l from WRAPPER", "select q.* from (select * from WRAPPER) d", 1)
+	if err := c.DeployXML([]byte(noLayout)); err == nil || !strings.Contains(err.Error(), "PAIR/rooms/LIGHTS: source query") {
+		t.Errorf("source without a layout: deploy error = %v", err)
+	}
+	if got := c.Store().List(); len(got) != 0 {
+		t.Fatalf("refused deploy left tables %v", got)
+	}
+	deploy(t, c, twoSourceDescriptor("2", "select temps.t, lights.l from temps, lights"))
+}
+
+// TestRedeployToUnboundStreamQueryRestores: redeploying a running
+// sensor to a stream query that does not bind fails on both redeploy
+// paths — the preserving swap (same output structure) and the full
+// replace — with the old configuration restored and still producing.
+func TestRedeployToUnboundStreamQueryRestores(t *testing.T) {
+	c := testContainer(t)
+	deploy(t, c, moteAvgDescriptor)
+	for _, bad := range []string{
+		strings.Replace(moteAvgDescriptor, "select * from src1", "select nosuch from src1", 1),
+		strings.NewReplacer("select * from src1", "select nosuch from src1",
+			`name="TEMPERATURE"`, `name="CELSIUS"`).Replace(moteAvgDescriptor),
+	} {
+		desc, err := vsensor.Parse([]byte(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Redeploy(desc)
+		if err == nil || !strings.Contains(err.Error(), "old configuration restored") {
+			t.Fatalf("Redeploy error = %v", err)
+		}
+		vs, ok := c.Sensor("avg-temp")
+		if !ok {
+			t.Fatal("sensor gone after a failed redeploy")
+		}
+		outputs := vs.Stats().Outputs
+		for i := 0; i < 3; i++ {
+			c.Pulse()
+		}
+		if st := vs.Stats(); st.Outputs != outputs+3 || st.Errors != 0 {
+			t.Fatalf("restored sensor: %+v, want %d outputs", st, outputs+3)
+		}
+	}
 }
 
 func TestDuplicateDeployRejected(t *testing.T) {
@@ -481,10 +598,17 @@ func TestElementsFromRelationMapping(t *testing.T) {
 		stream.Field{Name: "a", Type: stream.TypeInt},
 		stream.Field{Name: "b", Type: stream.TypeString},
 	)
+	convert := func(rel *sqlengine.Relation, now stream.Timestamp) ([]stream.Element, error) {
+		m, err := newOutputMap(schema, rel.Cols)
+		if err != nil {
+			return nil, err
+		}
+		return m.elements(schema, rel.Rows, now)
+	}
 	// Name-based (shuffled column order) with TIMED honoured.
 	rel := fixtureRel([]string{"B", "A", "TIMED"},
 		[]stream.Value{"x", int64(1), int64(12345)})
-	elems, err := elementsFromRelation(schema, rel, 999)
+	elems, err := convert(rel, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,21 +620,20 @@ func TestElementsFromRelationMapping(t *testing.T) {
 	}
 	// Positional (non-matching names).
 	rel2 := fixtureRel([]string{"COL1", "COL2"}, []stream.Value{int64(5), "y"})
-	elems2, err := elementsFromRelation(schema, rel2, 777)
+	elems2, err := convert(rel2, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elems2[0].Value(0) != int64(5) || elems2[0].Timestamp() != 777 {
 		t.Errorf("positional mapping = %v", elems2[0])
 	}
-	// Arity failure.
-	rel3 := fixtureRel([]string{"ONLY"}, []stream.Value{int64(1)})
-	if _, err := elementsFromRelation(schema, rel3, 0); err == nil {
+	// Arity failure, found from the columns alone.
+	if _, err := newOutputMap(schema, fixtureRel([]string{"ONLY"}).Cols); err == nil {
 		t.Error("narrow relation accepted")
 	}
 	// Type failure.
 	rel4 := fixtureRel([]string{"A", "B"}, []stream.Value{"not-an-int", "z"})
-	if _, err := elementsFromRelation(schema, rel4, 0); err == nil {
+	if _, err := convert(rel4, 0); err == nil {
 		t.Error("type-mismatched row accepted")
 	}
 }

@@ -50,8 +50,8 @@ type VirtualSensor struct {
 // inputStream is one <input-stream> at runtime.
 type inputStream struct {
 	spec    vsensor.InputStream
-	stmt    *sqlparser.SelectStatement
-	plan    *sqlengine.Plan // compiled output query; nil → Execute fallback
+	plan    *sqlengine.Plan // the stream query over the product of the sources' results
+	out     outputMap       // the plan's columns placed in the output structure
 	rate    *quality.RateLimiter
 	count   *quality.CountLimiter
 	sources []*sourceRuntime
@@ -148,7 +148,8 @@ type SourceStats struct {
 //
 // Any fallible step added here or in buildSource must be mirrored in
 // Container.preflight, which promises Redeploy that this construction
-// will succeed before the old runtime is torn down.
+// will succeed before the old runtime is torn down (the stream query's
+// compile aside: it needs the sources' layouts; Redeploy rolls it back).
 func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.Table) (*VirtualSensor, error) {
 	outSchema, err := desc.OutputSchema()
 	if err != nil {
@@ -211,37 +212,43 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 
 	for i := range desc.Streams {
 		spec := desc.Streams[i]
-		stmt, err := sqlparser.Parse(spec.Query)
-		if err != nil {
-			cleanup()
-			return nil, err // unreachable after Validate, kept for safety
-		}
-		in := &inputStream{spec: spec, stmt: stmt}
+		in := &inputStream{spec: spec}
 		// Stream-level bounds are shared by all of the stream's sources;
 		// per-source chains consult them via Admit.
 		in.rate = quality.NewRateLimiter(spec.Rate, c.clock, nil)
 		in.count = quality.NewCountLimiter(spec.Count, nil)
+		// Listed before its sources are built, so cleanup drops the
+		// windows of a stream that fails midway.
+		vs.streams = append(vs.streams, in)
 
+		inputs := make([]sqlengine.Input, len(spec.Sources))
 		for j := range spec.Sources {
-			srcSpec := spec.Sources[j]
-			src, err := vs.buildSource(in, srcSpec)
+			src, err := vs.buildSource(in, spec.Sources[j])
 			if err != nil {
 				cleanup()
 				return nil, err
 			}
 			in.sources = append(in.sources, src)
-		}
-		// Compile the output query once at deploy time when it runs over
-		// a single source; multi-source joins keep the general Execute
-		// path.
-		if len(in.sources) == 1 {
-			if cols := in.sources[0].outputColumns(c.engineOpts()); cols != nil {
-				if plan, err := sqlengine.Compile(stmt, cols, in.sources[0].alias); err == nil {
-					in.plan = plan
-				}
+			cols, err := src.outputColumns(c.engineOpts())
+			if err != nil {
+				cleanup()
+				return nil, fmt.Errorf("core: %s/%s/%s: source query: %w", name, spec.Name, src.alias, err)
 			}
+			inputs[j] = sqlengine.Input{Cols: cols, Names: []string{src.alias}}
 		}
-		vs.streams = append(vs.streams, in)
+		// Bind the stream query over the product of the sources' results
+		// and map it onto the output: a query that could only fail is refused.
+		stmt, err := sqlparser.Parse(spec.Query)
+		if err == nil {
+			in.plan, err = sqlengine.CompileProduct(stmt, inputs...)
+		}
+		if err == nil {
+			in.out, err = newOutputMap(vs.outSchema, in.plan.OutputColumns())
+		}
+		if err != nil {
+			cleanup()
+			return nil, fmt.Errorf("core: %s/%s: stream query refused: %w", name, spec.Name, err)
+		}
 	}
 	return vs, nil
 }
@@ -287,6 +294,10 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	}
 
 	window, err := stream.ParseWindow(spec.StorageSize)
+	if err != nil {
+		return nil, err
+	}
+	gapTimeout, err := params.Duration("gap-timeout", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -378,10 +389,6 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		src.repair.OfferBatch(batch)
 	})
 
-	gapTimeout, err := params.Duration("gap-timeout", 0)
-	if err != nil {
-		return nil, err
-	}
 	src.gap = quality.NewGapDetector(gapTimeout, c.clock, nil)
 	return src, nil
 }
@@ -553,25 +560,19 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 	start := time.Now()
 
 	// Steps 2+3: select each source's window and evaluate the source
-	// query into a temporary relation named by the alias.
-	temps := make(sqlengine.MapCatalog, len(in.sources))
-	for _, src := range in.sources {
+	// query over it.
+	results := make([]*sqlengine.Relation, len(in.sources))
+	for i, src := range in.sources {
 		rel, err := vs.evalSource(src)
 		if err != nil {
 			vs.recordError(fmt.Errorf("core: %s/%s source query: %w", vs.name, src.alias, err))
 			return
 		}
-		temps[src.alias] = rel
+		results[i] = rel
 	}
 
-	// Step 4: the input stream's output query over the temporaries.
-	var outRel *sqlengine.Relation
-	var err error
-	if in.plan != nil {
-		outRel, err = in.plan.Execute(temps[in.sources[0].alias].Rows, c.engineOpts())
-	} else {
-		outRel, err = sqlengine.Execute(in.stmt, temps, c.engineOpts())
-	}
+	// Step 4: the stream query's deploy-time plan over the results.
+	outRel, err := in.plan.ExecuteProduct(results, c.engineOpts())
 	if err != nil {
 		vs.recordError(fmt.Errorf("core: %s/%s output query: %w", vs.name, in.spec.Name, err))
 		return
@@ -581,7 +582,7 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 	// in-process subscribers are called here, downstream sensors on
 	// local edges evaluate here, depth-first, and the registered-query
 	// sweep goes to the repository's pool (inline under SyncProcessing).
-	elems, err := elementsFromRelation(vs.outSchema, outRel, c.clock.Now())
+	elems, err := in.out.elements(vs.outSchema, outRel.Rows, c.clock.Now())
 	if err != nil {
 		vs.recordError(err)
 		return
@@ -650,17 +651,16 @@ func (src *sourceRuntime) interpret(win *sqlengine.Relation, opts sqlengine.Opti
 
 // outputColumns is the layout of the source query's result, which the
 // statement and the wrapper schema fix: the plan's, or, for a statement
-// that does not compile, the interpreter's over an empty window (nil
-// when even that fails — the trigger will report why).
-func (src *sourceRuntime) outputColumns(opts sqlengine.Options) []sqlengine.Column {
+// that does not compile, the interpreter's over an empty window.
+func (src *sourceRuntime) outputColumns(opts sqlengine.Options) ([]sqlengine.Column, error) {
 	if src.plan != nil {
-		return src.plan.OutputColumns()
+		return src.plan.OutputColumns(), nil
 	}
 	rel, err := src.interpret(&sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.table.Schema())}, opts)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return rel.Cols
+	return rel.Cols, nil
 }
 
 // stop halts the wrappers and waits for every evaluation in flight,

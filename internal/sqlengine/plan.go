@@ -8,74 +8,93 @@ import (
 	"gsn/internal/stream"
 )
 
-// Plan is a SELECT statement bound once against a fixed single-table
-// input layout, so the per-trigger path pays none of the per-execution
-// planning Execute does (FROM resolution, aggregate collection,
-// projection and ORDER BY planning) and none of its per-row name
-// resolution. The GSN container compiles each deployed sensor's source
-// and stream statements at deploy time and re-runs the plan on every
-// trigger.
+// Plan is a SELECT statement bound once against a fixed input layout,
+// so the per-trigger path pays none of the per-execution planning
+// Execute does (FROM resolution, aggregate collection, projection and
+// ORDER BY planning) and none of its per-row name resolution. The GSN
+// container compiles each deployed sensor's source and stream
+// statements at deploy time and re-runs the plan on every trigger.
 //
 // A Plan has one execution engine, the bound program (compiled.go): it
-// never consults the interpreter or a catalog. Compile covers the
-// statement shapes sensor descriptors use (one base table, no joins,
-// derived tables, compounds or subqueries); anything else returns an
-// error and the caller falls back to Execute.
+// never runs a statement on the interpreter or consults a catalog (a
+// product borrows only the interpreter's cross join). CompileProduct
+// covers the statement shapes sensor descriptors use (plain FROM
+// tables; no JOIN … ON, derived tables, compounds or subqueries);
+// anything else returns an error, and the caller falls back to Execute
+// or refuses the statement.
 type Plan struct {
 	sp     *simplePlan
-	qual   string   // the FROM item's effective name (alias or table)
-	inCols []Column // input layout, qualified by the FROM alias
+	qual   string   // the FROM item's effective name (alias or table); a product's last
+	inCols []Column // input layout: each FROM item's columns, qualified by its name
+	from   []int    // the input each FROM item names, in FROM order
 
 	// prog is the bound (column-index-resolved) execution program. See
 	// compiled.go.
 	prog *boundProgram
 }
 
+// Input is one relation a plan binds over: its bare column layout (see
+// ColumnsOfSchema) and the names a FROM item may use for it.
+type Input struct {
+	Cols  []Column
+	Names []string
+}
+
 // Compile binds stmt against one input relation whose bare column
-// layout is cols (see ColumnsOfSchema); tables lists the base-table
-// names the FROM clause may use for it. A statement that does not bind
-// — an expression the binder does not cover, a name it cannot resolve —
-// is not compiled. The returned plan is immutable and safe for
-// concurrent Execute calls.
+// layout is cols; tables lists the base-table names the FROM clause may
+// use for it. It is CompileProduct's one-input case.
 func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (*Plan, error) {
+	return CompileProduct(stmt, Input{Cols: cols, Names: tables})
+}
+
+// CompileProduct binds stmt over the cross product of inputs: every
+// FROM item is a plain table reference naming a distinct input, and a
+// product row is the named inputs' rows side by side in FROM order,
+// left input outermost — the row order of the interpreter's cross
+// join. A statement that does not bind — an expression the binder does
+// not cover, a name it cannot resolve or that is ambiguous across the
+// inputs — is not compiled. The returned plan is immutable and safe for
+// concurrent executions.
+func CompileProduct(stmt *sqlparser.SelectStatement, inputs ...Input) (*Plan, error) {
 	if stmt.Compound != nil {
 		return nil, fmt.Errorf("sqlengine: compound statements are not compilable")
 	}
-	if len(stmt.From) != 1 {
-		return nil, fmt.Errorf("sqlengine: compile needs exactly one FROM table, got %d", len(stmt.From))
+	if len(stmt.From) == 0 {
+		return nil, fmt.Errorf("sqlengine: compile needs a FROM table")
 	}
-	tn, ok := stmt.From[0].(*sqlparser.TableName)
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: compile supports plain table references, not %T", stmt.From[0])
-	}
-	name := stream.CanonicalName(tn.Name)
-	known := false
-	for _, t := range tables {
-		if stream.CanonicalName(t) == name {
-			known = true
-			break
+	p := &Plan{}
+	for _, item := range stmt.From {
+		tn, ok := item.(*sqlparser.TableName)
+		if !ok {
+			return nil, fmt.Errorf("sqlengine: compile supports plain table references, not %T", item)
+		}
+		name := stream.CanonicalName(tn.Name)
+		in := slices.IndexFunc(inputs, func(in Input) bool {
+			return slices.ContainsFunc(in.Names, func(t string) bool { return stream.CanonicalName(t) == name })
+		})
+		if in < 0 {
+			return nil, fmt.Errorf("sqlengine: compile input does not provide table %q", tn.Name)
+		}
+		if slices.Contains(p.from, in) {
+			return nil, fmt.Errorf("sqlengine: FROM names input %q twice", tn.Name)
+		}
+		p.from = append(p.from, in)
+		p.qual = tn.Alias
+		if p.qual == "" {
+			p.qual = tn.Name
+		}
+		p.qual = stream.CanonicalName(p.qual)
+		for _, c := range inputs[in].Cols {
+			p.inCols = append(p.inCols, Column{Table: p.qual, Name: c.Name})
 		}
 	}
-	if !known {
-		return nil, fmt.Errorf("sqlengine: compile input does not provide table %q", tn.Name)
-	}
-	qual := tn.Alias
-	if qual == "" {
-		qual = tn.Name
-	}
-	qual = stream.CanonicalName(qual)
-
-	inCols := make([]Column, len(cols))
-	for i, c := range cols {
-		inCols[i] = Column{Table: qual, Name: c.Name}
-	}
-	sp, err := analyzeSimple(stmt, inCols)
+	sp, err := analyzeSimple(stmt, p.inCols)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{sp: sp, qual: qual, inCols: inCols, prog: newBoundProgram(sp, inCols)}
+	p.sp, p.prog = sp, newBoundProgram(sp, p.inCols)
 	if p.prog == nil {
-		return nil, fmt.Errorf("sqlengine: statement is outside the compiled subset")
+		return nil, fmt.Errorf("sqlengine: statement does not bind (unknown or ambiguous column, subquery or unknown function)")
 	}
 	return p, nil
 }
@@ -104,7 +123,7 @@ type IncProgram struct {
 // AggMaintainer observing the source's window table.
 func (p *Plan) Incremental() *IncProgram {
 	stmt := p.sp.stmt
-	if !p.sp.grouped || volatileExpr(stmt.Where) {
+	if !p.sp.grouped || volatileExpr(stmt.Where) || len(p.from) > 1 {
 		return nil
 	}
 	column := func(e sqlparser.Expr) int {
@@ -149,16 +168,33 @@ func (p *Plan) IncrementalGrouped() *IncProgram { return p.Incremental() }
 // OutputColumns returns the plan's projected column layout.
 func (p *Plan) OutputColumns() []Column { return p.sp.outCols }
 
-// Execute runs the plan over the current window rows (as produced by
-// RowsOfSource against the layout the plan was compiled for).
+// Execute runs a one-input plan over the current window rows (as
+// produced by RowsOfSource against the layout the plan was compiled
+// for).
 func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
 	return p.prog.run(p, rows, newEvaluator(nil, opts))
 }
 
-// ExecuteSource runs the plan directly against a window source, never
-// materialising the window: the source's ForEach pass, inside the
-// table's critical section, feeds the program a row at a time, built
-// from the columns the statement reads.
+// ExecuteProduct runs the plan over one relation per input, in
+// CompileProduct's input order: over the cross product of those its
+// FROM names, built by the interpreter's own cross join (and bounded by
+// MaxRows as it is).
+func (p *Plan) ExecuteProduct(inputs []*Relation, opts Options) (*Relation, error) {
+	ev := newEvaluator(nil, opts)
+	rel := inputs[p.from[0]]
+	for _, in := range p.from[1:] {
+		var err error
+		if rel, err = ev.joinRelations(sqlparser.CrossJoin, rel, inputs[in], nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	return p.prog.run(p, rel.Rows, ev)
+}
+
+// ExecuteSource runs a one-input plan directly against a window
+// source, never materialising the window: the source's ForEach pass,
+// inside the table's critical section, feeds the program a row at a
+// time, built from the columns the statement reads.
 func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error) {
 	return p.executeSource(src, newEvaluator(nil, opts))
 }

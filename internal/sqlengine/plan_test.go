@@ -97,6 +97,68 @@ func TestCompiledPlanMatchesExecute(t *testing.T) {
 			t.Errorf("%s:\ncompiled source:\n%s\nexecute:\n%s", q, direct, want)
 		}
 	}
+
+	// Stream queries: a plan over the product of several inputs (a
+	// sensor's source results) answers as the interpreter's cross join
+	// over a catalog of the same relations, row order included.
+	inputs, rels, cat := productInputs(pt)
+	for _, c := range []struct {
+		q       string
+		maxRows int
+	}{
+		{q: "select * from a, b"},
+		{q: "select a.v, b.f from a, b where a.v > b.v"},
+		{q: "select b.v, c.f as cf, a.v as av from b, c, a where a.v < 0"},
+		{q: "select x.v, y.f from c x, b y"},
+		{q: "select * from a, e"},
+		{q: "select count(*) as n from b, e"},
+		{q: "select count(*) as n, sum(a.v * b.v) as s, avg(c.f) as m, max(b.f) as mx from a, b, c"},
+		{q: "select b.v, count(*) as n from a, b where a.v > 0 group by b.v having count(*) > 2"},
+		{q: "select a.v + b.v as s, c.v from a, b, c order by s desc, c.v limit 7"},
+		{q: "select * from a, b", maxRows: 100},
+	} {
+		stmt, err := sqlparser.Parse(c.q)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.q, err)
+		}
+		plan, err := CompileProduct(stmt, inputs...)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.q, err)
+		}
+		if plan.Incremental() != nil {
+			t.Errorf("%s: a product plan is not maintainable", c.q)
+		}
+		opts := Options{MaxRows: c.maxRows}
+		want, wantErr := Execute(stmt, cat, opts)
+		got, err := plan.ExecuteProduct(rels, opts)
+		if c.maxRows > 0 && wantErr == nil {
+			t.Errorf("%s: a product past MaxRows ran", c.q)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, interpreter %v", c.q, err, wantErr)
+			continue
+		}
+		if wantErr == nil && got.String() != want.String() {
+			t.Errorf("%s:\ncompiled:\n%s\nexecute:\n%s", c.q, got, want)
+		}
+	}
+}
+
+// productInputs names four relations over planSchema: a (all of pt's
+// rows), b (seven), c (three) and e (empty), as plan inputs, as the
+// relations in that order and as a catalog.
+func productInputs(pt *planTable) ([]Input, []*Relation, MapCatalog) {
+	cat := MapCatalog{}
+	var inputs []Input
+	var rels []*Relation
+	for i, elems := range [][]stream.Element{pt.elems, pt.elems[10:17], pt.elems[40:43], nil} {
+		name := []string{"A", "B", "C", "E"}[i]
+		rel := RelationOfSource(&planTable{schema: planSchema, elems: elems})
+		inputs = append(inputs, Input{Cols: ColumnsOfSchema(planSchema), Names: []string{name}})
+		rels = append(rels, rel)
+		cat[name] = rel
+	}
+	return inputs, rels, cat
 }
 
 // TestCompileRejectsUnsupportedShapes: statements the compiler cannot
@@ -124,6 +186,27 @@ func TestCompileRejectsUnsupportedShapes(t *testing.T) {
 			t.Fatalf("%s: parse: %v", q, err)
 		}
 		if _, err := Compile(stmt, ColumnsOfSchema(planSchema), "w"); err == nil {
+			t.Errorf("%s: compile should have been rejected", q)
+		}
+	}
+
+	// Over several inputs, a FROM item must name a distinct input and a
+	// bare column one input only.
+	inputs, _, _ := productInputs(makePlanTable(t, 60))
+	for _, q := range []string{
+		"select v from a, b",
+		"select a.v from a, b where f > 0",
+		"select * from a, b, a",
+		"select * from a x, a y",
+		"select a.v from a join b on a.v = b.v",
+		"select * from a, other",
+		"select 1 as one",
+	} {
+		stmt, err := sqlparser.Parse(q)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", q, err)
+		}
+		if _, err := CompileProduct(stmt, inputs...); err == nil {
 			t.Errorf("%s: compile should have been rejected", q)
 		}
 	}

@@ -212,8 +212,8 @@ type Catalog interface {
 	Relation(name string) (*Relation, error)
 }
 
-// MapCatalog is a Catalog backed by a map; useful for tests and for the
-// container's per-trigger temporary relations.
+// MapCatalog is a Catalog backed by a map; useful for tests and for an
+// interpreted source query's window.
 type MapCatalog map[string]*Relation
 
 // Relation implements Catalog.
@@ -224,8 +224,8 @@ func (m MapCatalog) Relation(name string) (*Relation, error) {
 	return nil, fmt.Errorf("sqlengine: unknown table %q", name)
 }
 
-// ChainCatalog searches catalogs in order; the container layers
-// per-trigger temporaries over the persistent store this way.
+// ChainCatalog searches catalogs in order; the container layers one
+// sensor's rows or a cluster union over the persistent store this way.
 type ChainCatalog []Catalog
 
 // Relation implements Catalog.

@@ -1,6 +1,6 @@
 // Package vsensor defines GSN's declarative deployment descriptors
 // (paper §2): the XML document that fully specifies a virtual sensor —
-// its metadata, life-cycle resources, output structure, storage policy
+// its metadata, output structure, storage policy
 // and input streams with their wrapped sources and SQL processing.
 //
 // Deploying a sensor network is writing one of these files; no
@@ -31,24 +31,16 @@ type Descriptor struct {
 	// Description is free-text metadata, published to the directory.
 	Description string `xml:"description,attr"`
 
-	LifeCycle LifeCycle       `xml:"life-cycle"`
-	Output    OutputStructure `xml:"output-structure"`
-	Storage   StorageSpec     `xml:"storage"`
-	Streams   []InputStream   `xml:"input-stream"`
-	Notify    []Notification  `xml:"notification"`
+	// The paper's <life-cycle pool-size=…> is not read: a trigger
+	// evaluates on the goroutine that delivered its element.
+	Output  OutputStructure `xml:"output-structure"`
+	Storage StorageSpec     `xml:"storage"`
+	Streams []InputStream   `xml:"input-stream"`
+	Notify  []Notification  `xml:"notification"`
 	// Metadata key-value pairs are published to the peer-to-peer
 	// directory for discovery (paper §4: "identified by user-definable
 	// key-value pairs").
 	Metadata []Predicate `xml:"metadata>predicate"`
-}
-
-// LifeCycle carries resource-management attributes.
-type LifeCycle struct {
-	// PoolSize is the paper's pool-size attribute. It is parsed and
-	// validated, so descriptors in the paper's format deploy unchanged,
-	// but it sizes no pool: a trigger evaluates on the goroutine that
-	// delivered its element. Default 1.
-	PoolSize int `xml:"pool-size,attr"`
 }
 
 // OutputStructure declares the produced stream's fields.
@@ -184,9 +176,6 @@ func ParseFile(path string) (*Descriptor, error) {
 
 // applyDefaults fills the documented defaults in place.
 func (d *Descriptor) applyDefaults() {
-	if d.LifeCycle.PoolSize == 0 {
-		d.LifeCycle.PoolSize = 1
-	}
 	if d.Storage.Size == "" {
 		d.Storage.Size = "100"
 	}
@@ -215,12 +204,6 @@ func (d *Descriptor) Validate() error {
 		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' || r == '-') {
 			return fmt.Errorf("vsensor: %s: name contains invalid character %q", d.Name, r)
 		}
-	}
-	if d.LifeCycle.PoolSize < 1 {
-		return fmt.Errorf("vsensor: %s: pool-size must be >= 1", d.Name)
-	}
-	if d.LifeCycle.PoolSize > 1024 {
-		return fmt.Errorf("vsensor: %s: pool-size %d is unreasonable", d.Name, d.LifeCycle.PoolSize)
 	}
 	if len(d.Output.Fields) == 0 {
 		return fmt.Errorf("vsensor: %s: output-structure has no fields", d.Name)

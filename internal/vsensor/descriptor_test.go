@@ -37,9 +37,6 @@ func TestParsePaperDescriptor(t *testing.T) {
 	if d.Name != "avg-temperature" || d.Priority != 10 {
 		t.Errorf("name/priority = %q/%d", d.Name, d.Priority)
 	}
-	if d.LifeCycle.PoolSize != 10 {
-		t.Errorf("pool-size = %d", d.LifeCycle.PoolSize)
-	}
 	if !d.Storage.Permanent || d.Storage.Size != "10s" {
 		t.Errorf("storage = %+v", d.Storage)
 	}
@@ -84,9 +81,6 @@ func TestDefaultsApplied(t *testing.T) {
 </virtual-sensor>`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
-	}
-	if d.LifeCycle.PoolSize != 1 {
-		t.Errorf("default pool-size = %d", d.LifeCycle.PoolSize)
 	}
 	if d.Storage.Size != "100" {
 		t.Errorf("default storage size = %q", d.Storage.Size)
@@ -137,7 +131,6 @@ func TestValidationErrors(t *testing.T) {
 			`select avg(temperature) from WRAPPER`, `select avg(temperature) from other_table`),
 		"negative buffer": mutate(paperDescriptor, `disconnect-buffer="10"`, `disconnect-buffer="-1"`),
 		"negative rate":   mutate(paperDescriptor, `rate="100"`, `rate="-1"`),
-		"huge pool":       mutate(paperDescriptor, `pool-size="10"`, `pool-size="99999"`),
 	}
 	for label, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
@@ -276,7 +269,7 @@ func TestXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-Parse: %v", err)
 	}
-	if d2.Name != d.Name || d2.LifeCycle.PoolSize != d.LifeCycle.PoolSize ||
+	if d2.Name != d.Name ||
 		len(d2.Streams) != len(d.Streams) ||
 		d2.Streams[0].Sources[0].Query != d.Streams[0].Sources[0].Query {
 		t.Errorf("round-trip diverged: %+v vs %+v", d2, d)
