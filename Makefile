@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-gate bench-pairs benchsmoke examples-smoke docs-check chaos fuzz-smoke ci loc
+.PHONY: all build vet test race bench-gate bench-pairs bench-once benchsmoke examples-smoke docs-check chaos fuzz-smoke ci loc
 
 all: ci
 
@@ -37,6 +37,20 @@ SEED ?= 1
 bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<git-ref> [WORKLOADS="pipeline_steady ..."] [PAIRS=10] [SEED=1]'; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SEED)"
+
+# bench-once runs each of WORKLOADS once from the working tree, at the
+# benchmark's own run length, and fails naming the first workload whose
+# run exits non-zero (a failed operation or a wrong answer does that):
+# the gate refuses a change whose run fails, whatever its numbers, and
+# benchsmoke only runs the workloads at smoke length.
+bench-once:
+	@for w in $(WORKLOADS); do \
+		echo "== $$w seed $(SEED)" >&2; \
+		out=$$(bash benchmark/run.sh --workload $$w --seed $(SEED) --trace 0 2>&1) || { \
+			printf '%s\n' "$$out" | tail -n 20 >&2; \
+			echo "bench-once: workload $$w exited non-zero" >&2; exit 1; }; \
+		printf '%s\n' "$$out" | tail -n 1; \
+	done
 
 # loc prints the sizes ROADMAP.md tracks: tracked Go lines per layer row,
 # non-test and test apart, benchmark/ on its own row. REF=<git-ref>
@@ -89,8 +103,10 @@ chaos:
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
 # fuzz-smoke runs three fuzzers for a few seconds each: the maintained
-# tier against the bound scan (random non-volatile WHEREs over int,
-# float and string columns, random insert/evict/truncate sequences),
+# tier against the bound scan (random WHEREs over int, float and string
+# columns, with or without a `now()`-relative lower bound on timed, read
+# at random points among inserts, evictions, truncates, resets and clock
+# moves, backwards included),
 # the peer-answer decoders on arbitrary bytes (no panic, allocation
 # bounded by the input, an answer that decodes re-encodes to the same
 # bytes), and the history index against a sorted reference (ascending,

@@ -91,8 +91,9 @@ type queryGroup struct {
 	// schema at Register time; nil when the shape needs the full
 	// engine (joins, subqueries, other tables).
 	plan *sqlengine.Plan
-	// agg maintains the plan's groups via the output table's observer
-	// hook; nil unless the shape qualifies (newIncMaintainer).
+	// agg maintains the plan's groups, catching up from the output
+	// table's window at each read; nil unless the shape qualifies
+	// (newIncMaintainer).
 	agg *sqlengine.AggMaintainer
 
 	subs map[int64]*ClientQuery
@@ -145,31 +146,6 @@ type sensorQueries struct {
 	// but has not started reading windows, further triggers collapse
 	// into it (mirroring the trigger pipeline's coalescing).
 	sweepPending atomic.Bool
-}
-
-// fanoutObserver dispatches table lifecycle events to the aggregate
-// maintainers of every qualifying group on a sensor. The observer list
-// is immutable after construction — membership changes install a fresh
-// fanout via SwapObserver, which replays the live window into the one
-// maintainer that joins, so the others keep their state untouched.
-type fanoutObserver struct{ obs []storage.Observer }
-
-func (f *fanoutObserver) OnInsert(e stream.Element) {
-	for _, o := range f.obs {
-		o.OnInsert(e)
-	}
-}
-
-func (f *fanoutObserver) OnEvict(e stream.Element) {
-	for _, o := range f.obs {
-		o.OnEvict(e)
-	}
-}
-
-func (f *fanoutObserver) OnTruncate() {
-	for _, o := range f.obs {
-		o.OnTruncate()
-	}
 }
 
 // QueryRepository manages registered client queries — GSN's query
@@ -327,9 +303,6 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			}
 		}
 		sq.groups[sql] = g
-		if g.agg != nil {
-			r.resetObserverLocked(sq, g.agg)
-		}
 	}
 
 	r.nextID++
@@ -348,47 +321,6 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	return q.ID, nil
 }
 
-// resetObserverLocked reinstalls the output table's fanout observer
-// from the sensor's current aggregate-maintained groups and, under the
-// same table lock, replays the live window into replay alone — the
-// maintainer that joins or must be rebuilt; nil when one leaves. One
-// registration on a full window so costs O(window) observer calls,
-// whatever the number of maintainers already attached.
-func (r *QueryRepository) resetObserverLocked(sq *sensorQueries, replay storage.Observer) {
-	if sq.out == nil {
-		return
-	}
-	var obs []storage.Observer
-	for _, g := range sq.groups {
-		if g.agg != nil {
-			obs = append(obs, g.agg)
-		}
-	}
-	var set storage.Observer
-	switch len(obs) {
-	case 0:
-	case 1:
-		set = obs[0]
-	default:
-		set = &fanoutObserver{obs: obs}
-	}
-	sq.out.SwapObserver(set, replay)
-}
-
-// resync rebuilds a group's maintainer from the live window (a
-// truncate and a replay into it alone), so subtract-on-evict float
-// drift cannot accumulate past the resync bound on the client-query
-// path either. A spurious concurrent resync just replays twice, each
-// time to a consistent state; a group unregistered meanwhile is left
-// alone.
-func (r *QueryRepository) resync(g *queryGroup) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sq := r.bySensor[g.sensor]; sq != nil && sq.groups[g.sql] == g {
-		r.resetObserverLocked(sq, g.agg)
-	}
-}
-
 // Unregister removes a query in O(1): the per-sensor index is
 // map-backed, so no slice splice scans the sensor's query list.
 func (r *QueryRepository) Unregister(id int64) error {
@@ -405,9 +337,6 @@ func (r *QueryRepository) Unregister(id int64) error {
 		sq.work.Store(nil)
 		if len(g.subs) == 0 {
 			delete(sq.groups, g.sql)
-			if g.agg != nil {
-				r.resetObserverLocked(sq, nil)
-			}
 			if len(sq.groups) == 0 {
 				delete(r.bySensor, q.Sensor)
 			}
@@ -432,9 +361,6 @@ func (r *QueryRepository) UnregisterSensor(sensor string) int {
 			delete(r.queries, id)
 			n++
 		}
-	}
-	if sq.out != nil {
-		sq.out.SetObserver(nil)
 	}
 	delete(r.bySensor, canonical)
 	return n
@@ -696,15 +622,16 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 	switch {
 	case g.agg != nil:
 		if g.agg.NeedsResync() {
-			// Bounded float drift: truncate+replay the live window into
-			// this maintainer (mirrors the sensor-source resync path).
-			r.resync(g)
+			// Bounded float drift: the read below rebuilds the state
+			// from the live window (as the sensor-source path does).
+			g.agg.Reset()
 			r.metrics.Counter("client_query_resyncs").Inc()
 		}
-		// Read under the table lock so the aggregates reflect exactly
-		// the live window. A poisoned maintainer (nil result) falls
-		// through to the compiled plan, which surfaces the type error.
-		shared.table.WithLock(func() { rel = g.agg.Result(opts) })
+		// Catch up from the window under the table's lock, so the
+		// aggregates reflect exactly the live window. A declined read
+		// (nil) falls through to the compiled plan, which answers or
+		// surfaces the error.
+		shared.table.ReadWindow(func(first uint64, live []stream.Element) { rel = g.agg.Read(first, live, opts) })
 		if rel != nil {
 			r.tierIncrement.Inc()
 			break

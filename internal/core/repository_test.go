@@ -173,6 +173,86 @@ func TestGroupedEvaluationMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFigure4GroupsMatchSerial is the equivalence property on the
+// paper's Figure 4 load, `timed >= now() - H and v % k = r and v > f`,
+// on a clock that advances between triggers, so the history bound cuts
+// into the 100-row window and moves on every read. Half the groups are
+// sampled, so their reads skip arrivals that come and go in between;
+// one group joins a full window halfway; the clock once steps back.
+// Every result delivered must be the serial interpreter's at that
+// trigger. Until the clock steps back every Figure 4 group is answered
+// by its maintainer; after, rows older than the bound sit behind
+// younger ones until they leave, and those reads run the plan.
+func TestFigure4GroupsMatchSerial(t *testing.T) {
+	c := testContainer(t)
+	clock := c.Clock().(*stream.ManualClock)
+	deployVals(t, c, 400)
+	var sqls []string
+	for i, h := range []int{30, 90, 200, 450, 900} {
+		k := 2 + i%4
+		sqls = append(sqls, fmt.Sprintf("select count(*) as c, avg(value) as a from vals where timed >= now() - %d and value %% %d = %d and value > %d", h, k, i%k, 10*i),
+			fmt.Sprintf("select value, count(*) as c, max(timed) as hi from vals where value > %d and now() - %d < timed group by value having count(*) > 1", 5*i, h))
+	}
+	late := "select count(*) as c, sum(value) as s, min(timed) as lo from vals where timed > now() - 250 and value % 2 = 1"
+	sqls = append(sqls, late)
+	type delivered struct {
+		pulse int
+		rel   string
+	}
+	got := make([]atomic.Value, len(sqls))
+	want := make([]string, len(sqls))
+	pulse := 0
+	shadow := NewQueryRepository(nil)
+	register := func(i int) {
+		t.Helper()
+		sampling := 1.0
+		if i%2 == 1 {
+			sampling = 0.4
+		}
+		if _, err := c.RegisterQuery("vals", sqls[i], sampling, func(rel *sqlengine.Relation) {
+			got[i].Store(delivered{pulse, rel.String()})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shadow.Register("vals", sqls[i], 1, func(rel *sqlengine.Relation) { want[i] = rel.String() }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range sqls[:len(sqls)-1] {
+		register(i)
+	}
+	compiled := c.Metrics().Counter("client_query_compiled")
+	before := compiled.Value()
+	for ; pulse < 300; pulse++ {
+		switch {
+		case pulse == 150:
+			register(len(sqls) - 1) // onto a full window
+		case pulse == 220:
+			if n := compiled.Value() - before; n != 0 {
+				t.Errorf("%d Figure 4 evaluations ran the compiled plan, want every one maintained", n)
+			}
+			clock.Set(clock.Now() - 400)
+		}
+		clock.Advance(time.Duration(1+pulse%13) * time.Millisecond)
+		c.Pulse()
+		shadow.EvaluateForSerial("vals", c.Catalog(), c.engineOpts())
+		for i, sql := range sqls {
+			d, ok := got[i].Load().(delivered)
+			if !ok || d.pulse != pulse {
+				continue // not registered yet, or not sampled this trigger
+			}
+			if d.rel != want[i] {
+				t.Fatalf("pulse %d, %s:\nmaintained:\n%s\nserial:\n%s", pulse, sql, d.rel, want[i])
+			}
+		}
+	}
+	for _, st := range c.QueryRepositoryRef().Stats() {
+		if st.Errors != 0 || st.Evaluations == 0 {
+			t.Errorf("%s: %d evaluations, %d errors", st.SQL, st.Evaluations, st.Errors)
+		}
+	}
+}
+
 // TestRepositoryConcurrentRegisterUnregister races Register/Unregister
 // against sweeps and the trigger pipeline (run with -race). The sweep
 // goroutines keep going until every mutator has finished, so overlap
@@ -329,7 +409,7 @@ func TestFilteredMaintainerRace(t *testing.T) {
 		}
 		maintained++
 		var got *sqlengine.Relation
-		vs.Output().WithLock(func() { got = g.agg.Result(opts) })
+		vs.Output().ReadWindow(func(first uint64, live []stream.Element) { got = g.agg.Read(first, live, opts) })
 		want, err := sqlengine.ExecuteSQL(g.sql, c.Catalog(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -533,9 +613,10 @@ func TestSamplingDeterministicAndUniform(t *testing.T) {
 	}
 }
 
-// TestUnregisterSensorDetachesObserver: undeploy must drop every group
-// and detach aggregate maintainers from the output table.
-func TestUnregisterSensorDetachesObserver(t *testing.T) {
+// TestUnregisterSensorDropsMaintainedGroups: undeploy must drop every
+// group, the maintained ones included, and the output table must keep
+// taking inserts with nothing attached to it.
+func TestUnregisterSensorDropsMaintainedGroups(t *testing.T) {
 	c := testContainer(t)
 	deployVals(t, c, 50)
 	for i := 0; i < 3; i++ {
@@ -553,7 +634,10 @@ func TestUnregisterSensorDetachesObserver(t *testing.T) {
 	if c.QueryRepositoryRef().Count() != 0 {
 		t.Error("queries survived UnregisterSensor")
 	}
-	c.Pulse() // the detached observer must not fire (would panic on nil deref inside stale maintainers only if miswired)
+	c.Pulse()
+	if n := c.QueryRepositoryRef().EvaluateFor("vals", c.Catalog(), c.engineOpts()); n != 0 {
+		t.Errorf("a sweep after UnregisterSensor evaluated %d queries", n)
+	}
 }
 
 // TestAggregateGroupUsesMaintainer confirms the O(1) tier actually
@@ -634,12 +718,13 @@ func TestRegisteredQueryReadsOtherSensors(t *testing.T) {
 // TestTierCountersNameTheEvaluatorThatRan: on each of the three drivers
 // — source queries, registered queries, ad-hoc reads — a statement is
 // counted *_compiled only when a bound program ran it and *_general only
-// when the interpreter did. The "bound" source admits rows by the clock
-// (a NOW()-relative WHERE), which keeps it off the maintainer.
+// when the interpreter did. The "bound" source bounds TIMED from above
+// by the clock (`now() >= timed`), a NOW() no frontier expresses, which
+// keeps it off the maintainer.
 func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
 	c := testContainer(t)
 	deploy(t, c, pipelineDescriptor("bound",
-		"select count(temperature) as n, avg(temperature) as a from wrapper where timed > now() - 3600000"))
+		"select count(temperature) as n, avg(temperature) as a from wrapper where now() >= timed"))
 	deploy(t, c, pipelineDescriptor("interp",
 		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature >= (select min(temperature) from wrapper)"))
 	const boundSQL = "select n from bound where n > 0"
@@ -691,10 +776,11 @@ func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
 }
 
 // TestRegistrationReplaysOnlyTheNewMaintainer: registering a query on a
-// full window replays the window into the new group's maintainer alone
-// — O(window) observer calls, whatever the number of maintained groups
-// already attached — and unregistering one replays nothing. Every
-// result, before and after, is the interpreter's.
+// full window costs no maintainer anything; the new group's first read
+// admits the window into its maintainer alone — O(window), whatever the
+// number of maintained groups already there — while the others admit
+// only the arrival, and unregistering one costs nothing. Every result,
+// before and after, is the interpreter's.
 func TestRegistrationReplaysOnlyTheNewMaintainer(t *testing.T) {
 	c := testContainer(t)
 	deployVals(t, c, 300)
@@ -765,8 +851,15 @@ func TestRegistrationReplaysOnlyTheNewMaintainer(t *testing.T) {
 		if n := first.Inserts() - before; n != 0 {
 			t.Errorf("registering %q replayed %d inserts into the first maintainer, want 0", sqls[i], n)
 		}
+		if n := maintainer(i).Inserts(); n != 0 {
+			t.Errorf("%q: its maintainer examined %d rows on registration, want 0", sqls[i], n)
+		}
+		pulse(1)
+		if n := first.Inserts() - before; n != 1 {
+			t.Errorf("the pulse after registering %q: the first maintainer examined %d rows, want the arrival", sqls[i], n)
+		}
 		if n := maintainer(i).Inserts(); n != window {
-			t.Errorf("%q: its maintainer saw %d inserts on registration, want the window's %d", sqls[i], n, window)
+			t.Errorf("%q: its maintainer's first read examined %d rows, want the window's %d", sqls[i], n, window)
 		}
 	}
 	pulse(20)
@@ -842,9 +935,16 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Push well past the float-drift resync bound (65536 evicted float
-	// inputs) on a tiny window.
-	for i := 0; i < 66_000; i++ {
+	// Push past the float-drift resync bound (65536 evicted float inputs)
+	// on a tiny window, reading after every insert — a maintainer takes
+	// out only the rows it saw arrive — until a sweep resyncs; that
+	// sweep's result is rebuilt from the live window, exactly.
+	opts := sqlengine.Options{Clock: stream.NewManualClock(1)}
+	cat := sqlengine.MapCatalog{}
+	for i := 0; reg.Counter("client_query_resyncs").Value() == 0; i++ {
+		if i == 70_000 {
+			t.Fatal("client-query sweep did not resync a drift-bound maintainer")
+		}
 		e, err := stream.NewElement(schema, stream.Timestamp(i+1), int64(i%3), float64(i)/7)
 		if err != nil {
 			t.Fatal(err)
@@ -852,16 +952,11 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 		if err := table.Insert(e); err != nil {
 			t.Fatal(err)
 		}
+		if n := repo.EvaluateFor("t", cat, opts); n != 1 {
+			t.Fatalf("evaluated %d of 1", n)
+		}
 	}
-	opts := sqlengine.Options{Clock: stream.NewManualClock(1)}
-	cat := sqlengine.MapCatalog{"T": sqlengine.RelationOfSource(table)}
-	if n := repo.EvaluateFor("t", cat, opts); n != 1 {
-		t.Fatalf("evaluated %d of 1", n)
-	}
-	if v := reg.Counter("client_query_resyncs").Value(); v == 0 {
-		t.Error("client-query sweep did not resync a drift-bound maintainer")
-	}
-	want, err := sqlengine.ExecuteSQL(sql, cat, opts)
+	want, err := sqlengine.ExecuteSQL(sql, sqlengine.MapCatalog{"T": sqlengine.RelationOfSource(table)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,15 +328,14 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	// Compile the source query against the wrapper schema once, at
 	// deploy time. Statement shapes the compiler does not cover fall
 	// back to per-trigger Execute. Aggregate queries the maintainer
-	// covers additionally get incremental maintenance: the table streams
-	// insert/evict events into the maintainer and each trigger reads the
-	// running aggregates instead of rescanning the window.
+	// covers additionally get incremental maintenance: each trigger
+	// catches the maintainer up with the window's arrivals and
+	// evictions since the last one and reads the running aggregates
+	// instead of rescanning the window.
 	if plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(w.Schema()),
 		vsensor.WrapperTable(), spec.Alias); err == nil {
 		src.plan = plan
-		if src.agg = newIncMaintainer(plan, w.Schema()); src.agg != nil {
-			table.SetObserver(src.agg)
-		}
+		src.agg = newIncMaintainer(plan, w.Schema())
 	}
 
 	// Quality chain, innermost stage first: the terminal sink inserts
@@ -614,23 +613,25 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 	c := vs.container
 	if src.agg != nil {
 		if src.agg.NeedsResync() {
-			// Bounded float drift: rebuild the aggregate state from the
-			// live window (SetObserver replays it under the table lock).
-			src.table.SetObserver(src.agg)
+			// Bounded float drift: the read below rebuilds the aggregate
+			// state from the live window.
+			src.agg.Reset()
 			c.metrics.Counter("source_eval_resyncs").Inc()
 		}
-		// Read under the table lock so the result reflects exactly the
-		// live window — never the instant between an insert and the
-		// eviction it displaces. WithLock applies time-window retention
-		// first, so every expired row has been evicted from the state.
+		// Catch up under the table's lock so the result reflects exactly
+		// the live window — never the instant between an insert and the
+		// eviction it displaces. ReadWindow applies time-window retention
+		// first, so every expired row is taken out of the state.
 		var rel *sqlengine.Relation
-		src.table.WithLock(func() { rel = src.agg.Result(c.engineOpts()) })
+		src.table.ReadWindow(func(first uint64, live []stream.Element) {
+			rel = src.agg.Read(first, live, c.engineOpts())
+		})
 		if rel != nil {
 			c.metrics.Counter("source_eval_incremental").Inc()
 			return rel, nil
 		}
-		// Poisoned maintainer: fall through so the full engine surfaces
-		// the underlying type error on the normal path.
+		// Declined read: fall through so the plan answers, or surfaces
+		// the underlying error on the normal path.
 	}
 	if src.plan != nil {
 		c.metrics.Counter("source_eval_compiled").Inc()

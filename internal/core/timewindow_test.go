@@ -155,7 +155,7 @@ func TestIdleTimeWindowSourceReadsEmpty(t *testing.T) {
 		t.Fatalf("latest output %v, want n = 0 and hi = NULL", latest)
 	}
 	var got *sqlengine.Relation
-	b.table.WithLock(func() { got = b.agg.Result(c.engineOpts()) })
+	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.agg.Read(first, live, c.engineOpts()) })
 	want, err := b.interpret(sqlengine.RelationOfSource(b.table), c.engineOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestTimeWindowMaintainerRace(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	var got *sqlengine.Relation
-	b.table.WithLock(func() { got = b.agg.Result(c.engineOpts()) })
+	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.agg.Read(first, live, c.engineOpts()) })
 	want, err := b.interpret(sqlengine.RelationOfSource(b.table), c.engineOpts())
 	if err != nil {
 		t.Fatal(err)

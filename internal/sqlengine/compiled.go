@@ -190,6 +190,24 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 	return prog
 }
 
+// bindRowExpr binds e alone in plain row context against cols, as
+// newBoundProgram binds a WHERE, returning nil when e is outside the
+// compiled subset, with the memo slots it uses and the input columns
+// it reads, ascending.
+func bindRowExpr(e sqlparser.Expr, cols []Column) (fn boundExpr, ncells int, reads []int) {
+	marks := make([]bool, len(cols))
+	b := &binder{cols: cols, ncells: &ncells, reads: marks}
+	if fn = b.bind(e); fn == nil {
+		return nil, 0, nil
+	}
+	for i, r := range marks {
+		if r {
+			reads = append(reads, i)
+		}
+	}
+	return fn, ncells, reads
+}
+
 // binder compiles expressions against one column layout. aggs, when
 // set, maps aggregate call nodes (by identity) to result slots; ncells
 // counts the program's memo slots and reads marks the columns it binds

@@ -9,53 +9,94 @@ import (
 	"gsn/internal/stream"
 )
 
-// AggMaintainer keeps a plan's groups over a sliding window as the
-// window changes (Plan.Incremental), so evaluating the dominant
-// `SELECT agg(col) FROM wrapper` trigger shape, or a GROUP BY rollup, is
-// O(groups) instead of O(window). It implements storage.Observer: the
-// table calls OnInsert, OnEvict and OnTruncate under its own lock and
-// in arrival (FIFO) order, for count and time windows alike; Result is
-// called from trigger workers and sweeps, so the maintainer carries its
-// own mutex.
+// AggMaintainer keeps a plan's groups over a sliding window
+// (Plan.Incremental), so evaluating the dominant `SELECT agg(col) FROM
+// wrapper` trigger shape, or a GROUP BY rollup, is O(groups) plus the
+// arrivals since the last read instead of O(window). The table's insert
+// path does not know it exists: each Read hands it the live window and
+// the arrival ordinal of the window's first row (storage.Table.ReadWindow),
+// and under its own mutex it catches up before it answers. It takes out,
+// oldest first, the rows it admitted whose ordinals fell below the
+// window's first, from its own FIFO, so no WHERE runs on the way out;
+// then it examines the arrivals it has not seen. A row that came and
+// went between two reads is never touched: its net effect on every state
+// is zero, and a truncate is only a gap in ordinals.
 //
-// Each live group — one per encoded GROUP BY key vector, the one empty
-// key for an ungrouped aggregate — holds the aggregate states and the
-// arrival sequences of its live rows. The table evicts in arrival
-// order, so an evicted element is always its group's oldest live row.
-// A plan with a WHERE runs its bound predicate on the element at insert
-// and again at evict, and folds in or takes out only the rows it
-// admits: the predicate never calls NOW(), so both runs answer alike.
+// An arrival is admitted when the WHERE less its frontier (which never
+// calls NOW()) keeps it. The frontier — one lower bound on TIMED whose
+// bound calls NOW(), the paper's `timed >= now() - H` — is evaluated once
+// per read, at the read's clock reading, and expires admitted rows
+// oldest first through the same path as evictions. A frontier earlier
+// than the last read's brings expired rows back: the read rebuilds from
+// the window. An admitted row below the frontier behind a younger one
+// (timestamps out of order) cannot be taken out: the read declines.
+//
 // An input a state cannot digest (a non-numeric SUM input, incomparable
-// MIN operands), a WHERE that fails on an element, or an eviction the
-// maintainer never saw inserted poisons it: Result returns nil until
-// the next truncate, and the caller executes the plan instead, which
-// reports the error.
+// MIN operands) or a WHERE failing on a row poisons the maintainer: reads
+// decline until that row has left the window, and the next one rebuilds.
+// A caller whose read is declined (nil) executes the plan, which answers
+// or reports the error: an answer is never stale.
+//
+// OnInsert and OnEvict are the per-row steps a read is built from, for
+// callers that feed the maintainer themselves; Result answers over what
+// they fed.
 type AggMaintainer struct {
 	prog *IncProgram
 
 	mu      sync.Mutex
 	groups  map[string]*liveGroup
-	single  *liveGroup // the live group of an ungrouped statement, found unhashed
-	broken  bool
-	seq     uint64         // next insert's arrival sequence: the OnInsert calls so far
+	single  *liveGroup     // the live group of an ungrouped statement, found unhashed
 	keyVals []stream.Value // scratch key vector, guarded by mu
 	keyBuf  []byte         // scratch encoded key, guarded by mu
+	live    []*liveGroup   // scratch of answer, guarded by mu
+	order   []*boundGroup  // scratch of answer, guarded by mu
 
-	// where is the plan's bound WHERE, nil when it has none; row and ctx
-	// are its scratch input row and evaluation context, guarded by mu.
-	// ctx's memo cells keep the predicate's row-independent parts, which
-	// never change, across elements.
-	where boundExpr
-	row   []stream.Value
-	ctx   boundCtx
+	// rows[head:] are the admitted rows not yet taken out, in arrival
+	// order, and vals[head*nvals:] their aggregate inputs, nvals to a
+	// row (COUNT(*) reads none). descents counts those of rows[head+1:]
+	// whose timestamp is below their predecessor's.
+	rows     []liveRow
+	vals     []stream.Value
+	nvals    int
+	head     int
+	descents int
+	// first is the ordinal of the oldest row not taken out of the window,
+	// next the ordinal of the next arrival; seen counts the arrivals
+	// examined (Inserts).
+	first, next, seen uint64
+	// floor is the frontier last applied, as an inclusive lower bound on
+	// TIMED: every admitted row below it has been taken out, and no
+	// arrival below it is admitted. math.MinInt64 without a frontier.
+	floor int64
+
+	// broken poisons the maintainer until the row of ordinal poison has
+	// left the window.
+	broken bool
+	poison uint64
+
+	// row and ctx are the WHERE's scratch input row and evaluation
+	// context, guarded by mu. ctx's memo cells keep the predicate's
+	// row-independent parts, which never change, across rows.
+	row []stream.Value
+	ctx boundCtx
 
 	// drift counts the evictions subtracted from a float sum since the
 	// last rebuild. Subtract-on-evict re-associates the sum (and can be
 	// corrupted outright by catastrophic absorption when magnitudes
 	// differ wildly), so after resyncFloatEvery of them NeedsResync
-	// reports true and the owner rebuilds the state from the live window
-	// (storage.Table.SetObserver replays it).
+	// reports true and the owner resets the maintainer, whose next read
+	// rebuilds the state from the live window.
 	drift uint64
+}
+
+// liveRow is one admitted row: its arrival ordinal, its timestamp and
+// its group. Its aggregate inputs are kept beside it (AggMaintainer.vals)
+// because the table may have dropped the row by the time it is taken
+// out.
+type liveRow struct {
+	ord uint64
+	ts  int64
+	g   *liveGroup
 }
 
 // resyncFloatEvery bounds float SUM/AVG drift: one O(window) rebuild
@@ -64,7 +105,7 @@ const resyncFloatEvery = 65536
 
 // liveGroup is one live group: the bound run's group — its key values
 // in an otherwise NULL representative row, and its aggregate states —
-// and the arrival sequences of its live rows, seqs[head:], oldest first.
+// and the arrival ordinals of its live rows, seqs[head:], oldest first.
 // A push reuses the room evictions freed before it grows seqs, so a
 // steady window allocates nothing.
 type liveGroup struct {
@@ -199,11 +240,16 @@ func NewAggMaintainer(prog *IncProgram) *AggMaintainer {
 		prog:    prog,
 		groups:  make(map[string]*liveGroup),
 		keyVals: make([]stream.Value, len(prog.Keys)),
+		floor:   math.MinInt64,
 	}
-	if bp := prog.plan.prog; bp.where != nil {
-		m.where = bp.where
+	for _, col := range prog.args {
+		if col >= 0 {
+			m.nvals++
+		}
+	}
+	if prog.where != nil {
 		m.row = make([]stream.Value, len(prog.plan.inCols))
-		m.ctx = boundCtx{ev: newEvaluator(nil, Options{}), once: make([]onceCell, bp.ncells)}
+		m.ctx = boundCtx{ev: newEvaluator(nil, Options{}), once: make([]onceCell, prog.whereCells)}
 	}
 	return m
 }
@@ -215,9 +261,8 @@ func NewGroupedAggMaintainer(prog *IncProgram) *AggMaintainer { return NewAggMai
 
 // group encodes e's GROUP BY key into the scratch buffers (callers hold
 // mu) and returns its live group, or nil. Lookups via
-// groups[string(m.keyBuf)] compile without a string allocation — these
-// run per element on the ingest path, under the table lock — so the key
-// string is materialised only on first sight of a group.
+// groups[string(m.keyBuf)] compile without a string allocation, so the
+// key string is materialised only on first sight of a group.
 func (m *AggMaintainer) group(e stream.Element) *liveGroup {
 	if m.single != nil {
 		return m.single
@@ -229,14 +274,6 @@ func (m *AggMaintainer) group(e stream.Element) *liveGroup {
 	return m.groups[string(m.keyBuf)]
 }
 
-// input is the value aggregate slot i folds in for e.
-func (m *AggMaintainer) input(e stream.Element, i int) stream.Value {
-	if col := m.prog.args[i]; col >= 0 {
-		return inputValue(e, col)
-	}
-	return int64(1) // COUNT(*), as the bound run feeds it
-}
-
 // inputValue extracts an input column from an element, mapping the
 // implicit TIMED column (index == element length) to the timestamp.
 func inputValue(e stream.Element, col int) stream.Value {
@@ -246,29 +283,48 @@ func inputValue(e stream.Element, col int) stream.Value {
 	return e.Value(col)
 }
 
-// admits reports whether the plan's WHERE keeps e, reading e's values
-// as boundRun.scan does. A failing WHERE poisons the maintainer (callers
-// hold mu and have checked that there is a WHERE).
-func (m *AggMaintainer) admits(e stream.Element) bool {
-	for _, c := range m.prog.plan.prog.reads {
+// admits reports whether the plan's WHERE, less its frontier, keeps e,
+// reading e's values as boundRun.scan does (callers hold mu and have
+// checked that there is a WHERE). It runs on every arrival examined,
+// whatever its timestamp: a row the frontier expires is still in the
+// window a plan execution scans, so its failure must still decline.
+func (m *AggMaintainer) admits(e stream.Element) (bool, error) {
+	for _, c := range m.prog.whereReads {
 		m.row[c] = inputValue(e, c)
 	}
-	v, err := m.where(m.row, &m.ctx)
+	v, err := m.prog.where(m.row, &m.ctx)
 	if err != nil {
-		m.broken = true
-		return false
+		return false, err
 	}
 	t, known := truth(v)
-	return known && t
+	return known && t, nil
 }
 
-// OnInsert implements storage.Observer.
-func (m *AggMaintainer) OnInsert(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seq := m.seq
-	m.seq++
-	if m.broken || m.where != nil && !m.admits(e) {
+// poisonAt marks the maintainer unable to answer until the row of
+// ordinal ord has left the window.
+func (m *AggMaintainer) poisonAt(ord uint64) {
+	m.broken, m.poison = true, ord
+}
+
+// insert examines the arrival e of ordinal ord (callers hold mu): it is
+// admitted when the WHERE keeps it and the frontier does not exclude
+// it, and folded into its group.
+func (m *AggMaintainer) insert(e stream.Element, ord uint64) {
+	if m.broken {
+		return
+	}
+	m.seen++
+	if m.prog.where != nil {
+		ok, err := m.admits(e)
+		if err != nil {
+			m.poisonAt(ord)
+		}
+		if !ok {
+			return
+		}
+	}
+	ts := int64(e.Timestamp())
+	if ts < m.floor {
 		return
 	}
 	g := m.group(e)
@@ -294,95 +350,239 @@ func (m *AggMaintainer) OnInsert(e stream.Element) {
 		g.seqs = g.seqs[:copy(g.seqs, g.seqs[g.head:])]
 		g.head = 0
 	}
-	g.seqs = append(g.seqs, seq)
-	for i := range g.states {
-		if !g.states[i].insert(m.input(e, i), seq) {
-			m.broken = true
+	g.seqs = append(g.seqs, ord)
+	if m.head > 0 && len(m.rows) == cap(m.rows) {
+		n := copy(m.rows, m.rows[m.head:])
+		m.rows = m.rows[:n]
+		m.vals = m.vals[:copy(m.vals, m.vals[m.head*m.nvals:])]
+		m.head = 0
+	}
+	base := len(m.vals)
+	for i, col := range m.prog.args {
+		v := stream.Value(int64(1)) // COUNT(*), as the bound run feeds it
+		if col >= 0 {
+			v = inputValue(e, col)
+			m.vals = append(m.vals, v)
+		}
+		if !g.states[i].insert(v, ord) {
+			m.vals = m.vals[:base]
+			m.poisonAt(ord)
 			return
 		}
 	}
+	if m.head < len(m.rows) && ts < m.rows[len(m.rows)-1].ts {
+		m.descents++
+	}
+	m.rows = append(m.rows, liveRow{ord: ord, ts: ts, g: g})
 }
 
-// OnEvict implements storage.Observer.
-func (m *AggMaintainer) OnEvict(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken || m.where != nil && !m.admits(e) {
-		return
+// takeOut takes the oldest admitted row out of its group (callers hold
+// mu and have checked that one is live).
+func (m *AggMaintainer) takeOut() {
+	r := m.rows[m.head]
+	vals := m.vals[m.head*m.nvals : (m.head+1)*m.nvals]
+	m.head++
+	if m.head < len(m.rows) && m.rows[m.head].ts < r.ts {
+		m.descents--
 	}
-	g := m.group(e)
-	if g == nil {
-		// An eviction never seen inserted: the observer was attached
-		// mid-window without a replay. Poison rather than drift.
-		m.broken = true
-		return
-	}
-	seq := g.seqs[g.head]
+	g := r.g
 	g.head++
-	for i := range g.states {
-		if !g.states[i].evict(m.input(e, i), seq, &m.drift) {
-			m.broken = true
-			return
+	j := 0
+	for i, col := range m.prog.args {
+		v := stream.Value(int64(1))
+		if col >= 0 {
+			v, j = vals[j], j+1
+		}
+		if !g.states[i].evict(v, r.ord, &m.drift) {
+			m.poisonAt(r.ord) // the window no longer holds r: the next read rebuilds
 		}
 	}
+	clear(vals)
 	if g.head == len(g.seqs) {
 		delete(m.groups, g.key)
-		m.single = nil
+		if g == m.single {
+			m.single = nil
+		}
 	}
 }
 
-// OnTruncate implements storage.Observer: the window was cleared, so
-// the maintainer restarts empty and unpoisoned.
-func (m *AggMaintainer) OnTruncate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.groups = make(map[string]*liveGroup)
+// evictBelow takes out every admitted row whose ordinal is below first,
+// the ordinal of the window's oldest row (callers hold mu).
+func (m *AggMaintainer) evictBelow(first uint64) {
+	for m.head < len(m.rows) && m.rows[m.head].ord < first {
+		m.takeOut()
+	}
+	m.first = max(m.first, first)
+}
+
+// advance moves the frontier to floor and takes out the admitted rows
+// below it, oldest first (callers hold mu; floor is not below m.floor).
+func (m *AggMaintainer) advance(floor int64) {
+	m.floor = floor
+	for m.head < len(m.rows) && m.rows[m.head].ts < floor {
+		m.takeOut()
+	}
+}
+
+// reset empties the maintainer (callers hold mu): the next read admits
+// the live window.
+func (m *AggMaintainer) reset() {
+	clear(m.groups)
 	m.single = nil
+	clear(m.rows)
+	clear(m.vals)
+	m.rows, m.vals, m.head, m.descents = m.rows[:0], m.vals[:0], 0, 0
+	m.first, m.next = 0, 0
+	m.floor = math.MinInt64
 	m.broken = false
 	m.drift = 0
 }
 
-// Inserts reports how many OnInsert calls the maintainer has had,
-// replays included: what keeping it in step with its window has cost.
+// Reset empties the maintainer and clears its poison: its next read
+// admits the live window. Owners reset it on a float-drift resync.
+func (m *AggMaintainer) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reset()
+}
+
+// OnInsert examines one arrival, the next in ordinal after every row
+// examined so far.
+func (m *AggMaintainer) OnInsert(e stream.Element) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.insert(e, m.next)
+	m.next++
+}
+
+// OnEvict takes the oldest row of the window out. It must be the
+// oldest row OnInsert examined and OnEvict has not taken out yet; e is
+// not read, the maintainer kept what it needs of it.
+func (m *AggMaintainer) OnEvict(stream.Element) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.evictBelow(m.first + 1)
+}
+
+// Inserts reports how many arrivals the maintainer has examined,
+// rebuilds included: what keeping it in step with its window has cost.
 func (m *AggMaintainer) Inserts() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.seq
+	return m.seen
 }
 
 // NeedsResync reports that enough float inputs have been subtracted
 // out that accumulated rounding error warrants rebuilding the state
-// from the live window (re-attach with SetObserver, which replays it).
+// from the live window (Reset, then read).
 func (m *AggMaintainer) NeedsResync() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.drift >= resyncFloatEvery
 }
 
-// Result is the plan's answer over the live window: a bound run of the
-// plan with the live groups installed oldest first — the first-seen
-// order a window scan produces — and finished as every run is, so
-// HAVING, the projection, ORDER BY, LIMIT and the one row of an
-// aggregate without GROUP BY over an empty window are the bound run's.
-// It returns nil when the maintainer is poisoned or the run fails; the
-// caller then executes the plan, which reports the error.
+// Read catches the maintainer up with the live window — live in
+// arrival order, first the arrival ordinal of live[0] — and returns the
+// plan's answer over it, or nil when it cannot give the exact one (see
+// AggMaintainer); the caller then executes the plan. The caller must
+// keep the window from changing during the call, and the ordinals of
+// successive reads must come from one table.
+func (m *AggMaintainer) Read(first uint64, live []stream.Element, opts Options) *Relation {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ev := newEvaluator(nil, opts)
+	floor, ok := m.frontier(ev)
+	if !ok {
+		floor = m.floor // catch up under the last frontier, and decline
+	}
+	end := first + uint64(len(live))
+	if floor < m.floor || end < m.next || m.broken && first > m.poison {
+		m.reset()
+	}
+	m.evictBelow(first)
+	m.advance(floor)
+	for ord := max(m.next, first); ord < end; ord++ {
+		m.insert(live[ord-first], ord)
+	}
+	m.next = end
+	if !ok {
+		return nil
+	}
+	return m.answer(ev)
+}
+
+// Result returns the plan's answer over the rows OnInsert and OnEvict
+// left live, as Read does, or nil. It declines a frontier earlier than
+// the last one applied: the rows it expired are gone.
 func (m *AggMaintainer) Result(opts Options) *Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	ev := newEvaluator(nil, opts)
+	floor, ok := m.frontier(ev)
+	if !ok || floor < m.floor {
+		return nil
+	}
+	m.advance(floor)
+	return m.answer(ev)
+}
+
+// frontier evaluates the plan's frontier on ev as an inclusive lower
+// bound on TIMED: math.MinInt64 without one; ok is false when the bound
+// is not an integer (NULL, a float, an error) or admits nothing, which
+// only an execution answers.
+func (m *AggMaintainer) frontier(ev *evaluator) (floor int64, ok bool) {
+	if m.prog.floor == nil {
+		return math.MinInt64, true
+	}
+	b, err := ev.eval(m.prog.floor, nil)
+	v, isInt := b.(int64)
+	switch {
+	case err != nil || !isInt:
+		return 0, false
+	case !m.prog.floorStrict:
+		return v, true
+	case v == math.MaxInt64:
+		return 0, false
+	}
+	return v + 1, true
+}
+
+// answer is the plan's result over the live groups, installed oldest
+// first — the first-seen order a window scan produces — and finished on
+// ev as every run is, so HAVING, the projection, ORDER BY, LIMIT and
+// the one row of an aggregate without GROUP BY over an empty window are
+// the bound run's. It is nil when the maintainer is poisoned, when an
+// admitted row below the frontier is still live behind a younger one,
+// or when the run fails (callers hold mu).
+func (m *AggMaintainer) answer(ev *evaluator) *Relation {
 	if m.broken {
 		return nil
 	}
-	live := make([]*liveGroup, 0, len(m.groups))
-	for _, g := range m.groups {
-		live = append(live, g)
+	if m.descents > 0 && m.prog.floor != nil {
+		for _, r := range m.rows[m.head:] {
+			if r.ts < m.floor {
+				return nil
+			}
+		}
 	}
-	slices.SortFunc(live, func(a, b *liveGroup) int { return cmp.Compare(a.seqs[a.head], b.seqs[b.head]) })
+	m.live = m.live[:0]
+	if m.single != nil {
+		m.live = append(m.live, m.single)
+	} else {
+		for _, g := range m.groups {
+			m.live = append(m.live, g)
+		}
+	}
+	if len(m.live) > 1 {
+		slices.SortFunc(m.live, func(a, b *liveGroup) int { return cmp.Compare(a.seqs[a.head], b.seqs[b.head]) })
+	}
 	p := m.prog.plan
-	r := p.prog.start(p, newEvaluator(nil, opts))
-	r.order = make([]*boundGroup, len(live))
-	for i, g := range live {
-		r.order[i] = &g.boundGroup
+	r := p.prog.start(p, ev)
+	r.order = m.order[:0]
+	for _, g := range m.live {
+		r.order = append(r.order, &g.boundGroup)
 	}
+	m.order = r.order
 	rel, err := r.finish()
 	if err != nil {
 		return nil

@@ -1,9 +1,12 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"gsn/internal/stream"
 )
@@ -92,12 +95,34 @@ func (d *fuzzDraw) element(t *testing.T, ts int) stream.Element {
 	return e
 }
 
-// FuzzMaintainedMatchesScan draws a non-volatile WHERE and a sequence of
-// inserts, FIFO evictions and truncates, and checks after every step
-// that the maintainer answers byte for byte what the plan's execution
-// over the live rows answers. A maintainer may decline to answer (nil)
-// only after an arrival its WHERE failed on, since the last truncate;
-// whenever the execution fails, it must decline.
+// frontier draws the NOW()-relative lower bound a WHERE may carry
+// beside its predicate, in one of its three spellings, or none.
+func (d *fuzzDraw) frontier() string {
+	h := []string{"0", "3", "10", "25"}[d.next(4)]
+	switch d.next(4) {
+	case 1:
+		return "timed >= now() - " + h
+	case 2:
+		return "timed > now() - " + h
+	case 3:
+		return "now() - " + h + " <= timed"
+	}
+	return ""
+}
+
+// FuzzMaintainedMatchesScan draws a WHERE — a NOW()-free predicate, and
+// perhaps a frontier (a NOW()-relative lower bound on TIMED) before or
+// after it — and a sequence of steps on a window over a
+// stream.ManualClock: arrivals (now and then out of timestamp order),
+// FIFO evictions, truncates, clock advances with no arrival, the clock
+// set backwards, and resets (what a float-drift resync does). At random
+// steps it reads the maintainer as the container does, with the live
+// window and the arrival ordinal of its first row, so a read may skip
+// rows that arrived and left since the last one. Every answer must be
+// byte for byte what the plan's execution over the live rows answers at
+// the same instant. The maintainer must decline (nil) whenever the
+// execution fails, and may decline only while a live row fails the
+// predicate or the live timestamps are out of order.
 func FuzzMaintainedMatchesScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(27))
 	for n := 0; n < 48; n++ {
@@ -105,11 +130,20 @@ func FuzzMaintainedMatchesScan(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	cols := ColumnsOfSchema(fuzzSchema)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzDraw(data)
-		where := d.pred(0)
-		q := fmt.Sprintf(fuzzSelects[d.next(len(fuzzSelects))], where)
-		plan, err := Compile(mustParse(t, q), ColumnsOfSchema(fuzzSchema), "w")
+		pred := d.pred(0)
+		where := pred
+		switch fr := d.frontier(); {
+		case fr != "" && d.next(2) == 0:
+			where = fr + " and (" + pred + ")"
+		case fr != "":
+			where = "(" + pred + ") and " + fr
+		}
+		shape := fuzzSelects[d.next(len(fuzzSelects))]
+		q := fmt.Sprintf(shape, where)
+		plan, err := Compile(mustParse(t, q), cols, "w")
 		if err != nil {
 			t.Fatalf("%s: compile: %v", q, err)
 		}
@@ -117,36 +151,48 @@ func FuzzMaintainedMatchesScan(f *testing.F) {
 		if inc == nil {
 			t.Fatalf("%s: not maintainable", q)
 		}
+		// predOnly runs the predicate alone: it fails on the window when
+		// a live row fails it, which poisons the maintainer.
+		predOnly, err := Compile(mustParse(t, "select count(*) from w where "+pred), cols, "w")
+		if err != nil {
+			t.Fatalf("%s: compile: %v", pred, err)
+		}
+		clock := stream.NewManualClock(1000)
+		opts := Options{Clock: clock}
 		m := NewAggMaintainer(inc)
+		var first uint64 // arrival ordinal of live[0]
 		var live []stream.Element
-		failed := false // an arrival's WHERE failed since the last truncate
 		for step := 1; len(d) > 0; step++ {
-			switch op := d.next(8); {
-			case op < 5:
-				e := d.element(t, step)
-				if _, err := plan.Execute(RowsOfSource(&planTable{schema: fuzzSchema, elems: []stream.Element{e}}), Options{}); err != nil {
-					failed = true
-				}
-				live = append(live, e)
-				m.OnInsert(e)
-			case op == 7 && d.next(4) == 0:
-				live, failed = nil, false
-				m.OnTruncate()
+			switch op := d.next(16); {
+			case op < 6:
+				ts := int(clock.Now()) + []int{0, 0, 0, 0, 1, -3, -30, 2}[d.next(8)]
+				live = append(live, d.element(t, ts))
+				clock.Advance(time.Duration(d.next(4)) * time.Millisecond)
+			case op < 8:
+				n := min(1+d.next(3), len(live))
+				first, live = first+uint64(n), live[n:]
+			case op == 8:
+				first, live = first+uint64(len(live)), nil
+			case op == 9:
+				clock.Advance(time.Duration(d.next(25)) * time.Millisecond)
+			case op == 10:
+				clock.Set(clock.Now() - stream.Timestamp(d.next(20)))
+			case op == 11:
+				m.Reset()
 			default:
-				for n := 1 + d.next(3); n > 0 && len(live) > 0; n-- {
-					m.OnEvict(live[0])
-					live = live[1:]
+				rows := RowsOfSource(&planTable{schema: fuzzSchema, elems: live})
+				want, wantErr := plan.Execute(rows, opts)
+				got := m.Read(first, live, opts)
+				_, predErr := predOnly.Execute(rows, opts)
+				ordered := slices.IsSortedFunc(live, func(a, b stream.Element) int { return cmp.Compare(a.Timestamp(), b.Timestamp()) })
+				switch {
+				case got == nil && wantErr == nil && predErr == nil && ordered:
+					t.Fatalf("%s, step %d: the maintainer declined (execution: %v)", q, step, want)
+				case got != nil && wantErr != nil:
+					t.Fatalf("%s, step %d: maintained %v, execution failed: %v", q, step, got, wantErr)
+				case got != nil && got.String() != want.String():
+					t.Fatalf("%s, step %d (live=%d, now=%d):\nmaintained:\n%v\nexecution:\n%v", q, step, len(live), clock.Now(), got, want)
 				}
-			}
-			want, wantErr := plan.Execute(RowsOfSource(&planTable{schema: fuzzSchema, elems: live}), Options{})
-			got := m.Result(Options{})
-			switch {
-			case got == nil && !failed:
-				t.Fatalf("%s, step %d: the maintainer declined with no failed arrival (execution: %v, %v)", q, step, want, wantErr)
-			case got != nil && wantErr != nil:
-				t.Fatalf("%s, step %d: maintained %v, execution failed: %v", q, step, got, wantErr)
-			case got != nil && got.String() != want.String():
-				t.Fatalf("%s, step %d (live=%d):\nmaintained:\n%v\nexecution:\n%v", q, step, len(live), got, want)
 			}
 		}
 	})

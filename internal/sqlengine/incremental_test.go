@@ -1,20 +1,22 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"gsn/internal/stream"
 )
 
 // TestIncrementalProgramDetection pins the one eligibility rule of the
-// maintainer on ungrouped statements: a WHERE that does not call NOW(),
-// maintainable aggregates over plain columns, and nothing reading a
-// column outside an aggregate. Everything after aggregation is the
-// bound run's, so HAVING, ORDER BY, LIMIT and expressions over
-// aggregates qualify.
+// maintainer on ungrouped statements: a WHERE whose only NOW() is a
+// frontier (TestIncrementalFrontierShapes), maintainable aggregates
+// over plain columns, and nothing reading a column outside an
+// aggregate. Everything after aggregation is the bound run's, so
+// HAVING, ORDER BY, LIMIT and expressions over aggregates qualify.
 func TestIncrementalProgramDetection(t *testing.T) {
 	checkDetection(t, map[string]bool{
 		"select count(*) as n from w":                                          true,
@@ -27,7 +29,7 @@ func TestIncrementalProgramDetection(t *testing.T) {
 		"select sum(v) as s from w where f is null or timed % 2 = 0":           true,
 		"select v from w":                                      false, // neither aggregate nor GROUP BY
 		"select v, count(*) as n from w":                       false, // reads a non-key column
-		"select count(*) as n from w where timed >= now() - 5": false, // admits by the clock, not the row
+		"select count(*) as n from w where timed <= now() - 5": false, // an upper bound on the clock
 		"select first(v) as f from w":                          false, // not a maintained kind
 		"select count(distinct v) as n from w":                 false, // needs the set
 	})
@@ -35,8 +37,8 @@ func TestIncrementalProgramDetection(t *testing.T) {
 
 // TestGroupedIncrementalProgramDetection pins the same rule on grouped
 // statements: plain-column keys, and nothing after grouping reading a
-// non-key column. A WHERE without NOW(), HAVING, ORDER BY, LIMIT,
-// DISTINCT and expressions over keys and aggregates qualify.
+// non-key column. A WHERE whose only NOW() is a frontier, HAVING, ORDER
+// BY, LIMIT, DISTINCT and expressions over keys and aggregates qualify.
 func TestGroupedIncrementalProgramDetection(t *testing.T) {
 	checkDetection(t, map[string]bool{
 		"select v, count(*) as n from w group by v":                                     true,
@@ -48,13 +50,58 @@ func TestGroupedIncrementalProgramDetection(t *testing.T) {
 		"select v + 1 as k, count(*) as n from w group by v having count(*) > 1":        true,
 		"select distinct v, count(*) as n from w group by v order by n desc, v limit 2": true,
 		"select v, count(*) as n from w where f > 0 group by v":                         true,
-		"select v, count(*) as n from w where timed >= now() - 5 group by v":            false, // admits by the clock
+		"select v, count(*) as n from w where timed >= now() - 5 group by v":            true,  // a frontier
+		"select v, count(*) as n from w where timed < now() group by v":                 false, // an upper bound
 		"select v, stddev(f) as sd from w group by v":                                   false, // not a maintained kind
 		"select v, sum(f + 1) as s from w group by v":                                   false, // non-column argument
 		"select v % 7 as b, count(*) as n from w group by v % 7":                        false, // expression key
 		"select v, f from w group by v":                                                 false, // projects a non-key column
 		"select v, count(*) as n from w group by v having max(f) > f":                   false,
 		"select v, count(*) as n from w group by v order by f":                          false,
+	})
+}
+
+// TestIncrementalFrontierShapes is the table of where NOW() may stand
+// in a maintained statement. The one place is a frontier: a top-level
+// AND conjunct bounding TIMED from below by a row-independent
+// expression, in any of its spellings, beside NOW()-free conjuncts.
+// Every other NOW() in the WHERE is refused: an upper bound, an
+// equality, a second lower bound, one under OR or NOT, one comparing a
+// column that is not TIMED, one whose bound reads the row, and BETWEEN.
+// A NOW() in a GROUP BY key is refused with every expression key. After
+// grouping — HAVING, the projection, ORDER BY, LIMIT — NOW() is
+// evaluated once per read at the read's clock reading, as in a plan
+// execution, and qualifies.
+func TestIncrementalFrontierShapes(t *testing.T) {
+	checkDetection(t, map[string]bool{
+		// frontiers
+		"select count(*) as n from w where timed >= now() - 5":                                      true,
+		"select count(*) as n from w where timed > now() - 5":                                       true,
+		"select count(*) as n from w where now() - 5 <= timed":                                      true,
+		"select count(*) as n from w where now() - 5 < timed":                                       true,
+		"select count(*) as n from w where w.timed >= now()":                                        true,
+		"select count(*) as n, avg(v) as a from w where timed >= now() - 5 and v % 3 = 1 and f > 2": true,
+		"select count(*) as n from w where v > 0 and (f < 1 and now() - 5 <= timed)":                true,
+		"select count(*) as n from w where timed >= now() - 5 and timed >= 7":                       true, // the literal bound is a WHERE
+		"select count(*) as n from w where timed >= now() - abs(-5) * 2":                            true,
+		// refused in the WHERE
+		"select count(*) as n from w where timed <= now()":                           false, // upper bound
+		"select count(*) as n from w where now() > timed":                            false, // upper bound, flipped
+		"select count(*) as n from w where timed = now()":                            false, // equality
+		"select count(*) as n from w where timed between now() - 5 and now()":        false, // BETWEEN
+		"select count(*) as n from w where timed >= now() - 5 and timed <= now()":    false, // with an upper bound
+		"select count(*) as n from w where timed >= now() - 5 and timed > now() - 9": false, // two frontiers
+		"select count(*) as n from w where timed >= now() - 5 or v > 0":              false, // under OR
+		"select count(*) as n from w where not (timed < now() - 5)":                  false, // under NOT
+		"select count(*) as n from w where v >= now() - 5":                           false, // not TIMED
+		"select count(*) as n from w where timed >= now() - v":                       false, // bound reads the row
+		"select count(*) as n from w where timed + 0 >= now() - 5":                   false, // TIMED in an expression
+		"select count(*) as n from w where timed >= now() - 5 and f < now()":         false, // a second NOW()
+		"select v % now() as k, count(*) as n from w group by v % now()":             false, // GROUP BY
+		// after grouping
+		"select count(*) as n, now() as t from w":                                  true, // projection
+		"select count(*) as n from w having max(timed) > now() - 5":                true, // HAVING
+		"select v, count(*) as n from w group by v order by now() - max(timed), v": true, // ORDER BY
 	})
 }
 
@@ -155,7 +202,7 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 				live = live[1:]
 			}
 			if rng.Intn(80) == 0 {
-				m.OnTruncate()
+				m.Reset()
 				live = nil
 			}
 
@@ -180,7 +227,7 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 // some rows (a LIKE reached only when v >= 4, over a float) poisons the
 // maintainer at the first such arrival, and the plan's own execution
 // reports the error in the interpreter's words. Until then the rows it
-// admits are maintained as usual; a truncate resets the poison.
+// admits are maintained as usual; a reset clears the poison.
 func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 	const q = "select count(*) as n, sum(v) as s from w where v < 4 or f like '1%'"
 	plan := compilePlan(t, q)
@@ -194,7 +241,7 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 	}
 	live := []stream.Element{elem(1, 1), elem(2, 3)}
 	replay := func() {
-		m.OnTruncate()
+		m.Reset()
 		for _, e := range live {
 			m.OnInsert(e)
 		}
@@ -227,7 +274,7 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 
 	live = live[:2]
 	replay()
-	check("after a truncate and replay")
+	check("after a reset and replay")
 }
 
 // TestMaintainedMinMaxKeepsOldestOfEqualValues: MIN and MAX over values
@@ -293,10 +340,10 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 	}
 }
 
-// TestAggMaintainerPoisoned: an input a state cannot digest, and an
-// eviction the maintainer never saw inserted (attached mid-window
-// without a replay), poison it so callers fall back to executing the
-// plan, which reports the error; truncate resets it.
+// TestAggMaintainerPoisoned: an input a state cannot digest poisons the
+// maintainer, so callers fall back to executing the plan, which reports
+// the error; Reset clears it, and so does the row leaving the window: a
+// read rebuilds from the window then.
 func TestAggMaintainerPoisoned(t *testing.T) {
 	checkPoisoned(t, "select sum(s) as x from w")
 }
@@ -324,18 +371,25 @@ func checkPoisoned(t *testing.T, q string) {
 	if m.OnInsert(e); m.Result(Options{}) != nil {
 		t.Errorf("%s: SUM over a string should poison the maintainer", q)
 	}
-	if m.OnTruncate(); m.Result(Options{}) == nil {
-		t.Errorf("%s: truncate should reset the poisoned state", q)
+	if m.Reset(); m.Result(Options{}) == nil {
+		t.Errorf("%s: Reset should clear the poisoned state", q)
 	}
-	if m.OnEvict(e); m.Result(Options{}) != nil {
-		t.Errorf("%s: eviction of an unseen element should poison the maintainer", q)
+	m.Reset()
+	if got := m.Read(0, []stream.Element{e}, Options{}); got != nil {
+		t.Errorf("%s: a read of the failing row answered %v", q, got)
+	}
+	if got := m.Read(0, []stream.Element{e}, Options{}); got != nil {
+		t.Errorf("%s: a read with the failing row still live answered %v", q, got)
+	}
+	if got := m.Read(1, nil, Options{}); got == nil {
+		t.Errorf("%s: a read after the failing row left should rebuild", q)
 	}
 }
 
 // TestAggMaintainerFloatResync: once enough evictions have been
-// subtracted from a float sum the maintainer asks for a rebuild, and a
-// truncate+replay (what storage.Table.SetObserver performs) clears the
-// request and the accumulated rounding error.
+// subtracted from a float sum the maintainer asks for a rebuild, and
+// Reset followed by a read of the window clears the request and the
+// accumulated rounding error.
 func TestAggMaintainerFloatResync(t *testing.T) {
 	checkFloatResync(t, "select sum(f) as s from w")
 }
@@ -364,12 +418,11 @@ func checkFloatResync(t *testing.T, q string) {
 	if !m.NeedsResync() {
 		t.Fatalf("%s: resync not requested after %d float evictions", q, resyncFloatEvery+10)
 	}
-	m.OnTruncate()
-	m.OnInsert(e)
+	m.Reset()
 	if m.NeedsResync() {
 		t.Errorf("%s: rebuild should clear the resync request", q)
 	}
-	if got := m.Result(Options{}); got == nil || len(got.Rows) != 1 || got.Rows[0][len(got.Cols)-1] != 2.5 {
+	if got := m.Read(7, []stream.Element{e}, Options{}); got == nil || len(got.Rows) != 1 || got.Rows[0][len(got.Cols)-1] != 2.5 {
 		t.Errorf("%s: sum after rebuild = %v, want one row ending in 2.5", q, got)
 	}
 }
@@ -426,6 +479,83 @@ func TestIntAggregatesExactAcrossTiers(t *testing.T) {
 		for name, rel := range map[string]*Relation{"scan": scan, "interpreter": interp, "merge": merged} {
 			if got == nil || !reflect.DeepEqual(got.Rows, rel.Rows) {
 				t.Fatalf("insert %d (live=%d): maintained %v, %s %v", i, len(live), got, name, rel.Rows)
+			}
+		}
+	}
+}
+
+// TestFrontierMatchesLiteralBound is the metamorphic pair of the
+// frontier: at any instant T, `timed >= now() - H` keeps the rows a
+// literal `timed >= T-H` keeps. A maintainer of the clock-relative form,
+// read over a window that arrivals, evictions, clock jumps (backwards
+// too) and out-of-order timestamps move, answers rows identical to the
+// literal form's execution and to a maintainer of the literal form
+// built at that instant.
+func TestFrontierMatchesLiteralBound(t *testing.T) {
+	shapes := []string{
+		"select count(*) as n, sum(v) as s, min(f) as mn, max(timed) as hi, last(v) as l from w where %s and v <> 2",
+		"select v, count(*) as n, avg(f) as a from w where f > -5 and %s group by v order by v",
+	}
+	for _, shape := range shapes {
+		for _, spelling := range []string{"timed >= %s", "timed > %s", "%s <= timed"} {
+			rng := rand.New(rand.NewSource(int64(len(shape) + len(spelling))))
+			clock := stream.NewManualClock(10_000)
+			opts := Options{Clock: clock}
+			const h = 40
+			q := fmt.Sprintf(shape, fmt.Sprintf(spelling, fmt.Sprintf("now() - %d", h)))
+			m := NewAggMaintainer(compilePlan(t, q).Incremental())
+			var first uint64
+			var live []stream.Element
+			reads, declined := 0, 0
+			for step := 0; step < 400; step++ {
+				ts := clock.Now()
+				if rng.Intn(10) == 0 {
+					ts -= stream.Timestamp(rng.Intn(60)) // out of order
+				}
+				var f stream.Value = float64(rng.Intn(40)-20) / 4
+				if rng.Intn(8) == 0 {
+					f = nil
+				}
+				e, err := stream.NewElement(planSchema, ts, int64(rng.Intn(4)), f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, e)
+				if len(live) > 30 {
+					first, live = first+1, live[1:]
+				}
+				switch rng.Intn(20) {
+				case 0:
+					clock.Set(clock.Now() - stream.Timestamp(rng.Intn(30)))
+				case 1:
+					clock.Advance(time.Duration(rng.Intn(80)) * time.Millisecond)
+				default:
+					clock.Advance(time.Duration(rng.Intn(4)) * time.Millisecond)
+				}
+				if rng.Intn(3) != 0 {
+					continue // reads skip some arrivals
+				}
+				literal := fmt.Sprintf(shape, fmt.Sprintf(spelling, fmt.Sprint(int64(clock.Now())-h)))
+				lp := compilePlan(t, literal)
+				want, err := lp.Execute(RowsOfSource(&planTable{schema: planSchema, elems: live}), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lm := NewAggMaintainer(lp.Incremental()).Read(first, live, opts); lm == nil || lm.String() != want.String() {
+					t.Fatalf("%s at %d: the literal form's maintainer answered %v, its execution %v", literal, clock.Now(), lm, want)
+				}
+				reads++
+				got := m.Read(first, live, opts)
+				if got == nil {
+					declined++
+					continue
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s at %d (step %d):\nclock-relative:\n%v\nliteral %s:\n%v", q, clock.Now(), step, got, literal, want)
+				}
+			}
+			if declined*3 > reads { // out-of-order rows below the frontier decline
+				t.Errorf("%s: declined %d of %d reads", q, declined, reads)
 			}
 		}
 	}

@@ -100,30 +100,53 @@ func CompileProduct(stmt *sqlparser.SelectStatement, inputs ...Input) (*Plan, er
 }
 
 // IncProgram is a plan an AggMaintainer can keep over a sliding window:
-// every GROUP BY key and aggregate argument is a plain input column, and
-// its WHERE, if any, answers the same for an element whenever it runs.
+// every GROUP BY key and aggregate argument is a plain input column, its
+// WHERE less the frontier answers the same for a row whenever it runs,
+// and the frontier, if any, is one lower bound on TIMED.
 type IncProgram struct {
 	plan *Plan
 	// Keys are the input columns of the GROUP BY keys, in clause order;
 	// none for an ungrouped aggregate.
 	Keys []int
 	args []int // each aggregate slot's input column; -1 for COUNT(*)
+
+	// where is the WHERE without its frontier conjunct, bound on its own:
+	// nil when nothing is left; whereCells memo slots, whereReads the
+	// input columns it reads.
+	where      boundExpr
+	whereCells int
+	whereReads []int
+	// floor is the frontier's row-independent bound, which calls NOW():
+	// the WHERE keeps rows with TIMED >= floor, or > floor when
+	// floorStrict. nil without a frontier.
+	floor       sqlparser.Expr
+	floorStrict bool
 }
 
 // Incremental returns the plan's maintainable form, or nil when the
 // statement does not qualify. A maintainer keeps, per live group, the
 // key values and the aggregate states, so a statement qualifies when
-// its run needs nothing else: an aggregate or GROUP BY statement whose
-// WHERE, if any, does not call NOW() (the maintainer runs it once on an
-// element's arrival and once on its eviction, and the two answers must
-// agree), every aggregate a non-DISTINCT COUNT, SUM, AVG, MIN, MAX or
+// its run needs nothing else: an aggregate or GROUP BY statement over
+// one input, every aggregate a non-DISTINCT COUNT, SUM, AVG, MIN, MAX or
 // LAST over a plain column (or COUNT(*)), every GROUP BY key a plain
 // column, and nothing after grouping — HAVING, the projection, ORDER BY
-// — reading a column that is not a key. The container pairs it with an
-// AggMaintainer observing the source's window table.
+// — reading a column that is not a key.
+//
+// The WHERE's top-level AND conjuncts must not call NOW(), except one:
+// a lower bound on TIMED (`timed >= e`, `timed > e`, or `e <= timed`,
+// `e < timed`) whose bound e does not read the row — the paper's
+// history bound `timed >= now() - H`. That conjunct becomes the
+// maintainer's frontier, evaluated once per read; the others admit a
+// row once, on arrival. Any other NOW() in the WHERE — an upper bound,
+// a second lower bound, one under OR or NOT — is refused, and so is a
+// GROUP BY key that is not a plain column. What runs after grouping
+// (HAVING, the projection, ORDER BY, LIMIT) runs once per read at the
+// read's clock reading, as in a plan execution, so a NOW() there
+// qualifies. The container pairs the program with an AggMaintainer that
+// reads the source's window table.
 func (p *Plan) Incremental() *IncProgram {
 	stmt := p.sp.stmt
-	if !p.sp.grouped || volatileExpr(stmt.Where) || len(p.from) > 1 {
+	if !p.sp.grouped || len(p.from) > 1 {
 		return nil
 	}
 	column := func(e sqlparser.Expr) int {
@@ -133,6 +156,31 @@ func (p *Plan) Incremental() *IncProgram {
 		return -1
 	}
 	inc := &IncProgram{plan: p, Keys: make([]int, len(stmt.GroupBy)), args: make([]int, len(p.sp.aggs))}
+	var rest sqlparser.Expr
+	for _, c := range conjuncts(stmt.Where, nil) {
+		if !volatileExpr(c) {
+			if rest == nil {
+				rest = c
+			} else {
+				rest = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, L: rest, R: c}
+			}
+			continue
+		}
+		x, ok := c.(*sqlparser.BinaryExpr)
+		if !ok || inc.floor != nil {
+			return nil
+		}
+		bound, op, ok := timedOperand(x, p.qual)
+		if !ok || op != sqlparser.OpGe && op != sqlparser.OpGt || !rowIndependent(bound) {
+			return nil
+		}
+		inc.floor, inc.floorStrict = bound, op == sqlparser.OpGt
+	}
+	if rest != nil {
+		if inc.where, inc.whereCells, inc.whereReads = bindRowExpr(rest, p.inCols); inc.where == nil {
+			return nil
+		}
+	}
 	for i, g := range stmt.GroupBy {
 		if inc.Keys[i] = column(g); inc.Keys[i] < 0 {
 			return nil
@@ -158,6 +206,19 @@ func (p *Plan) Incremental() *IncProgram {
 		}
 	}
 	return inc
+}
+
+// conjuncts appends the top-level AND operands of e to out, in order.
+func conjuncts(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
+	switch x := e.(type) {
+	case nil:
+		return out
+	case *sqlparser.BinaryExpr:
+		if x.Op == sqlparser.OpAnd {
+			return conjuncts(x.R, conjuncts(x.L, out))
+		}
+	}
+	return append(out, e)
 }
 
 // IncrementalGrouped returns Incremental().

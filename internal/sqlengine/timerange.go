@@ -100,26 +100,33 @@ func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64
 }
 
 // timedComparison matches "timed OP bound" or "bound OP timed"
-// (flipping the operator), returning the bound and the normalised
-// operator with TIMED on the left.
+// (flipping the operator), returning the bound's integer value and the
+// normalised operator with TIMED on the left.
 func (ev *evaluator) timedComparison(x *sqlparser.BinaryExpr, qual string) (int64, sqlparser.BinaryOp, bool) {
+	bound, op, ok := timedOperand(x, qual)
+	if !ok {
+		return 0, 0, false
+	}
+	v, ok := ev.intBound(bound)
+	return v, op, ok
+}
+
+// timedOperand matches the shape timedComparison evaluates: a
+// comparison of the TIMED column with another operand, returned with
+// the operator normalised to TIMED on the left.
+func timedOperand(x *sqlparser.BinaryExpr, qual string) (sqlparser.Expr, sqlparser.BinaryOp, bool) {
 	switch x.Op {
 	case sqlparser.OpEq, sqlparser.OpGe, sqlparser.OpGt, sqlparser.OpLe, sqlparser.OpLt:
 	default:
-		return 0, 0, false
+		return nil, 0, false
 	}
 	if isTimedRef(x.L, qual) {
-		if v, ok := ev.intBound(x.R); ok {
-			return v, x.Op, true
-		}
-		return 0, 0, false
+		return x.R, x.Op, true
 	}
 	if isTimedRef(x.R, qual) {
-		if v, ok := ev.intBound(x.L); ok {
-			return v, flipComparison(x.Op), true
-		}
+		return x.L, flipComparison(x.Op), true
 	}
-	return 0, 0, false
+	return nil, 0, false
 }
 
 // intBound evaluates a row-independent bound expression to an integer.

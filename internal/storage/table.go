@@ -115,24 +115,6 @@ type LaneStats struct {
 	Collapsed uint64
 }
 
-// Observer receives element lifecycle events from a table. Methods are
-// invoked while the table lock is held: implementations must be fast
-// and must not call back into the table. Insert and eviction events
-// arrive in arrival order — a batch insert reports the same interleaved
-// insert/evict sequence as the equivalent single-element inserts — so
-// an observer can mirror the window with FIFO state (the incremental
-// aggregate maintainers in sqlengine rely on this).
-type Observer interface {
-	// OnInsert is called after an element is appended, before any
-	// eviction it displaces.
-	OnInsert(e stream.Element)
-	// OnEvict is called for each element dropped by window retention,
-	// oldest first.
-	OnEvict(e stream.Element)
-	// OnTruncate is called when the table is cleared wholesale.
-	OnTruncate()
-}
-
 // Incrementer is the minimal counter surface the storage layer needs to
 // report events into an external metrics system (satisfied by
 // *metrics.Counter).
@@ -153,7 +135,6 @@ type Table struct {
 	evicted  uint64
 	bytes    int
 	log      *Log
-	observer Observer
 
 	// seq is the absolute insert ordinal of the last inserted element:
 	// element i of the live window carries sequence number
@@ -288,9 +269,9 @@ func (t *Table) Insert(e stream.Element) error {
 
 // InsertBatch appends a burst of elements under one lock acquisition
 // and one WAL group. Schemas are validated and the whole batch is staged
-// before any element becomes visible, and the observer sees the exact
-// insert/evict interleaving the equivalent sequence of Insert calls
-// would produce. Only a schema mismatch or a closed log (table shutting
+// before any element becomes visible, and the window — its contents and
+// the arrival ordinal of its first element (ReadWindow) — ends exactly
+// as after the equivalent sequence of Insert calls. Only a schema mismatch or a closed log (table shutting
 // down) rejects the batch, with no element published. A WAL I/O fault
 // does not: the table enters degraded mode — the rows stay in the
 // window, are counted in DegradedAppends, and durability is suspended
@@ -320,8 +301,8 @@ func (t *Table) InsertBatch(elems []stream.Element) error {
 
 // stageAndPublish is the locked body of every insert (schemas
 // pre-validated): stage the WAL records (or own up to a degraded
-// append), publish element by element so the observer sees the
-// canonical insert/evict interleaving, run the checkpoint policy. WAL
+// append), publish element by element with the canonical
+// insert/evict interleaving, run the checkpoint policy. WAL
 // order is window order because both happen under mu. A non-nil log
 // tells the caller to wait for CommitThrough(seq) after the lock is
 // released.
@@ -381,19 +362,16 @@ func (t *Table) commitFailed(err error, n int) error {
 	return nil
 }
 
-// publishLocked publishes one element to the window: append, notify,
-// evict. Running eviction per element (it is a cheap bound check once
-// the window is full) keeps the observer event sequence identical for
-// any batching of the same arrivals.
+// publishLocked publishes one element to the window: append, evict.
+// Running eviction per element (it is a cheap bound check once the
+// window is full) keeps the window within one element of its bound
+// whatever the batching of the same arrivals.
 func (t *Table) publishLocked(e stream.Element) {
 	t.elems = append(t.elems, e)
 	t.inserted++
 	t.seq++
 	t.version++
 	t.bytes += e.Size()
-	if t.observer != nil {
-		t.observer.OnInsert(e)
-	}
 	t.evictLocked()
 }
 
@@ -440,9 +418,6 @@ func (t *Table) dropHeadLocked() {
 			// falls back to its durable generation.
 			t.enterDegradedLocked(err)
 		}
-	}
-	if t.observer != nil {
-		t.observer.OnEvict(t.elems[t.head])
 	}
 	t.elems[t.head] = stream.Element{}
 	t.head++
@@ -516,16 +491,18 @@ func (t *Table) ForEach(fn func(stream.Element) bool) {
 	})
 }
 
-// WithLock applies retention and then runs fn while holding the
-// table's write lock, excluding concurrent inserts, evictions and
-// readers. The container uses it to read an observer's state at an
-// instant that is consistent with the window (observer callbacks also
-// run under this lock); fn must not call back into the table.
-func (t *Table) WithLock(fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.evictLocked()
-	fn()
+// ReadWindow applies retention and calls fn, under the table's shared
+// lock, with the live window in arrival order and the arrival ordinal
+// of its first element. Ordinals number every element the table has
+// published since it was created, from 0, and a Truncate does not
+// restart them, so a reader that remembers the ordinal it has read up
+// to catches up from the window alone: what left since is below first,
+// what arrived is at or above its mark, and a mark below first means
+// elements came and went unseen, or a truncate. The incremental
+// aggregate maintainers read their window this way. fn must not retain
+// live, modify it or call back into the table.
+func (t *Table) ReadWindow(fn func(first uint64, live []stream.Element)) {
+	t.readLocked(func() { fn(t.evicted, t.elems[t.head:]) })
 }
 
 // Version returns the window mutation counter, applying any due
@@ -629,9 +606,6 @@ func (t *Table) Truncate() error {
 	t.bumpEpochLocked()
 	t.ckptLowWater = 0
 	t.signal.Fire()
-	if t.observer != nil {
-		t.observer.OnTruncate()
-	}
 	if t.history != nil {
 		if err := t.history.Reset(); err != nil {
 			return fmt.Errorf("storage: resetting history of %s: %w", t.name, err)
@@ -811,32 +785,6 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) (out []stream.Element, err e
 	return out, err
 }
 
-// SetObserver installs (or with nil removes) the table's lifecycle
-// observer. The current live contents are replayed into the observer as
-// inserts under the same critical section, so the observer's state
-// starts consistent with the window no matter when it is attached.
-func (t *Table) SetObserver(o Observer) { t.SwapObserver(o, o) }
-
-// SwapObserver installs o (nil removes the observer) and, in the same
-// critical section, replays the live contents — a truncate, then one
-// insert per live element — into replay alone (nil replays nothing).
-// An owner that fans the table out to many observers swaps in the new
-// set and replays only the member that is new or must be rebuilt: the
-// others have seen every event already and see none twice.
-func (t *Table) SwapObserver(o, replay Observer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.evictLocked()
-	t.observer = o
-	if replay == nil {
-		return
-	}
-	replay.OnTruncate()
-	for i := t.head; i < len(t.elems); i++ {
-		replay.OnInsert(t.elems[i])
-	}
-}
-
 // bulkLoad appends replayed elements in one critical section, applying
 // window retention once at the end. CreateTable replay uses it instead
 // of per-element Insert so an unpublished table is loaded without
@@ -850,9 +798,6 @@ func (t *Table) bulkLoad(elems []stream.Element) {
 		t.seq++
 		t.version++
 		t.bytes += e.Size()
-		if t.observer != nil {
-			t.observer.OnInsert(e)
-		}
 	}
 	t.evictLocked()
 }

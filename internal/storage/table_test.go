@@ -410,86 +410,139 @@ func TestConcurrentInsertAndForEach(t *testing.T) {
 	}
 }
 
-// tableObserverLog records lifecycle events for observer tests.
-type tableObserverLog struct {
-	inserts   int
-	evicts    int
-	truncates int
-	liveDelta int
+// windowReader mirrors a table from its reads alone, as an incremental
+// aggregate maintainer does: each read takes the rows below the
+// window's first ordinal out of the mirror, logging "e<ord>", counts
+// the ordinals that came and went between two reads, logging
+// "s<n>", and appends the arrivals it has not seen, logging
+// "i<ord>:<key>". key names an element in the log.
+type windowReader struct {
+	key    func(stream.Element) string
+	first  uint64 // ordinal of mirror[0]
+	mirror []stream.Element
+	events []string
+	evicts int
 }
 
-func (l *tableObserverLog) OnInsert(e stream.Element) { l.inserts++; l.liveDelta++ }
-func (l *tableObserverLog) OnEvict(e stream.Element)  { l.evicts++; l.liveDelta-- }
-func (l *tableObserverLog) OnTruncate()               { l.truncates++; l.liveDelta = 0 }
+func (r *windowReader) read(tab *Table) {
+	tab.ReadWindow(r.catchUp)
+}
 
-// TestObserverMirrorsWindow: insert/evict events keep an observer's
-// element count equal to the table's live count, SetObserver replays
-// pre-existing contents, and Truncate resets.
-func TestObserverMirrorsWindow(t *testing.T) {
+func (r *windowReader) catchUp(first uint64, live []stream.Element) {
+	for len(r.mirror) > 0 && r.first < first {
+		r.events = append(r.events, fmt.Sprintf("e%d", r.first))
+		r.mirror = r.mirror[1:]
+		r.first++
+		r.evicts++
+	}
+	if r.first < first {
+		r.events = append(r.events, fmt.Sprintf("s%d", first-r.first))
+		r.first = first
+	}
+	for ord := r.first + uint64(len(r.mirror)); ord < first+uint64(len(live)); ord++ {
+		e := live[ord-first]
+		r.events = append(r.events, fmt.Sprintf("i%d:%s", ord, r.key(e)))
+		r.mirror = append(r.mirror, e)
+	}
+}
+
+// valueKey names an element by its first value.
+func valueKey(e stream.Element) string { return fmt.Sprint(e.Value(0)) }
+
+// checkMirror fails unless the reader's mirror is the table's window.
+func checkMirror(t *testing.T, r *windowReader, tab *Table) {
+	t.Helper()
+	var first uint64
+	var live []stream.Element
+	tab.ReadWindow(func(f uint64, l []stream.Element) { first, live = f, append([]stream.Element(nil), l...) })
+	if r.first != first || len(r.mirror) != len(live) {
+		t.Fatalf("mirror holds %d rows from ordinal %d, the window %d from %d", len(r.mirror), r.first, len(live), first)
+	}
+	for i := range live {
+		if valueKey(r.mirror[i]) != valueKey(live[i]) || r.mirror[i].Timestamp() != live[i].Timestamp() {
+			t.Fatalf("mirror row %d is %v, the window's %v", i, r.mirror[i], live[i])
+		}
+	}
+}
+
+// TestReadWindowOrdinalsMirrorWindow: a reader that catches up after
+// every insert sees each arrival and each eviction once, its mirror is
+// the window, a reader that starts late catches up from the window
+// alone, and a truncate takes every live row out without restarting
+// the ordinals.
+func TestReadWindowOrdinalsMirrorWindow(t *testing.T) {
 	tab, _ := NewTable("t", tempSchema, stream.MustWindow("5"), stream.NewManualClock(0))
 	for i := int64(0); i < 3; i++ {
 		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
 	}
-	log := &tableObserverLog{}
-	tab.SetObserver(log)
-	if log.inserts != 3 || log.liveDelta != 3 {
-		t.Fatalf("SetObserver should replay current contents: %+v", log)
+	r := &windowReader{key: valueKey}
+	r.read(tab)
+	if len(r.events) != 3 || r.events[0] != "i0:0" || r.events[2] != "i2:2" {
+		t.Fatalf("a late reader's first read should admit the window: %v", r.events)
 	}
 	for i := int64(3); i < 12; i++ {
 		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
+		r.read(tab)
+		checkMirror(t, r, tab)
 	}
-	if log.liveDelta != tab.Len() {
-		t.Errorf("observer live = %d, table live = %d", log.liveDelta, tab.Len())
-	}
-	if log.evicts != 7 {
-		t.Errorf("evicts = %d, want 7", log.evicts)
+	if r.evicts != 7 {
+		t.Errorf("evicts = %d, want 7", r.evicts)
 	}
 	if err := tab.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if log.truncates != 2 || log.liveDelta != 0 { // 1 from SetObserver reset + 1 real
-		t.Errorf("after truncate: %+v", log)
+	r.read(tab)
+	checkMirror(t, r, tab)
+	if r.evicts != 12 || r.first != 12 {
+		t.Errorf("after truncate: %d evicts, first ordinal %d; want 12 and 12", r.evicts, r.first)
+	}
+	tab.Insert(intElem(t, 13, 12))
+	r.read(tab)
+	if last := r.events[len(r.events)-1]; last != "i12:12" {
+		t.Errorf("the first arrival after a truncate logged %q, want ordinal 12", last)
 	}
 }
 
-// observerPair fans a table's events out to two observers.
-type observerPair struct{ a, b Observer }
-
-func (p observerPair) OnInsert(e stream.Element) { p.a.OnInsert(e); p.b.OnInsert(e) }
-func (p observerPair) OnEvict(e stream.Element)  { p.a.OnEvict(e); p.b.OnEvict(e) }
-func (p observerPair) OnTruncate()               { p.a.OnTruncate(); p.b.OnTruncate() }
-
-// TestSwapObserverReplaysOnlyTheNamedObserver: swapping in a set that
-// adds an observer replays the full window into the newcomer alone, the
-// member already attached sees no event, and both mirror the window
-// afterwards; a swap naming no replay target replays nothing.
-func TestSwapObserverReplaysOnlyTheNamedObserver(t *testing.T) {
+// TestReadersCatchUpIndependently: readers at different marks share
+// nothing but the table. One that reads after every insert sees every
+// event; one that joins a full window admits the window alone and
+// leaves the other untouched; one that falls behind by more than the
+// window counts the rows it never saw, takes out only those it did,
+// and all three mirror the window afterwards.
+func TestReadersCatchUpIndependently(t *testing.T) {
 	tab, _ := NewTable("t", tempSchema, stream.MustWindow("5"), stream.NewManualClock(0))
-	old := &tableObserverLog{}
-	tab.SetObserver(old)
+	old := &windowReader{key: valueKey}
 	for i := int64(0); i < 8; i++ {
 		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
+		old.read(tab)
 	}
-	before := *old
-	fresh := &tableObserverLog{}
-	tab.SwapObserver(observerPair{old, fresh}, fresh)
-	if *old != before {
-		t.Fatalf("the attached observer saw the replay: %+v, was %+v", *old, before)
+	before := len(old.events)
+	fresh := &windowReader{key: valueKey}
+	fresh.read(tab)
+	if len(old.events) != before {
+		t.Fatalf("a reader joining changed another's log: %v", old.events[before:])
 	}
-	if fresh.truncates != 1 || fresh.inserts != 5 || fresh.liveDelta != 5 {
-		t.Fatalf("the new observer's replay: %+v, want one truncate and 5 inserts", *fresh)
+	if want := []string{"s3", "i3:3", "i4:4", "i5:5", "i6:6", "i7:7"}; fmt.Sprint(fresh.events) != fmt.Sprint(want) {
+		t.Fatalf("the new reader's first read: %v, want %v", fresh.events, want)
 	}
 	for i := int64(8); i < 11; i++ {
 		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
+		old.read(tab)
 	}
-	if old.liveDelta != tab.Len() || fresh.liveDelta != tab.Len() {
-		t.Errorf("observers live %d and %d, table live %d", old.liveDelta, fresh.liveDelta, tab.Len())
+	fresh.read(tab)
+	if want := "[s3 i3:3 i4:4 i5:5 i6:6 i7:7 e3 e4 e5 i8:8 i9:9 i10:10]"; fmt.Sprint(fresh.events) != want {
+		t.Errorf("a reader three arrivals behind logged %v, want %s", fresh.events, want)
 	}
-	before = *old
-	tab.SwapObserver(old, nil)
-	if *old != before {
-		t.Errorf("a swap without a replay target replayed: %+v, was %+v", *old, before)
+	checkMirror(t, old, tab)
+	checkMirror(t, fresh, tab)
+	for i := int64(11); i < 23; i++ {
+		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
 	}
+	fresh.read(tab)
+	if want := "[e6 e7 e8 e9 e10 s7 i18:18 i19:19 i20:20 i21:21 i22:22]"; fmt.Sprint(fresh.events[12:]) != want {
+		t.Errorf("a reader twelve arrivals behind logged %v, want %s", fresh.events[12:], want)
+	}
+	checkMirror(t, fresh, tab)
 }
 
 // TestTimeWindowBoundaryEviction pins the half-open window semantics at

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -529,9 +528,9 @@ func TestInsertErrorLeavesWindowUnchanged(t *testing.T) {
 	if err := tab.Insert(intElem(t, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	events := &eventRecorder{}
-	tab.SetObserver(events)
-	before := len(events.log)
+	events := &windowReader{key: valueKey}
+	events.read(tab)
+	before := len(events.events)
 
 	// Close the log underneath the table: staging is refused. (A fault
 	// found later, at the group commit, degrades instead — the rows are
@@ -547,8 +546,8 @@ func TestInsertErrorLeavesWindowUnchanged(t *testing.T) {
 	if n := tab.Len(); n != 1 {
 		t.Fatalf("window has %d elements after failed appends, want 1", n)
 	}
-	if len(events.log) != before {
-		t.Fatalf("observer saw %v for elements that were never published", events.log[before:])
+	if events.read(tab); len(events.events) != before {
+		t.Fatalf("a reader saw %v for elements that were never published", events.events[before:])
 	}
 	st := tab.Stats()
 	if st.LogErrors != 2 {
@@ -559,22 +558,12 @@ func TestInsertErrorLeavesWindowUnchanged(t *testing.T) {
 	}
 }
 
-// eventRecorder logs the exact observer event sequence.
-type eventRecorder struct {
-	log []string
-}
-
-func (r *eventRecorder) OnInsert(e stream.Element) {
-	r.log = append(r.log, fmt.Sprintf("i%v", e.Value(0)))
-}
-func (r *eventRecorder) OnEvict(e stream.Element) {
-	r.log = append(r.log, fmt.Sprintf("e%v", e.Value(0)))
-}
-func (r *eventRecorder) OnTruncate() { r.log = append(r.log, "t") }
-
 // TestInsertBatchEquivalence: any split of an arrival sequence into
-// batches must yield identical window contents, stats and observer
-// event sequences as the per-element inserts (count and time windows).
+// batches must yield identical window contents, stats and reader event
+// sequences — a reader catching up at every batch boundary — as the
+// per-element inserts (count and time windows). A reader of the
+// per-element table that also reads after every element mirrors its
+// window throughout.
 func TestInsertBatchEquivalence(t *testing.T) {
 	f := func(values []int16, splits []uint8, bound, sizeSec uint8, useTime bool) bool {
 		var window stream.Window
@@ -594,9 +583,7 @@ func TestInsertBatchEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		evA, evB := &eventRecorder{}, &eventRecorder{}
-		tabA.SetObserver(evA)
-		tabB.SetObserver(evB)
+		evA, evB, fine := &windowReader{key: valueKey}, &windowReader{key: valueKey}, &windowReader{key: valueKey}
 
 		elems := make([]stream.Element, len(values))
 		// Batch boundaries from the fuzzed split list; both clocks
@@ -623,12 +610,18 @@ func TestInsertBatchEquivalence(t *testing.T) {
 				if err := tabA.Insert(e); err != nil {
 					return false
 				}
+				fine.read(tabA)
+				if fine.first+uint64(len(fine.mirror)) != uint64(pos+i+1) || len(fine.mirror) != tabA.Len() {
+					return false
+				}
 			}
 			// The batch slice is consumed by InsertBatch; tabA already
 			// copied what it needed.
 			if err := tabB.InsertBatch(batch); err != nil {
 				return false
 			}
+			evA.read(tabA)
+			evB.read(tabB)
 			pos += n
 		}
 
@@ -646,15 +639,15 @@ func TestInsertBatchEquivalence(t *testing.T) {
 			stA.Live != stB.Live || stA.Bytes != stB.Bytes {
 			return false
 		}
-		if len(evA.log) != len(evB.log) {
+		if len(evA.events) != len(evB.events) {
 			return false
 		}
-		for i := range evA.log {
-			if evA.log[i] != evB.log[i] {
+		for i := range evA.events {
+			if evA.events[i] != evB.events[i] {
 				return false
 			}
 		}
-		return true
+		return fine.first == evB.first && len(fine.mirror) == len(evB.mirror)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -46,22 +46,8 @@ func elemKeys(elems []stream.Element) []prodKey {
 	return keys
 }
 
-// prodRecorder logs the observer event sequence by element key, and
-// separately the insert order (the window-commit order). Callbacks run
-// under the table lock, so no extra synchronisation is needed.
-type prodRecorder struct {
-	events []string
-	order  []stream.Element
-}
-
-func (r *prodRecorder) OnInsert(e stream.Element) {
-	r.events = append(r.events, fmt.Sprintf("i%v", elemKey(e)))
-	r.order = append(r.order, e)
-}
-func (r *prodRecorder) OnEvict(e stream.Element) {
-	r.events = append(r.events, fmt.Sprintf("e%v", elemKey(e)))
-}
-func (r *prodRecorder) OnTruncate() { r.events = append(r.events, "t") }
+// prodKeyString names a producer element in a reader's log.
+func prodKeyString(e stream.Element) string { return fmt.Sprint(elemKey(e)) }
 
 // produce runs the producers concurrently: producer p inserts elements
 // (p, 0..perProducer-1) in order, as single Inserts or as InsertBatches
@@ -156,8 +142,6 @@ func crashMatrixCell(t *testing.T, policy SyncPolicy, producers int, batch bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &prodRecorder{}
-	tab.SetObserver(rec)
 
 	// A copy is a crash image plus, per producer, how many elements were
 	// acked before the copy began.
@@ -201,8 +185,14 @@ func crashMatrixCell(t *testing.T, policy SyncPolicy, producers int, batch bool)
 		t.Fatal(err)
 	}
 	images = append(images, snap("after Flush"))
+	// The window holds every element: it is the window-commit order.
 	var order []prodKey
-	tab.WithLock(func() { order = elemKeys(rec.order) })
+	tab.ReadWindow(func(first uint64, live []stream.Element) {
+		if first != 0 {
+			t.Errorf("the window starts at ordinal %d, want 0", first)
+		}
+		order = elemKeys(live)
+	})
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +245,12 @@ func crashMatrixCell(t *testing.T, policy SyncPolicy, producers int, batch bool)
 }
 
 // TestConcurrentInsertEquivalence is the concurrency property of the
-// write path: 8 producers push random Insert/InsertBatch splits, and the
-// observer event sequence (inserts and evictions), the window and the
-// WAL must be exactly what replaying the final window-commit order
+// write path: 8 producers push random Insert/InsertBatch splits while a
+// reader catches up with the window over and over, and every window the
+// reader saw (inserts and evictions by ordinal), the final window and
+// the WAL must be exactly what replaying the window-commit order
 // serially produces — concurrency decides the order and nothing else.
+// The order is the WAL's, whose records are staged in window order.
 func TestConcurrentInsertEquivalence(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -284,15 +276,41 @@ func TestConcurrentInsertEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &prodRecorder{}
-			conc.SetObserver(rec)
+			// seen[i] is one window the reader caught up with: its first
+			// ordinal and its rows.
+			type window struct {
+				first uint64
+				keys  []prodKey
+			}
+			var seen []window
+			stop := make(chan struct{})
+			readerDone := make(chan struct{})
+			rd := &windowReader{key: prodKeyString}
+			go func() {
+				defer close(readerDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conc.ReadWindow(func(first uint64, live []stream.Element) {
+						rd.catchUp(first, live)
+						seen = append(seen, window{first, elemKeys(live)})
+					})
+				}
+			}()
 			produce(t, conc, producers, perProducer, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 }, nil).Wait()
+			close(stop)
+			<-readerDone
 			if err := conc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			var order []stream.Element
-			var events []string
-			conc.WithLock(func() { order, events = rec.order, rec.events })
+			_, concRep, err := ReplayLog(filepath.Join(dir, "CONC.gsnlog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := concRep
 			if len(order) != total {
 				t.Fatalf("window committed %d elements, want %d", len(order), total)
 			}
@@ -306,40 +324,57 @@ func TestConcurrentInsertEquivalence(t *testing.T) {
 				next[k.producer]++
 			}
 
+			// The serial replay, read after every insert: each window is
+			// the last windowSize elements of the order so far.
 			serial, err := store.CreateTable("serial", prodSchema, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srec := &prodRecorder{}
-			serial.SetObserver(srec)
-			for _, e := range order {
+			srd := &windowReader{key: prodKeyString}
+			for i, e := range order {
 				if err := serial.Insert(e); err != nil {
 					t.Fatal(err)
+				}
+				srd.read(serial)
+				if lo := max(0, i+1-windowSize); srd.first != uint64(lo) || len(srd.mirror) != i+1-lo {
+					t.Fatalf("serial window after %d inserts: %d rows from ordinal %d", i+1, len(srd.mirror), srd.first)
 				}
 			}
 			if err := serial.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if len(events) != len(srec.events) {
-				t.Fatalf("observer saw %d events, the serial replay %d", len(events), len(srec.events))
-			}
-			for i := range events {
-				if events[i] != srec.events[i] {
-					t.Fatalf("observer event %d: concurrent %s, serial %s", i, events[i], srec.events[i])
+			// Every window the concurrent reader saw is the serial
+			// replay's window after as many arrivals.
+			orderKeys := elemKeys(order)
+			for _, w := range seen {
+				end := int(w.first) + len(w.keys)
+				if lo := max(0, end-windowSize); int(w.first) != lo {
+					t.Fatalf("a concurrent read saw %d rows from ordinal %d, the serial window after %d arrivals starts at %d",
+						len(w.keys), w.first, end, lo)
 				}
+				for i, k := range w.keys {
+					if k != orderKeys[int(w.first)+i] {
+						t.Fatalf("a concurrent read saw %+v at ordinal %d, the commit order has %+v",
+							k, int(w.first)+i, orderKeys[int(w.first)+i])
+					}
+				}
+			}
+			rd.read(conc)
+			if rd.first != uint64(total-windowSize) || rd.first != srd.first || len(rd.mirror) != windowSize {
+				t.Fatalf("the reader ended at %d rows from ordinal %d, the serial one at %d from %d",
+					len(rd.mirror), rd.first, len(srd.mirror), srd.first)
+			}
+			if len(seen) < 2 {
+				t.Logf("the reader caught up %d times only", len(seen))
 			}
 			if got, want := elemBytes(conc.Snapshot()), elemBytes(serial.Snapshot()); string(got) != string(want) {
 				t.Fatal("concurrent and serial windows differ")
-			}
-			_, concRep, err := ReplayLog(filepath.Join(dir, "CONC.gsnlog"))
-			if err != nil {
-				t.Fatal(err)
 			}
 			_, serialRep, err := ReplayLog(filepath.Join(dir, "SERIAL.gsnlog"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(concRep) != total || string(elemBytes(concRep)) != string(elemBytes(serialRep)) {
+			if string(elemBytes(concRep)) != string(elemBytes(serialRep)) {
 				t.Fatalf("WAL replay: concurrent %d records, serial %d, want %d identical ones",
 					len(concRep), len(serialRep), total)
 			}
