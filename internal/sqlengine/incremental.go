@@ -38,8 +38,8 @@ import (
 // or reports the error: an answer is never stale.
 //
 // OnInsert and OnEvict are the per-row steps a read is built from, for
-// callers that feed the maintainer themselves; Result answers over what
-// they fed.
+// callers that time the per-row cost; a Read over the window they built
+// finds nothing to catch up.
 type AggMaintainer struct {
 	prog *IncProgram
 
@@ -508,21 +508,6 @@ func (m *AggMaintainer) Read(first uint64, live []stream.Element, opts Options) 
 	if !ok {
 		return nil
 	}
-	return m.answer(ev)
-}
-
-// Result returns the plan's answer over the rows OnInsert and OnEvict
-// left live, as Read does, or nil. It declines a frontier earlier than
-// the last one applied: the rows it expired are gone.
-func (m *AggMaintainer) Result(opts Options) *Relation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ev := newEvaluator(nil, opts)
-	floor, ok := m.frontier(ev)
-	if !ok || floor < m.floor {
-		return nil
-	}
-	m.advance(floor)
 	return m.answer(ev)
 }
 

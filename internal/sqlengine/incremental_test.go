@@ -147,10 +147,11 @@ var filteredIncShapes = []string{
 // TestAggMaintainerMatchesExecute drives each shape through random
 // inserts (NULLs, few keys so groups appear, empty and reappear) and
 // the evictions every window kind makes — one per insert past a count,
-// a burst when a time window's clock jumps, the whole window — and
-// truncates, checking after every step that the maintained result is
-// cell for cell the window scan's and the interpreter's. The float
-// inputs are dyadic, so every sum is exact in any order.
+// a burst when a time window's clock jumps, the whole window — truncates
+// and resets, reading the window after every step and checking that the
+// maintained result is cell for cell the window scan's and the
+// interpreter's. The float inputs are dyadic, so every sum is exact in
+// any order.
 func TestAggMaintainerMatchesExecute(t *testing.T) {
 	checkMaintainerMatchesExecute(t, incShapes, 42)
 }
@@ -176,6 +177,7 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 		plan := compilePlan(t, q)
 		m := NewAggMaintainer(plan.Incremental())
 		var live []stream.Element
+		var first uint64 // the arrival ordinal of live[0]
 		for step := 0; step < 600; step++ {
 			var v, f stream.Value = int64(rng.Intn(5)), float64(rng.Intn(80)-40) / 4
 			if rng.Intn(9) == 0 {
@@ -189,7 +191,6 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 				t.Fatal(err)
 			}
 			live = append(live, e)
-			m.OnInsert(e)
 			evict := len(live) - 16
 			switch rng.Intn(40) {
 			case 0:
@@ -197,13 +198,14 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 			case 1, 2, 3:
 				evict = rng.Intn(len(live) + 1)
 			}
-			for ; evict > 0; evict-- {
-				m.OnEvict(live[0])
-				live = live[1:]
+			if evict > 0 {
+				first, live = first+uint64(evict), live[evict:]
 			}
-			if rng.Intn(80) == 0 {
+			switch rng.Intn(80) {
+			case 0: // a truncate: a gap in ordinals
+				first, live = first+uint64(len(live))+1, nil
+			case 1: // a float-drift resync: the next read admits the window
 				m.Reset()
-				live = nil
 			}
 
 			pt := &planTable{schema: planSchema, elems: live}
@@ -215,7 +217,7 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := m.Result(Options{})
+			got := m.Read(first, live, Options{})
 			if got == nil || got.String() != want.String() || scan.String() != want.String() {
 				t.Fatalf("%s, step %d (live=%d):\nmaintained:\n%v\nscan:\n%v\nexecute:\n%v", q, step, len(live), got, scan, want)
 			}
@@ -227,7 +229,8 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 // some rows (a LIKE reached only when v >= 4, over a float) poisons the
 // maintainer at the first such arrival, and the plan's own execution
 // reports the error in the interpreter's words. Until then the rows it
-// admits are maintained as usual; a reset clears the poison.
+// admits are maintained as usual; once the failing row has left the
+// window the next read rebuilds.
 func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 	const q = "select count(*) as n, sum(v) as s from w where v < 4 or f like '1%'"
 	plan := compilePlan(t, q)
@@ -240,12 +243,7 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 		return e
 	}
 	live := []stream.Element{elem(1, 1), elem(2, 3)}
-	replay := func() {
-		m.Reset()
-		for _, e := range live {
-			m.OnInsert(e)
-		}
-	}
+	var first uint64
 	check := func(stage string) {
 		t.Helper()
 		pt := &planTable{schema: planSchema, elems: live}
@@ -253,16 +251,14 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Result(Options{}); got == nil || got.String() != scan.String() {
+		if got := m.Read(first, live, Options{}); got == nil || got.String() != scan.String() {
 			t.Fatalf("%s: maintained %v, scan %v", stage, got, scan)
 		}
 	}
-	replay()
 	check("before the failing row")
 
 	live = append(live, elem(3, 7))
-	m.OnInsert(live[2])
-	if got := m.Result(Options{}); got != nil {
+	if got := m.Read(first, live, Options{}); got != nil {
 		t.Fatalf("a failing WHERE should poison the maintainer, got %v", got)
 	}
 	pt := &planTable{schema: planSchema, elems: live}
@@ -272,9 +268,13 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 		t.Fatalf("plan error %v, interpreter error %v: want the same error", planErr, interpErr)
 	}
 
-	live = live[:2]
-	replay()
-	check("after a reset and replay")
+	live = append(live, elem(4, 2))
+	first, live = 1, live[1:]
+	if got := m.Read(first, live, Options{}); got != nil {
+		t.Fatalf("a read with the failing row still live answered %v", got)
+	}
+	first, live = 3, live[2:]
+	check("after the failing row left")
 }
 
 // TestMaintainedMinMaxKeepsOldestOfEqualValues: MIN and MAX over values
@@ -285,6 +285,7 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 	plan := compilePlan(t, "select min(f) as mn, max(f) as mx from w")
 	m := NewAggMaintainer(plan.Incremental())
 	var live []stream.Element
+	var first uint64
 	check := func(stage string) {
 		t.Helper()
 		pt := &planTable{schema: planSchema, elems: live}
@@ -296,7 +297,7 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Result(Options{}); got == nil || got.String() != scan.String() || scan.String() != interp.String() {
+		if got := m.Read(first, live, Options{}); got == nil || got.String() != scan.String() || scan.String() != interp.String() {
 			t.Fatalf("%s (live=%d): maintained %q, scan %q, interpreter %q", stage, len(live), got, scan, interp)
 		}
 	}
@@ -307,17 +308,14 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		live = append(live, e)
-		m.OnInsert(e)
 		check("insert")
 		if len(live) > 4 {
-			m.OnEvict(live[0])
-			live = live[1:]
+			first, live = first+1, live[1:]
 			check("evict")
 		}
 	}
 	for len(live) > 0 {
-		m.OnEvict(live[0])
-		live = live[1:]
+		first, live = first+1, live[1:]
 		check("evict")
 	}
 
@@ -327,10 +325,8 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		if live = append(live, e); len(live) > 10 {
-			m.OnEvict(live[0])
-			live = live[1:]
+			first, live = first+1, live[1:]
 		}
-		m.OnInsert(e)
 		check("identical run")
 	}
 	for i, st := range m.single.states {
@@ -342,8 +338,8 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 
 // TestAggMaintainerPoisoned: an input a state cannot digest poisons the
 // maintainer, so callers fall back to executing the plan, which reports
-// the error; Reset clears it, and so does the row leaving the window: a
-// read rebuilds from the window then.
+// the error, until the row has left the window: a read rebuilds from the
+// window then.
 func TestAggMaintainerPoisoned(t *testing.T) {
 	checkPoisoned(t, "select sum(s) as x from w")
 }
@@ -368,15 +364,8 @@ func checkPoisoned(t *testing.T, q string) {
 		t.Fatal(err)
 	}
 	m := NewAggMaintainer(plan.Incremental())
-	if m.OnInsert(e); m.Result(Options{}) != nil {
-		t.Errorf("%s: SUM over a string should poison the maintainer", q)
-	}
-	if m.Reset(); m.Result(Options{}) == nil {
-		t.Errorf("%s: Reset should clear the poisoned state", q)
-	}
-	m.Reset()
 	if got := m.Read(0, []stream.Element{e}, Options{}); got != nil {
-		t.Errorf("%s: a read of the failing row answered %v", q, got)
+		t.Errorf("%s: SUM over a string should poison the maintainer, read answered %v", q, got)
 	}
 	if got := m.Read(0, []stream.Element{e}, Options{}); got != nil {
 		t.Errorf("%s: a read with the failing row still live answered %v", q, got)
@@ -389,7 +378,8 @@ func checkPoisoned(t *testing.T, q string) {
 // TestAggMaintainerFloatResync: once enough evictions have been
 // subtracted from a float sum the maintainer asks for a rebuild, and
 // Reset followed by a read of the window clears the request and the
-// accumulated rounding error.
+// accumulated rounding error. The evictions are fed through OnInsert and
+// OnEvict, the per-row steps a read is built from.
 func TestAggMaintainerFloatResync(t *testing.T) {
 	checkFloatResync(t, "select sum(f) as s from w")
 }
@@ -418,6 +408,13 @@ func checkFloatResync(t *testing.T, q string) {
 	if !m.NeedsResync() {
 		t.Fatalf("%s: resync not requested after %d float evictions", q, resyncFloatEvery+10)
 	}
+	// The per-row steps leave the maintainer in step with the window they
+	// built: its one row is ordinal resyncFloatEvery+10, and a read of it
+	// examines no arrival.
+	seen := m.Inserts()
+	if got := m.Read(resyncFloatEvery+10, []stream.Element{e}, Options{}); got == nil || got.Rows[0][len(got.Cols)-1] != 2.5 || m.Inserts() != seen {
+		t.Errorf("%s: read after the per-row steps = %v, examined %d arrivals; want a row ending in 2.5 and none", q, got, m.Inserts()-seen)
+	}
 	m.Reset()
 	if m.NeedsResync() {
 		t.Errorf("%s: rebuild should clear the resync request", q)
@@ -438,17 +435,15 @@ func TestIntAggregatesExactAcrossTiers(t *testing.T) {
 	m := NewAggMaintainer(plan.Incremental())
 	rng := rand.New(rand.NewSource(5))
 	var live []stream.Element
+	var first uint64
 	for i := 0; i < 9000; i++ {
 		ts := stream.Timestamp(1_760_000_000_000 + int64(i)*1000 + rng.Int63n(1000))
 		e, err := stream.NewElement(planSchema, ts, int64(ts)+rng.Int63n(7), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, e)
-		m.OnInsert(e)
-		if len(live) > 6000 {
-			m.OnEvict(live[0])
-			live = live[1:]
+		if live = append(live, e); len(live) > 6000 {
+			first, live = first+1, live[1:]
 		}
 		if i%500 != 499 {
 			continue
@@ -475,7 +470,7 @@ func TestIntAggregatesExactAcrossTiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m.Result(Options{})
+		got := m.Read(first, live, Options{})
 		for name, rel := range map[string]*Relation{"scan": scan, "interpreter": interp, "merge": merged} {
 			if got == nil || !reflect.DeepEqual(got.Rows, rel.Rows) {
 				t.Fatalf("insert %d (live=%d): maintained %v, %s %v", i, len(live), got, name, rel.Rows)

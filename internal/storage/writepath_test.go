@@ -250,135 +250,153 @@ func crashMatrixCell(t *testing.T, policy SyncPolicy, producers int, batch bool)
 // reader saw (inserts and evictions by ordinal), the final window and
 // the WAL must be exactly what replaying the window-commit order
 // serially produces — concurrency decides the order and nothing else.
-// The order is the WAL's, whose records are staged in window order.
+// The order is the WAL's, whose records are staged in window order. It
+// runs on a window that evicts while the producers run, and on one that
+// holds every arrival: there the final window is the whole publish
+// order, so every arrival's place in it is checked against the WAL
+// however few windows the reader sampled mid-run.
 func TestConcurrentInsertEquivalence(t *testing.T) {
+	const (
+		producers   = 8
+		perProducer = 250
+		total       = producers * perProducer
+	)
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				producers   = 8
-				perProducer = 250
-				windowSize  = 256
-			)
-			total := producers * perProducer
-			opts := TableOptions{
-				Window:          stream.Window{Kind: stream.CountWindow, Count: windowSize},
-				Permanent:       true,
-				Sync:            policy,
-				RecoverInterval: -1,
-			}
-			dir := t.TempDir()
-			store, err := NewStore(nil, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			conc, err := store.CreateTable("conc", prodSchema, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// seen[i] is one window the reader caught up with: its first
-			// ordinal and its rows.
-			type window struct {
-				first uint64
-				keys  []prodKey
-			}
-			var seen []window
-			stop := make(chan struct{})
-			readerDone := make(chan struct{})
-			rd := &windowReader{key: prodKeyString}
-			go func() {
-				defer close(readerDone)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					conc.ReadWindow(func(first uint64, live []stream.Element) {
-						rd.catchUp(first, live)
-						seen = append(seen, window{first, elemKeys(live)})
-					})
-				}
-			}()
-			produce(t, conc, producers, perProducer, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 }, nil).Wait()
-			close(stop)
-			<-readerDone
-			if err := conc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			_, concRep, err := ReplayLog(filepath.Join(dir, "CONC.gsnlog"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			order := concRep
-			if len(order) != total {
-				t.Fatalf("window committed %d elements, want %d", len(order), total)
-			}
-			next := make([]int64, producers)
-			for i, e := range order {
-				k := elemKey(e)
-				if k.seq != next[k.producer] {
-					t.Fatalf("commit order position %d: producer %d seq %d, want %d (FIFO violated)",
-						i, k.producer, k.seq, next[k.producer])
-				}
-				next[k.producer]++
-			}
-
-			// The serial replay, read after every insert: each window is
-			// the last windowSize elements of the order so far.
-			serial, err := store.CreateTable("serial", prodSchema, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srd := &windowReader{key: prodKeyString}
-			for i, e := range order {
-				if err := serial.Insert(e); err != nil {
-					t.Fatal(err)
-				}
-				srd.read(serial)
-				if lo := max(0, i+1-windowSize); srd.first != uint64(lo) || len(srd.mirror) != i+1-lo {
-					t.Fatalf("serial window after %d inserts: %d rows from ordinal %d", i+1, len(srd.mirror), srd.first)
-				}
-			}
-			if err := serial.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			// Every window the concurrent reader saw is the serial
-			// replay's window after as many arrivals.
-			orderKeys := elemKeys(order)
-			for _, w := range seen {
-				end := int(w.first) + len(w.keys)
-				if lo := max(0, end-windowSize); int(w.first) != lo {
-					t.Fatalf("a concurrent read saw %d rows from ordinal %d, the serial window after %d arrivals starts at %d",
-						len(w.keys), w.first, end, lo)
-				}
-				for i, k := range w.keys {
-					if k != orderKeys[int(w.first)+i] {
-						t.Fatalf("a concurrent read saw %+v at ordinal %d, the commit order has %+v",
-							k, int(w.first)+i, orderKeys[int(w.first)+i])
-					}
-				}
-			}
-			rd.read(conc)
-			if rd.first != uint64(total-windowSize) || rd.first != srd.first || len(rd.mirror) != windowSize {
-				t.Fatalf("the reader ended at %d rows from ordinal %d, the serial one at %d from %d",
-					len(rd.mirror), rd.first, len(srd.mirror), srd.first)
-			}
-			if len(seen) < 2 {
-				t.Logf("the reader caught up %d times only", len(seen))
-			}
-			if got, want := elemBytes(conc.Snapshot()), elemBytes(serial.Snapshot()); string(got) != string(want) {
-				t.Fatal("concurrent and serial windows differ")
-			}
-			_, serialRep, err := ReplayLog(filepath.Join(dir, "SERIAL.gsnlog"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(elemBytes(concRep)) != string(elemBytes(serialRep)) {
-				t.Fatalf("WAL replay: concurrent %d records, serial %d, want %d identical ones",
-					len(concRep), len(serialRep), total)
+			for _, windowSize := range []int{256, total} {
+				t.Run(fmt.Sprintf("window%d", windowSize), func(t *testing.T) {
+					checkConcurrentInsertEquivalence(t, policy, producers, perProducer, windowSize)
+				})
 			}
 		})
+	}
+}
+
+func checkConcurrentInsertEquivalence(t *testing.T, policy SyncPolicy, producers, perProducer, windowSize int) {
+	total := producers * perProducer
+	opts := TableOptions{
+		Window:          stream.Window{Kind: stream.CountWindow, Count: windowSize},
+		Permanent:       true,
+		Sync:            policy,
+		RecoverInterval: -1,
+	}
+	dir := t.TempDir()
+	store, err := NewStore(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	conc, err := store.CreateTable("conc", prodSchema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seen[i] is one window the reader caught up with: its first
+	// ordinal and its rows. The last is read after every producer
+	// returned.
+	type window struct {
+		first uint64
+		keys  []prodKey
+	}
+	var seen []window
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	rd := &windowReader{key: prodKeyString}
+	sample := func(first uint64, live []stream.Element) {
+		rd.catchUp(first, live)
+		seen = append(seen, window{first, elemKeys(live)})
+	}
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			conc.ReadWindow(sample)
+		}
+	}()
+	produce(t, conc, producers, perProducer, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 }, nil).Wait()
+	close(stop)
+	<-readerDone
+	conc.ReadWindow(sample)
+	if err := conc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, order, err := ReplayLog(filepath.Join(dir, "CONC.gsnlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != total {
+		t.Fatalf("window committed %d elements, want %d", len(order), total)
+	}
+	next := make([]int64, producers)
+	for i, e := range order {
+		k := elemKey(e)
+		if k.seq != next[k.producer] {
+			t.Fatalf("commit order position %d: producer %d seq %d, want %d (FIFO violated)",
+				i, k.producer, k.seq, next[k.producer])
+		}
+		next[k.producer]++
+	}
+
+	// The serial replay, read after every insert: each window is the
+	// last windowSize elements of the order so far.
+	serial, err := store.CreateTable("serial", prodSchema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srd := &windowReader{key: prodKeyString}
+	for i, e := range order {
+		if err := serial.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		srd.read(serial)
+		if lo := max(0, i+1-windowSize); srd.first != uint64(lo) || len(srd.mirror) != i+1-lo {
+			t.Fatalf("serial window after %d inserts: %d rows from ordinal %d", i+1, len(srd.mirror), srd.first)
+		}
+	}
+	if err := serial.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Every window the reader saw, the final one included, is the serial
+	// replay's window after as many arrivals.
+	orderKeys := elemKeys(order)
+	for _, w := range seen {
+		end := int(w.first) + len(w.keys)
+		if lo := max(0, end-windowSize); int(w.first) != lo {
+			t.Fatalf("a concurrent read saw %d rows from ordinal %d, the serial window after %d arrivals starts at %d",
+				len(w.keys), w.first, end, lo)
+		}
+		for i, k := range w.keys {
+			if k != orderKeys[int(w.first)+i] {
+				t.Fatalf("a concurrent read saw %+v at ordinal %d, the commit order has %+v",
+					k, int(w.first)+i, orderKeys[int(w.first)+i])
+			}
+		}
+	}
+	// The final window is the last min(total, windowSize) arrivals: with
+	// a window that holds them all, the whole publish order.
+	last := seen[len(seen)-1]
+	if want := max(0, total-windowSize); int(last.first) != want || int(last.first)+len(last.keys) != total {
+		t.Fatalf("the final read saw %d rows from ordinal %d, want the arrivals from %d to %d",
+			len(last.keys), last.first, want, total)
+	}
+	if rd.first != last.first || rd.first != srd.first || len(rd.mirror) != len(srd.mirror) {
+		t.Fatalf("the reader ended at %d rows from ordinal %d, the serial one at %d from %d",
+			len(rd.mirror), rd.first, len(srd.mirror), srd.first)
+	}
+	t.Logf("the reader caught up %d times", len(seen))
+	if got, want := elemBytes(conc.Snapshot()), elemBytes(serial.Snapshot()); string(got) != string(want) {
+		t.Fatal("concurrent and serial windows differ")
+	}
+	_, serialRep, err := ReplayLog(filepath.Join(dir, "SERIAL.gsnlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(elemBytes(order)) != string(elemBytes(serialRep)) {
+		t.Fatalf("WAL replay: concurrent %d records, serial %d, want %d identical ones",
+			len(order), len(serialRep), total)
 	}
 }
 
