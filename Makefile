@@ -66,8 +66,9 @@ docs-check:
 
 # benchsmoke compiles and runs every benchmark once and regenerates the
 # paper's evaluation in quick mode, so harness rot is caught on every PR
-# without paying for full measurement runs. -cpu 1,4 exercises the
-# worker-pool multi-core paths alongside the single-core ones.
+# without paying for full measurement runs. -cpu 1,4 runs every
+# benchmark at GOMAXPROCS 1 and 4, so code whose behaviour depends on
+# the processor count runs both ways.
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -cpu 1,4 ./...
 	$(GO) run ./cmd/gsn-bench -experiment all -quick
@@ -95,11 +96,15 @@ examples-smoke:
 # while their window is written (TestFilteredMaintainerRace),
 # and the run-to-completion contracts: concurrent arrivals on one stream
 # evaluate one at a time, a redeploy waits for the evaluation in flight,
-# no subscriber call after Unsubscribe returns.
+# no subscriber call after Unsubscribe returns; registered queries are
+# answered on the producer (TestSweepRunsOnTheProducer), no callback runs
+# after Undeploy returns (TestUndeployWaitsForRegisteredQuerySweep), and
+# two input streams of one sensor sweep at once without a race or a
+# wrong answer (TestConcurrentStreamsSweep).
 # See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace|TestUndeployWaitsForRegisteredQuerySweep|TestSweepRunsOnTheProducer|TestConcurrentStreamsSweep' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
 # fuzz-smoke runs three fuzzers for a few seconds each: the maintained

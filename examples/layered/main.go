@@ -81,7 +81,7 @@ func main() {
 	node, err := gsn.NewNode(gsn.NodeOptions{
 		Name:           "layered",
 		Clock:          gsn.NewManualClock(1_000_000),
-		SyncProcessing: true, // deterministic: the client query's sweep runs inside each Pulse's cascade too
+		SyncProcessing: true, // deterministic: no supervision loop beside the pulses
 	})
 	if err != nil {
 		log.Fatal(err)

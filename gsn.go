@@ -93,10 +93,10 @@ type NodeOptions struct {
 	Advertise string
 	// Clock overrides the time source (nil = system clock).
 	Clock Clock
-	// SyncProcessing runs registered-query sweeps on the goroutine whose
-	// output triggered them and turns wrapper supervision off, for
-	// deterministic simulation (tests, benchmarks). Triggers evaluate
-	// on the goroutine that delivered their element either way.
+	// SyncProcessing turns wrapper supervision off, for deterministic
+	// simulation (tests, benchmarks). Triggers and registered-query
+	// sweeps run on the goroutine that delivered their element either
+	// way.
 	SyncProcessing bool
 	// SignKeyID signs outgoing peer streams with this keyring entry.
 	SignKeyID string
@@ -342,7 +342,11 @@ func (n *Node) Subscribe(sensor string, fn func(Event)) (int64, error) {
 func (n *Node) Unsubscribe(id int64) error { return n.container.Unsubscribe(id) }
 
 // RegisterQuery adds a continuous client query evaluated whenever the
-// sensor produces (sampling in (0,1]; cb may be nil).
+// sensor produces (sampling in (0,1]; cb may be nil). cb runs on the
+// goroutine that delivered the element behind the new output, inside
+// that evaluation, which Undeploy, Redeploy and Close wait for: it must
+// not block, and must not deploy, redeploy or undeploy the sensor it
+// watches (nor close the node).
 func (n *Node) RegisterQuery(sensor, sql string, sampling float64, cb func(*Relation)) (int64, error) {
 	return n.container.RegisterQuery(sensor, sql, sampling, cb)
 }

@@ -461,7 +461,7 @@ func TestLocalSelfDependencyRejected(t *testing.T) {
 // race detector, including tearing down and rebuilding the middle tier
 // of a three-sensor chain while elements flow.
 func TestConcurrentLifecycleRace(t *testing.T) {
-	c, err := New(Options{Name: "race-node"}) // async: repository pool + supervision live
+	c, err := New(Options{Name: "race-node"}) // supervision live
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,9 @@ type Options struct {
 	Directory *directory.Registry
 	// Notify tunes the notification manager.
 	Notify notify.Options
-	// SyncProcessing runs each registered-query sweep on the goroutine
-	// whose output triggered it instead of the repository's pool, and
-	// turns the supervision loop off: the deterministic mode of tests
-	// and benchmarks. Triggers evaluate on the goroutine that delivered
-	// their element either way.
+	// SyncProcessing turns the supervision loop off: the deterministic
+	// mode of tests and benchmarks. Triggers and registered-query sweeps
+	// run on the goroutine that delivered their element either way.
 	SyncProcessing bool
 	// MaxQueryRows bounds query results (0 = engine default).
 	MaxQueryRows int
@@ -97,6 +95,13 @@ type Container struct {
 	registry *wrappers.Registry
 	queries  *QueryRepository
 	results  *resultCache
+
+	// Trigger-path instruments, resolved once: every trigger updates
+	// them, and a lookup by name takes the registry's mutex.
+	processingTime, triggerLatency                    *metrics.Histogram
+	elementsProcessed, triggersCoalesced, ingestBatch *metrics.Counter
+	sourceIncremental, sourceCompiled, sourceGeneral  *metrics.Counter
+	sourceResyncs                                     *metrics.Counter
 
 	// locals is the composition bus: output streams fanning out to the
 	// local sources of downstream sensors (its own lock; never held
@@ -187,6 +192,16 @@ func New(opts Options) (*Container, error) {
 		sensors:  make(map[string]*VirtualSensor),
 		deps:     make(map[string][]string),
 		locals:   newLocalFanout(),
+
+		processingTime:    reg.Histogram("processing_time"),
+		triggerLatency:    reg.Histogram("trigger_latency"),
+		elementsProcessed: reg.Counter("elements_processed"),
+		triggersCoalesced: reg.Counter("triggers_coalesced"),
+		ingestBatch:       reg.Counter("ingest_batches"),
+		sourceIncremental: reg.Counter("source_eval_incremental"),
+		sourceCompiled:    reg.Counter("source_eval_compiled"),
+		sourceGeneral:     reg.Counter("source_eval_general"),
+		sourceResyncs:     reg.Counter("source_eval_resyncs"),
 	}
 	c.results = newResultCache(store, reg)
 	if !opts.SyncProcessing {
@@ -635,6 +650,12 @@ func (c *Container) LocalQuery(sql string) (*sqlengine.Relation, error) {
 // clustered node, a sensor deployed only on a peer is registered there
 // and result revisions stream back; routed registrations get negative
 // ids (local ones are positive).
+//
+// cb runs on the goroutine that delivered the element the sensor's new
+// output came from, inside that evaluation: the producer waits for it,
+// and Undeploy, Redeploy and Close wait for it too. It must not block,
+// and must not deploy, redeploy or undeploy the sensor it watches (nor
+// close the container), which would wait for cb itself.
 func (c *Container) RegisterQuery(sensor, sql string, sampling float64, cb func(*sqlengine.Relation)) (int64, error) {
 	canonical := stream.CanonicalName(sensor)
 	c.mu.RLock()
@@ -897,7 +918,6 @@ func (c *Container) Close() error {
 			c.dir.Unpublish(name, c.opts.NodeAddress)
 		}
 	}
-	c.queries.Close()
 	c.notifier.Close()
 	return c.store.Close()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,20 +140,15 @@ type sensorQueries struct {
 	// the list (sweepStart), so no group is evaluated last — and its
 	// subscribers served a whole sweep late — on every trigger.
 	sweeps atomic.Uint64
-
-	// sweepPending coalesces scheduled sweeps: while a sweep is queued
-	// but has not started reading windows, further triggers collapse
-	// into it (mirroring the trigger pipeline's coalescing).
-	sweepPending atomic.Bool
 }
 
 // QueryRepository manages registered client queries — GSN's query
 // repository, which "defines and maintains the set of currently active
 // queries for the query processor". Identical SQL registered by many
 // clients dedupes into one evaluation group; a trigger sweep
-// materialises the sensor's output window once, evaluates independent
-// groups on a bounded worker pool and fans each result out to the
-// group's subscribers.
+// materialises the sensor's output window at most once, evaluates the
+// groups one after another on the goroutine that produced the output
+// and fans each result out to the group's subscribers.
 type QueryRepository struct {
 	mu       sync.RWMutex
 	nextID   int64
@@ -166,22 +160,14 @@ type QueryRepository struct {
 	// Hot-path instruments, resolved once (a sweep touches them per
 	// group; going through the registry would take its mutex each time).
 	sweepTime     *metrics.Histogram
-	coalesced     *metrics.Counter
 	tierIncrement *metrics.Counter
 	tierCompiled  *metrics.Counter
 	tierGeneral   *metrics.Counter
-
-	poolOnce sync.Once
-	tasks    chan func()
-	// poolMu serialises channel shutdown against submit's send, so a
-	// sweep racing Close can never hit a closed channel.
-	poolMu sync.RWMutex
-	closed bool
 }
 
 // NewQueryRepository creates an empty repository. reg may be nil (a
 // private registry is used); the container passes its own so sweep
-// latency and coalescing counters surface in /api/metrics.
+// latency and tier counters surface in /api/metrics.
 func NewQueryRepository(reg *metrics.Registry) *QueryRepository {
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -191,61 +177,9 @@ func NewQueryRepository(reg *metrics.Registry) *QueryRepository {
 		bySensor:      make(map[string]*sensorQueries),
 		metrics:       reg,
 		sweepTime:     reg.Histogram("client_query_time"),
-		coalesced:     reg.Counter("queries_coalesced"),
 		tierIncrement: reg.Counter("client_query_incremental"),
 		tierCompiled:  reg.Counter("client_query_compiled"),
 		tierGeneral:   reg.Counter("client_query_general"),
-	}
-}
-
-// maxSweepWorkers bounds the shared evaluation pool.
-const maxSweepWorkers = 16
-
-// startPool lazily launches the bounded worker pool shared by all
-// sweeps (group evaluations and scheduled sweeps run on it).
-func (r *QueryRepository) startPool() {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxSweepWorkers {
-		n = maxSweepWorkers
-	}
-	r.tasks = make(chan func(), n*4)
-	for i := 0; i < n; i++ {
-		go func() {
-			for fn := range r.tasks {
-				fn()
-			}
-		}()
-	}
-}
-
-// submit hands fn to the pool, reporting false when the pool is
-// saturated or closed (the caller runs it inline).
-func (r *QueryRepository) submit(fn func()) bool {
-	r.poolOnce.Do(r.startPool)
-	r.poolMu.RLock()
-	defer r.poolMu.RUnlock()
-	if r.closed {
-		return false
-	}
-	select {
-	case r.tasks <- fn:
-		return true
-	default:
-		return false
-	}
-}
-
-// Close stops the worker pool. Scheduled sweeps already queued finish;
-// later submissions run inline on the caller.
-func (r *QueryRepository) Close() {
-	// Start-then-close keeps the once state consistent even if no
-	// sweep ever ran.
-	r.poolOnce.Do(r.startPool)
-	r.poolMu.Lock()
-	defer r.poolMu.Unlock()
-	if !r.closed {
-		r.closed = true
-		close(r.tasks)
 	}
 }
 
@@ -255,9 +189,11 @@ func (r *QueryRepository) Close() {
 // when non-nil the statement is compiled against its schema so the
 // per-trigger path pays no planning, and aggregate shapes the maintainer
 // covers (sqlengine.Plan.Incremental) are maintained incrementally.
-// Callbacks of different groups may run concurrently; a group's
-// subscribers are invoked sequentially and share the result relation
-// read-only.
+// Callbacks run on the goroutine that produced the output (EvaluateFor's
+// caller); a group's subscribers are invoked one after another and share
+// the result relation read-only. Sweeps of one sensor overlap when its
+// input streams produce at once, so callbacks may run concurrently and
+// need not arrive in window order.
 func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	cb func(*sqlengine.Relation), out *storage.Table) (int64, error) {
 	if sampling < 0 || sampling > 1 {
@@ -440,19 +376,22 @@ type sharedWindow struct {
 	name  string
 	cat   sqlengine.Catalog
 
-	once sync.Once
+	done bool
 	rel  *sqlengine.Relation
 	err  error
 }
 
+// relation materialises the window on first use. A sweep is serial, so
+// no two groups fill it at once.
 func (s *sharedWindow) relation() (*sqlengine.Relation, error) {
-	s.once.Do(func() {
+	if !s.done {
+		s.done = true
 		if s.table != nil {
 			s.rel = sqlengine.RelationOfSource(s.table)
-			return
+		} else {
+			s.rel, s.err = s.cat.Relation(s.name)
 		}
-		s.rel, s.err = s.cat.Relation(s.name)
-	})
+	}
 	return s.rel, s.err
 }
 
@@ -469,10 +408,10 @@ func (s *sharedWindow) catalog() sqlengine.Catalog {
 
 // EvaluateFor runs every query registered for the sensor (subject to
 // each query's sampling rate) against the catalog and returns the
-// number of subscriber queries evaluated. Groups evaluate at most once
-// per sweep; independent groups run on the shared worker pool when
-// there are enough of them to pay for the fan-out. The sweep's wall
-// time feeds the client_query_time histogram — Figure 4's y-axis.
+// number of subscriber queries evaluated. It runs on the caller's
+// goroutine — the trigger's, which produced the output — and evaluates
+// each group once, one after another. The sweep's wall time feeds the
+// client_query_time histogram — Figure 4's y-axis.
 func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) int {
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()
@@ -488,103 +427,20 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 
 	start := time.Now()
 	shared := &sharedWindow{table: snap.out, name: canonical, cat: cat}
-
-	// Completion is tracked per work item, never per helper task: the
-	// caller always participates, so even if every submitted helper sits
-	// behind busy pool workers (or another sweep occupies the whole
-	// pool), the caller drains the index itself and the wait below
-	// cannot deadlock. A helper that finally runs after the sweep
-	// finished finds the index exhausted and returns without touching
-	// anything.
-	var evaluated atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(len(work))
-	runRange := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(work) {
-				return
-			}
-			evaluated.Add(int64(r.safeEvalGroup(work[(first+i)%len(work)], shared, cat, opts)))
-			wg.Done()
-		}
+	evaluated := 0
+	for i := range work {
+		evaluated += r.safeEvalGroup(work[(first+i)%len(work)], shared, cat, opts)
 	}
-
-	// Fan out only when the sweep is wide enough for the scheduling to
-	// pay off; a deployment with a couple of groups stays inline.
-	//
-	// Worker sizing is GOMAXPROCS-aware with a per-worker floor instead
-	// of the old fixed fanOutThreshold=4 (tuned at GOMAXPROCS=1, where
-	// the pool never fans out): waking a helper costs on the order of a
-	// microsecond of submit/wakeup/wg accounting while a typical
-	// compiled group evaluates in ~10–20µs, so a helper is only worth
-	// waking when it gets at least minGroupsPerSweepWorker groups of
-	// its own. That keeps scheduling overhead a few percent at worst at
-	// any core count, stops an 8-core box from waking 7 helpers for an
-	// 8-group sweep (each stealing one group), and still saturates the
-	// pool on wide sweeps.
-	const minGroupsPerSweepWorker = 2
-	workers := runtime.GOMAXPROCS(0)
-	if workers > maxSweepWorkers {
-		workers = maxSweepWorkers
-	}
-	if byWidth := len(work) / minGroupsPerSweepWorker; workers > byWidth {
-		workers = byWidth
-	}
-	if workers >= 2 {
-		for i := 1; i < workers; i++ {
-			if !r.submit(runRange) {
-				break // pool saturated or closed: the caller covers the rest
-			}
-		}
-	}
-	runRange()
-	wg.Wait()
-
-	if n := int(evaluated.Load()); n > 0 {
+	if evaluated > 0 {
 		r.sweepTime.Observe(time.Since(start))
-		return n
 	}
-	return 0
-}
-
-// ScheduleSweep queues an asynchronous EvaluateFor on the worker pool,
-// coalescing per sensor: while a sweep is pending and has not started
-// reading windows, further triggers collapse into it (the pending
-// sweep sees their elements — inserts complete before scheduling, and
-// the sweep clears the flag before materialising any window). The
-// trigger pipeline uses this so a burst costs one repository sweep,
-// not one per output element.
-func (r *QueryRepository) ScheduleSweep(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) {
-	canonical := stream.CanonicalName(sensor)
-	r.mu.RLock()
-	sq := r.bySensor[canonical]
-	r.mu.RUnlock()
-	if sq == nil {
-		return
-	}
-	if !sq.sweepPending.CompareAndSwap(false, true) {
-		r.coalesced.Inc()
-		return
-	}
-	sweep := func() {
-		// Clear before reading any window: an arrival after this point
-		// schedules a fresh sweep, an arrival before it is already in
-		// the table and covered by this one.
-		sq.sweepPending.Store(false)
-		r.EvaluateFor(canonical, cat, opts)
-	}
-	if !r.submit(sweep) {
-		sweep()
-	}
+	return evaluated
 }
 
 // safeEvalGroup runs evalGroup with panic isolation (life-cycle
 // manager duty): one panicking subscriber callback must not take down
-// the sweep, a pool worker, or — with the sweep's per-item completion
-// accounting — hang EvaluateFor. Panics are counted on
-// client_query_panics.
+// the sweep or the goroutine that produced the output. Panics are
+// counted on client_query_panics.
 func (r *QueryRepository) safeEvalGroup(w groupWork, shared *sharedWindow,
 	cat sqlengine.Catalog, opts sqlengine.Options) (n int) {
 	defer func() {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"gsn/internal/sqlengine"
 	"gsn/internal/storage"
 	"gsn/internal/stream"
+	"gsn/internal/wrappers"
 )
 
 // deployVals builds a sensor whose output window holds integer source
@@ -137,7 +137,7 @@ func TestGroupedEvaluationMatchesSerial(t *testing.T) {
 	}
 
 	for pulse := 0; pulse < 150; pulse++ {
-		c.Pulse() // sync mode: the repository sweep runs inline
+		c.Pulse() // the repository sweep runs inside the pulse
 		shadow.EvaluateForSerial("vals", c.Catalog(), sqlengine.Options{Clock: c.Clock()})
 		for i, sql := range clientQueryShapes {
 			g, s := grouped.last[i], serial.last[i]
@@ -311,7 +311,7 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 	go func() {
 		defer sweepers.Done()
 		for i := 0; i < 30 || !mutatorsDone.Load(); i++ {
-			c.Pulse() // sync mode: inline trigger + repository sweep
+			c.Pulse() // inline trigger + repository sweep
 		}
 	}()
 	sweepers.Add(1)
@@ -339,7 +339,7 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 
 // TestFilteredMaintainerRace registers and unregisters filtered
 // aggregate queries on a sensor while arrivals write its output window
-// and sweeps read the maintainers on the repository's pool (run with
+// and sweeps read the maintainers on the producing goroutine (run with
 // -race): each registration replays the window into its own maintainer
 // under the table lock while arrivals reach the others. Once all
 // settles, every maintained answer is the interpreter's.
@@ -428,40 +428,209 @@ func TestFilteredMaintainerRace(t *testing.T) {
 	}
 }
 
-// TestSweepCompletesWithSaturatedPool pins the no-deadlock property of
-// the fan-out: with every pool worker blocked and the task queue full,
-// EvaluateFor must drain all groups on the calling goroutine and
-// return (completion is tracked per work item, not per helper task).
-func TestSweepCompletesWithSaturatedPool(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	c := testContainer(t)
-	deployVals(t, c, 60)
-	for i := 0; i < 30; i++ {
-		c.Pulse()
+// TestSweepRunsOnTheProducer: without SyncProcessing, a registered
+// query is answered inside the evaluation its output came from, so by
+// the time Pulse returns the callback has seen the pulse's output.
+func TestSweepRunsOnTheProducer(t *testing.T) {
+	c, err := New(Options{Name: "producer-sweep", Clock: stream.NewManualClock(1_000_000)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	const n = 8
-	for i := 0; i < n; i++ {
-		sql := fmt.Sprintf("select count(*) from vals where value > %d", i)
-		if _, err := c.RegisterQuery("vals", sql, 1, nil); err != nil {
+	defer c.Close()
+	deployVals(t, c, 60)
+	var seen atomic.Int64
+	if _, err := c.RegisterQuery("vals", "select count(*) as n from vals", 1, func(rel *sqlengine.Relation) {
+		seen.Store(rel.Rows[0][0].(int64))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	vs, _ := c.Sensor("vals")
+	for i := int64(1); i <= 50; i++ {
+		vs.Pulse()
+		if got := seen.Load(); got != i {
+			t.Fatalf("pulse %d returned before the callback saw its output (last result counted %d rows)", i, got)
+		}
+	}
+}
+
+// TestUndeployWaitsForRegisteredQuerySweep: Undeploy waits for the
+// registered-query sweep its sensor's evaluation runs, so no callback
+// of the removed sensor runs after Undeploy returns.
+func TestUndeployWaitsForRegisteredQuerySweep(t *testing.T) {
+	c, err := New(Options{Name: "undeploy-sweep", Clock: stream.NewManualClock(1_000_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deployVals(t, c, 10)
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	var calls atomic.Int64
+	if _, err := c.RegisterQuery("vals", "select count(*) from vals", 1, func(*sqlengine.Relation) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	vs, _ := c.Sensor("vals")
+	pulsed := make(chan struct{})
+	go func() {
+		defer close(pulsed)
+		vs.Pulse()
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the callback never ran")
+	}
+	undeployed := make(chan error, 1)
+	go func() { undeployed <- c.Undeploy("vals") }()
+	select {
+	case err := <-undeployed:
+		t.Fatalf("Undeploy returned (err %v) while a callback of the sensor was still running", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	releaseOnce()
+	select {
+	case err := <-undeployed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Undeploy did not return once the callback did")
+	}
+	<-pulsed
+}
+
+// TestConcurrentStreamsSweep: a sensor with two input streams, each fed
+// from its own goroutine, sweeps its registered queries on both at
+// once — a maintained, a compiled and an interpreted group. Under -race
+// nothing may race or fail, and once the feeders are done each group's
+// result must be the serial interpreter's over the final window.
+func TestConcurrentStreamsSweep(t *testing.T) {
+	c, err := New(Options{Name: "two-streams", Clock: stream.NewManualClock(1_000_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dir := t.TempDir()
+	streams := ""
+	for k, name := range []string{"a", "b"} {
+		path := filepath.Join(dir, name+".csv")
+		data := "v\n"
+		for i := 0; i < 101; i++ {
+			data += fmt.Sprintf("%d\n", (i*(17+20*k))%101)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		streams += fmt.Sprintf(`
+  <input-stream name=%q>
+    <stream-source alias="s" storage-size="1">
+      <address wrapper="csv">
+        <predicate key="file" val=%q/>
+        <predicate key="types" val="integer"/>
+        <predicate key="loop" val="true"/>
+      </address>
+      <query>select v as value from WRAPPER</query>
+    </stream-source>
+    <query>select * from s</query>
+  </input-stream>`, name, path)
+	}
+	deploy(t, c, `<virtual-sensor name="pair">
+  <output-structure><field name="value" type="integer"/></output-structure>
+  <storage size="64"/>`+streams+`
+</virtual-sensor>`)
+
+	sqls := []string{
+		"select count(*) as n, sum(value) as s, min(value) as lo from pair where value % 3 = 1",
+		"select count(*) as n, max(value) as hi from pair where now() >= timed",
+		"select count(*) as n from pair where value >= (select avg(value) from pair)",
+	}
+	var mu sync.Mutex
+	last := make([]string, len(sqls))
+	for i, sql := range sqls {
+		if _, err := c.RegisterQuery("pair", sql, 1, func(rel *sqlengine.Relation) {
+			s := rel.String()
+			mu.Lock()
+			last[i] = s
+			mu.Unlock()
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	repo := c.QueryRepositoryRef()
-	release := make(chan struct{})
-	defer close(release)
-	for repo.submit(func() { <-release }) {
-		// Block every worker and fill the queue.
+	tiers := []string{"client_query_incremental", "client_query_compiled", "client_query_general"}
+	before := make([]uint64, len(tiers))
+	for i, name := range tiers {
+		before[i] = c.Metrics().Counter(name).Value()
 	}
-	done := make(chan int, 1)
-	go func() { done <- repo.EvaluateFor("vals", c.Catalog(), sqlengine.Options{Clock: c.Clock()}) }()
-	select {
-	case got := <-done:
-		if got != n {
-			t.Errorf("evaluated %d of %d with a saturated pool", got, n)
+
+	vs, _ := c.Sensor("pair")
+	feed := func(k int) {
+		src := vs.streams[k].sources[0]
+		e, err := src.wrapper.(wrappers.Producer).Produce()
+		if err != nil {
+			t.Error(err)
+			return
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sweep deadlocked against the saturated pool")
+		vs.ingress(src, e)
+	}
+	const arrivals = 1000
+	var wg sync.WaitGroup
+	for k := range vs.streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < arrivals; i++ {
+				feed(k)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool {
+		st := vs.Stats()
+		return st.Outputs+st.Dropped+st.Coalesced+st.Errors >= st.Triggers
+	})
+	// The two streams' sweeps are not ordered with each other, and
+	// neither are their callbacks: one more arrival, once both feeders
+	// are done, makes the last sweep known.
+	feed(0)
+
+	st := vs.Stats()
+	if st.Errors != 0 || st.Dropped != 0 || st.Triggers != 2*arrivals+1 || st.Outputs+st.Coalesced != st.Triggers {
+		t.Fatalf("stats = %+v", st)
+	}
+	for _, q := range c.QueryRepositoryRef().Stats() {
+		if q.Errors != 0 || q.Evaluations == 0 {
+			t.Errorf("%s: %d evaluations, %d errors", q.SQL, q.Evaluations, q.Errors)
+		}
+	}
+	if n := c.Metrics().Counter("client_query_panics").Value(); n != 0 {
+		t.Errorf("%d callback panics", n)
+	}
+	for i, name := range tiers {
+		if c.Metrics().Counter(name).Value() == before[i] {
+			t.Errorf("%s did not move: %s ran on another tier", name, sqls[i])
+		}
+	}
+
+	shadow := NewQueryRepository(nil)
+	want := make([]string, len(sqls))
+	for i, sql := range sqls {
+		if _, err := shadow.Register("pair", sql, 1, func(rel *sqlengine.Relation) { want[i] = rel.String() }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shadow.EvaluateForSerial("pair", c.Catalog(), c.engineOpts())
+	mu.Lock()
+	defer mu.Unlock()
+	for i, sql := range sqls {
+		if last[i] != want[i] {
+			t.Errorf("%s:\nlast result:\n%s\nserial over the final window:\n%s", sql, last[i], want[i])
+		}
 	}
 }
 
@@ -474,8 +643,6 @@ func TestSweepCompletesWithSaturatedPool(t *testing.T) {
 // within a few times as many sweeps as there are groups, and a second
 // repository given the same registrations must repeat the sequence.
 func TestSweepOrderIsRegistrationOrder(t *testing.T) {
-	old := runtime.GOMAXPROCS(1) // inline sweeps: the callback order is the evaluation order
-	defer runtime.GOMAXPROCS(old)
 	const groups, sweeps = 7, 21
 	run := func() [][]int {
 		c := testContainer(t)
@@ -926,7 +1093,6 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	repo := NewQueryRepository(reg)
-	defer repo.Close()
 	const sql = "select k, avg(f) as a from t group by k"
 	var got atomic.Value
 	if _, err := repo.Register("t", sql, 1, func(rel *sqlengine.Relation) {

@@ -363,7 +363,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 			vs.recordError(err)
 			return
 		}
-		vs.container.metrics.Counter("ingest_batches").Inc()
+		vs.container.ingestBatch.Inc()
 		n := uint64(len(batch))
 		total := src.arrivals.Add(n)
 		slide := uint64(src.slide)
@@ -473,7 +473,7 @@ func (vs *VirtualSensor) fire(in *inputStream, n int) {
 	vs.lifeMu.RUnlock()
 	if coalesced > 0 {
 		vs.statCoalesced.Add(uint64(coalesced))
-		vs.container.metrics.Counter("triggers_coalesced").Add(uint64(coalesced))
+		vs.container.triggersCoalesced.Add(uint64(coalesced))
 	}
 	if run {
 		vs.evaluate(in, arrived, true)
@@ -579,8 +579,9 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 
 	// Step 5: persist the outputs with one InsertBatch, then notify:
 	// in-process subscribers are called here, downstream sensors on
-	// local edges evaluate here, depth-first, and the registered-query
-	// sweep goes to the repository's pool (inline under SyncProcessing).
+	// local edges evaluate here, depth-first, and the registered queries
+	// are swept here — all inside this evaluation, which lifecycle
+	// operations wait for.
 	elems, err := in.out.elements(vs.outSchema, outRel.Rows, c.clock.Now())
 	if err != nil {
 		vs.recordError(err)
@@ -596,16 +597,12 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 			c.notifier.Publish(vs.name, e)
 		}
 		c.locals.deliver(vs.name, elems)
-		if c.opts.SyncProcessing {
-			c.queries.EvaluateFor(vs.name, c.Catalog(), c.engineOpts())
-		} else {
-			c.queries.ScheduleSweep(vs.name, c.Catalog(), c.engineOpts())
-		}
+		c.queries.EvaluateFor(vs.name, c.Catalog(), c.engineOpts())
 	}
 
-	c.metrics.Histogram("processing_time").Observe(time.Since(start))
-	c.metrics.Histogram("trigger_latency").Observe(time.Since(arrived))
-	c.metrics.Counter("elements_processed").Inc()
+	c.processingTime.Observe(time.Since(start))
+	c.triggerLatency.Observe(time.Since(arrived))
+	c.elementsProcessed.Inc()
 }
 
 // evalSource evaluates one source query over its current window.
@@ -616,7 +613,7 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 			// Bounded float drift: the read below rebuilds the aggregate
 			// state from the live window.
 			src.agg.Reset()
-			c.metrics.Counter("source_eval_resyncs").Inc()
+			c.sourceResyncs.Inc()
 		}
 		// Catch up under the table's lock so the result reflects exactly
 		// the live window — never the instant between an insert and the
@@ -627,17 +624,17 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 			rel = src.agg.Read(first, live, c.engineOpts())
 		})
 		if rel != nil {
-			c.metrics.Counter("source_eval_incremental").Inc()
+			c.sourceIncremental.Inc()
 			return rel, nil
 		}
 		// Declined read: fall through so the plan answers, or surfaces
 		// the underlying error on the normal path.
 	}
 	if src.plan != nil {
-		c.metrics.Counter("source_eval_compiled").Inc()
+		c.sourceCompiled.Inc()
 		return src.plan.ExecuteSource(src.table, c.engineOpts())
 	}
-	c.metrics.Counter("source_eval_general").Inc()
+	c.sourceGeneral.Inc()
 	return src.interpret(sqlengine.RelationOfSource(src.table), c.engineOpts())
 }
 
