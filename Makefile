@@ -100,11 +100,14 @@ examples-smoke:
 # answered on the producer (TestSweepRunsOnTheProducer), no callback runs
 # after Undeploy returns (TestUndeployWaitsForRegisteredQuerySweep), and
 # two input streams of one sensor sweep at once without a race or a
-# wrong answer (TestConcurrentStreamsSweep).
+# wrong answer (TestConcurrentStreamsSweep); and a redeploy builds its
+# replacement beside the running sensor: 50 redeploys, valid and
+# refused in turn, under a pulsing goroutine, where a refused one leaves
+# the runtime and its windows as they were (TestRedeployBesideRunningSensor).
 # See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace|TestUndeployWaitsForRegisteredQuerySweep|TestSweepRunsOnTheProducer|TestConcurrentStreamsSweep' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace|TestUndeployWaitsForRegisteredQuerySweep|TestSweepRunsOnTheProducer|TestConcurrentStreamsSweep|TestRedeployBesideRunningSensor' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
 # fuzz-smoke runs three fuzzers for a few seconds each: the maintained

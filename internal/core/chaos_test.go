@@ -9,6 +9,7 @@ import (
 
 	"gsn/internal/storage"
 	"gsn/internal/stream"
+	"gsn/internal/vsensor"
 )
 
 // TestSupervisionBackoffAndTerminalFailure: a source that stays silent
@@ -318,5 +319,85 @@ func TestChaos(t *testing.T) {
 	}
 	if h := c2.Health(); h.State != Healthy {
 		t.Errorf("restarted node health = %+v, want healthy", h)
+	}
+}
+
+// TestRedeployBesideRunningSensor: one goroutine pulses without a
+// break while 50 redeploys alternate valid preserving descriptors with
+// refused ones. A refused redeploy leaves the runtime and its source
+// window as they were (the window's rows can only have grown), and the
+// output keeps rising across every swap; the race detector must stay
+// quiet.
+func TestRedeployBesideRunningSensor(t *testing.T) {
+	c := testContainer(t)
+	deploy(t, c, moteAvgDescriptor)
+	parse := func(xml string) *vsensor.Descriptor {
+		t.Helper()
+		d, err := vsensor.Parse([]byte(xml))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	valid := []*vsensor.Descriptor{
+		parse(strings.Replace(moteAvgDescriptor, `val="7"`, `val="8"`, 1)),
+		parse(moteAvgDescriptor),
+	}
+	refused := parse(strings.Replace(moteAvgDescriptor, "select * from src1", "select nosuch from src1", 1))
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Pulse()
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	output := mustSensor(t, c, "avg-temp").Output()
+	window := func() *storage.Table {
+		tab, ok := c.Store().Table("AVG-TEMP__IN__SRC1")
+		if !ok {
+			t.Fatal("source window missing")
+		}
+		return tab
+	}
+	for i := 0; i < 50; i++ {
+		before := output.Stats().Inserted
+		if i%2 == 0 {
+			if err := c.Redeploy(valid[i/2%2]); err != nil {
+				t.Fatalf("redeploy %d: %v", i, err)
+			}
+		} else {
+			vs, win := mustSensor(t, c, "avg-temp"), window()
+			ws := win.Stats()
+			if err := c.Redeploy(refused); err == nil || !strings.Contains(err.Error(), "still serving") {
+				t.Fatalf("redeploy %d: error = %v", i, err)
+			}
+			if mustSensor(t, c, "avg-temp") != vs || window() != win {
+				t.Fatalf("redeploy %d: the refused redeploy replaced the runtime or its window", i)
+			}
+			if got := win.Stats(); got.Live < ws.Live || got.Inserted < ws.Inserted {
+				t.Fatalf("redeploy %d: window live %d → %d, inserted %d → %d",
+					i, ws.Live, got.Live, ws.Inserted, got.Inserted)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); output.Stats().Inserted <= before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("redeploy %d: no output within 5s (%d rows)", i, before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := c.Metrics().Counter("redeploys_preserved").Value(); got != 25 {
+		t.Errorf("redeploys_preserved = %d, want 25", got)
+	}
+	if got := mustSensor(t, c, "avg-temp").Output(); got != output {
+		t.Error("a preserving redeploy replaced the output table")
 	}
 }

@@ -45,8 +45,6 @@ type Options struct {
 	// NodeAddress is the externally reachable address published to the
 	// directory (e.g. "http://host:22001").
 	NodeAddress string
-	// DirectoryTTL is the publication lifetime (default 5 minutes).
-	DirectoryTTL time.Duration
 	// Directory lets multiple in-process containers share one registry
 	// (tests, examples); nil creates a private one.
 	Directory *directory.Registry
@@ -56,8 +54,6 @@ type Options struct {
 	// mode of tests and benchmarks. Triggers and registered-query sweeps
 	// run on the goroutine that delivered their element either way.
 	SyncProcessing bool
-	// MaxQueryRows bounds query results (0 = engine default).
-	MaxQueryRows int
 	// Logger receives warnings and supervision events; nil silences
 	// them. *log.Logger satisfies it.
 	Logger Logger
@@ -175,7 +171,7 @@ func New(opts Options) (*Container, error) {
 	})
 	dir := opts.Directory
 	if dir == nil {
-		dir = directory.NewRegistry(opts.Clock, opts.DirectoryTTL)
+		dir = directory.NewRegistry(opts.Clock, 0)
 	}
 	c := &Container{
 		opts:     opts,
@@ -214,10 +210,7 @@ func New(opts Options) (*Container, error) {
 
 // engineOpts builds the SQL engine options for this container.
 func (c *Container) engineOpts() sqlengine.Options {
-	return sqlengine.Options{
-		Clock:   c.clock,
-		MaxRows: c.opts.MaxQueryRows,
-	}
+	return sqlengine.Options{Clock: c.clock}
 }
 
 // Deploy validates a descriptor and brings the virtual sensor online:
@@ -231,7 +224,8 @@ func (c *Container) Deploy(desc *vsensor.Descriptor) error {
 	return c.deploy(desc)
 }
 
-// deploy is Deploy with the lifecycle mutex held.
+// deploy is Deploy with the lifecycle mutex held, which also keeps
+// any other deploy from listing the name while the runtime builds.
 func (c *Container) deploy(desc *vsensor.Descriptor) error {
 	if desc == nil {
 		return fmt.Errorf("core: nil descriptor")
@@ -242,42 +236,66 @@ func (c *Container) deploy(desc *vsensor.Descriptor) error {
 	name := stream.CanonicalName(desc.Name)
 	deps := desc.LocalDependencies()
 
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("core: container %s is closed", c.name)
+	c.mu.RLock()
+	var err error
+	switch _, exists := c.sensors[name]; {
+	case c.closed:
+		err = fmt.Errorf("core: container %s is closed", c.name)
+	case exists:
+		err = fmt.Errorf("core: virtual sensor %s is already deployed", name)
+	default:
+		err = c.checkDepsLocked(name, deps)
 	}
-	if _, exists := c.sensors[name]; exists {
-		c.mu.Unlock()
-		return fmt.Errorf("core: virtual sensor %s is already deployed", name)
-	}
-	if err := c.checkDepsLocked(name, deps); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	vs, err := newVirtualSensor(c, desc, nil)
+	c.mu.RUnlock()
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	c.sensors[name] = vs
-	c.deps[name] = deps
-	c.mu.Unlock()
-
-	if err := vs.start(); err != nil {
-		c.removeSensor(name, vs, false)
+	vs, err := newVirtualSensor(c, desc)
+	if err != nil {
 		return err
 	}
-	c.dir.Publish(name, c.opts.NodeAddress, desc.MetadataMap(), c.opts.DirectoryTTL)
-	for _, n := range desc.Notify {
-		if err := c.attachNotification(name, n); err != nil {
-			c.logf("gsn: %s: %v", name, err)
-		}
+	if err := c.install(vs, nil); err != nil {
+		return err
 	}
 	c.metrics.Counter("deployments").Inc()
 	c.metrics.Counter("deploys_total").Inc()
 	c.logf("gsn: deployed %s (%d input stream(s), %d local dep(s))",
 		name, len(desc.Streams), len(deps))
+	return nil
+}
+
+// install attaches a built runtime — adopting keep, a preserved output
+// table, when non-nil — starts it, lists it and publishes it. A fresh
+// output table also gets the descriptor's <notification> elements (a
+// preserved one keeps its subscriptions). On error install stops vs and
+// drops the tables it created; keep stays.
+func (c *Container) install(vs *VirtualSensor, keep *storage.Table) error {
+	err := vs.attach(keep)
+	if err == nil {
+		err = vs.start()
+	}
+	if err != nil {
+		vs.stop()
+		c.dropSourceTables(vs)
+		if vs.outTable != nil && vs.outTable != keep {
+			if dropErr := c.store.DropTable(vs.name); dropErr != nil {
+				c.logf("gsn: %s: %v", vs.name, dropErr)
+			}
+		}
+		return err
+	}
+	c.mu.Lock()
+	c.sensors[vs.name] = vs
+	c.deps[vs.name] = vs.desc.LocalDependencies()
+	c.mu.Unlock()
+	c.dir.Publish(vs.name, c.opts.NodeAddress, vs.desc.MetadataMap(), 0)
+	if keep == nil {
+		for _, n := range vs.desc.Notify {
+			if err := c.attachNotification(vs.name, n); err != nil {
+				c.logf("gsn: %s: %v", vs.name, err)
+			}
+		}
+	}
 	return nil
 }
 
@@ -364,8 +382,8 @@ func (c *Container) undeploy(name string) error {
 // removeSensor tears a runtime down. destroyState additionally deletes
 // the output table's on-disk history state (pages, index, WAL) — set
 // on explicit undeploy, where keeping files for a sensor that no
-// longer exists would orphan them; container shutdown and deploy
-// rollback keep the files for the next open.
+// longer exists would orphan them; container shutdown keeps the files
+// for the next open.
 func (c *Container) removeSensor(name string, vs *VirtualSensor, destroyState bool) {
 	vs.stop()
 	c.mu.Lock()
@@ -382,10 +400,14 @@ func (c *Container) removeSensor(name string, vs *VirtualSensor, destroyState bo
 	}
 }
 
-// dropSourceTables removes a runtime's window tables (not its output).
+// dropSourceTables removes a runtime's window tables (not its output),
+// those attach has created.
 func (c *Container) dropSourceTables(vs *VirtualSensor) {
 	for _, in := range vs.streams {
 		for _, src := range in.sources {
+			if src.table == nil {
+				continue
+			}
 			if err := c.store.DropTable(src.table.Name()); err != nil {
 				c.logf("gsn: %s: %v", vs.name, err)
 			}
@@ -393,209 +415,139 @@ func (c *Container) dropSourceTables(vs *VirtualSensor) {
 	}
 }
 
-// preflight exercises every fallible construction step of a descriptor
-// without touching container state: storage policy, windows, wrapper
-// instantiation (factories are pure constructors — nothing starts).
-// Redeploy runs it before tearing anything down, so a bad replacement
-// descriptor leaves the old sensor serving.
-//
-// Keep in lockstep with newVirtualSensor/buildSource: any fallible
-// step added there must be mirrored here, or a redeploy can pass
-// preflight and then fail mid-swap (newVirtualSensor carries the
-// matching reminder; the stream query's compile is rolled back).
-func (c *Container) preflight(desc *vsensor.Descriptor) error {
-	if _, ok := storage.ParseSyncPolicy(desc.Storage.Sync); !ok {
-		return fmt.Errorf("core: %s: unknown storage sync policy %q", desc.Name, desc.Storage.Sync)
-	}
-	if desc.Storage.FlushInterval != "" {
-		if _, err := time.ParseDuration(desc.Storage.FlushInterval); err != nil {
-			return fmt.Errorf("core: %s: storage flush-interval: %w", desc.Name, err)
-		}
-	}
-	if _, err := desc.StorageWindow(); err != nil {
-		return err
-	}
-	for i := range desc.Streams {
-		for j := range desc.Streams[i].Sources {
-			spec := desc.Streams[i].Sources[j]
-			if _, err := stream.ParseWindow(spec.StorageSize); err != nil {
-				return err
-			}
-			if spec.Address.Wrapper == vsensor.LocalWrapperKind {
-				w, err := newCompositionSource(c, spec)
-				if err != nil {
-					return err
-				}
-				// A cluster remote edge built only for preflight was
-				// never started; Stop is an idempotent release.
-				_ = w.Stop()
-				continue
-			}
-			params := wrappers.Params{}
-			for _, p := range spec.Address.Predicates {
-				params[p.Key] = p.Value()
-			}
-			seed, err := params.Int("seed", 0)
-			if err != nil {
-				return err
-			}
-			if _, err := c.registry.New(spec.Address.Wrapper, wrappers.Config{
-				Name:   desc.Name + "/preflight",
-				Params: params,
-				Seed:   int64(seed),
-				Clock:  c.clock,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Redeploy replaces a running sensor's configuration on the fly — the
 // paper's §6 reconfiguration scenario — as a graceful swap, not an
-// undeploy+deploy. The replacement descriptor is preflighted first, so
-// any validation, storage or wrapper error leaves the old sensor
-// serving untouched. When the output schema and storage policy are
-// unchanged, the swap preserves state: the output table (rows and WAL),
-// registered client queries, notification subscriptions and downstream
-// local edges all survive; in-flight triggers drain before the old
-// runtime stops (counted in redeploys_preserved). A schema or storage
-// change falls back to a full replace, which is refused while local
-// dependents exist (their windows are bound to the old schema) and
-// rolls back to the old configuration if the fresh deploy fails.
+// undeploy+deploy. The replacement is built beside the running sensor
+// first (newVirtualSensor: every fallible step, nothing attached), so a
+// descriptor that does not validate or build, or that the dependency
+// graph refuses, leaves the old sensor serving untouched: the error says
+// "old configuration still serving". When the output schema and storage
+// policy are unchanged, the swap preserves state: the output table (rows
+// and WAL), registered client queries, notification subscriptions and
+// downstream local edges all survive; in-flight triggers drain before
+// the old runtime stops (counted in redeploys_preserved). A schema or
+// storage change is a full replace, which is refused while local
+// dependents exist (their windows are bound to the old schema). Only
+// attaching and starting the replacement come after the old runtime
+// stops; if either fails, the old configuration is rebuilt.
 func (c *Container) Redeploy(desc *vsensor.Descriptor) error {
 	if desc == nil {
 		return fmt.Errorf("core: nil descriptor")
 	}
-	if err := desc.Validate(); err != nil {
-		return err
-	}
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
-	canonical := stream.CanonicalName(desc.Name)
+	name := stream.CanonicalName(desc.Name)
 	c.mu.RLock()
-	old, exists := c.sensors[canonical]
+	old, exists := c.sensors[name]
 	c.mu.RUnlock()
 	if !exists {
 		return c.deploy(desc)
 	}
-
-	newSchema, err := desc.OutputSchema()
+	vs, preserve, err := c.buildReplacement(old, desc)
 	if err != nil {
-		return err
-	}
-	deps := desc.LocalDependencies()
-	preserve := old.outSchema.Equal(newSchema) && old.desc.Storage == desc.Storage
-
-	c.mu.RLock()
-	err = c.checkDepsLocked(canonical, deps)
-	if err == nil && c.wouldCycleLocked(canonical, deps) {
-		err = fmt.Errorf("core: redeploying %s with dependencies %v would create a cycle", canonical, deps)
-	}
-	var dependents []string
-	if err == nil && !preserve {
-		dependents = c.dependentsLocked(canonical)
-	}
-	c.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if len(dependents) > 0 {
-		return fmt.Errorf("core: redeploying %s would change its output schema or storage, but %v consume it; undeploy them first",
-			canonical, dependents)
-	}
-	if err := c.preflight(desc); err != nil {
-		return fmt.Errorf("core: redeploy %s rejected (old configuration still serving): %w", canonical, err)
+		return fmt.Errorf("core: redeploy %s refused (old configuration still serving): %w", name, err)
 	}
 
+	// Retire the old runtime. A preserving swap drains it — wrappers stop,
+	// evaluations in flight finish against the old windows — and drops
+	// its windows, whose names the replacement's take; downstream
+	// subscribers keep receiving through the drain (the fanout is keyed
+	// by name, not runtime). A full replace undeploys it.
+	var keep *storage.Table
 	if preserve {
-		return c.swapPreserving(canonical, old, desc, deps)
-	}
-
-	// Full replace: classic undeploy+deploy, now with rollback — a
-	// failed deploy restores the old configuration instead of leaving
-	// the sensor gone.
-	oldDesc := old.desc
-	if err := c.undeploy(canonical); err != nil {
+		keep = old.outTable
+		old.stop()
+		c.dropSourceTables(old)
+	} else if err := c.undeploy(name); err != nil {
+		vs.stop()
 		return err
 	}
-	if err := c.deploy(desc); err != nil {
-		if rbErr := c.deploy(oldDesc); rbErr != nil {
-			return fmt.Errorf("core: redeploy %s failed (%w) and rollback failed too: %v", canonical, err, rbErr)
-		}
-		return fmt.Errorf("core: redeploy %s failed (old configuration restored): %w", canonical, err)
+	if err := c.install(vs, keep); err != nil {
+		return c.restore(old.desc, keep, err)
+	}
+	c.metrics.Counter("deploys_total").Inc()
+	if preserve {
+		c.metrics.Counter("redeploys_preserved").Inc()
+		c.logf("gsn: redeployed %s preserving output table, %d client quer(y|ies) and downstream edges",
+			name, c.queries.GroupCount(name))
+	} else {
+		c.metrics.Counter("deployments").Inc()
+		c.logf("gsn: redeployed %s with a new output table", name)
 	}
 	return nil
 }
 
-// swapPreserving is the state-preserving half of Redeploy: the output
-// table, client queries, notification subscriptions and downstream
-// local subscriptions stay in place while the runtime underneath them
-// is replaced. Commit order: drain the old runtime, drop its source
-// windows, build and start the replacement against the preserved
-// output table. Any failure after the drain rebuilds the old runtime
-// from its descriptor (its wrappers were running moments ago), so the
-// sensor keeps serving either way.
-func (c *Container) swapPreserving(name string, old *VirtualSensor, desc *vsensor.Descriptor, deps []string) error {
-	// Drain: stop wrappers, let evaluations in flight finish against the
-	// old windows, then retire them. Downstream subscribers keep receiving
-	// through the drain (the fanout is keyed by name, not runtime).
-	old.stop()
-	c.dropSourceTables(old)
-
-	install := func(d *vsensor.Descriptor, dependsOn []string) error {
-		vs, err := newVirtualSensor(c, d, old.outTable)
-		if err != nil {
-			return err
-		}
-		if err := vs.start(); err != nil {
-			c.dropSourceTables(vs)
-			return err
-		}
-		c.mu.Lock()
-		c.sensors[name] = vs
-		c.deps[name] = dependsOn
-		c.mu.Unlock()
-		return nil
+// buildReplacement checks a redeploy of old against the dependency graph
+// and builds the replacement runtime while old keeps serving. preserve
+// reports a swap that keeps old's output table: same output schema,
+// same storage policy.
+func (c *Container) buildReplacement(old *VirtualSensor, desc *vsensor.Descriptor) (vs *VirtualSensor, preserve bool, err error) {
+	if err := desc.Validate(); err != nil {
+		return nil, false, err
 	}
-
-	if err := install(desc, deps); err != nil {
-		oldDesc := old.desc
-		if rbErr := install(oldDesc, oldDesc.LocalDependencies()); rbErr != nil {
-			// Rollback failed too: tear the whole subtree down — the
-			// sensor and its local dependents — so no half-wired runtime
-			// or dangling dependency edge lingers.
-			c.mu.RLock()
-			victims := c.transitiveDependentsLocked(name)
-			c.mu.RUnlock()
-			for _, v := range victims {
-				if uErr := c.undeploy(v); uErr != nil {
-					c.logf("gsn: %s: tearing down dependent %s: %v", name, v, uErr)
-				}
-				c.metrics.Counter("cascade_undeploys").Inc()
-			}
-			c.mu.Lock()
-			delete(c.sensors, name)
-			delete(c.deps, name)
-			c.mu.Unlock()
-			c.notifier.UnsubscribeSensor(name)
-			c.queries.UnregisterSensor(name)
-			c.dir.Unpublish(name, c.opts.NodeAddress)
-			if dropErr := c.store.DropTable(name); dropErr != nil {
-				c.logf("gsn: %s: %v", name, dropErr)
-			}
-			return fmt.Errorf("core: redeploy %s failed (%w) and rollback failed too: %v", name, err, rbErr)
-		}
-		return fmt.Errorf("core: redeploy %s failed (old configuration restored): %w", name, err)
+	newSchema, err := desc.OutputSchema()
+	if err != nil {
+		return nil, false, err
 	}
+	name := old.name
+	deps := desc.LocalDependencies()
+	preserve = old.outSchema.Equal(newSchema) && old.desc.Storage == desc.Storage
 
-	c.dir.Publish(name, c.opts.NodeAddress, desc.MetadataMap(), c.opts.DirectoryTTL)
-	c.metrics.Counter("deploys_total").Inc()
-	c.metrics.Counter("redeploys_preserved").Inc()
-	c.logf("gsn: redeployed %s preserving output table, %d client quer(y|ies) and downstream edges",
-		name, c.queries.GroupCount(name))
-	return nil
+	c.mu.RLock()
+	err = c.checkDepsLocked(name, deps)
+	if err == nil && c.wouldCycleLocked(name, deps) {
+		err = fmt.Errorf("core: redeploying %s with dependencies %v would create a cycle", name, deps)
+	}
+	if err == nil && !preserve {
+		if dependents := c.dependentsLocked(name); len(dependents) > 0 {
+			err = fmt.Errorf("core: redeploying %s would change its output schema or storage, but %v consume it; undeploy them first",
+				name, dependents)
+		}
+	}
+	c.mu.RUnlock()
+	if err != nil {
+		return nil, false, err
+	}
+	vs, err = newVirtualSensor(c, desc)
+	return vs, preserve, err
+}
+
+// restore rebuilds a sensor from its old descriptor after the
+// replacement failed to attach or start (cause), adopting keep when the
+// swap preserved the output table. Should that fail too, the sensor and
+// its local dependents are torn down, so no half-wired runtime or
+// dangling dependency edge lingers.
+func (c *Container) restore(desc *vsensor.Descriptor, keep *storage.Table, cause error) error {
+	name := stream.CanonicalName(desc.Name)
+	vs, err := newVirtualSensor(c, desc)
+	if err == nil {
+		err = c.install(vs, keep)
+	}
+	if err == nil {
+		return fmt.Errorf("core: redeploy %s failed (old configuration restored): %w", name, cause)
+	}
+	c.mu.RLock()
+	victims := c.transitiveDependentsLocked(name)
+	c.mu.RUnlock()
+	for _, v := range victims {
+		if uErr := c.undeploy(v); uErr != nil {
+			c.logf("gsn: %s: tearing down dependent %s: %v", name, v, uErr)
+		}
+		c.metrics.Counter("cascade_undeploys").Inc()
+	}
+	c.mu.Lock()
+	delete(c.sensors, name)
+	delete(c.deps, name)
+	c.mu.Unlock()
+	c.notifier.UnsubscribeSensor(name)
+	c.queries.UnregisterSensor(name)
+	c.dir.Unpublish(name, c.opts.NodeAddress)
+	if keep != nil {
+		if dropErr := c.store.DropTable(name); dropErr != nil {
+			c.logf("gsn: %s: %v", name, dropErr)
+		}
+	}
+	return fmt.Errorf("core: redeploy %s failed (%w) and rollback failed too: %v", name, cause, err)
 }
 
 // Sensor looks up a deployed virtual sensor.
@@ -724,11 +676,7 @@ func (c *Container) supervise() {
 	defer close(c.superviseDone)
 	ticker := time.NewTicker(c.opts.SuperviseInterval)
 	defer ticker.Stop()
-	republishEvery := c.opts.DirectoryTTL
-	if republishEvery <= 0 {
-		republishEvery = 5 * time.Minute
-	}
-	republishEvery /= 2
+	republishEvery := c.dir.TTL() / 2
 	lastRepublish := time.Now()
 	for {
 		select {
@@ -746,7 +694,7 @@ func (c *Container) supervise() {
 		if time.Since(lastRepublish) >= republishEvery {
 			lastRepublish = time.Now()
 			for _, vs := range c.Sensors() {
-				c.dir.Publish(vs.name, c.opts.NodeAddress, vs.desc.MetadataMap(), c.opts.DirectoryTTL)
+				c.dir.Publish(vs.name, c.opts.NodeAddress, vs.desc.MetadataMap(), 0)
 			}
 			c.dir.GC()
 		}

@@ -11,6 +11,7 @@ import (
 	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 	"gsn/internal/vsensor"
+	"gsn/internal/wrappers"
 )
 
 // moteAvgDescriptor mirrors the paper's Figure 1: an averaged
@@ -252,9 +253,9 @@ func TestStreamQueryRefusedAtDeploy(t *testing.T) {
 }
 
 // TestRedeployToUnboundStreamQueryRestores: redeploying a running
-// sensor to a stream query that does not bind fails on both redeploy
-// paths — the preserving swap (same output structure) and the full
-// replace — with the old configuration restored and still producing.
+// sensor to a stream query that does not bind is refused on both
+// redeploy paths — the preserving swap (same output structure) and the
+// full replace — with the old configuration still serving.
 func TestRedeployToUnboundStreamQueryRestores(t *testing.T) {
 	c := testContainer(t)
 	deploy(t, c, moteAvgDescriptor)
@@ -268,7 +269,7 @@ func TestRedeployToUnboundStreamQueryRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = c.Redeploy(desc)
-		if err == nil || !strings.Contains(err.Error(), "old configuration restored") {
+		if err == nil || !strings.Contains(err.Error(), "still serving") {
 			t.Fatalf("Redeploy error = %v", err)
 		}
 		vs, ok := c.Sensor("avg-temp")
@@ -280,8 +281,200 @@ func TestRedeployToUnboundStreamQueryRestores(t *testing.T) {
 			c.Pulse()
 		}
 		if st := vs.Stats(); st.Outputs != outputs+3 || st.Errors != 0 {
-			t.Fatalf("restored sensor: %+v, want %d outputs", st, outputs+3)
+			t.Fatalf("sensor after a refused redeploy: %+v, want %d outputs", st, outputs+3)
 		}
+	}
+}
+
+// twoFieldDescriptor is moteAvgDescriptor with a second output field,
+// so that a stream query can yield fewer columns than the output.
+var twoFieldDescriptor = strings.NewReplacer(
+	`<field name="TEMPERATURE" type="double"/>`,
+	`<field name="TEMPERATURE" type="double"/><field name="N" type="integer"/>`,
+	"select avg(temperature) from WRAPPER",
+	"select avg(temperature) as temperature, count(*) as n from WRAPPER").Replace(moteAvgDescriptor)
+
+// TestRefusedRedeployKeepsTheRunningSensor: a replacement that cannot
+// be built is refused while the running sensor serves on untouched, on
+// the preserving path and on the full replace alike — the same runtime,
+// its windows' rows, the store's tables, the registered queries — and
+// the next pulse produces an output.
+func TestRefusedRedeployKeepsTheRunningSensor(t *testing.T) {
+	fewerColumns := strings.Replace(twoFieldDescriptor, "select * from src1", "select temperature from src1", 1)
+	cases := []struct {
+		name string
+		xml  string
+		edit func(*vsensor.Descriptor)
+	}{
+		{name: "unknown wrapper kind",
+			xml: strings.Replace(twoFieldDescriptor, `wrapper="mote"`, `wrapper="warp-drive"`, 1)},
+		{name: "bad source storage-size", xml: twoFieldDescriptor,
+			edit: func(d *vsensor.Descriptor) { d.Streams[0].Sources[0].StorageSize = "ten rows" }},
+		{name: "unknown sync policy", xml: twoFieldDescriptor,
+			edit: func(d *vsensor.Descriptor) { d.Storage.Sync = "sometimes" }},
+		{name: "bad flush-interval", xml: twoFieldDescriptor,
+			edit: func(d *vsensor.Descriptor) { d.Storage.FlushInterval = "soon" }},
+		{name: "stream query does not bind",
+			xml: strings.Replace(twoFieldDescriptor, "select * from src1", "select nosuch from src1", 1)},
+		{name: "fewer columns than the output", xml: fewerColumns},
+		{name: "fewer columns with a schema change",
+			xml: strings.Replace(fewerColumns, `name="N" type="integer"`, `name="N" type="double"`, 1)},
+	}
+	c := testContainer(t)
+	deploy(t, c, twoFieldDescriptor)
+	if _, err := c.RegisterQuery("avg-temp", "select max(n) from \"avg-temp\"", 1, func(*sqlengine.Relation) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		c.Pulse()
+	}
+	rows := func(t *testing.T, table string) []string {
+		t.Helper()
+		rel, err := c.Query("select * from \"" + table + "\"")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rel.Rows))
+		for i, r := range rel.Rows {
+			out[i] = fmt.Sprint(r...)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			desc, err := vsensor.Parse([]byte(tc.xml))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.edit != nil {
+				tc.edit(desc)
+			}
+			vs := mustSensor(t, c, "avg-temp")
+			window, output := rows(t, "AVG-TEMP__IN__SRC1"), rows(t, "AVG-TEMP")
+			tables, queries, st := fmt.Sprint(c.Store().List()), c.QueryRepositoryRef().Count(), vs.Stats()
+
+			err = c.Redeploy(desc)
+			if err == nil || !strings.Contains(err.Error(), "still serving") {
+				t.Errorf("Redeploy error = %v", err)
+			}
+			if got := mustSensor(t, c, "avg-temp"); got != vs {
+				t.Errorf("the refused redeploy replaced the runtime")
+			}
+			if got := rows(t, "AVG-TEMP__IN__SRC1"); fmt.Sprint(got) != fmt.Sprint(window) {
+				t.Errorf("source window %d rows → %d", len(window), len(got))
+			}
+			if got := rows(t, "AVG-TEMP"); fmt.Sprint(got) != fmt.Sprint(output) {
+				t.Errorf("output %d rows → %d", len(output), len(got))
+			}
+			if got := fmt.Sprint(c.Store().List()); got != tables {
+				t.Errorf("tables %s → %s", tables, got)
+			}
+			if got := c.QueryRepositoryRef().Count(); got != queries {
+				t.Errorf("registered queries %d → %d", queries, got)
+			}
+			if got := vs.Stats().Dropped; got != st.Dropped {
+				t.Errorf("dropped %d → %d", st.Dropped, got)
+			}
+			c.Pulse()
+			if got := vs.Stats(); got.Outputs != st.Outputs+1 || got.Errors != 0 {
+				t.Errorf("after a pulse %+v, want %d outputs", got, st.Outputs+1)
+			}
+		})
+	}
+}
+
+// TestRedeployConstructsEachWrapperOnce: a preserving redeploy builds
+// its replacement once — each wrapper factory is called once, not once
+// to check the descriptor and again to run it.
+func TestRedeployConstructsEachWrapperOnce(t *testing.T) {
+	var calls atomic.Int64
+	reg := wrappers.Default().Clone()
+	if err := reg.Register("counted-mote", func(cfg wrappers.Config) (wrappers.Wrapper, error) {
+		calls.Add(1)
+		return wrappers.Default().New("mote", cfg)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Clock: stream.NewManualClock(1_000_000), Registry: reg, SyncProcessing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	counted := strings.Replace(moteAvgDescriptor, `wrapper="mote"`, `wrapper="counted-mote"`, 1)
+	deploy(t, c, counted)
+	desc, err := vsensor.Parse([]byte(strings.Replace(counted, `val="7"`, `val="8"`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := calls.Load()
+	if err := c.Redeploy(desc); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Counter("redeploys_preserved").Value(); got != 1 {
+		t.Fatalf("redeploys_preserved = %d, want 1", got)
+	}
+	if got := calls.Load() - before; got != 1 {
+		t.Fatalf("the redeploy called the wrapper factory %d times, want 1", got)
+	}
+}
+
+// noStartWrapper is a mote whose Start fails: the one wrapper step a
+// build cannot check.
+type noStartWrapper struct{ wrappers.Wrapper }
+
+func (noStartWrapper) Start(wrappers.EmitFunc) error { return fmt.Errorf("device busy") }
+
+// TestRedeployRestoresWhenTheReplacementCannotStart: a wrapper whose
+// Start fails is found only after the old runtime has stopped, so the
+// old configuration is rebuilt — adopting the preserved output table on
+// the preserving path — and serves on.
+func TestRedeployRestoresWhenTheReplacementCannotStart(t *testing.T) {
+	reg := wrappers.Default().Clone()
+	if err := reg.Register("no-start", func(cfg wrappers.Config) (wrappers.Wrapper, error) {
+		w, err := wrappers.Default().New("mote", cfg)
+		return noStartWrapper{w}, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Clock: stream.NewManualClock(1_000_000), Registry: reg, SyncProcessing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deploy(t, c, moteAvgDescriptor)
+	if _, err := c.RegisterQuery("avg-temp", `select count(*) from "avg-temp"`, 1, func(*sqlengine.Relation) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		c.Pulse()
+	}
+	noStart := strings.Replace(moteAvgDescriptor, `wrapper="mote"`, `wrapper="no-start"`, 1)
+	for _, tc := range []struct {
+		name, xml string
+		rows      int // output rows after the restore
+	}{
+		{"preserving", noStart, 5},
+		{"full replace", strings.Replace(noStart, `<storage size="50" />`, `<storage size="40" />`, 1), 0},
+	} {
+		desc, err := vsensor.Parse([]byte(tc.xml))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Redeploy(desc)
+		if err == nil || !strings.Contains(err.Error(), "old configuration restored") || !strings.Contains(err.Error(), "device busy") {
+			t.Fatalf("%s: Redeploy error = %v", tc.name, err)
+		}
+		vs := mustSensor(t, c, "avg-temp")
+		if got := vs.Output().Len(); got != tc.rows {
+			t.Fatalf("%s: restored output holds %d rows, want %d", tc.name, got, tc.rows)
+		}
+		c.Pulse()
+		if st := vs.Stats(); st.Outputs != 1 || st.Errors != 0 {
+			t.Fatalf("%s: restored sensor after a pulse: %+v", tc.name, st)
+		}
+	}
+	if got := fmt.Sprint(c.Store().List()); got != "[AVG-TEMP AVG-TEMP__IN__SRC1]" {
+		t.Errorf("tables after the restores: %s", got)
 	}
 }
 

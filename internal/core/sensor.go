@@ -26,6 +26,7 @@ type VirtualSensor struct {
 	desc      *vsensor.Descriptor
 	container *Container
 	outSchema *stream.Schema
+	outOpts   storage.TableOptions // the output table's, when attach creates it
 	outTable  *storage.Table
 	streams   []*inputStream
 
@@ -73,7 +74,8 @@ type sourceRuntime struct {
 	spec    vsensor.StreamSource
 	wrapper wrappers.Wrapper
 	stmt    *sqlparser.SelectStatement
-	table   *storage.Table
+	window  stream.Window
+	table   *storage.Table // nil until attach
 
 	// plan is the source query compiled against the wrapper schema at
 	// deploy time; nil when the statement shape needs the full engine.
@@ -139,18 +141,17 @@ type SourceStats struct {
 	FailReason string
 }
 
-// newVirtualSensor wires a validated descriptor into runtime state.
-// Nothing starts until start() is called, so a failed construction
-// leaves no goroutines behind. A non-nil reuseOut is the preserved
-// output table of a state-preserving redeploy (its schema is known
-// Equal to the descriptor's): the runtime binds to it instead of
-// creating a fresh table, and construction failures never drop it.
-//
-// Any fallible step added here or in buildSource must be mirrored in
-// Container.preflight, which promises Redeploy that this construction
-// will succeed before the old runtime is torn down (the stream query's
-// compile aside: it needs the sources' layouts; Redeploy rolls it back).
-func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.Table) (*VirtualSensor, error) {
+// newVirtualSensor builds a validated descriptor's runtime: every
+// fallible step of construction, with no store change and no goroutine
+// started. It parses the windows and the output storage options,
+// constructs the wrappers (factories are pure constructors: nothing
+// starts), compiles the source plans against the wrappers' schemas, and
+// binds each stream query and its output map over the sources' layouts.
+// Deploy and both redeploy paths build this way, a redeploy beside the
+// runtime it replaces, which serves on untouched if the build fails. A
+// built runtime is attached (attach) and started (start) by the
+// container; a failed build stops the wrappers it constructed.
+func newVirtualSensor(c *Container, desc *vsensor.Descriptor) (*VirtualSensor, error) {
 	outSchema, err := desc.OutputSchema()
 	if err != nil {
 		return nil, err
@@ -160,79 +161,63 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 		return nil, err
 	}
 	name := stream.CanonicalName(desc.Name)
+	syncPolicy, ok := storage.ParseSyncPolicy(desc.Storage.Sync)
+	if !ok {
+		return nil, fmt.Errorf("core: %s: unknown storage sync policy %q", name, desc.Storage.Sync)
+	}
+	var flushInterval time.Duration
+	if desc.Storage.FlushInterval != "" {
+		flushInterval, err = time.ParseDuration(desc.Storage.FlushInterval)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: storage flush-interval: %w", name, err)
+		}
+	}
 	vs := &VirtualSensor{
 		name:      name,
 		desc:      desc,
 		container: c,
 		outSchema: outSchema,
-	}
-	vs.statLastError.Store("")
-
-	if reuseOut != nil {
-		// Adopt the table's schema pointer so output elements keep the
-		// identity fast path in Table.checkSchema (the schemas are Equal,
-		// but equality is checked per insert; identity is free).
-		vs.outSchema = reuseOut.Schema()
-		vs.outTable = reuseOut
-	} else {
-		syncPolicy, ok := storage.ParseSyncPolicy(desc.Storage.Sync)
-		if !ok {
-			return nil, fmt.Errorf("core: %s: unknown storage sync policy %q", name, desc.Storage.Sync)
-		}
-		var flushInterval time.Duration
-		if desc.Storage.FlushInterval != "" {
-			flushInterval, err = time.ParseDuration(desc.Storage.FlushInterval)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: storage flush-interval: %w", name, err)
-			}
-		}
-		outTable, err := c.store.CreateTable(name, outSchema, storage.TableOptions{
+		outOpts: storage.TableOptions{
 			Window:        window,
 			Permanent:     desc.Storage.Permanent,
 			Sync:          syncPolicy,
 			FlushInterval: flushInterval,
 			History:       desc.Storage.History == "disk",
-		})
-		if err != nil {
-			return nil, err
-		}
-		vs.outTable = outTable
+		},
 	}
-
-	cleanup := func() {
-		for _, in := range vs.streams {
-			for _, src := range in.sources {
-				c.store.DropTable(src.table.Name())
-			}
-		}
-		if reuseOut == nil {
-			c.store.DropTable(name)
-		}
+	vs.statLastError.Store("")
+	if err := vs.buildStreams(); err != nil {
+		vs.stop()
+		return nil, err
 	}
+	return vs, nil
+}
 
-	for i := range desc.Streams {
-		spec := desc.Streams[i]
-		in := &inputStream{spec: spec}
+// buildStreams builds the descriptor's input streams and their sources.
+// A stream is listed before its sources are built, so a failure midway
+// leaves every wrapper constructed so far where stop reaches it.
+func (vs *VirtualSensor) buildStreams() error {
+	c := vs.container
+	for _, spec := range vs.desc.Streams {
 		// Stream-level bounds are shared by all of the stream's sources;
 		// per-source chains consult them via Admit.
-		in.rate = quality.NewRateLimiter(spec.Rate, c.clock, nil)
-		in.count = quality.NewCountLimiter(spec.Count, nil)
-		// Listed before its sources are built, so cleanup drops the
-		// windows of a stream that fails midway.
+		in := &inputStream{
+			spec:  spec,
+			rate:  quality.NewRateLimiter(spec.Rate, c.clock),
+			count: quality.NewCountLimiter(spec.Count),
+		}
 		vs.streams = append(vs.streams, in)
 
 		inputs := make([]sqlengine.Input, len(spec.Sources))
 		for j := range spec.Sources {
 			src, err := vs.buildSource(in, spec.Sources[j])
 			if err != nil {
-				cleanup()
-				return nil, err
+				return err
 			}
 			in.sources = append(in.sources, src)
 			cols, err := src.outputColumns(c.engineOpts())
 			if err != nil {
-				cleanup()
-				return nil, fmt.Errorf("core: %s/%s/%s: source query: %w", name, spec.Name, src.alias, err)
+				return fmt.Errorf("core: %s/%s/%s: source query: %w", vs.name, spec.Name, src.alias, err)
 			}
 			inputs[j] = sqlengine.Input{Cols: cols, Names: []string{src.alias}}
 		}
@@ -246,11 +231,42 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 			in.out, err = newOutputMap(vs.outSchema, in.plan.OutputColumns())
 		}
 		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("core: %s/%s: stream query refused: %w", name, spec.Name, err)
+			return fmt.Errorf("core: %s/%s: stream query refused: %w", vs.name, spec.Name, err)
 		}
 	}
-	return vs, nil
+	return nil
+}
+
+// attach creates the runtime's tables in the store: the output table —
+// or, when keep is non-nil, it adopts keep, the output table a
+// preserving redeploy hands over (its schema equals the descriptor's) —
+// and one window per source, named <SENSOR>__<STREAM>__<ALIAS>. On error
+// the tables created so far stay set on vs for the container to drop.
+func (vs *VirtualSensor) attach(keep *storage.Table) error {
+	c := vs.container
+	if keep != nil {
+		// Adopt the table's schema pointer so output elements keep the
+		// identity fast path in Table.checkSchema (the schemas are Equal,
+		// but equality is checked per insert; identity is free).
+		vs.outSchema, vs.outTable = keep.Schema(), keep
+	} else {
+		t, err := c.store.CreateTable(vs.name, vs.outSchema, vs.outOpts)
+		if err != nil {
+			return err
+		}
+		vs.outTable = t
+	}
+	for _, in := range vs.streams {
+		for _, src := range in.sources {
+			t, err := c.store.CreateTable(sourceTableName(vs.name, in.spec.Name, src.spec.Alias),
+				src.wrapper.Schema(), storage.TableOptions{Window: src.window})
+			if err != nil {
+				return err
+			}
+			src.table = t
+		}
+	}
+	return nil
 }
 
 // sourceTableName builds the window table name for a source.
@@ -258,6 +274,8 @@ func sourceTableName(vs, streamName, alias string) string {
 	return stream.CanonicalName(vs + "__" + streamName + "__" + alias)
 }
 
+// buildSource builds one source. Constructing the wrapper is its last
+// fallible step, so a source that fails holds no wrapper.
 func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource) (*sourceRuntime, error) {
 	c := vs.container
 	stmt, err := sqlparser.Parse(spec.Query)
@@ -269,6 +287,14 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		params[p.Key] = p.Value()
 	}
 	seed, err := params.Int("seed", 0)
+	if err != nil {
+		return nil, err
+	}
+	window, err := stream.ParseWindow(spec.StorageSize)
+	if err != nil {
+		return nil, err
+	}
+	gapTimeout, err := params.Duration("gap-timeout", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -293,26 +319,12 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		return nil, err
 	}
 
-	window, err := stream.ParseWindow(spec.StorageSize)
-	if err != nil {
-		return nil, err
-	}
-	gapTimeout, err := params.Duration("gap-timeout", 0)
-	if err != nil {
-		return nil, err
-	}
-	table, err := c.store.CreateTable(sourceTableName(vs.name, in.spec.Name, spec.Alias),
-		w.Schema(), storage.TableOptions{Window: window})
-	if err != nil {
-		return nil, err
-	}
-
 	src := &sourceRuntime{
 		alias:   stream.CanonicalName(spec.Alias),
 		spec:    spec,
 		wrapper: w,
 		stmt:    stmt,
-		table:   table,
+		window:  window,
 		slide:   spec.Slide,
 	}
 	if src.slide < 1 {
@@ -339,11 +351,11 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	}
 
 	// Quality chain, innermost stage first: the terminal sink inserts
-	// into the window table and fires the stream. With a slide > 1 the
-	// window advances on every arrival but processing fires only on
-	// every slide-th element.
+	// into the window table (attach creates it) and fires the stream.
+	// With a slide > 1 the window advances on every arrival but
+	// processing fires only on every slide-th element.
 	terminal := func(e stream.Element) {
-		if err := table.Insert(e); err != nil {
+		if err := src.table.Insert(e); err != nil {
 			vs.recordError(err)
 			return
 		}
@@ -359,7 +371,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		if len(batch) == 0 {
 			return
 		}
-		if err := table.InsertBatch(batch); err != nil {
+		if err := src.table.InsertBatch(batch); err != nil {
 			vs.recordError(err)
 			return
 		}
@@ -510,12 +522,12 @@ func (vs *VirtualSensor) evaluate(in *inputStream, arrived time.Time, inline boo
 	}
 }
 
-// start launches the wrappers.
+// start launches the wrappers of an attached runtime. On error the
+// caller stops it, which stops the wrappers already started.
 func (vs *VirtualSensor) start() error {
 	for _, in := range vs.streams {
 		for _, src := range in.sources {
 			if err := vs.startWrapper(src); err != nil {
-				vs.stop()
 				return fmt.Errorf("core: starting wrapper %s for %s: %w",
 					src.spec.Address.Wrapper, vs.name, err)
 			}
@@ -654,7 +666,7 @@ func (src *sourceRuntime) outputColumns(opts sqlengine.Options) ([]sqlengine.Col
 	if src.plan != nil {
 		return src.plan.OutputColumns(), nil
 	}
-	rel, err := src.interpret(&sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.table.Schema())}, opts)
+	rel, err := src.interpret(&sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.wrapper.Schema())}, opts)
 	if err != nil {
 		return nil, err
 	}

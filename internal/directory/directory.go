@@ -78,6 +78,9 @@ func NewRegistry(clock stream.Clock, ttl time.Duration) *Registry {
 	return &Registry{clock: clock, defaultTTL: ttl, entries: make(map[string]Entry)}
 }
 
+// TTL returns the default publication lifetime.
+func (r *Registry) TTL() time.Duration { return r.defaultTTL }
+
 // Publish registers (or refreshes) a sensor publication. Predicates are
 // normalised to lower-case keys; the sensor name is always included
 // under "name". ttl of 0 uses the registry default.

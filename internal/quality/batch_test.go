@@ -103,8 +103,8 @@ func TestRateLimiterAdmitBatchEquivalence(t *testing.T) {
 	elems := batchTestElems(t, 30)
 	clock1 := stream.NewManualClock(0)
 	clock2 := stream.NewManualClock(0)
-	r1 := NewRateLimiter(5, clock1, nil)
-	r2 := NewRateLimiter(5, clock2, nil)
+	r1 := NewRateLimiter(5, clock1)
+	r2 := NewRateLimiter(5, clock2)
 
 	var admitted1, admitted2 []int64
 	for i := 0; i < len(elems); i += 10 {
@@ -136,7 +136,7 @@ func TestRateLimiterAdmitBatchEquivalence(t *testing.T) {
 // same element it would cut the stream.
 func TestCountLimiterAdmitBatch(t *testing.T) {
 	elems := batchTestElems(t, 10)
-	c := NewCountLimiter(7, nil)
+	c := NewCountLimiter(7)
 	chunk := make([]stream.Element, len(elems))
 	copy(chunk, elems)
 	kept := c.AdmitBatch(chunk)

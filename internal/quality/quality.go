@@ -4,8 +4,11 @@
 // and §3's temporal controls: rate bounding, sampling, lifetime
 // bounding).
 //
-// Each service is a composable stage wrapping a downstream Sink; the
-// container chains them between a wrapper and the source window table.
+// Each service but the two limiters is a composable stage wrapping a
+// downstream Sink; the container chains them between a wrapper and the
+// source window table. The limiters bound a whole input stream, so they
+// forward nothing: the chains of the stream's sources consult them
+// through Admit and AdmitBatch.
 package quality
 
 import (
@@ -134,7 +137,6 @@ func forwardBatch(elems []stream.Element, batch BatchSink, next Sink) {
 type RateLimiter struct {
 	maxPerSec float64
 	clock     stream.Clock
-	next      Sink
 
 	mu     sync.Mutex
 	tokens float64
@@ -146,16 +148,15 @@ type RateLimiter struct {
 // The bucket starts with a single token so a freshly deployed stream is
 // rate-bounded from its first second rather than admitting a start-up
 // burst.
-func NewRateLimiter(maxPerSec float64, clock stream.Clock, next Sink) *RateLimiter {
+func NewRateLimiter(maxPerSec float64, clock stream.Clock) *RateLimiter {
 	if clock == nil {
 		clock = stream.SystemClock()
 	}
-	return &RateLimiter{maxPerSec: maxPerSec, clock: clock, next: next, tokens: 1}
+	return &RateLimiter{maxPerSec: maxPerSec, clock: clock, tokens: 1}
 }
 
 // Admit performs the token-bucket accounting and reports whether the
-// element passes, without forwarding. Shared stream-level limiters in
-// front of several per-source chains use this form.
+// element passes.
 func (r *RateLimiter) Admit(e stream.Element) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -206,13 +207,6 @@ func (r *RateLimiter) admitLocked() bool {
 	return false
 }
 
-// Offer implements the stage's Sink.
-func (r *RateLimiter) Offer(e stream.Element) {
-	if r.Admit(e) {
-		r.next(e)
-	}
-}
-
 // Stats returns the stage counters.
 func (r *RateLimiter) Stats() Stats {
 	r.mu.Lock()
@@ -225,8 +219,7 @@ func (r *RateLimiter) Stats() Stats {
 // they are needed". After the limit, elements are dropped and Exhausted
 // reports true so the life-cycle manager can retire the stream.
 type CountLimiter struct {
-	max  int64
-	next Sink
+	max int64
 
 	mu    sync.Mutex
 	seen  int64
@@ -234,12 +227,12 @@ type CountLimiter struct {
 }
 
 // NewCountLimiter creates a limiter; max <= 0 disables it.
-func NewCountLimiter(max int64, next Sink) *CountLimiter {
-	return &CountLimiter{max: max, next: next}
+func NewCountLimiter(max int64) *CountLimiter {
+	return &CountLimiter{max: max}
 }
 
 // Admit performs the count accounting and reports whether the element
-// passes, without forwarding.
+// passes.
 func (c *CountLimiter) Admit(e stream.Element) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,13 +265,6 @@ func (c *CountLimiter) admitLocked() bool {
 	}
 	c.stats.Dropped++
 	return false
-}
-
-// Offer implements the stage's Sink.
-func (c *CountLimiter) Offer(e stream.Element) {
-	if c.Admit(e) {
-		c.next(e)
-	}
 }
 
 // Exhausted reports whether the lifetime bound has been reached.

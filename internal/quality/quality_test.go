@@ -86,14 +86,23 @@ func TestQuickSamplerConservation(t *testing.T) {
 	}
 }
 
+// gate passes e to out when the limiters admit it, consulted the way
+// the container's per-source chain does: rate first, then lifetime
+// count (a nil limiter admits everything).
+func gate(out *collector, e stream.Element, rl *RateLimiter, cl *CountLimiter) {
+	if (rl == nil || rl.Admit(e)) && (cl == nil || cl.Admit(e)) {
+		out.sink(e)
+	}
+}
+
 func TestRateLimiterBoundsThroughput(t *testing.T) {
 	clock := stream.NewManualClock(0)
 	var out collector
-	rl := NewRateLimiter(10, clock, out.sink) // 10/sec
+	rl := NewRateLimiter(10, clock) // 10/sec
 	// Offer 50 elements within one simulated second: only ~10 pass.
 	for i := 0; i < 50; i++ {
 		clock.Advance(20 * time.Millisecond) // 1s total
-		rl.Offer(elem(t, clock.Now(), int64(i), nil))
+		gate(&out, elem(t, clock.Now(), int64(i), nil), rl, nil)
 	}
 	if got := out.len(); got < 8 || got > 13 {
 		t.Errorf("passed %d of 50 at 10/s over 1s", got)
@@ -102,7 +111,7 @@ func TestRateLimiterBoundsThroughput(t *testing.T) {
 	clock.Advance(5 * time.Second)
 	before := out.len()
 	for i := 0; i < 20; i++ {
-		rl.Offer(elem(t, clock.Now(), int64(i), nil))
+		gate(&out, elem(t, clock.Now(), int64(i), nil), rl, nil)
 	}
 	if burst := out.len() - before; burst < 9 || burst > 11 {
 		t.Errorf("burst after refill = %d, want ≈10", burst)
@@ -111,9 +120,9 @@ func TestRateLimiterBoundsThroughput(t *testing.T) {
 
 func TestRateLimiterDisabled(t *testing.T) {
 	var out collector
-	rl := NewRateLimiter(0, stream.NewManualClock(0), out.sink)
+	rl := NewRateLimiter(0, stream.NewManualClock(0))
 	for i := 0; i < 100; i++ {
-		rl.Offer(elem(t, 1, int64(i), nil))
+		gate(&out, elem(t, 1, int64(i), nil), rl, nil)
 	}
 	if out.len() != 100 {
 		t.Errorf("disabled limiter passed %d of 100", out.len())
@@ -122,9 +131,9 @@ func TestRateLimiterDisabled(t *testing.T) {
 
 func TestCountLimiterLifetimeBound(t *testing.T) {
 	var out collector
-	cl := NewCountLimiter(5, out.sink)
+	cl := NewCountLimiter(5)
 	for i := 0; i < 10; i++ {
-		cl.Offer(elem(t, stream.Timestamp(i), int64(i), nil))
+		gate(&out, elem(t, stream.Timestamp(i), int64(i), nil), nil, cl)
 	}
 	if out.len() != 5 {
 		t.Errorf("passed %d, want 5", out.len())
@@ -136,7 +145,7 @@ func TestCountLimiterLifetimeBound(t *testing.T) {
 	if st.In != 10 || st.Out != 5 || st.Dropped != 5 {
 		t.Errorf("stats = %+v", st)
 	}
-	unlimited := NewCountLimiter(0, out.sink)
+	unlimited := NewCountLimiter(0)
 	if unlimited.Exhausted() {
 		t.Error("unlimited limiter reports exhausted")
 	}
@@ -301,8 +310,12 @@ func TestStageChainComposition(t *testing.T) {
 	var out collector
 	db := NewDisconnectBuffer(5, out.sink)
 	rp := NewRepairer(RepairHoldLast, db.Offer)
-	rl := NewRateLimiter(0, stream.NewManualClock(0), rp.Offer)
-	s := NewSampler(1, 1, rl.Offer)
+	rl := NewRateLimiter(0, stream.NewManualClock(0))
+	s := NewSampler(1, 1, func(e stream.Element) {
+		if rl.Admit(e) {
+			rp.Offer(e)
+		}
+	})
 	s.Offer(elem(t, 1, int64(5), 2.0))
 	s.Offer(elem(t, 2, nil, nil))
 	if out.len() != 2 {

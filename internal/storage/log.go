@@ -108,7 +108,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, bool) {
 	}
 }
 
-// Log durability tuning defaults.
+// Log durability tuning defaults. DefaultMaxStagedBytes bounds the
+// staging buffer (raised to FlushBytes when that is larger): an
+// appender that finds at least this much staged commits inline —
+// backpressure that stops memory growing without bound when the disk
+// cannot keep up with ingestion.
 const (
 	DefaultFlushInterval  = 5 * time.Millisecond
 	DefaultFlushBytes     = 256 << 10
@@ -124,11 +128,6 @@ type LogOptions struct {
 	// FlushBytes forces a flush whenever at least this much is staged,
 	// under every policy (default 256 KiB).
 	FlushBytes int
-	// MaxStagedBytes bounds the staging buffer (default 4 MiB). An
-	// appender that finds at least this much staged commits inline —
-	// backpressure that stops memory growing without bound when the
-	// disk cannot keep up with ingestion.
-	MaxStagedBytes int
 	// OnError receives asynchronous flush failures (records that were
 	// acknowledged to Append but could not be written). May be nil.
 	// Called without internal locks held.
@@ -150,12 +149,6 @@ func (o LogOptions) withDefaults() LogOptions {
 	}
 	if o.FlushBytes <= 0 {
 		o.FlushBytes = DefaultFlushBytes
-	}
-	if o.MaxStagedBytes <= 0 {
-		o.MaxStagedBytes = DefaultMaxStagedBytes
-	}
-	if o.MaxStagedBytes < o.FlushBytes {
-		o.MaxStagedBytes = o.FlushBytes
 	}
 	return o
 }
@@ -486,7 +479,7 @@ func appendRecord(dst []byte, scratch *[]byte, e stream.Element, prev stream.Tim
 // number of the last one together with what the sync policy asks of the
 // caller: wait reports that the caller must CommitThrough(seq) before
 // acknowledging. That is every call under SyncAlways/SyncDurable;
-// otherwise only backpressure — staging has reached MaxStagedBytes, or
+// otherwise only backpressure — staging has reached DefaultMaxStagedBytes, or
 // FlushBytes with no flusher to wake — so memory cannot grow without
 // bound when the disk cannot keep up. An error means nothing was staged.
 func (l *Log) Stage(elems []stream.Element) (seq uint64, wait bool, err error) {
@@ -511,7 +504,7 @@ func (l *Log) Stage(elems []stream.Element) (seq uint64, wait bool, err error) {
 	seq = l.base + l.recs
 	l.mu.Unlock()
 	switch {
-	case l.waitCommit || staged >= l.opts.MaxStagedBytes:
+	case l.waitCommit || staged >= max(DefaultMaxStagedBytes, l.opts.FlushBytes):
 		wait = true
 	case staged >= l.opts.FlushBytes:
 		if l.kick == nil {
