@@ -103,11 +103,15 @@ examples-smoke:
 # wrong answer (TestConcurrentStreamsSweep); and a redeploy builds its
 # replacement beside the running sensor: 50 redeploys, valid and
 # refused in turn, under a pulsing goroutine, where a refused one leaves
-# the runtime and its windows as they were (TestRedeployBesideRunningSensor).
+# the runtime and its windows as they were (TestRedeployBesideRunningSensor);
+# and a TIMED-range statement over a history tier a page-write fault
+# disabled fails with the tier's error on the compiled path and the
+# interpreter alike, never answering from the hot window alone
+# (TestHistoryBrokenTierFailsRangeStatements).
 # See docs/operations.md for the contract these tests enforce.
 chaos:
 	$(GO) test -race -count=2 -timeout 600s \
-		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace|TestUndeployWaitsForRegisteredQuerySweep|TestSweepRunsOnTheProducer|TestConcurrentStreamsSweep|TestRedeployBesideRunningSensor' \
+		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestLongPoll|TestRoutedResults|TestTimeWindowMaintainer|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault|TestConcurrentArrivals|TestRedeployWaitsFor|TestUnsubscribeRacingPublish|TestFilteredMaintainerRace|TestUndeployWaitsForRegisteredQuerySweep|TestSweepRunsOnTheProducer|TestConcurrentStreamsSweep|TestRedeployBesideRunningSensor|TestHistoryBrokenTier' \
 		./internal/core ./internal/storage ./internal/p2p ./internal/notify
 
 # fuzz-smoke runs three fuzzers for a few seconds each: the maintained

@@ -57,7 +57,7 @@ func (c storeCatalog) Relation(name string) (*sqlengine.Relation, error) {
 func (c storeCatalog) RelationRange(name string, lo, hi int64) (*sqlengine.Relation, error) {
 	tab, err := c.table(name)
 	if err != nil {
-		return nil, err
+		return nil, nil // an unknown table, which Relation reports
 	}
 	elems, err := tab.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi))
 	if err != nil {

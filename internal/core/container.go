@@ -160,14 +160,17 @@ func New(opts Options) (*Container, error) {
 	// Every time a degraded table's recovery loop re-arms its WAL and
 	// history tiers, this ticks — the self-healing success signal.
 	store.SetWalReopenCounter(reg.Counter("wal_reopens_total"))
-	// History-tier (disk storage) activity: page and buffer-pool traffic
-	// plus checkpoint count, aggregated over every history table.
+	// History-tier (disk storage) activity: page and buffer-pool traffic,
+	// checkpoint count and the data pages range reads folded from their
+	// summaries or decoded, aggregated over every history table.
 	store.SetHistoryMetrics(&storage.HistoryMetrics{
 		PagesRead:     reg.Counter("pages_read"),
 		PagesWritten:  reg.Counter("pages_written"),
 		PoolHits:      reg.Counter("pool_hits"),
 		PoolEvictions: reg.Counter("pool_evictions"),
 		Checkpoints:   reg.Counter("checkpoints_total"),
+		PagesFolded:   reg.Counter("pages_folded"),
+		PagesDecoded:  reg.Counter("pages_decoded"),
 	})
 	dir := opts.Directory
 	if dir == nil {

@@ -69,6 +69,11 @@ func TestHistoryQueryServesEvictedRows(t *testing.T) {
 	if rel.Rows[0][0] != int64(40) {
 		t.Fatalf("bounded count over both tiers = %v, want 40", rel.Rows[0][0])
 	}
+	// The 35 evicted rows share one data page, whose summary the count
+	// folds without decoding a row.
+	if m := c.MetricsSnapshot(); m["pages_folded"] != uint64(1) || m["pages_decoded"] != uint64(0) {
+		t.Fatalf("pages folded %v, decoded %v; want 1 and 0", m["pages_folded"], m["pages_decoded"])
+	}
 	// The unbounded scan still sees only the hot window.
 	rel, err = c.Query(`select count(*) from "hist-temp"`)
 	if err != nil {
@@ -85,6 +90,10 @@ func TestHistoryQueryServesEvictedRows(t *testing.T) {
 	}
 	if rel.Rows[0][0] != int64(9) {
 		t.Fatalf("sub-range count = %v, want the 9 readings up to timed 1000009", rel.Rows[0][0])
+	}
+	// That page straddles the sub-range: it is decoded.
+	if m := c.MetricsSnapshot(); m["pages_folded"] != uint64(1) || m["pages_decoded"] != uint64(1) {
+		t.Fatalf("pages folded %v, decoded %v; want 1 and 1", m["pages_folded"], m["pages_decoded"])
 	}
 }
 

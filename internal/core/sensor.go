@@ -156,32 +156,17 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor) (*VirtualSensor, e
 	if err != nil {
 		return nil, err
 	}
-	window, err := desc.StorageWindow()
-	if err != nil {
-		return nil, err
-	}
-	name := stream.CanonicalName(desc.Name)
-	syncPolicy, ok := storage.ParseSyncPolicy(desc.Storage.Sync)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: unknown storage sync policy %q", name, desc.Storage.Sync)
-	}
-	var flushInterval time.Duration
-	if desc.Storage.FlushInterval != "" {
-		flushInterval, err = time.ParseDuration(desc.Storage.FlushInterval)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: storage flush-interval: %w", name, err)
-		}
-	}
+	syncPolicy, _ := storage.ParseSyncPolicy(desc.Storage.Sync) // Validate admitted it
 	vs := &VirtualSensor{
-		name:      name,
+		name:      stream.CanonicalName(desc.Name),
 		desc:      desc,
 		container: c,
 		outSchema: outSchema,
 		outOpts: storage.TableOptions{
-			Window:        window,
+			Window:        desc.StorageWindow(),
 			Permanent:     desc.Storage.Permanent,
 			Sync:          syncPolicy,
-			FlushInterval: flushInterval,
+			FlushInterval: desc.FlushInterval(),
 			History:       desc.Storage.History == "disk",
 		},
 	}
@@ -290,10 +275,6 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	if err != nil {
 		return nil, err
 	}
-	window, err := stream.ParseWindow(spec.StorageSize)
-	if err != nil {
-		return nil, err
-	}
 	gapTimeout, err := params.Duration("gap-timeout", 0)
 	if err != nil {
 		return nil, err
@@ -324,7 +305,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		spec:    spec,
 		wrapper: w,
 		stmt:    stmt,
-		window:  window,
+		window:  spec.Window(),
 		slide:   spec.Slide,
 	}
 	if src.slide < 1 {

@@ -37,7 +37,9 @@ func (ev *evaluator) buildFrom(items []sqlparser.TableRef, outer *scope) (*Relat
 // scan is routed through RelationRange — the storage layer's index
 // range scan over disk history merged with the hot window. The result
 // may be a superset of the final rows; runSimple re-applies the full
-// WHERE clause either way, so the routing is invisible in results.
+// WHERE clause either way, so the routing is invisible in results. A
+// range that fails (a broken history tier) fails the statement: the
+// hot window alone would answer it silently short.
 func (ev *evaluator) buildFromPushdown(stmt *sqlparser.SelectStatement, outer *scope) (*Relation, error) {
 	if len(stmt.From) == 1 && stmt.Where != nil {
 		if tn, ok := stmt.From[0].(*sqlparser.TableName); ok {
@@ -46,15 +48,16 @@ func (ev *evaluator) buildFromPushdown(stmt *sqlparser.SelectStatement, outer *s
 				if qual == "" {
 					qual = tn.Name
 				}
-				if lo, hi, ok := ev.timeBounds(stmt.Where, qual); ok {
+				if lo, hi, ok, _ := ev.timeBounds(stmt.Where, qual); ok {
 					rel, err := rc.RelationRange(tn.Name, lo, hi)
-					if err == nil {
+					if err != nil {
+						return nil, err
+					}
+					if rel != nil {
 						return rel.requalify(qual), nil
 					}
-					// On error (unknown table in this catalog layer,
-					// broken tier) fall back to the ordinary resolution
-					// path, which produces its own error if the table
-					// really is unknown.
+					// The table is not in this catalog layer: the
+					// ordinary resolution finds it or reports it.
 				}
 			}
 		}

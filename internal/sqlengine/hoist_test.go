@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gsn/internal/sqlparser"
@@ -22,17 +23,22 @@ func (c *tickingClock) Now() stream.Timestamp {
 	return c.t
 }
 
-// tieredPlanTable gives planTable the ForEachTimed half of
-// TieredSource, recording the intervals it was asked for. failAfter > 0
+// tieredPlanTable gives planTable the FoldTimed half of TieredSource,
+// as a tier without page summaries, recording the intervals it was
+// asked for and the columns of each fold it was offered. failAfter > 0
 // makes the tier fail once it has yielded that many elements.
 type tieredPlanTable struct {
 	*planTable
 	ranges    []string
+	folds     []string
 	failAfter int
 }
 
-func (p *tieredPlanTable) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error {
+func (p *tieredPlanTable) FoldTimed(lo, hi stream.Timestamp, cols []int, page func(int64, []int64), fn func(stream.Element) bool) error {
 	p.ranges = append(p.ranges, fmt.Sprintf("[%d,%d]", lo, hi))
+	if page != nil {
+		p.folds = append(p.folds, fmt.Sprint(cols))
+	}
 	n := 0
 	for _, e := range p.elems {
 		if ts := e.Timestamp(); ts >= lo && ts <= hi {
@@ -305,8 +311,8 @@ var tieredShapes = []string{
 // through one buffer that is scribbled over after each feed give what
 // Execute(rows) gives in one piece and what the interpreter gives. The
 // two scans built on that contract, ExecuteSource and ExecuteTiered, are
-// held to the same answer; a tier that fails part-way leaves nothing of
-// the rows already fed in it, the live window is scanned from the start.
+// held to the same answer; a tier that fails part-way fails the
+// statement with the tier's error, never answering from the live window.
 func TestBatchFedRunMatchesExecute(t *testing.T) {
 	pt := makePlanTable(t, 5000)
 	all := RowsOfSource(pt)
@@ -371,10 +377,56 @@ func TestBatchFedRunMatchesExecute(t *testing.T) {
 		for _, failAfter := range []int{0, 700} {
 			src := &tieredPlanTable{planTable: pt, failAfter: failAfter}
 			got, err := plan.ExecuteTiered(src, opts)
-			check(fmt.Sprintf("ExecuteTiered (tier fails after %d)", failAfter), got, err)
+			switch failed := err != nil && err.Error() == "tier failed"; {
+			case failed && len(src.ranges) == 1: // the failing tier was read
+			case tiered && failAfter > 0:
+				t.Errorf("%s: ExecuteTiered over a failing tier = %v, %v; want the tier's error", q, got, err)
+			default:
+				check(fmt.Sprintf("ExecuteTiered (tier fails after %d)", failAfter), got, err)
+			}
 			if tiered && len(src.ranges) != 1 {
 				t.Errorf("%s: the interval was not pushed down: %v", q, src.ranges)
 			}
+		}
+	}
+}
+
+// TestExecuteTieredFoldsQualifyingPlans: ExecuteTiered offers the tier
+// a fold exactly when the plan qualifies — aggregates
+// COUNT(*) or COUNT, SUM, AVG, MIN, MAX of a plain column, nothing else
+// read after grouping, no GROUP BY or DISTINCT — and the WHERE is
+// exactly its TIMED interval at the execution's clock reading; every
+// statement answers what the interpreter does.
+func TestExecuteTieredFoldsQualifyingPlans(t *testing.T) {
+	pt := makePlanTable(t, 300)
+	cat := MapCatalog{"W": &Relation{Cols: ColumnsOfSchema(planSchema), Rows: RowsOfSource(pt)}}
+	opts := Options{Clock: stream.NewManualClock(200)}
+	for q, want := range map[string]string{ // statement → columns folded; "" for none
+		"select count(*) as n from w where timed between 10 and 250":                                  "[]",
+		"select count(*), sum(v), avg(v), min(v), max(v), count(v) from w where timed >= now() - 100": "[0]",
+		"select sum(f), max(v), sum(v) + 1 as s from w where 5 <= timed and timed < 90":               "[1 0]",
+		"select sum(v) from w where timed = 33":                                                       "[0]",
+		"select sum(v) from w where timed between 10 and 250 and v > 0":                               "",
+		"select sum(v) from w where timed between 10 and 250 or timed = 3":                            "",
+		"select sum(v) from w where timed between 10 and 250 and timed > now() - 1.5":                 "",
+		"select v, count(*) from w where timed between 10 and 250 group by v":                         "",
+		"select count(distinct v) from w where timed between 10 and 250":                              "",
+		"select stddev(v), last(v) from w where timed between 10 and 250":                             "",
+		"select max(timed) from w where timed between 10 and 250":                                     "",
+		"select sum(v * 2) from w where timed between 10 and 250":                                     "",
+		"select sum(v) as s, v from w where timed between 10 and 250":                                 "",
+		"select distinct count(*) from w where timed between 10 and 250":                              "",
+	} {
+		src := &tieredPlanTable{planTable: pt}
+		got, err := compilePlan(t, q).ExecuteTiered(src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if folds := strings.Join(src.folds, ""); folds != want {
+			t.Errorf("%s: folded %q, want %q", q, folds, want)
+		}
+		if ref, err := Execute(mustParse(t, q), cat, opts); err != nil || got.String() != ref.String() {
+			t.Errorf("%s:\n%s\ninterpreter (%v):\n%s", q, got, err, ref)
 		}
 	}
 }

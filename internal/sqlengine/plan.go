@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -31,6 +32,11 @@ type Plan struct {
 	// prog is the bound (column-index-resolved) execution program. See
 	// compiled.go.
 	prog *boundProgram
+
+	// sumCols are the input columns a TieredSource folds for the plan,
+	// sumSlot each aggregate's argument in sumCols (-1 for COUNT(*));
+	// nil when the plan does not qualify (summaryFold).
+	sumCols, sumSlot []int
 }
 
 // Input is one relation a plan binds over: its bare column layout (see
@@ -96,7 +102,40 @@ func CompileProduct(stmt *sqlparser.SelectStatement, inputs ...Input) (*Plan, er
 	if p.prog == nil {
 		return nil, fmt.Errorf("sqlengine: statement does not bind (unknown or ambiguous column, subquery or unknown function)")
 	}
+	p.sumCols, p.sumSlot = p.summaryFold()
 	return p, nil
+}
+
+// summaryFold qualifies the plan for ExecuteTiered's page fold: one
+// input, no GROUP BY or DISTINCT, no input column read after grouping,
+// every aggregate COUNT(*) or a non-DISTINCT COUNT, SUM, AVG, MIN or MAX
+// of a plain column other than TIMED — over integers, an answer that
+// depends only on per-column counts, sums and extremes.
+func (p *Plan) summaryFold() (cols, slots []int) {
+	stmt := p.sp.stmt
+	if !p.sp.grouped || len(stmt.GroupBy) > 0 || stmt.Distinct || len(p.from) > 1 || len(p.prog.after) > 0 {
+		return nil, nil
+	}
+	slots = make([]int, len(p.sp.aggs))
+	for i, a := range p.sp.aggs {
+		if a.Distinct || aggKinds[a.Name] > aggMax { // STDDEV, FIRST, LAST
+			return nil, nil
+		}
+		if slots[i] = -1; a.CountStar {
+			continue
+		}
+		c := -1
+		if ref, ok := a.Args[0].(*sqlparser.ColumnRef); ok { // bound: one argument
+			c = columnIndex(p.inCols, ref)
+		}
+		if c < 0 || c == len(p.inCols)-1 { // TIMED is the last input column
+			return nil, nil
+		}
+		if slots[i] = slices.Index(cols, c); slots[i] < 0 {
+			slots[i], cols = len(cols), append(cols, c)
+		}
+	}
+	return cols, slots
 }
 
 // IncProgram is a plan an AggMaintainer can keep over a sliding window:
@@ -273,11 +312,15 @@ func (p *Plan) executeSource(src ElementSource, ev *evaluator) (*Relation, error
 // TieredSource is an ElementSource that can also serve a TIMED interval
 // from beyond its live window; *storage.Table implements it (the
 // history tier's index range scan merged with the hot window).
-// ForEachTimed yields the interval's elements in arrival order until fn
-// returns false; on an error fn has seen a prefix of them.
+// FoldTimed yields the interval's elements until fn returns false; on
+// an error fn has seen a prefix of them. With a nil page it yields them
+// all, in arrival order. Otherwise it may fold history pages whose
+// summaries cover the integer columns cols instead, handing page each
+// one's row count and, per column, its non-NULL count, wrapping sum,
+// minimum and maximum, and yields the other elements in any order.
 type TieredSource interface {
 	ElementSource
-	ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error
+	FoldTimed(lo, hi stream.Timestamp, cols []int, page func(rows int64, sums []int64), fn func(stream.Element) bool) error
 }
 
 // ExecuteTiered runs the plan as an ad-hoc statement over its base
@@ -285,26 +328,55 @@ type TieredSource interface {
 // RangeCatalog, without the per-call planning and per-row name
 // resolution. A WHERE that pins TIMED to an interval (timeBounds, at
 // the execution's one clock reading) routes the scan through
-// ForEachTimed, so an aggregate over a long interval holds one row and
-// not the interval; otherwise, or when the tier fails — nothing of the
-// rows it had yielded is kept — the live window is scanned. The full
-// WHERE is re-applied either way.
+// FoldTimed, so an aggregate over a long interval holds one row and
+// not the interval; otherwise the live window is scanned. The full
+// WHERE is re-applied either way, and a failing tier fails the
+// statement. When the WHERE is exactly the interval and the plan
+// qualifies (summaryFold), summarized history pages merge into the
+// run's one group as partial states.
 func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) {
 	ev := newEvaluator(nil, opts)
-	if p.sp.stmt.Where != nil {
-		if lo, hi, ok := ev.timeBounds(p.sp.stmt.Where, p.qual); ok {
-			r := p.prog.start(p, ev)
-			var tierErr error
-			err := r.scan(func(fn func(stream.Element) bool) {
-				tierErr = src.ForEachTimed(stream.Timestamp(lo), stream.Timestamp(hi), fn)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if tierErr == nil {
-				return r.finish()
+	if p.sp.stmt.Where == nil {
+		return p.executeSource(src, ev)
+	}
+	lo, hi, ok, exact := ev.timeBounds(p.sp.stmt.Where, p.qual)
+	if !ok {
+		return p.executeSource(src, ev)
+	}
+	r := p.prog.start(p, ev)
+	var page func(rows int64, sums []int64)
+	var tierErr, foldErr error
+	if exact && p.sumSlot != nil {
+		page = func(rows int64, sums []int64) { foldErr = cmp.Or(foldErr, r.mergeSummary(rows, sums)) }
+	}
+	err := r.scan(func(fn func(stream.Element) bool) {
+		tierErr = src.FoldTimed(stream.Timestamp(lo), stream.Timestamp(hi), p.sumCols, page, fn)
+	})
+	if err = cmp.Or(err, foldErr, tierErr); err != nil {
+		return nil, err
+	}
+	return r.finish()
+}
+
+// mergeSummary merges one folded history page (TieredSource's layout)
+// into the run's one group as the partial state of its rows.
+func (r *boundRun) mergeSummary(rows int64, sums []int64) error {
+	if r.single == nil {
+		r.newGroup(nil, make([]stream.Value, len(r.p.inCols)))
+	}
+	r.kept += int(rows)
+	for i, k := range r.p.sumSlot {
+		part := AggPartial{Count: rows, IntOnly: true}
+		if k >= 0 {
+			s := sums[4*k:]
+			part = AggPartial{Count: s[0], IntSum: s[1], Sum: float64(s[1]), IntOnly: true}
+			if s[0] > 0 {
+				part.Min, part.Max = s[2], s[3]
 			}
 		}
+		if err := r.single.states[i].mergePartial(part); err != nil {
+			return err
+		}
 	}
-	return p.executeSource(src, ev)
+	return nil
 }

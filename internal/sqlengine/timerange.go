@@ -22,7 +22,9 @@ type RangeCatalog interface {
 	// RelationRange returns the rows of name whose TIMED value lies in
 	// [lo, hi] (inclusive). The result may be a superset of what the
 	// full WHERE clause keeps — the evaluator re-applies it — but must
-	// contain every row in the interval.
+	// contain every row in the interval. A nil relation and a nil error
+	// mean the catalog does not hold name, and the evaluator resolves it
+	// through Relation.
 	RelationRange(name string, lo, hi int64) (*Relation, error)
 }
 
@@ -43,8 +45,11 @@ type RangeCatalog interface {
 // the interval: the caller always re-applies the full predicate, so a
 // superset is safe, a subset never happens. ok reports whether at least
 // one bound was found; an unconstrained side stays at the int64 extreme.
-func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
+// exact reports that the interval is the WHERE: every top-level
+// conjunct is a bound that contributed, none saturating, so a row
+// passes the WHERE exactly when its TIMED lies in [lo, hi].
+func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok, exact bool) {
+	lo, hi, exact = math.MinInt64, math.MaxInt64, true
 	qual = stream.CanonicalName(qual)
 	var walk func(e sqlparser.Expr)
 	walk = func(e sqlparser.Expr) {
@@ -57,6 +62,7 @@ func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64
 			}
 			v, op, found := ev.timedComparison(x, qual)
 			if !found {
+				exact = false
 				return
 			}
 			switch op {
@@ -69,6 +75,7 @@ func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64
 				// timed > MaxInt64 is unsatisfiable; saturating keeps
 				// the interval a superset (it is then empty-ish, and
 				// the re-applied WHERE drops everything anyway).
+				exact = exact && v < math.MaxInt64
 				if v < math.MaxInt64 {
 					v++
 				}
@@ -76,27 +83,29 @@ func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64
 			case sqlparser.OpLe:
 				hi, ok = minBound(hi, v), true
 			case sqlparser.OpLt:
+				exact = exact && v > math.MinInt64
 				if v > math.MinInt64 {
 					v--
 				}
 				hi, ok = minBound(hi, v), true
 			}
+			return
 		case *sqlparser.BetweenExpr:
-			if x.Not || !isTimedRef(x.X, qual) {
-				return
+			if !x.Not && isTimedRef(x.X, qual) {
+				l, okL := ev.intBound(x.Lo)
+				h, okH := ev.intBound(x.Hi)
+				if okL && okH {
+					lo, hi, ok = maxBound(lo, l), minBound(hi, h), true
+					return
+				}
 			}
-			l, okL := ev.intBound(x.Lo)
-			h, okH := ev.intBound(x.Hi)
-			if !okL || !okH {
-				return
-			}
-			lo, hi, ok = maxBound(lo, l), minBound(hi, h), true
 		}
+		exact = false
 	}
 	if where != nil {
 		walk(where)
 	}
-	return lo, hi, ok
+	return lo, hi, ok, exact && ok
 }
 
 // timedComparison matches "timed OP bound" or "bound OP timed"

@@ -361,37 +361,36 @@ func insertLeafAt(p []byte, pos int, e btEntry) {
 	setNodeCount(p, n+1)
 }
 
-// btRange collects every index entry with lo <= timed <= hi, in key
+// btWalk hands visit every index entry with lo <= timed <= hi, in key
 // order, by descending from the root and pruning subtrees whose
-// separator interval misses the range. Called with at least the shared
-// history lock held (the tree structure cannot change underneath it).
-func (h *history) btRange(lo, hi int64) ([]btEntry, error) {
+// separator interval misses the range; visit runs with the entry's
+// leaf pinned, and its error ends the walk. Called with at least the
+// shared history lock held (the tree cannot change underneath it).
+func (h *history) btWalk(lo, hi int64, visit func(btEntry) error) error {
 	if h.root == noPage || lo > hi {
-		return nil, nil
+		return nil
 	}
-	var out []btEntry
-	if err := h.btRangeRec(h.root, lo, hi, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return h.btRangeRec(h.root, lo, hi, visit)
 }
 
-func (h *history) btRangeRec(pid pageID, lo, hi int64, out *[]btEntry) error {
+func (h *history) btRangeRec(pid pageID, lo, hi int64, visit func(btEntry) error) error {
 	fr, err := h.pool.get(pid)
 	if err != nil {
 		return err
 	}
 	kind := fr.data[0]
 	if kind == pageKindLeaf {
+		defer h.pool.unpin(fr, false)
 		n := nodeCount(fr.data)
 		for i := searchTimed(fr.data, btHdrLen, leafEntryLen, n, lo); i < n; i++ {
 			e := leafEntry(fr.data, i)
 			if e.key.timed > hi {
 				break
 			}
-			*out = append(*out, e)
+			if err := visit(e); err != nil {
+				return err
+			}
 		}
-		h.pool.unpin(fr, false)
 		return nil
 	}
 	if kind != pageKindInterior {
@@ -419,7 +418,7 @@ func (h *history) btRangeRec(pid pageID, lo, hi int64, out *[]btEntry) error {
 	}
 	h.pool.unpin(fr, false)
 	for _, c := range kids {
-		if err := h.btRangeRec(c, lo, hi, out); err != nil {
+		if err := h.btRangeRec(c, lo, hi, visit); err != nil {
 			return err
 		}
 	}

@@ -73,6 +73,57 @@ func (x *indexHarness) query(lo, hi int64) {
 		x.t.Fatalf("Range [%d, %d]: %d rows, want %d (first difference at %d)",
 			lo, hi, len(got), len(want), firstDiff(got, want))
 	}
+	// The fold, over the whole tier and with its newest quarter in the
+	// hot window.
+	x.fold(lo, hi, math.MaxUint64)
+	x.fold(lo, hi, uint64(len(x.ref)-len(x.ref)/4)+1)
+}
+
+// intFold is the fold Fold serves: a row count, and the non-NULL count,
+// wrapping sum, minimum and maximum of one integer column.
+type intFold struct{ rows, n, sum, lo, hi int64 }
+
+func (f *intFold) add(n, sum, lo, hi int64) {
+	if n > 0 {
+		if f.n == 0 {
+			f.lo, f.hi = lo, hi
+		}
+		f.n, f.sum, f.lo, f.hi = f.n+n, f.sum+sum, min(f.lo, lo), max(f.hi, hi)
+	}
+}
+
+func (f *intFold) page(rows int64, sums []int64) {
+	f.rows += rows
+	f.add(sums[0], sums[1], sums[2], sums[3])
+}
+
+func (f *intFold) row(v stream.Value) {
+	f.rows++
+	if x, ok := v.(int64); ok {
+		f.add(1, x, x, x)
+	}
+}
+
+// fold compares Fold over [lo, hi] below maxSeqExcl, folding column 0,
+// with the reference rows it covers.
+func (x *indexHarness) fold(lo, hi int64, maxSeqExcl uint64) {
+	x.t.Helper()
+	var got, want intFold
+	err := x.h.Fold(stream.Timestamp(lo), stream.Timestamp(hi), maxSeqExcl, []int{0}, got.page, func(e stream.Element) bool {
+		got.row(e.Value(0))
+		return true
+	})
+	if err != nil {
+		x.t.Fatalf("Fold [%d, %d] below %d: %v", lo, hi, maxSeqExcl, err)
+	}
+	for _, r := range x.ref {
+		if r.timed >= lo && r.timed <= hi && r.seq < maxSeqExcl {
+			want.row(int64(r.seq))
+		}
+	}
+	if got != want {
+		x.t.Fatalf("Fold [%d, %d] below %d = %+v, want %+v", lo, hi, maxSeqExcl, got, want)
+	}
 }
 
 func firstDiff(a, b []indexRow) int {
@@ -208,7 +259,10 @@ func (x *indexHarness) queryAround(bounds []int64) {
 // later inserts relocate the nodes they touch. After every checkpoint
 // the tree's invariants and a full range are checked; at the end, TIMED
 // ranges ending on, beside and outside its separators are compared with
-// the reference in arrival order too.
+// the reference in arrival order too. Every range is also folded, from
+// page summaries where they cover it (the unsealed tail page included),
+// and the fold must equal the reference's, with and without a hot
+// window holding the newest rows.
 func FuzzHistoryIndex(f *testing.F) {
 	f.Add([]byte{0, 200, 4, 50, 3, 0, 1, 3, 0, 90})
 	f.Add([]byte{1, 0, 1, 10, 3, 5, 1, 200, 2, 31, 8, 60})

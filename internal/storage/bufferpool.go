@@ -8,14 +8,17 @@ import (
 
 // HistoryMetrics points the history tier's page accounting at external
 // metrics counters (the container wires its pages_read/pages_written/
-// pool_hits/pool_evictions/checkpoints_total counters here before
-// deploying sensors). Any field may be nil.
+// pool_hits/pool_evictions/checkpoints_total/pages_folded/pages_decoded
+// counters here before deploying sensors; history.Fold ticks the last
+// two). Any field may be nil.
 type HistoryMetrics struct {
 	PagesRead     Incrementer
 	PagesWritten  Incrementer
 	PoolHits      Incrementer
 	PoolEvictions Incrementer
 	Checkpoints   Incrementer
+	PagesFolded   Incrementer
+	PagesDecoded  Incrementer
 }
 
 func (m *HistoryMetrics) inc(c Incrementer) {

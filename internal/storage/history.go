@@ -67,6 +67,11 @@ type history struct {
 
 	scratch []byte
 
+	// sumCols are the schema positions of the integer columns a data
+	// page summarizes (page.go); ncols is their number, -1 for kind 1.
+	sumCols []int
+	ncols   int
+
 	// broken poisons the tier after a page-level I/O error: the index
 	// may no longer cover every migrated record, so serving a range
 	// scan could silently omit rows. Appends and scans fail until the
@@ -119,6 +124,15 @@ func openHistory(fsys FS, path string, schema *stream.Schema, poolPages int, met
 		pool:       newBufferPool(f, poolPages, metr),
 		epochAlloc: make(map[pageID]struct{}),
 		metr:       metr,
+		ncols:      -1,
+	}
+	for i, fl := range schema.Fields() {
+		if fl.Type == stream.TypeInt || fl.Type == stream.TypeTime {
+			h.sumCols = append(h.sumCols, i)
+		}
+	}
+	if dataStart(len(h.sumCols))-dataHdrLen <= maxSummaryLen {
+		h.ncols = len(h.sumCols)
 	}
 	info, err := f.Stat()
 	if err != nil {
@@ -210,11 +224,11 @@ func (h *history) Append(e stream.Element, seq uint64) error {
 	// timestamp (prev=0) so pages decode standalone.
 	h.scratch = binary.AppendUvarint(h.scratch[:0], seq)
 	h.scratch = stream.EncodeElementCompact(h.scratch, e, 0)
-	if len(h.scratch) > pageSize-dataHdrLen-2 {
+	if len(h.scratch) > pageSize-dataStart(h.ncols)-2 {
 		return fmt.Errorf("storage: history record of %d bytes exceeds page capacity", len(h.scratch))
 	}
 
-	ref, err := h.appendRecord(h.scratch)
+	ref, err := h.appendRecord(h.scratch, e, seq)
 	if err != nil {
 		h.broken = fmt.Errorf("storage: history tier disabled: %w", err)
 		return h.broken
@@ -228,15 +242,16 @@ func (h *history) Append(e stream.Element, seq uint64) error {
 	return nil
 }
 
-// appendRecord places rec on the tail data page, starting a new page
-// when the tail is missing, sealed or full.
-func (h *history) appendRecord(rec []byte) (btRef, error) {
+// appendRecord places rec, the record of e as seq, on the tail data
+// page, starting a new page when the tail is missing, sealed or full,
+// and folds e into the page's summary in the same page image.
+func (h *history) appendRecord(rec []byte, e stream.Element, seq uint64) (btRef, error) {
 	if h.tail != noPage {
 		fr, err := h.pool.get(h.tail)
 		if err != nil {
 			return btRef{}, err
 		}
-		if slot, ok := dataPageAppend(fr.data, rec); ok {
+		if slot, ok := dataPageAppend(fr.data, rec, e, seq, h.sumCols); ok {
 			h.pool.unpin(fr, true)
 			return btRef{page: h.tail, slot: slot}, nil
 		}
@@ -247,8 +262,8 @@ func (h *history) appendRecord(rec []byte) (btRef, error) {
 	if err != nil {
 		return btRef{}, err
 	}
-	dataPageInit(fr.data)
-	slot, ok := dataPageAppend(fr.data, rec)
+	dataPageInit(fr.data, h.ncols)
+	slot, ok := dataPageAppend(fr.data, rec, e, seq, h.sumCols)
 	h.pool.unpin(fr, true)
 	if !ok {
 		return btRef{}, fmt.Errorf("storage: record does not fit an empty page")
@@ -331,20 +346,57 @@ func (h *history) checkpointLocked() error {
 // scans proceed in parallel, appends wait; fn must not call back into
 // the table.
 func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stream.Element) bool) error {
+	return h.Fold(lo, hi, maxSeqExcl, nil, nil, fn)
+}
+
+// Fold is Range for a fold of the integer columns cols (schema
+// positions) that does not depend on row order. A data page whose
+// summary covers it — TIMED span inside [lo, hi], every seq below
+// maxSeqExcl, each of cols summarized and integer-only — goes to page
+// whole, its index entries neither collected nor decoded: its row count
+// and, per column, the non-NULL count, wrapping sum, minimum and maximum
+// (sums, valid during the call). The other pages' records go to fn as
+// Range hands them. A nil page, or an unsummarized column, folds nothing.
+func (h *history) Fold(lo, hi stream.Timestamp, maxSeqExcl uint64, cols []int, page func(rows int64, sums []int64), fn func(stream.Element) bool) error {
+	slots := make([]int, len(cols))
+	for i, c := range cols {
+		if slots[i] = slices.Index(h.sumCols, c); slots[i] < 0 {
+			page = nil
+		}
+	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if h.broken != nil {
 		return h.broken
 	}
-	entries, err := h.btRange(int64(lo), int64(hi))
-	if err != nil {
-		return err
-	}
-	matched := entries[:0]
-	for _, e := range entries {
-		if e.key.seq < maxSeqExcl {
+	var matched []btEntry
+	sums := make([]int64, 4*len(cols))
+	folded := map[pageID]bool{}
+	last, lastFolded := noPage, false
+	err := h.btWalk(int64(lo), int64(hi), func(e btEntry) error {
+		if page != nil && e.ref.page != last {
+			seen := false
+			if lastFolded, seen = folded[e.ref.page]; !seen {
+				fr, err := h.pool.get(e.ref.page)
+				if err != nil {
+					return err
+				}
+				if lastFolded = foldSummary(fr.data, int64(lo), int64(hi), maxSeqExcl, h.ncols, slots, sums); lastFolded {
+					page(int64(dataPageCount(fr.data)), sums)
+					h.metr.inc(h.metr.PagesFolded)
+				}
+				h.pool.unpin(fr, false)
+				folded[e.ref.page] = lastFolded
+			}
+			last = e.ref.page
+		}
+		if !lastFolded && e.key.seq < maxSeqExcl {
 			matched = append(matched, e)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// The index yields (timed, seq) order; arrival order is seq order.
 	// Timestamps that arrived in order leave it sorted already, which
@@ -365,6 +417,7 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stre
 			if fr, err = h.pool.get(ent.ref.page); err != nil {
 				return err
 			}
+			h.metr.inc(h.metr.PagesDecoded)
 		}
 		rec, err := dataPageSlot(fr.data, ent.ref.slot)
 		if err != nil {
@@ -383,6 +436,25 @@ func (h *history) Range(lo, hi stream.Timestamp, maxSeqExcl uint64, fn func(stre
 		}
 	}
 	return nil
+}
+
+// foldSummary reports whether data page p's summary covers a fold over
+// [lo, hi] below maxSeqExcl of the summarized columns at slots, filling
+// sums (Fold's layout) when it does.
+func foldSummary(p []byte, lo, hi int64, maxSeqExcl uint64, ncols int, slots []int, sums []int64) bool {
+	if p[0] != pageKindSummarized || int(binary.BigEndian.Uint16(p[5:7])) != ncols ||
+		getI64(p, sumMinT) < lo || getI64(p, sumMaxT) > hi || uint64(getI64(p, sumMaxSeq)) >= maxSeqExcl {
+		return false
+	}
+	for i, k := range slots {
+		off := sumColsOff + k*sumColLen
+		n := binary.BigEndian.Uint32(p[off:])
+		if n == sumPoisoned {
+			return false
+		}
+		sums[4*i], sums[4*i+1], sums[4*i+2], sums[4*i+3] = int64(n), getI64(p, off+4), getI64(p, off+12), getI64(p, off+20)
+	}
+	return true
 }
 
 // DurableSeq returns the highest sequence number covered by the last

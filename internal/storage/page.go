@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"gsn/internal/stream"
 )
 
 // On-disk layout of the history tier (see history.go for the protocol).
@@ -14,15 +16,48 @@ import (
 const (
 	pageSize = 8192
 
-	pageKindData     = byte(1)
-	pageKindLeaf     = byte(2)
-	pageKindInterior = byte(3)
+	pageKindData       = byte(1)
+	pageKindLeaf       = byte(2)
+	pageKindInterior   = byte(3)
+	pageKindSummarized = byte(4)
 
 	// dataHdrLen is the slotted-page header: kind(1) count(2) free(2)
-	// pad(3). Record bytes grow up from dataHdrLen; the slot directory
-	// (one uint16 offset per record) grows down from pageSize.
+	// ncols(2) pad(1). Record bytes grow up from dataStart; the slot
+	// directory (one uint16 offset per record) grows down from pageSize.
 	dataHdrLen = 8
 )
+
+// A summarized data page (kind 4) carries, between its header and its
+// records, a summary of them that every append keeps current:
+//
+//	minT(8) maxT(8) minSeq(8) maxSeq(8), then per integer column of
+//	the schema, in schema order: count(4) sum(8) min(8) max(8)
+//
+// seq is stored as int64; each (min, max) pair is valid once its count
+// (the page's records, or the column's) is not zero. count is the
+// column's non-NULL values, sum their wrapping int64 sum; a count of
+// sumPoisoned marks a column that held a non-integer value and has no
+// usable summary. Kind-1 pages, written before summaries existed, carry
+// none and are always decoded.
+const (
+	sumMinT, sumMaxT, sumMinSeq, sumMaxSeq = 8, 16, 24, 32
+	sumColsOff                             = 40
+	sumColLen                              = 28
+	sumPoisoned                            = ^uint32(0)
+
+	// maxSummaryLen bounds the share of a page a summary may take: a
+	// schema with more integer columns than fit writes kind-1 pages.
+	maxSummaryLen = pageSize / 8
+)
+
+// dataStart is where the records of a data page summarizing ncols
+// columns begin; ncols < 0 is a kind-1 page.
+func dataStart(ncols int) int {
+	if ncols < 0 {
+		return dataHdrLen
+	}
+	return sumColsOff + ncols*sumColLen
+}
 
 // pageID addresses one fixed-size page in the history file. 0 and 1
 // are the meta slots, so 0 doubles as "no page" in pointers.
@@ -32,21 +67,65 @@ const noPage pageID = 0
 
 // --- slotted data page ---------------------------------------------------
 
-func dataPageInit(p []byte) {
-	for i := range p[:dataHdrLen] {
-		p[i] = 0
-	}
+// dataPageInit formats p as an empty data page: summarized over ncols
+// integer columns, or kind 1 when ncols < 0.
+func dataPageInit(p []byte, ncols int) {
+	start := dataStart(ncols)
+	clear(p[:start])
 	p[0] = pageKindData
-	binary.BigEndian.PutUint16(p[3:5], dataHdrLen)
+	if ncols >= 0 {
+		p[0] = pageKindSummarized
+	}
+	binary.BigEndian.PutUint16(p[3:5], uint16(start))
+	binary.BigEndian.PutUint16(p[5:7], uint16(max(ncols, 0)))
+}
+
+func getI64(p []byte, off int) int64    { return int64(binary.BigEndian.Uint64(p[off:])) }
+func putI64(p []byte, off int, v int64) { binary.BigEndian.PutUint64(p[off:], uint64(v)) }
+
+// extend widens the (min, max) pair at off to cover v; first starts it.
+func extend(p []byte, off int, v int64, first bool) {
+	if first || v < getI64(p, off) {
+		putI64(p, off, v)
+	}
+	if first || v > getI64(p, off+8) {
+		putI64(p, off+8, v)
+	}
+}
+
+// summaryAdd folds e, just appended to a summarized page as record
+// seq, into the page's summary; cols are the schema positions of the
+// summarized columns.
+func summaryAdd(p []byte, e stream.Element, seq uint64, cols []int) {
+	first := dataPageCount(p) == 1
+	extend(p, sumMinT, int64(e.Timestamp()), first)
+	extend(p, sumMinSeq, int64(seq), first)
+	for k, c := range cols {
+		off := sumColsOff + k*sumColLen
+		n := binary.BigEndian.Uint32(p[off:])
+		switch v := e.Value(c).(type) {
+		case nil: // NULLs are in the row count only
+		case int64:
+			if n != sumPoisoned {
+				binary.BigEndian.PutUint32(p[off:], n+1)
+				putI64(p, off+4, getI64(p, off+4)+v)
+				extend(p, off+12, v, n == 0)
+			}
+		default:
+			binary.BigEndian.PutUint32(p[off:], sumPoisoned)
+		}
+	}
 }
 
 func dataPageCount(p []byte) int {
 	return int(binary.BigEndian.Uint16(p[1:3]))
 }
 
-// dataPageAppend adds one record to the page, returning its slot index,
-// or false when the record (plus its slot entry) does not fit.
-func dataPageAppend(p []byte, rec []byte) (uint16, bool) {
+// dataPageAppend adds rec, the record of e as seq, to the page,
+// returning its slot index, or false when the record (plus its slot
+// entry) does not fit. A summarized page folds e into its summary, over
+// the schema positions cols.
+func dataPageAppend(p, rec []byte, e stream.Element, seq uint64, cols []int) (uint16, bool) {
 	count := int(binary.BigEndian.Uint16(p[1:3]))
 	free := int(binary.BigEndian.Uint16(p[3:5]))
 	slotTop := pageSize - 2*(count+1)
@@ -57,6 +136,9 @@ func dataPageAppend(p []byte, rec []byte) (uint16, bool) {
 	binary.BigEndian.PutUint16(p[slotTop:], uint16(free))
 	binary.BigEndian.PutUint16(p[1:3], uint16(count+1))
 	binary.BigEndian.PutUint16(p[3:5], uint16(free+len(rec)))
+	if p[0] == pageKindSummarized {
+		summaryAdd(p, e, seq, cols)
+	}
 	return uint16(count), true
 }
 
@@ -65,7 +147,7 @@ func dataPageAppend(p []byte, rec []byte) (uint16, bool) {
 // the record area and the decoder reports how much it consumed.
 func dataPageSlot(p []byte, slot uint16) ([]byte, error) {
 	count := int(binary.BigEndian.Uint16(p[1:3]))
-	if p[0] != pageKindData || int(slot) >= count {
+	if p[0] != pageKindData && p[0] != pageKindSummarized || int(slot) >= count {
 		return nil, fmt.Errorf("storage: bad history slot %d (page has %d)", slot, count)
 	}
 	off := int(binary.BigEndian.Uint16(p[pageSize-2*(int(slot)+1):]))

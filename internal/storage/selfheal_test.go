@@ -2,11 +2,14 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gsn/internal/sqlengine"
+	"gsn/internal/sqlparser"
 	"gsn/internal/stream"
 )
 
@@ -298,6 +301,71 @@ func TestHistoryPageWriteFaultRecovers(t *testing.T) {
 	}
 	if got := reopenAndCount(t, crashCopy(t, dir), "pg", historyOptions("4")); got != 16 {
 		t.Errorf("restart sees %d rows, want 16", got)
+	}
+}
+
+// tableCatalog serves one table to the interpreter, a TIMED range
+// through its tiered scan, as the container's catalog does.
+type tableCatalog struct{ tab *Table }
+
+func (c tableCatalog) Relation(string) (*sqlengine.Relation, error) {
+	return sqlengine.RelationOfSource(c.tab), nil
+}
+
+func (c tableCatalog) RelationRange(_ string, lo, hi int64) (*sqlengine.Relation, error) {
+	elems, err := c.tab.TimedRange(stream.Timestamp(lo), stream.Timestamp(hi))
+	if err != nil {
+		return nil, err
+	}
+	return sqlengine.RelationOfElements(c.tab.Schema(), elems), nil
+}
+
+// TestHistoryBrokenTierFailsRangeStatements: while a page-write fault
+// keeps the history tier disabled, a TIMED-range statement fails with
+// the tier's error on the compiled path and on the interpreter alike;
+// neither answers from the 4 hot rows of 16. After recovery both answer
+// all 16.
+func TestHistoryBrokenTierFailsRangeStatements(t *testing.T) {
+	opts := historyOptions("4")
+	opts.RecoverInterval = -1
+	s, ffs := faultStore(t, t.TempDir(), 0)
+	tab, err := s.CreateTable("pg", tempSchema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertN(t, tab, 1, 8)
+	if err := tab.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insertN(t, tab, 9, 8)
+	ffs.Inject(Fault{Op: OpWriteAt, Path: ".gsnhist", OffLow: 2 * pageSize, OffHigh: 1 << 40, Count: -1})
+	if err := tab.Checkpoint(); err == nil {
+		t.Fatal("checkpoint with failing page writes succeeded")
+	}
+	stmt := sqlparser.MustParse("select count(*) as c, sum(temperature) as s from pg where timed between 0 and 100")
+	plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(tempSchema), "pg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := map[string]func() (*sqlengine.Relation, error){
+		"compiled": func() (*sqlengine.Relation, error) { return plan.ExecuteTiered(tab, sqlengine.Options{}) },
+		"interpreter": func() (*sqlengine.Relation, error) {
+			return sqlengine.Execute(stmt, tableCatalog{tab}, sqlengine.Options{})
+		},
+	}
+	for name, exec := range run {
+		if rel, err := exec(); err == nil || !strings.Contains(err.Error(), "history tier disabled") {
+			t.Errorf("%s over the broken tier = %v, %v; want the history-tier-disabled error", name, rel, err)
+		}
+	}
+	ffs.Clear()
+	if err := tab.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for name, exec := range run {
+		if rel, err := exec(); err != nil || fmt.Sprint(rel.Rows) != "[[16 136]]" {
+			t.Errorf("%s after recovery = %v, %v; want 16 rows summing to 136", name, rel, err)
+		}
 	}
 }
 

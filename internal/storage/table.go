@@ -739,6 +739,15 @@ func (t *Table) checkpointLocked() error {
 // them, as TimedRange does. On an error fn has seen a prefix of the
 // range.
 func (t *Table) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bool) error {
+	return t.FoldTimed(lo, hi, nil, nil, fn)
+}
+
+// FoldTimed is ForEachTimed for a fold of the integer columns cols
+// (schema positions) that does not depend on row order: history pages
+// whose summaries cover the fold go to page whole (history.Fold gives
+// the layout of sums), and only the other disk rows and the hot rows
+// go to fn. A nil page folds nothing.
+func (t *Table) FoldTimed(lo, hi stream.Timestamp, cols []int, page func(rows int64, sums []int64), fn func(stream.Element) bool) error {
 	if hi < lo {
 		return nil
 	}
@@ -756,7 +765,7 @@ func (t *Table) ForEachTimed(lo, hi stream.Timestamp, fn func(stream.Element) bo
 	})
 	if h != nil {
 		more := true
-		err := h.Range(lo, hi, hotFirst, func(e stream.Element) bool {
+		err := h.Fold(lo, hi, hotFirst, cols, page, func(e stream.Element) bool {
 			more = fn(e)
 			return more
 		})

@@ -41,6 +41,11 @@ type Descriptor struct {
 	// directory for discovery (paper §4: "identified by user-definable
 	// key-value pairs").
 	Metadata []Predicate `xml:"metadata>predicate"`
+
+	// window and flushInterval are Storage's size and flush-interval as
+	// Validate parsed them.
+	window        stream.Window
+	flushInterval time.Duration
 }
 
 // OutputStructure declares the produced stream's fields.
@@ -115,6 +120,8 @@ type StreamSource struct {
 	// Query runs over the source window; the reserved table name
 	// WRAPPER refers to it (paper §2).
 	Query string `xml:"query"`
+
+	window stream.Window // StorageSize as Validate parsed it
 }
 
 // Address selects and parameterises the wrapper.
@@ -193,9 +200,11 @@ func (d *Descriptor) applyDefaults() {
 }
 
 // Validate checks structural and semantic constraints: names, types,
-// window grammar, query parseability and table references. It is called
-// by Parse; containers call it again before deployment to defend against
-// programmatically built descriptors.
+// window grammar, query parseability and table references, and keeps
+// the storage windows and flush interval it parses (StorageWindow,
+// FlushInterval, StreamSource.Window). It is called by Parse;
+// containers call it again before deployment to defend against
+// programmatically built descriptors, and build from what it kept.
 func (d *Descriptor) Validate() error {
 	if strings.TrimSpace(d.Name) == "" {
 		return fmt.Errorf("vsensor: descriptor has no name")
@@ -211,7 +220,8 @@ func (d *Descriptor) Validate() error {
 	if _, err := d.OutputSchema(); err != nil {
 		return err
 	}
-	if _, err := stream.ParseWindow(d.Storage.Size); err != nil {
+	var err error
+	if d.window, err = stream.ParseWindow(d.Storage.Size); err != nil {
 		return fmt.Errorf("vsensor: %s: storage size: %w", d.Name, err)
 	}
 	switch d.Storage.Sync {
@@ -220,8 +230,9 @@ func (d *Descriptor) Validate() error {
 		return fmt.Errorf("vsensor: %s: storage sync must be always, interval, none or durable (got %q)",
 			d.Name, d.Storage.Sync)
 	}
+	d.flushInterval = 0
 	if d.Storage.FlushInterval != "" {
-		if _, err := time.ParseDuration(d.Storage.FlushInterval); err != nil {
+		if d.flushInterval, err = time.ParseDuration(d.Storage.FlushInterval); err != nil {
 			return fmt.Errorf("vsensor: %s: storage flush-interval: %w", d.Name, err)
 		}
 	}
@@ -287,7 +298,7 @@ func (d *Descriptor) Validate() error {
 			if src.Slide < 0 {
 				return fmt.Errorf("vsensor: %s/%s/%s: negative slide", d.Name, in.Name, src.Alias)
 			}
-			if _, err := stream.ParseWindow(src.StorageSize); err != nil {
+			if src.window, err = stream.ParseWindow(src.StorageSize); err != nil {
 				return fmt.Errorf("vsensor: %s/%s/%s: storage-size: %w", d.Name, in.Name, src.Alias, err)
 			}
 			if strings.TrimSpace(src.Address.Wrapper) == "" {
@@ -410,10 +421,14 @@ func (d *Descriptor) OutputSchema() (*stream.Schema, error) {
 	return schema, nil
 }
 
-// StorageWindow parses the output retention window.
-func (d *Descriptor) StorageWindow() (stream.Window, error) {
-	return stream.ParseWindow(d.Storage.Size)
-}
+// StorageWindow returns the output retention window Validate parsed.
+func (d *Descriptor) StorageWindow() stream.Window { return d.window }
+
+// FlushInterval returns the storage flush-interval Validate parsed.
+func (d *Descriptor) FlushInterval() time.Duration { return d.flushInterval }
+
+// Window returns the source window Validate parsed from StorageSize.
+func (s *StreamSource) Window() stream.Window { return s.window }
 
 // RatePeriod converts an input stream's rate bound into the minimum
 // period between elements; zero means unbounded.

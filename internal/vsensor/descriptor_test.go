@@ -61,9 +61,8 @@ func TestParsePaperDescriptor(t *testing.T) {
 	if schema.Len() != 1 || schema.Field(0).Name != "TEMPERATURE" || schema.Field(0).Type != stream.TypeInt {
 		t.Errorf("schema = %s", schema)
 	}
-	w, err := d.StorageWindow()
-	if err != nil || w.Kind != stream.TimeWindow {
-		t.Errorf("window = %+v, %v", w, err)
+	if w := d.StorageWindow(); w.Kind != stream.TimeWindow {
+		t.Errorf("window = %+v", w)
 	}
 }
 

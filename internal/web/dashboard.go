@@ -74,9 +74,9 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	view.Node = s.container.Name()
 	snap := s.container.MetricsSnapshot()
-	view.Storage = fmt.Sprintf("%v pages read · %v pages written · %v pool hits · %v pool evictions · %v checkpoints · %v wal reopens · %v degraded sensor(s)",
-		snap["pages_read"], snap["pages_written"], snap["pool_hits"], snap["pool_evictions"],
-		snap["checkpoints_total"], snap["wal_reopens_total"], snap["degraded_sensors"])
+	view.Storage = fmt.Sprintf("%v pages read · %v pages written · %v pool hits · %v pool evictions · %v pages folded · %v pages decoded · %v checkpoints · %v wal reopens · %v degraded sensor(s)",
+		snap["pages_read"], snap["pages_written"], snap["pool_hits"], snap["pool_evictions"], snap["pages_folded"],
+		snap["pages_decoded"], snap["checkpoints_total"], snap["wal_reopens_total"], snap["degraded_sensors"])
 	view.P2P = fmt.Sprintf("%v fetches · %v failures · %v re-syncs · %v epoch mismatches · %v duplicates dropped",
 		snap["p2p_fetches_total"], snap["p2p_fetch_failures_total"], snap["p2p_resyncs_total"],
 		snap["p2p_epoch_mismatches"], snap["p2p_duplicates_dropped"])
