@@ -228,14 +228,14 @@ func BenchmarkFigure4Sweep(b *testing.B) {
 		}
 	}
 	c := node.Container()
-	repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+	repo, opts := c.QueryRepositoryRef(), sqlengine.Options{Clock: c.Clock()}
 	if got := repo.GroupCount("f4"); got != groups {
 		b.Fatalf("%d evaluation groups, want %d", got, groups)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := repo.EvaluateFor("f4", cat, opts); n != groups {
+		if n := repo.EvaluateFor("f4", opts); n != groups {
 			b.Fatalf("evaluated %d of %d", n, groups)
 		}
 	}

@@ -17,16 +17,23 @@
 //   - Measurement references: every `-experiment <name>` in README.md
 //     and docs/*.md must be a name gsn-bench accepts, and every
 //     bench_results/… path named there must exist.
+//   - Tier counters: every source_eval_*, client_query_* and
+//     adhoc_query_* counter a container registers must be named in
+//     docs/operations.md's counter table, and every such name there
+//     must be one a container registers.
 //
 // Run by `make docs-check` (wired into `make ci` and the GitHub
 // workflow). Exit status is non-zero when anything is broken.
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,6 +62,7 @@ func main() {
 	}
 	checkDialectExamples(filepath.Join("docs", "sql-dialect.md"), report)
 	checkPeerRoutes(docs, report)
+	checkTierCounters(filepath.Join("docs", "operations.md"), report)
 	for _, f := range append([]string{"README.md"}, docs...) {
 		checkMeasurementRefs(f, report)
 	}
@@ -131,6 +139,43 @@ func checkPeerRoutes(docs []string, report func(string, ...any)) {
 	for path := range registered {
 		if !named[path] {
 			report("docs/: peer route %s is registered but documented nowhere", path)
+		}
+	}
+}
+
+// tierCounterPattern matches a tier counter's name in backquotes.
+var tierCounterPattern = regexp.MustCompile("`((?:source_eval|client_query|adhoc_query)_[a-z_]+)`")
+
+// checkTierCounters holds the tier counters a container registers and
+// those the table rows of path (its lines starting with "|") name to
+// each other, in both directions.
+func checkTierCounters(path string, report func(string, ...any)) {
+	data, err := os.ReadFile(path)
+	c, cerr := core.New(core.Options{Name: "docs-check", SyncProcessing: true})
+	if err = cmp.Or(err, cerr); err != nil {
+		report("%s: %v", path, err)
+		return
+	}
+	defer c.Close()
+	seen := map[string]int{} // 1: registered, 2: named, 3: both
+	for name, v := range c.Metrics().Snapshot() {
+		if _, counter := v.(uint64); counter && tierCounterPattern.MatchString("`"+name+"`") {
+			seen[name] |= 1
+		}
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		for _, m := range tierCounterPattern.FindAllStringSubmatch(line, -1) {
+			if strings.HasPrefix(line, "|") {
+				seen[m[1]] |= 2
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(seen)) {
+		switch seen[name] {
+		case 1:
+			report("%s: counter %s is registered but missing from the counter table", path, name)
+		case 2:
+			report("%s: counter table names %s, which a container does not register", path, name)
 		}
 	}
 }

@@ -168,13 +168,13 @@ func TestAdhocPlanLifecycle(t *testing.T) {
 			t.Fatalf("execution %d: n = %v, want %d", i, rel.Rows[0][0], want)
 		}
 		entry := c.results.entries[volatile]
-		if entry == nil || entry.plan == nil || entry.rel != nil {
+		if entry == nil || entry.query.plan == nil || entry.rel != nil {
 			t.Fatalf("execution %d: entry %+v: want a plan and no cached relation", i, entry)
 		}
-		if plan != nil && entry.plan != plan {
+		if plan != nil && entry.query.plan != plan {
 			t.Fatalf("execution %d recompiled a statement whose table did not change", i)
 		}
-		plan = entry.plan
+		plan = entry.query.plan
 		if i == 1 {
 			c.Clock().(*stream.ManualClock).Advance(time.Second) // row 2 ages out
 		}
@@ -202,13 +202,13 @@ func TestAdhocPlanLifecycle(t *testing.T) {
 	if err != nil || fmt.Sprint(rel.Rows) != "[[11] [21]]" {
 		t.Fatalf("after recreate with another schema: %v, %v", rel, err)
 	}
-	if got := c.results.entries[volatile]; got == nil || got.plan != plan {
+	if got := c.results.entries[volatile]; got == nil || got.query.plan != plan {
 		t.Fatal("test premise: the volatile statement's entry should still hold the old plan")
 	}
 	if rel, err = c.Query(volatile); err != nil || rel.Rows[0][0] != int64(0) {
 		t.Fatalf("volatile statement after recreate: %v, %v", rel, err)
 	}
-	if c.results.entries[volatile].plan == plan {
+	if c.results.entries[volatile].query.plan == plan {
 		t.Fatal("plan survived its table being recreated")
 	}
 

@@ -11,7 +11,7 @@ import (
 // storeCatalog adapts the storage layer to the SQL engine: table names
 // resolve to their current window contents with the implicit TIMED
 // column appended. Each resolution scans the table once inside its
-// eviction critical section (the zero-copy ForEach path), so a query
+// eviction critical section (the zero-copy ReadWindow path), so a query
 // sees one consistent instant per referenced table without an
 // intermediate element-slice copy.
 //

@@ -96,8 +96,8 @@ type Container struct {
 	// them, and a lookup by name takes the registry's mutex.
 	processingTime, triggerLatency                    *metrics.Histogram
 	elementsProcessed, triggersCoalesced, ingestBatch *metrics.Counter
-	sourceIncremental, sourceCompiled, sourceGeneral  *metrics.Counter
-	sourceResyncs                                     *metrics.Counter
+	processingErrors, sourceResyncs                   *metrics.Counter
+	sourceTiers                                       tierCounters // source_eval_*
 
 	// locals is the composition bus: output streams fanning out to the
 	// local sources of downstream sensors (its own lock; never held
@@ -187,7 +187,7 @@ func New(opts Options) (*Container, error) {
 		keys:     integrity.NewKeyRing(),
 		metrics:  reg,
 		registry: opts.Registry,
-		queries:  NewQueryRepository(reg),
+		queries:  NewQueryRepository(reg, storeCatalog{store: store}),
 		sensors:  make(map[string]*VirtualSensor),
 		deps:     make(map[string][]string),
 		locals:   newLocalFanout(),
@@ -197,10 +197,9 @@ func New(opts Options) (*Container, error) {
 		elementsProcessed: reg.Counter("elements_processed"),
 		triggersCoalesced: reg.Counter("triggers_coalesced"),
 		ingestBatch:       reg.Counter("ingest_batches"),
-		sourceIncremental: reg.Counter("source_eval_incremental"),
-		sourceCompiled:    reg.Counter("source_eval_compiled"),
-		sourceGeneral:     reg.Counter("source_eval_general"),
+		processingErrors:  reg.Counter("processing_errors"),
 		sourceResyncs:     reg.Counter("source_eval_resyncs"),
+		sourceTiers:       newTierCounters(reg, "source_eval"),
 	}
 	c.results = newResultCache(store, reg)
 	if !opts.SyncProcessing {

@@ -3,9 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 )
 
@@ -94,6 +96,66 @@ func TestHistoryQueryServesEvictedRows(t *testing.T) {
 	// That page straddles the sub-range: it is decoded.
 	if m := c.MetricsSnapshot(); m["pages_folded"] != uint64(1) || m["pages_decoded"] != uint64(1) {
 		t.Fatalf("pages folded %v, decoded %v; want 1 and 1", m["pages_folded"], m["pages_decoded"])
+	}
+}
+
+// TestRegisteredQueryReachesHistory: a registered statement answers
+// what the same text answers ad hoc and what the interpreter answers
+// over the container's catalog (EvaluateForSerial): a TIMED bound over a
+// history table reaches the rows the 5-row window evicted on every path,
+// a history bound `timed >= now() - H` included. A statement without a
+// TIMED bound stays on the maintainer.
+func TestRegisteredQueryReachesHistory(t *testing.T) {
+	c, clock := historyContainer(t, t.TempDir())
+	deploy(t, c, historySensorXML)
+	sqls := []string{
+		`select count(*) from "hist-temp" where timed >= now() - 100000`,
+		`select count(*) from "hist-temp" where timed between 0 and 99999999999`,
+		`select temperature from "hist-temp" where timed between 0 and 99999999999`,
+	}
+	registered := make([]atomic.Value, len(sqls))
+	serial := make([]string, len(sqls))
+	ids := make([]int64, len(sqls))
+	shadow := NewQueryRepository(nil, nil)
+	for i, sql := range sqls {
+		var err error
+		if ids[i], err = c.RegisterQuery("hist-temp", sql, 1, func(rel *sqlengine.Relation) { registered[i].Store(rel.String()) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shadow.Register("hist-temp", sql, 1, func(rel *sqlengine.Relation) { serial[i] = rel.String() }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const pulses = 40
+	pulseTicking(c, clock, pulses)
+	shadow.EvaluateForSerial("hist-temp", c.Catalog(), c.engineOpts())
+	for i, sql := range sqls {
+		adhoc, err := c.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 && adhoc.Rows[0][0] != int64(pulses) {
+			t.Fatalf("%s: ad hoc count %v, want every row produced", sql, adhoc.Rows[0][0])
+		}
+		if got := registered[i].Load(); got != adhoc.String() || serial[i] != adhoc.String() {
+			t.Errorf("%s:\nregistered:\n%v\nad hoc:\n%v\ninterpreter:\n%v", sql, got, adhoc, serial[i])
+		}
+		if err := c.UnregisterQuery(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := c.RegisterQuery("hist-temp", `select count(*) from "hist-temp"`, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	incremental := c.Metrics().Counter("client_query_incremental").Value()
+	compiled := c.Metrics().Counter("client_query_compiled").Value()
+	pulseTicking(c, clock, 3)
+	if got := c.Metrics().Counter("client_query_incremental").Value() - incremental; got != 3 {
+		t.Errorf("client_query_incremental moved by %d over 3 pulses, want 3", got)
+	}
+	if got := c.Metrics().Counter("client_query_compiled").Value() - compiled; got != 0 {
+		t.Errorf("client_query_compiled moved by %d for a statement without a TIMED bound", got)
 	}
 }
 

@@ -58,10 +58,10 @@ func TestIncrementalPipelineMatchesGeneral(t *testing.T) {
 
 	fast, _ := c.Sensor("fast")
 	slow, _ := c.Sensor("slow")
-	if fast.streams[0].sources[0].agg == nil {
+	if fast.streams[0].sources[0].query.agg == nil {
 		t.Fatal("agg-only source query should run incrementally")
 	}
-	if slow.streams[0].sources[0].plan != nil {
+	if slow.streams[0].sources[0].query.plan != nil {
 		t.Fatal("derived-table source query should NOT compile (it is the fallback control)")
 	}
 

@@ -79,50 +79,15 @@ type ClientQueryStats struct {
 // *Relation (callbacks must treat it as read-only, which the seed's
 // per-query path already required of concurrently sampled queries).
 type queryGroup struct {
-	sql    string
-	sensor string
-	stmt   *sqlparser.SelectStatement
+	sql string
 	// first is the ID of the query that created the group: a sweep lists
 	// groups in registration order.
 	first int64
-
-	// plan is the statement compiled against the sensor's output
-	// schema at Register time; nil when the shape needs the full
-	// engine (joins, subqueries, other tables).
-	plan *sqlengine.Plan
-	// agg maintains the plan's groups, catching up from the output
-	// table's window at each read; nil unless the shape qualifies
-	// (newIncMaintainer).
-	agg *sqlengine.AggMaintainer
+	// query is the statement over the sensor's output table, compiled
+	// and maintained at Register time where the shape allows.
+	query *tableQuery
 
 	subs map[int64]*ClientQuery
-}
-
-// newIncMaintainer builds the maintainer of the plan's groups, or nil
-// when the plan does not qualify. schema is the window table's element
-// schema.
-func newIncMaintainer(plan *sqlengine.Plan, schema *stream.Schema) *sqlengine.AggMaintainer {
-	if inc := plan.Incremental(); inc != nil && !groupedKeysApproximate(inc, schema) {
-		return sqlengine.NewAggMaintainer(inc)
-	}
-	return nil
-}
-
-// groupedKeysApproximate reports whether any group key is a float
-// column. Distinct float representations can compare equal (-0.0 vs
-// +0.0), and the maintainer projects the key values captured at group
-// creation while a window scan projects the oldest live row's — so a
-// float-keyed rollup could diverge byte-wise after eviction. Such
-// shapes stay on the compiled tier, which rescans. (The implicit TIMED
-// key, index == schema length, is an int.)
-func groupedKeysApproximate(prog *sqlengine.IncProgram, schema *stream.Schema) bool {
-	fields := schema.Fields()
-	for _, col := range prog.Keys {
-		if col < len(fields) && fields[col].Type == stream.TypeFloat {
-			return true
-		}
-	}
-	return false
 }
 
 // sensorQueries indexes the groups watching one sensor.
@@ -145,41 +110,41 @@ type sensorQueries struct {
 // QueryRepository manages registered client queries — GSN's query
 // repository, which "defines and maintains the set of currently active
 // queries for the query processor". Identical SQL registered by many
-// clients dedupes into one evaluation group; a trigger sweep
-// materialises the sensor's output window at most once, evaluates the
-// groups one after another on the goroutine that produced the output
-// and fans each result out to the group's subscribers.
+// clients dedupes into one evaluation group; a trigger sweep evaluates
+// the groups one after another on the goroutine that produced the
+// output and fans each result out to the group's subscribers.
 type QueryRepository struct {
 	mu       sync.RWMutex
 	nextID   int64
 	queries  map[int64]*ClientQuery
 	bySensor map[string]*sensorQueries
 
-	metrics *metrics.Registry
+	// cat resolves the tables a statement the interpreter runs names.
+	cat sqlengine.Catalog
 
 	// Hot-path instruments, resolved once (a sweep touches them per
 	// group; going through the registry would take its mutex each time).
-	sweepTime     *metrics.Histogram
-	tierIncrement *metrics.Counter
-	tierCompiled  *metrics.Counter
-	tierGeneral   *metrics.Counter
+	sweepTime       *metrics.Histogram
+	tiers           tierCounters // client_query_*
+	resyncs, panics *metrics.Counter
 }
 
-// NewQueryRepository creates an empty repository. reg may be nil (a
-// private registry is used); the container passes its own so sweep
-// latency and tier counters surface in /api/metrics.
-func NewQueryRepository(reg *metrics.Registry) *QueryRepository {
+// NewQueryRepository creates an empty repository whose interpreted
+// groups read cat. reg may be nil (a private registry is used); the
+// container passes its own so sweep latency and tier counters surface
+// in /api/metrics, and its store as cat.
+func NewQueryRepository(reg *metrics.Registry, cat sqlengine.Catalog) *QueryRepository {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	return &QueryRepository{
-		queries:       make(map[int64]*ClientQuery),
-		bySensor:      make(map[string]*sensorQueries),
-		metrics:       reg,
-		sweepTime:     reg.Histogram("client_query_time"),
-		tierIncrement: reg.Counter("client_query_incremental"),
-		tierCompiled:  reg.Counter("client_query_compiled"),
-		tierGeneral:   reg.Counter("client_query_general"),
+		queries:   make(map[int64]*ClientQuery),
+		bySensor:  make(map[string]*sensorQueries),
+		cat:       cat,
+		sweepTime: reg.Histogram("client_query_time"),
+		tiers:     newTierCounters(reg, "client_query"),
+		resyncs:   reg.Counter("client_query_resyncs"),
+		panics:    reg.Counter("client_query_panics"),
 	}
 }
 
@@ -187,8 +152,9 @@ func NewQueryRepository(reg *metrics.Registry) *QueryRepository {
 // sampling of 0 means 1 (always). The callback may be nil (evaluate and
 // discard — the Figure 4 load shape). out is the sensor's output table;
 // when non-nil the statement is compiled against its schema so the
-// per-trigger path pays no planning, and aggregate shapes the maintainer
-// covers (sqlengine.Plan.Incremental) are maintained incrementally.
+// per-trigger path pays no planning, and maintained where its shape
+// allows (tableQuery.maintain). A registered statement answers what the
+// same text answers ad hoc.
 // Callbacks run on the goroutine that produced the output (EvaluateFor's
 // caller); a group's subscribers are invoked one after another and share
 // the result relation read-only. Sweeps of one sensor overlap when its
@@ -225,18 +191,15 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	g := sq.groups[sql]
 	if g == nil {
 		g = &queryGroup{
-			sql:    sql,
-			sensor: canonical,
-			stmt:   stmt,
-			first:  r.nextID + 1,
-			subs:   make(map[int64]*ClientQuery),
+			sql:   sql,
+			first: r.nextID + 1,
+			subs:  make(map[int64]*ClientQuery),
 		}
 		if sq.out != nil {
-			if plan, err := sqlengine.Compile(stmt,
-				sqlengine.ColumnsOfSchema(sq.out.Schema()), canonical); err == nil {
-				g.plan = plan
-				g.agg = newIncMaintainer(plan, sq.out.Schema())
-			}
+			g.query = newTableQuery(stmt, sq.out.Schema(), canonical)
+			g.query.maintain(sq.out, r.resyncs)
+		} else {
+			g.query = newTableQuery(stmt, nil)
 		}
 		sq.groups[sql] = g
 	}
@@ -367,52 +330,13 @@ func sweepStart(n uint64, groups int) int {
 	return int((n * 0x9e3779b97f4a7c15 >> 32) * uint64(groups) >> 32)
 }
 
-// sharedWindow materialises the sensor's output window at most once
-// per sweep, shared by every group (the seed re-scanned the table once
-// per registered query). Rows are zero-copy with respect to the
-// element store and read-only to every consumer.
-type sharedWindow struct {
-	table *storage.Table // nil → resolve through the catalog
-	name  string
-	cat   sqlengine.Catalog
-
-	done bool
-	rel  *sqlengine.Relation
-	err  error
-}
-
-// relation materialises the window on first use. A sweep is serial, so
-// no two groups fill it at once.
-func (s *sharedWindow) relation() (*sqlengine.Relation, error) {
-	if !s.done {
-		s.done = true
-		if s.table != nil {
-			s.rel = sqlengine.RelationOfSource(s.table)
-		} else {
-			s.rel, s.err = s.cat.Relation(s.name)
-		}
-	}
-	return s.rel, s.err
-}
-
-// catalog layers the shared materialisation over the container catalog
-// so fallback-path groups referencing the sensor resolve to the same
-// scan instead of re-reading the table.
-func (s *sharedWindow) catalog() sqlengine.Catalog {
-	rel, err := s.relation()
-	if err != nil || rel == nil {
-		return s.cat
-	}
-	return sqlengine.ChainCatalog{sqlengine.MapCatalog{s.name: rel}, s.cat}
-}
-
 // EvaluateFor runs every query registered for the sensor (subject to
-// each query's sampling rate) against the catalog and returns the
-// number of subscriber queries evaluated. It runs on the caller's
-// goroutine — the trigger's, which produced the output — and evaluates
-// each group once, one after another. The sweep's wall time feeds the
-// client_query_time histogram — Figure 4's y-axis.
-func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) int {
+// each query's sampling rate) and returns the number of subscriber
+// queries evaluated. It runs on the caller's goroutine — the trigger's,
+// which produced the output — and evaluates each group once, one after
+// another. The sweep's wall time feeds the client_query_time histogram —
+// Figure 4's y-axis.
+func (r *QueryRepository) EvaluateFor(sensor string, opts sqlengine.Options) int {
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()
 	sq := r.bySensor[canonical]
@@ -426,10 +350,9 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 	first := sweepStart(sq.sweeps.Add(1), len(work))
 
 	start := time.Now()
-	shared := &sharedWindow{table: snap.out, name: canonical, cat: cat}
 	evaluated := 0
 	for i := range work {
-		evaluated += r.safeEvalGroup(work[(first+i)%len(work)], shared, cat, opts)
+		evaluated += r.safeEvalGroup(work[(first+i)%len(work)], snap.out, opts)
 	}
 	if evaluated > 0 {
 		r.sweepTime.Observe(time.Since(start))
@@ -441,21 +364,20 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 // manager duty): one panicking subscriber callback must not take down
 // the sweep or the goroutine that produced the output. Panics are
 // counted on client_query_panics.
-func (r *QueryRepository) safeEvalGroup(w groupWork, shared *sharedWindow,
-	cat sqlengine.Catalog, opts sqlengine.Options) (n int) {
+func (r *QueryRepository) safeEvalGroup(w groupWork, out *storage.Table, opts sqlengine.Options) (n int) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.metrics.Counter("client_query_panics").Inc()
+			r.panics.Inc()
 		}
 	}()
-	return r.evalGroup(w, shared, cat, opts)
+	return r.evalGroup(w, out, opts)
 }
 
-// evalGroup evaluates one group once and fans the result out to the
-// subscribers whose sampling admitted this trigger. It returns the
-// number of subscriber queries served.
-func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
-	cat sqlengine.Catalog, opts sqlengine.Options) int {
+// evalGroup evaluates one group once over out, the sensor's output
+// table, and fans the result out to the subscribers whose sampling
+// admitted this trigger. It returns the number of subscriber queries
+// served.
+func (r *QueryRepository) evalGroup(w groupWork, out *storage.Table, opts sqlengine.Options) int {
 	// A group whose sampling skips every subscriber costs the sweep no
 	// allocation: live is carved only once one of them is admitted.
 	var live []*ClientQuery
@@ -471,39 +393,9 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 		return 0
 	}
 
-	g := w.g
 	start := time.Now()
-	var rel *sqlengine.Relation
-	var err error
-	switch {
-	case g.agg != nil:
-		if g.agg.NeedsResync() {
-			// Bounded float drift: the read below rebuilds the state
-			// from the live window (as the sensor-source path does).
-			g.agg.Reset()
-			r.metrics.Counter("client_query_resyncs").Inc()
-		}
-		// Catch up from the window under the table's lock, so the
-		// aggregates reflect exactly the live window. A declined read
-		// (nil) falls through to the compiled plan, which answers or
-		// surfaces the error.
-		shared.table.ReadWindow(func(first uint64, live []stream.Element) { rel = g.agg.Read(first, live, opts) })
-		if rel != nil {
-			r.tierIncrement.Inc()
-			break
-		}
-		fallthrough
-	case g.plan != nil:
-		var win *sqlengine.Relation
-		win, err = shared.relation()
-		if err == nil {
-			rel, err = g.plan.Execute(win.Rows, opts)
-			r.tierCompiled.Inc()
-		}
-	default:
-		rel, err = sqlengine.Execute(g.stmt, shared.catalog(), opts)
-		r.tierGeneral.Inc()
-	}
+	rel, t, err := w.g.query.read(out, r.cat, opts)
+	r.tiers[t].Inc()
 	elapsed := time.Since(start)
 
 	for _, q := range live {
@@ -519,10 +411,12 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 }
 
 // EvaluateForSerial replicates the seed's evaluation strategy — every
-// registered query re-executed independently, interpreted, with its
-// own window scan. It is the reference the equivalence property tests
-// compare EvaluateFor against: results and per-query counters are
-// identical, only the cost model differs.
+// registered query re-executed independently on the interpreter over
+// cat, with its own window scan (and over a RangeCatalog such as the
+// container's, its own TIMED range, history included). It is the
+// reference the equivalence property tests compare EvaluateFor against:
+// results and per-query counters are identical, only the cost model
+// differs.
 func (r *QueryRepository) EvaluateForSerial(sensor string, cat sqlengine.Catalog, opts sqlengine.Options) int {
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()
@@ -546,7 +440,7 @@ func (r *QueryRepository) EvaluateForSerial(sensor string, cat sqlengine.Catalog
 			continue
 		}
 		start := time.Now()
-		rel, err := sqlengine.Execute(q.group.stmt, cat, opts)
+		rel, err := sqlengine.Execute(q.group.query.stmt, cat, opts)
 		elapsed := time.Since(start)
 		q.evaluations.Add(1)
 		q.lastLatency.Store(int64(elapsed))

@@ -129,7 +129,7 @@ func TestGroupedEvaluationMatchesSerial(t *testing.T) {
 	}
 	// … and a shadow repository evaluated with the seed's serial
 	// interpreted strategy.
-	shadow := NewQueryRepository(nil)
+	shadow := NewQueryRepository(nil, nil)
 	for i, sql := range clientQueryShapes {
 		if _, err := shadow.Register("vals", sql, 1, record(serial, i), nil); err != nil {
 			t.Fatalf("shadow register %q: %v", sql, err)
@@ -202,7 +202,7 @@ func TestFigure4GroupsMatchSerial(t *testing.T) {
 	got := make([]atomic.Value, len(sqls))
 	want := make([]string, len(sqls))
 	pulse := 0
-	shadow := NewQueryRepository(nil)
+	shadow := NewQueryRepository(nil, nil)
 	register := func(i int) {
 		t.Helper()
 		sampling := 1.0
@@ -318,7 +318,7 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 	go func() {
 		defer sweepers.Done()
 		for i := 0; i < 30 || !mutatorsDone.Load(); i++ {
-			repo.EvaluateFor("vals", c.Catalog(), sqlengine.Options{Clock: c.Clock()})
+			repo.EvaluateFor("vals", sqlengine.Options{Clock: c.Clock()})
 			repo.Stats()
 		}
 	}()
@@ -403,13 +403,13 @@ func TestFilteredMaintainerRace(t *testing.T) {
 	repo.mu.RUnlock()
 	maintained := 0
 	for _, g := range groups {
-		if g.agg == nil {
+		if g.query.agg == nil {
 			t.Errorf("%s: not maintained", g.sql)
 			continue
 		}
 		maintained++
 		var got *sqlengine.Relation
-		vs.Output().ReadWindow(func(first uint64, live []stream.Element) { got = g.agg.Read(first, live, opts) })
+		vs.Output().ReadWindow(func(first uint64, live []stream.Element) { got = g.query.agg.Read(first, live, opts) })
 		want, err := sqlengine.ExecuteSQL(g.sql, c.Catalog(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -617,7 +617,7 @@ func TestConcurrentStreamsSweep(t *testing.T) {
 		}
 	}
 
-	shadow := NewQueryRepository(nil)
+	shadow := NewQueryRepository(nil, nil)
 	want := make([]string, len(sqls))
 	for i, sql := range sqls {
 		if _, err := shadow.Register("pair", sql, 1, func(rel *sqlengine.Relation) { want[i] = rel.String() }, nil); err != nil {
@@ -659,11 +659,11 @@ func TestSweepOrderIsRegistrationOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+		repo, opts := c.QueryRepositoryRef(), sqlengine.Options{Clock: c.Clock()}
 		var seen [][]int
 		for s := 0; s < sweeps; s++ {
 			order = nil
-			if n := repo.EvaluateFor("vals", cat, opts); n != groups+2 {
+			if n := repo.EvaluateFor("vals", opts); n != groups+2 {
 				t.Fatalf("sweep evaluated %d queries, want %d", n, groups+2)
 			}
 			seen = append(seen, order)
@@ -718,9 +718,9 @@ func TestSweepAllocationsIndependentOfSkippedGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		repo, cat, opts := c.QueryRepositoryRef(), c.Catalog(), sqlengine.Options{Clock: c.Clock()}
+		repo, opts := c.QueryRepositoryRef(), sqlengine.Options{Clock: c.Clock()}
 		return testing.AllocsPerRun(50, func() {
-			if n := repo.EvaluateFor("vals", cat, opts); n != 1 {
+			if n := repo.EvaluateFor("vals", opts); n != 1 {
 				t.Fatalf("sweep evaluated %d queries, want the one always-sampled query", n)
 			}
 		})
@@ -802,7 +802,7 @@ func TestUnregisterSensorDropsMaintainedGroups(t *testing.T) {
 		t.Error("queries survived UnregisterSensor")
 	}
 	c.Pulse()
-	if n := c.QueryRepositoryRef().EvaluateFor("vals", c.Catalog(), c.engineOpts()); n != 0 {
+	if n := c.QueryRepositoryRef().EvaluateFor("vals", c.engineOpts()); n != 0 {
 		t.Errorf("a sweep after UnregisterSensor evaluated %d queries", n)
 	}
 }
@@ -882,63 +882,115 @@ func TestRegisteredQueryReadsOtherSensors(t *testing.T) {
 	}
 }
 
-// TestTierCountersNameTheEvaluatorThatRan: on each of the three drivers
-// — source queries, registered queries, ad-hoc reads — a statement is
-// counted *_compiled only when a bound program ran it and *_general only
-// when the interpreter did. The "bound" source bounds TIMED from above
-// by the clock (`now() >= timed`), a NOW() no frontier expresses, which
-// keeps it off the maintainer.
+// TestTierCountersNameTheEvaluatorThatRan: every shape runs three ways
+// over the same window — as a source query (over the window of a local
+// edge on "vals"), as a registered group and ad hoc (both over vals'
+// output window, which holds the same rows) — and the three answers are
+// byte-identical. Each run moves exactly one counter, its own family's
+// for the tier that served: *_incremental only when a maintainer
+// answered, *_compiled only when a bound program ran and *_general only
+// when the interpreter did. An ad-hoc statement keeps no maintainer, so
+// the maintained shape runs bound there. The declined shape's frontier
+// is not an integer, which only an execution answers; the bound shape
+// bounds TIMED from above by the clock, a NOW() no frontier expresses.
 func TestTierCountersNameTheEvaluatorThatRan(t *testing.T) {
-	c := testContainer(t)
-	deploy(t, c, pipelineDescriptor("bound",
-		"select count(temperature) as n, avg(temperature) as a from wrapper where now() >= timed"))
-	deploy(t, c, pipelineDescriptor("interp",
-		"select count(temperature) as n, avg(temperature) as a from wrapper where temperature >= (select min(temperature) from wrapper)"))
-	const boundSQL = "select n from bound where n > 0"
-	const interpSQL = "select n from interp where n >= (select min(n) from interp)"
-	for sensor, sql := range map[string]string{"bound": boundSQL, "interp": interpSQL} {
-		if _, err := c.RegisterQuery(sensor, sql, 1, nil); err != nil {
-			t.Fatal(err)
-		}
+	shapes := []struct {
+		name, sql  string
+		maintained bool      // the source query and the group keep a maintainer
+		tiers      [3]string // source query, registered group, ad hoc
+	}{
+		{"maintained", "select count(*) as n, avg(value) as a from %[1]s where value %% 3 = 1",
+			true, [3]string{"_incremental", "_incremental", "_compiled"}},
+		{"declined", "select count(*) as n, avg(value) as a from %[1]s where timed >= now() - 0.5",
+			true, [3]string{"_compiled", "_compiled", "_compiled"}},
+		{"bound", "select count(*) as n, avg(value) as a from %[1]s where now() >= timed + 3",
+			false, [3]string{"_compiled", "_compiled", "_compiled"}},
+		{"interpreted", "select count(*) as n, avg(value) as a from %[1]s where value >= (select avg(value) from %[1]s)",
+			false, [3]string{"_general", "_general", "_general"}},
 	}
-	counters := func() map[string]uint64 {
-		out := map[string]uint64{}
-		for _, driver := range []string{"source_eval", "client_query", "adhoc_query"} {
-			for _, tier := range []string{"_compiled", "_general"} {
-				out[driver+tier] = c.Metrics().Counter(driver + tier).Value()
+	families := [3]string{"source_eval", "client_query", "adhoc_query"}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			c := testContainer(t)
+			clock := c.Clock().(*stream.ManualClock)
+			deploy(t, c, rootDescriptor("vals"))
+			deploy(t, c, fmt.Sprintf(`
+<virtual-sensor name="shape">
+  <output-structure><field name="n" type="integer"/><field name="a" type="double"/></output-structure>
+  <storage size="10"/>
+  <input-stream name="in">
+    <stream-source alias="src" storage-size="100">
+      <address wrapper="local"><predicate key="sensor" val="vals"/></address>
+      <query>%s</query>
+    </stream-source>
+    <query>select * from src</query>
+  </input-stream>
+</virtual-sensor>`, fmt.Sprintf(shape.sql, "wrapper")))
+			vs, _ := c.Sensor("shape")
+			// Whichever evaluator serves the source, its output layout is
+			// static, so the stream query over it runs bound.
+			if vs.streams[0].plan == nil {
+				t.Fatal("the stream query did not compile")
 			}
-		}
-		return out
-	}
-
-	// One sensor at a time, so every movement has one cause.
-	for _, step := range []struct{ sensor, sql, moves, still string }{
-		{"bound", boundSQL, "_compiled", "_general"},
-		{"interp", interpSQL, "_general", "_compiled"},
-	} {
-		vs, _ := c.Sensor(step.sensor)
-		// Whichever evaluator serves the source, its output layout is
-		// static, so the stream query over it runs bound.
-		if vs.streams[0].plan == nil {
-			t.Errorf("%s: the stream query did not compile", step.sensor)
-		}
-		before := counters()
-		const pulses = 5
-		for i := 0; i < pulses; i++ {
-			vs.Pulse()
-			if _, err := c.Query(step.sql); err != nil { // a new output row: a cache miss
+			src := vs.streams[0].sources[0]
+			sql := fmt.Sprintf(shape.sql, "vals")
+			var registered *sqlengine.Relation
+			if _, err := c.RegisterQuery("vals", sql, 1, func(rel *sqlengine.Relation) { registered = rel }); err != nil {
 				t.Fatal(err)
 			}
-		}
-		after := counters()
-		for _, driver := range []string{"source_eval", "client_query", "adhoc_query"} {
-			if got := after[driver+step.moves] - before[driver+step.moves]; got != pulses {
-				t.Errorf("%s: %s%s moved by %d, want %d", step.sensor, driver, step.moves, got, pulses)
+			group := c.QueryRepositoryRef().bySensor["VALS"].groups[sql]
+			if (src.query.agg != nil) != shape.maintained || (group.query.agg != nil) != shape.maintained {
+				t.Fatalf("source maintained %v, group maintained %v; want %v",
+					src.query.agg != nil, group.query.agg != nil, shape.maintained)
 			}
-			if got := after[driver+step.still] - before[driver+step.still]; got != 0 {
-				t.Errorf("%s: %s%s moved by %d, want 0", step.sensor, driver, step.still, got)
+			counters := func() map[string]uint64 {
+				out := map[string]uint64{}
+				for _, family := range families {
+					for _, tier := range []string{"_incremental", "_compiled", "_general"} {
+						out[family+tier] = c.Metrics().Counter(family + tier).Value()
+					}
+				}
+				return out
 			}
-		}
+			// run makes the i-th family's run and checks that it moved
+			// exactly its tier's counter, once.
+			run := func(i int, read func() (*sqlengine.Relation, error)) string {
+				t.Helper()
+				before := counters()
+				rel, err := read()
+				if err != nil {
+					t.Fatalf("%s: %v", families[i], err)
+				}
+				for name, v := range counters() {
+					want := uint64(0)
+					if name == families[i]+shape.tiers[i] {
+						want = 1
+					}
+					if v-before[name] != want {
+						t.Errorf("%s run moved %s by %d, want %d", families[i], name, v-before[name], want)
+					}
+				}
+				return rel.String()
+			}
+			// 130 pulses slide the 100-row windows past eviction.
+			for p := 0; p < 130; p++ {
+				clock.Advance(time.Millisecond)
+				c.Pulse()
+				bySource := run(0, func() (*sqlengine.Relation, error) { return vs.evalSource(src) })
+				byRepository := run(1, func() (*sqlengine.Relation, error) {
+					registered = nil
+					c.QueryRepositoryRef().EvaluateFor("vals", c.engineOpts())
+					return registered, nil
+				})
+				adhoc := run(2, func() (*sqlengine.Relation, error) { return c.Query(sql) })
+				if bySource != adhoc || byRepository != adhoc {
+					t.Fatalf("pulse %d:\nsource query:\n%s\nregistered:\n%s\nad hoc:\n%s", p, bySource, byRepository, adhoc)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+		})
 	}
 }
 
@@ -965,7 +1017,7 @@ func TestRegistrationReplaysOnlyTheNewMaintainer(t *testing.T) {
 	var shadow *QueryRepository
 	reshadow := func() {
 		t.Helper()
-		shadow = NewQueryRepository(nil)
+		shadow = NewQueryRepository(nil, nil)
 		for i, sql := range sqls {
 			if !live[i] {
 				continue
@@ -1002,10 +1054,10 @@ func TestRegistrationReplaysOnlyTheNewMaintainer(t *testing.T) {
 		repo.mu.RLock()
 		defer repo.mu.RUnlock()
 		g := repo.bySensor[stream.CanonicalName("vals")].groups[sqls[i]]
-		if g == nil || g.agg == nil {
+		if g == nil || g.query.agg == nil {
 			t.Fatalf("%s: not maintained", sqls[i])
 		}
-		return g.agg
+		return g.query.agg
 	}
 
 	register(0)
@@ -1059,7 +1111,7 @@ func TestGroupedAggregateGroupUsesMaintainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Metrics().Counter("client_query_incremental").Value()
-	shadow := NewQueryRepository(nil)
+	shadow := NewQueryRepository(nil, nil)
 	var want atomic.Value
 	if _, err := shadow.Register("vals", "select value, count(*) as n from vals group by value", 1,
 		func(rel *sqlengine.Relation) { want.Store(rel.String()) }, nil); err != nil {
@@ -1092,7 +1144,7 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	repo := NewQueryRepository(reg)
+	repo := NewQueryRepository(reg, sqlengine.MapCatalog{})
 	const sql = "select k, avg(f) as a from t group by k"
 	var got atomic.Value
 	if _, err := repo.Register("t", sql, 1, func(rel *sqlengine.Relation) {
@@ -1106,7 +1158,6 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 	// out only the rows it saw arrive — until a sweep resyncs; that
 	// sweep's result is rebuilt from the live window, exactly.
 	opts := sqlengine.Options{Clock: stream.NewManualClock(1)}
-	cat := sqlengine.MapCatalog{}
 	for i := 0; reg.Counter("client_query_resyncs").Value() == 0; i++ {
 		if i == 70_000 {
 			t.Fatal("client-query sweep did not resync a drift-bound maintainer")
@@ -1118,7 +1169,7 @@ func TestRepositoryMaintainerResync(t *testing.T) {
 		if err := table.Insert(e); err != nil {
 			t.Fatal(err)
 		}
-		if n := repo.EvaluateFor("t", cat, opts); n != 1 {
+		if n := repo.EvaluateFor("t", opts); n != 1 {
 			t.Fatalf("evaluated %d of 1", n)
 		}
 	}
@@ -1144,28 +1195,33 @@ func TestFloatGroupKeysStayCompiled(t *testing.T) {
 		stream.Field{Name: "fk", Type: stream.TypeFloat},
 		stream.Field{Name: "ik", Type: stream.TypeInt},
 	)
-	compile := func(sql string) *sqlengine.Plan {
+	tab, err := storage.NewTable("t", schema, stream.Window{Kind: stream.CountWindow, Count: 8}, stream.NewManualClock(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maintained := func(sql string) bool {
 		t.Helper()
 		stmt, err := sqlengine.ParseCached(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(schema), "t")
-		if err != nil {
-			t.Fatal(err)
+		q := newTableQuery(stmt, schema, "t")
+		if q.plan == nil {
+			t.Fatalf("%s: does not compile", sql)
 		}
-		return plan
+		q.maintain(tab, nil)
+		return q.agg != nil
 	}
-	if m := newIncMaintainer(compile("select fk, count(*) as n from t group by fk"), schema); m != nil {
+	if maintained("select fk, count(*) as n from t group by fk") {
 		t.Error("float group key must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, fk, count(*) as n from t group by ik, fk"), schema); m != nil {
+	if maintained("select ik, fk, count(*) as n from t group by ik, fk") {
 		t.Error("mixed keys with a float column must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, avg(fk) as a from t group by ik"), schema); m == nil {
+	if !maintained("select ik, avg(fk) as a from t group by ik") {
 		t.Error("integer group key (float only as aggregate input) should qualify")
 	}
-	if m := newIncMaintainer(compile("select ik, timed, count(*) as n from t group by ik, timed"), schema); m == nil {
+	if !maintained("select ik, timed, count(*) as n from t group by ik, timed") {
 		t.Error("TIMED group key is an int and should qualify")
 	}
 }
@@ -1196,7 +1252,7 @@ func BenchmarkRepositorySweep(b *testing.B) {
 	repo := c.QueryRepositoryRef()
 	b.Run("grouped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			repo.EvaluateFor("vals", cat, opts)
+			repo.EvaluateFor("vals", opts)
 		}
 	})
 	b.Run("serial", func(b *testing.B) {

@@ -21,22 +21,22 @@ import (
 // that call NOW() are never served from here: their results drift with
 // the clock while the windows stand still.
 //
-// The plan. A statement over one base table whose every clause binds
-// (sqlengine.Compile accepts it) is compiled against that table's
-// schema once and re-executed over its zero-copy scan, or its TIMED
-// range, on every miss; the plan is pinned to the table object, so a
-// redeploy that recreates the table recompiles. Joins, subqueries,
-// derived tables and compounds run on the interpreter,
-// sqlengine.Execute.
+// The statement over its one base table (tableQuery), compiled against
+// that table's schema once where it binds and read on every miss as a
+// registered query reads it — so the same text answers the same rows
+// ad hoc and registered — but with no maintainer: an ad-hoc text keeps
+// no state between reads, and a maintainer per cached text would hold
+// a FIFO of its window each. The query is pinned to the table object,
+// so a redeploy that recreates the table recompiles. Joins, subqueries,
+// derived tables and compounds run on the interpreter over the store.
 //
 // Cached relations are shared: every consumer must treat them as
 // read-only, which the web/JSON/CSV serialisers already do.
 type resultCache struct {
-	store    *storage.Store
-	hits     *metrics.Counter
-	misses   *metrics.Counter
-	compiled *metrics.Counter // misses a bound plan executed
-	general  *metrics.Counter // misses the interpreter executed
+	store  *storage.Store
+	hits   *metrics.Counter
+	misses *metrics.Counter
+	tiers  tierCounters // adhoc_query_*: the tier each miss ran on
 
 	mu      sync.Mutex
 	entries map[string]*resultEntry
@@ -53,11 +53,11 @@ type resultEntry struct {
 	rel  *sqlengine.Relation
 	deps []resultDep
 
-	// planTab is the table the statement was last compiled against and
-	// plan what came of it: nil when the shape needs the interpreter,
-	// which is remembered as well so a miss does not compile to find out.
-	planTab *storage.Table
-	plan    *sqlengine.Plan
+	// tab is the one base table the statement reads, nil for any other
+	// shape, and query the statement built over it, kept so a miss does
+	// not compile to find out again.
+	tab   *storage.Table
+	query *tableQuery
 }
 
 // resultDep pins one table read: the entry is valid only while the
@@ -71,13 +71,15 @@ type resultDep struct {
 
 func newResultCache(store *storage.Store, reg *metrics.Registry) *resultCache {
 	return &resultCache{
-		store:    store,
-		hits:     reg.Counter("result_cache_hits"),
-		misses:   reg.Counter("result_cache_misses"),
-		compiled: reg.Counter("adhoc_query_compiled"),
-		general:  reg.Counter("adhoc_query_general"),
-		entries:  make(map[string]*resultEntry),
-		cap:      resultCacheCap,
+		store:  store,
+		hits:   reg.Counter("result_cache_hits"),
+		misses: reg.Counter("result_cache_misses"),
+		tiers: tierCounters{ // no maintainer, so no adhoc_query_incremental
+			tierCompiled: reg.Counter("adhoc_query_compiled"),
+			tierGeneral:  reg.Counter("adhoc_query_general"),
+		},
+		entries: make(map[string]*resultEntry),
+		cap:     resultCacheCap,
 	}
 }
 
@@ -97,39 +99,35 @@ func (c *resultCache) Query(sql string, opts sqlengine.Options) (*sqlengine.Rela
 	if err != nil {
 		return nil, err
 	}
+	name := singleTableName(stmt)
 	next := &resultEntry{}
-	if name := singleTableName(stmt); name != "" {
-		if tab, ok := c.store.Table(name); ok {
-			next.planTab = tab
-			if entry != nil && entry.planTab == tab {
-				next.plan = entry.plan
-			} else if plan, err := sqlengine.Compile(stmt,
-				sqlengine.ColumnsOfSchema(tab.Schema()), name); err == nil {
-				next.plan = plan
-			}
-		}
+	next.tab, _ = c.store.Table(name) // "" (no one base table) names none
+	switch {
+	case entry != nil && entry.tab == next.tab:
+		next.query = entry.query
+	case next.tab != nil:
+		next.query = newTableQuery(stmt, next.tab.Schema(), name)
+	default:
+		next.query = newTableQuery(stmt, nil)
 	}
 
-	var rel *sqlengine.Relation
 	var deps []resultDep
-	if next.plan != nil {
-		// The version is read before the scan, as storeCatalog does.
-		deps = []resultDep{{name: next.planTab.Name(), table: next.planTab, version: next.planTab.Version()}}
-		rel, err = next.plan.ExecuteTiered(next.planTab, opts)
-		c.compiled.Inc()
-	} else {
-		rel, err = sqlengine.Execute(stmt, storeCatalog{store: c.store, deps: &deps}, opts)
-		c.general.Inc()
+	if next.query.plan != nil {
+		// The plan reads only its table; the version is read before the
+		// scan, as storeCatalog does.
+		deps = []resultDep{{name: next.tab.Name(), table: next.tab, version: next.tab.Version()}}
 	}
+	rel, t, err := next.query.read(next.tab, storeCatalog{store: c.store, deps: &deps}, opts)
+	c.tiers[t].Inc()
 	// A failed execution is not cached (the error may be transient: a
 	// table appearing on deploy), nor is a volatile statement's result;
-	// what was learned about the plan is kept either way.
+	// what was learned about the statement is kept either way.
 	if err == nil && !sqlengine.Volatile(stmt) {
 		next.rel, next.deps = rel, deps
 	}
 
 	c.mu.Lock()
-	if next.rel == nil && next.planTab == nil {
+	if next.rel == nil && next.tab == nil {
 		delete(c.entries, sql)
 	} else {
 		if len(c.entries) >= c.cap {

@@ -73,16 +73,11 @@ type sourceRuntime struct {
 	alias   string
 	spec    vsensor.StreamSource
 	wrapper wrappers.Wrapper
-	stmt    *sqlparser.SelectStatement
 	window  stream.Window
 	table   *storage.Table // nil until attach
-
-	// plan is the source query compiled against the wrapper schema at
-	// deploy time; nil when the statement shape needs the full engine.
-	plan *sqlengine.Plan
-	// agg maintains the source query's groups as the window changes;
-	// nil when the query does not qualify.
-	agg *sqlengine.AggMaintainer
+	// query is the source query over the window table, compiled against
+	// the wrapper schema at deploy time; attach gives it its maintainer.
+	query *tableQuery
 
 	sampler *quality.Sampler
 	repair  *quality.Repairer
@@ -249,6 +244,7 @@ func (vs *VirtualSensor) attach(keep *storage.Table) error {
 				return err
 			}
 			src.table = t
+			src.query.maintain(t, c.sourceResyncs)
 		}
 	}
 	return nil
@@ -304,7 +300,6 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		alias:   stream.CanonicalName(spec.Alias),
 		spec:    spec,
 		wrapper: w,
-		stmt:    stmt,
 		window:  spec.Window(),
 		slide:   spec.Slide,
 	}
@@ -319,17 +314,8 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 		30*c.opts.SuperviseInterval, int64(seed)+int64(len(vs.name)))
 
 	// Compile the source query against the wrapper schema once, at
-	// deploy time. Statement shapes the compiler does not cover fall
-	// back to per-trigger Execute. Aggregate queries the maintainer
-	// covers additionally get incremental maintenance: each trigger
-	// catches the maintainer up with the window's arrivals and
-	// evictions since the last one and reads the running aggregates
-	// instead of rescanning the window.
-	if plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(w.Schema()),
-		vsensor.WrapperTable(), spec.Alias); err == nil {
-		src.plan = plan
-		src.agg = newIncMaintainer(plan, w.Schema())
-	}
+	// deploy time, under both names it may call the window by.
+	src.query = newTableQuery(stmt, w.Schema(), vsensor.WrapperTable(), spec.Alias)
 
 	// Quality chain, innermost stage first: the terminal sink inserts
 	// into the window table (attach creates it) and fires the stream.
@@ -542,11 +528,9 @@ func (vs *VirtualSensor) safeProcess(in *inputStream, arrived time.Time) {
 }
 
 // process executes steps 2–5 of the paper's processing pipeline for one
-// trigger of the stream. Source evaluation picks the cheapest
-// applicable tier: incremental aggregates (O(1), no window scan),
-// compiled plan over the zero-copy window view (no snapshot copy, no
-// re-planning), or the full engine for statement shapes the compiler
-// does not cover.
+// trigger of the stream. Each source query is answered by the cheapest
+// tier it has (tableQuery.read): maintained aggregates (no window
+// scan), its bound plan over the zero-copy window, or the interpreter.
 func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 	c := vs.container
 	start := time.Now()
@@ -590,7 +574,7 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 			c.notifier.Publish(vs.name, e)
 		}
 		c.locals.deliver(vs.name, elems)
-		c.queries.EvaluateFor(vs.name, c.Catalog(), c.engineOpts())
+		c.queries.EvaluateFor(vs.name, c.engineOpts())
 	}
 
 	c.processingTime.Observe(time.Since(start))
@@ -601,53 +585,40 @@ func (vs *VirtualSensor) process(in *inputStream, arrived time.Time) {
 // evalSource evaluates one source query over its current window.
 func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, error) {
 	c := vs.container
-	if src.agg != nil {
-		if src.agg.NeedsResync() {
-			// Bounded float drift: the read below rebuilds the aggregate
-			// state from the live window.
-			src.agg.Reset()
-			c.sourceResyncs.Inc()
-		}
-		// Catch up under the table's lock so the result reflects exactly
-		// the live window — never the instant between an insert and the
-		// eviction it displaces. ReadWindow applies time-window retention
-		// first, so every expired row is taken out of the state.
-		var rel *sqlengine.Relation
-		src.table.ReadWindow(func(first uint64, live []stream.Element) {
-			rel = src.agg.Read(first, live, c.engineOpts())
-		})
-		if rel != nil {
-			c.sourceIncremental.Inc()
-			return rel, nil
-		}
-		// Declined read: fall through so the plan answers, or surfaces
-		// the underlying error on the normal path.
-	}
-	if src.plan != nil {
-		c.sourceCompiled.Inc()
-		return src.plan.ExecuteSource(src.table, c.engineOpts())
-	}
-	c.sourceGeneral.Inc()
-	return src.interpret(sqlengine.RelationOfSource(src.table), c.engineOpts())
+	rel, t, err := src.query.read(src.table, &windowCatalog{src: src}, c.engineOpts())
+	c.sourceTiers[t].Inc()
+	return rel, err
 }
 
-// interpret runs the source query on the interpreter over win, the
-// window's rows under both names the statement may call them.
-func (src *sourceRuntime) interpret(win *sqlengine.Relation, opts sqlengine.Options) (*sqlengine.Relation, error) {
-	return sqlengine.Execute(src.stmt, sqlengine.MapCatalog{
-		vsensor.WrapperTable(): win,
-		src.alias:              win,
-	}, opts)
+// windowCatalog is a source query's catalog on the interpreter: both
+// names the statement may call its window by, WRAPPER and the source's
+// alias, resolve to one materialisation of the window, made at the
+// first lookup (or win, when set).
+type windowCatalog struct {
+	src *sourceRuntime
+	win *sqlengine.Relation
+}
+
+// Relation implements sqlengine.Catalog.
+func (w *windowCatalog) Relation(name string) (*sqlengine.Relation, error) {
+	if n := stream.CanonicalName(name); n != vsensor.WrapperTable() && n != w.src.alias {
+		return nil, fmt.Errorf("core: unknown stream %q", name)
+	}
+	if w.win == nil {
+		w.win = sqlengine.RelationOfSource(w.src.table)
+	}
+	return w.win, nil
 }
 
 // outputColumns is the layout of the source query's result, which the
 // statement and the wrapper schema fix: the plan's, or, for a statement
 // that does not compile, the interpreter's over an empty window.
 func (src *sourceRuntime) outputColumns(opts sqlengine.Options) ([]sqlengine.Column, error) {
-	if src.plan != nil {
-		return src.plan.OutputColumns(), nil
+	if src.query.plan != nil {
+		return src.query.plan.OutputColumns(), nil
 	}
-	rel, err := src.interpret(&sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.wrapper.Schema())}, opts)
+	empty := &sqlengine.Relation{Cols: sqlengine.ColumnsOfSchema(src.wrapper.Schema())}
+	rel, err := sqlengine.Execute(src.query.stmt, &windowCatalog{src: src, win: empty}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -678,7 +649,7 @@ func (vs *VirtualSensor) stop() {
 func (vs *VirtualSensor) recordError(err error) {
 	vs.statErrors.Add(1)
 	vs.statLastError.Store(err.Error())
-	vs.container.metrics.Counter("processing_errors").Inc()
+	vs.container.processingErrors.Inc()
 	if vs.container.opts.Logger != nil {
 		vs.container.opts.Logger.Printf("gsn: %s: %v", vs.name, err)
 	}

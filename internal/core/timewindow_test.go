@@ -95,7 +95,7 @@ func TestTimeWindowMatchesCountWindow(t *testing.T) {
     <query>select * from src</query>
   </input-stream>
 </virtual-sensor>`, name, csvSource("src", size, path, query, false)))
-			if vs, _ := c.Sensor(name); vs.streams[0].sources[0].agg == nil {
+			if vs, _ := c.Sensor(name); vs.streams[0].sources[0].query.agg == nil {
 				t.Fatalf("%s: the aggregate source query should be maintained", name)
 			}
 		}
@@ -135,7 +135,7 @@ func TestIdleTimeWindowSourceReadsEmpty(t *testing.T) {
 	deploy(t, c, pairDescriptor(writeCSV(t, "v", 50, intRow), writeCSV(t, "v", 5, intRow), "50ms", false))
 	vs, _ := c.Sensor("pair")
 	b := vs.streams[0].sources[1]
-	if b.agg == nil {
+	if b.query.agg == nil {
 		t.Fatal("b's aggregate over a time window should be maintained")
 	}
 	for i := 0; i < 5; i++ {
@@ -155,8 +155,8 @@ func TestIdleTimeWindowSourceReadsEmpty(t *testing.T) {
 		t.Fatalf("latest output %v, want n = 0 and hi = NULL", latest)
 	}
 	var got *sqlengine.Relation
-	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.agg.Read(first, live, c.engineOpts()) })
-	want, err := b.interpret(sqlengine.RelationOfSource(b.table), c.engineOpts())
+	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.query.agg.Read(first, live, c.engineOpts()) })
+	want, err := sqlengine.Execute(b.query.stmt, &windowCatalog{src: b}, c.engineOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGroupedQueryOverTimeWindowOutput(t *testing.T) {
 	if _, err := c.RegisterQuery("tw", sql, 1, func(rel *sqlengine.Relation) { got.Store(rel.String()) }); err != nil {
 		t.Fatal(err)
 	}
-	shadow := NewQueryRepository(nil)
+	shadow := NewQueryRepository(nil, nil)
 	if _, err := shadow.Register("tw", sql, 1, func(rel *sqlengine.Relation) { want.Store(rel.String()) }, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +261,8 @@ func TestTimeWindowMaintainerRace(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	var got *sqlengine.Relation
-	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.agg.Read(first, live, c.engineOpts()) })
-	want, err := b.interpret(sqlengine.RelationOfSource(b.table), c.engineOpts())
+	b.table.ReadWindow(func(first uint64, live []stream.Element) { got = b.query.agg.Read(first, live, c.engineOpts()) })
+	want, err := sqlengine.Execute(b.query.stmt, &windowCatalog{src: b}, c.engineOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

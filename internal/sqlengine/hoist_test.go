@@ -85,8 +85,8 @@ func TestOneClockReadingPerExecution(t *testing.T) {
 		{"plan.Execute", func(t *testing.T, q string, opts Options) (*Relation, error) {
 			return compilePlan(t, q).Execute(RowsOfSource(pt), opts)
 		}},
-		{"plan.ExecuteSource", func(t *testing.T, q string, opts Options) (*Relation, error) {
-			return compilePlan(t, q).ExecuteSource(pt, opts)
+		{"plan.ExecuteTiered", func(t *testing.T, q string, opts Options) (*Relation, error) {
+			return compilePlan(t, q).ExecuteTiered(pt, opts)
 		}},
 	}
 	statements := []struct {
@@ -257,8 +257,7 @@ func TestHoistedSubtreesMatchExecute(t *testing.T) {
 				t.Fatalf("%s: execute: %v", q, err)
 			}
 			for name, run := range map[string]func() (*Relation, error){
-				"Execute":       func() (*Relation, error) { return plan.Execute(RowsOfSource(pt), opts) },
-				"ExecuteSource": func() (*Relation, error) { return plan.ExecuteSource(pt, opts) },
+				"Execute": func() (*Relation, error) { return plan.Execute(RowsOfSource(pt), opts) },
 				"ExecuteTiered": func() (*Relation, error) {
 					return plan.ExecuteTiered(&tieredPlanTable{planTable: pt}, opts)
 				},
@@ -310,9 +309,9 @@ var tieredShapes = []string{
 // cells of hoisted subtrees, a LIMIT — the rows fed in random splits
 // through one buffer that is scribbled over after each feed give what
 // Execute(rows) gives in one piece and what the interpreter gives. The
-// two scans built on that contract, ExecuteSource and ExecuteTiered, are
-// held to the same answer; a tier that fails part-way fails the
-// statement with the tier's error, never answering from the live window.
+// scan built on that contract, ExecuteTiered, is held to the same
+// answer; a tier that fails part-way fails the statement with the
+// tier's error, never answering from the live window.
 func TestBatchFedRunMatchesExecute(t *testing.T) {
 	pt := makePlanTable(t, 5000)
 	all := RowsOfSource(pt)
@@ -372,8 +371,6 @@ func TestBatchFedRunMatchesExecute(t *testing.T) {
 			check("random batches from one buffer", got, err)
 		}
 
-		got, err = plan.ExecuteSource(pt, opts)
-		check("ExecuteSource", got, err)
 		for _, failAfter := range []int{0, 700} {
 			src := &tieredPlanTable{planTable: pt, failAfter: failAfter}
 			got, err := plan.ExecuteTiered(src, opts)

@@ -213,7 +213,7 @@ func checkMaintainerMatchesExecute(t *testing.T, shapes []string, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, err := plan.ExecuteSource(pt, Options{})
+			scan, err := plan.ExecuteTiered(pt, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestFilteredAggMaintainerPoisonedByWhereError(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		pt := &planTable{schema: planSchema, elems: live}
-		scan, err := plan.ExecuteSource(pt, Options{})
+		scan, err := plan.ExecuteTiered(pt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestMaintainedMinMaxKeepsOldestOfEqualValues(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		pt := &planTable{schema: planSchema, elems: live}
-		scan, err := plan.ExecuteSource(pt, Options{})
+		scan, err := plan.ExecuteTiered(pt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestIntAggregatesExactAcrossTiers(t *testing.T) {
 		}
 		pt := &planTable{schema: planSchema, elems: live}
 		rows := RowsOfSource(pt)
-		scan, err := plan.ExecuteSource(pt, Options{})
+		scan, err := plan.ExecuteTiered(pt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,19 +291,17 @@ func (p *Plan) ExecuteProduct(inputs []*Relation, opts Options) (*Relation, erro
 	return p.prog.run(p, rel.Rows, ev)
 }
 
-// ExecuteSource runs a one-input plan directly against a window
-// source, never materialising the window: the source's ForEach pass,
-// inside the table's critical section, feeds the program a row at a
-// time, built from the columns the statement reads.
-func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error) {
-	return p.executeSource(src, newEvaluator(nil, opts))
-}
-
 // executeSource is one execution over the live window on ev, the
-// evaluator whose clock reading the whole execution shares.
+// evaluator whose clock reading the whole execution shares: the window
+// feeds the program a row at a time, inside the source's critical
+// section, built from the columns the statement reads, and is never
+// materialised.
 func (p *Plan) executeSource(src ElementSource, ev *evaluator) (*Relation, error) {
 	r := p.prog.start(p, ev)
-	if err := r.scan(src.ForEach); err != nil {
+	err := r.scan(func(fn func(stream.Element) bool) {
+		src.ReadWindow(func(_ uint64, live []stream.Element) { slices.Values(live)(fn) })
+	})
+	if err != nil {
 		return nil, err
 	}
 	return r.finish()
@@ -323,22 +321,19 @@ type TieredSource interface {
 	FoldTimed(lo, hi stream.Timestamp, cols []int, page func(rows int64, sums []int64), fn func(stream.Element) bool) error
 }
 
-// ExecuteTiered runs the plan as an ad-hoc statement over its base
-// table: exactly what Execute does for the same statement over a
-// RangeCatalog, without the per-call planning and per-row name
-// resolution. A WHERE that pins TIMED to an interval (timeBounds, at
-// the execution's one clock reading) routes the scan through
-// FoldTimed, so an aggregate over a long interval holds one row and
-// not the interval; otherwise the live window is scanned. The full
-// WHERE is re-applied either way, and a failing tier fails the
+// ExecuteTiered runs the plan over its base table, for a source query,
+// a registered query and an ad-hoc statement alike: exactly what Execute
+// does for the same statement over a RangeCatalog, without the per-call
+// planning and per-row name resolution. A WHERE that pins TIMED to an
+// interval (timeBounds, at the execution's one clock reading) routes
+// the scan through FoldTimed, so an aggregate over a long interval holds
+// one row and not the interval; otherwise the live window is scanned.
+// The full WHERE is re-applied either way, and a failing tier fails the
 // statement. When the WHERE is exactly the interval and the plan
 // qualifies (summaryFold), summarized history pages merge into the
 // run's one group as partial states.
 func (p *Plan) ExecuteTiered(src TieredSource, opts Options) (*Relation, error) {
 	ev := newEvaluator(nil, opts)
-	if p.sp.stmt.Where == nil {
-		return p.executeSource(src, ev)
-	}
 	lo, hi, ok, exact := ev.timeBounds(p.sp.stmt.Where, p.qual)
 	if !ok {
 		return p.executeSource(src, ev)

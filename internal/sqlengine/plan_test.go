@@ -14,21 +14,25 @@ var planSchema = stream.MustSchema(
 	stream.Field{Name: "f", Type: stream.TypeFloat},
 )
 
-// planTable is a minimal ElementSource for tests (the real one is
-// *storage.Table, which lives above this package).
+// planTable is a minimal TieredSource for tests (the real one is
+// *storage.Table, which lives above this package): a window with no
+// history, whose TIMED intervals it filters from the window.
 type planTable struct {
 	schema *stream.Schema
 	elems  []stream.Element
 }
 
 func (p *planTable) Schema() *stream.Schema { return p.schema }
-func (p *planTable) Len() int               { return len(p.elems) }
-func (p *planTable) ForEach(fn func(stream.Element) bool) {
+func (p *planTable) ReadWindow(fn func(uint64, []stream.Element)) {
+	fn(0, p.elems)
+}
+func (p *planTable) FoldTimed(lo, hi stream.Timestamp, _ []int, _ func(int64, []int64), fn func(stream.Element) bool) error {
 	for _, e := range p.elems {
-		if !fn(e) {
-			return
+		if ts := e.Timestamp(); ts >= lo && ts <= hi && !fn(e) {
+			break
 		}
 	}
+	return nil
 }
 
 func makePlanTable(t *testing.T, n int) *planTable {
@@ -89,9 +93,9 @@ func TestCompiledPlanMatchesExecute(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("%s:\ncompiled:\n%s\nexecute:\n%s", q, got, want)
 		}
-		direct, err := plan.ExecuteSource(pt, Options{})
+		direct, err := plan.ExecuteTiered(pt, Options{})
 		if err != nil {
-			t.Fatalf("%s: plan execute source: %v", q, err)
+			t.Fatalf("%s: plan execute tiered: %v", q, err)
 		}
 		if direct.String() != want.String() {
 			t.Errorf("%s:\ncompiled source:\n%s\nexecute:\n%s", q, direct, want)
@@ -241,10 +245,10 @@ func TestScanBuildsOnlyReadColumns(t *testing.T) {
 	}
 }
 
-// BenchmarkExecuteSourceAggregate is the trigger of an aggregate-only
+// BenchmarkExecuteTieredAggregate is the trigger of an aggregate-only
 // source whose maintainer is poisoned: one scan of the window through
-// ExecuteSource.
-func BenchmarkExecuteSourceAggregate(b *testing.B) {
+// ExecuteTiered.
+func BenchmarkExecuteTieredAggregate(b *testing.B) {
 	stmt, err := sqlparser.Parse("select count(*) as n, sum(v) as s, avg(f) as a, max(v) as mx from w")
 	if err != nil {
 		b.Fatal(err)
@@ -265,7 +269,7 @@ func BenchmarkExecuteSourceAggregate(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.ExecuteSource(pt, Options{}); err != nil {
+				if _, err := plan.ExecuteTiered(pt, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

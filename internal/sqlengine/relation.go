@@ -249,11 +249,21 @@ func (c ChainCatalog) Relation(name string) (*Relation, error) {
 // RelationOfElements materialises stream elements into a relation,
 // appending the implicit TIMED column.
 func RelationOfElements(schema *stream.Schema, elems []stream.Element) *Relation {
-	rel := &Relation{Cols: ColumnsOfSchema(schema), Rows: make([][]stream.Value, 0, len(elems))}
-	for _, e := range elems {
-		rel.Rows = append(rel.Rows, appendRow(make([]stream.Value, 0, schema.Len()+1), e))
+	return &Relation{Cols: ColumnsOfSchema(schema), Rows: rowsOf(schema, elems)}
+}
+
+// rowsOf builds the relation rows of elems (schema fields plus TIMED),
+// carving every row's backing array from one arena: two allocations
+// however many rows.
+func rowsOf(schema *stream.Schema, elems []stream.Element) [][]stream.Value {
+	rows := make([][]stream.Value, len(elems))
+	arena := make([]stream.Value, 0, len(elems)*(schema.Len()+1))
+	for i, e := range elems {
+		start := len(arena)
+		arena = appendRow(arena, e)
+		rows[i] = arena[start:len(arena):len(arena)]
 	}
-	return rel
+	return rows
 }
 
 // ColumnsOfSchema returns the relation column layout of a stream
@@ -268,40 +278,19 @@ func ColumnsOfSchema(schema *stream.Schema) []Column {
 }
 
 // ElementSource is a windowed element store the engine can scan without
-// copying; *storage.Table implements it. Len is a capacity hint, ForEach
-// must yield live elements in arrival order.
+// copying; *storage.Table implements it. ReadWindow calls fn once with
+// the live elements in arrival order (and the arrival ordinal of the
+// first, which a scan ignores), while they cannot change.
 type ElementSource interface {
 	Schema() *stream.Schema
-	Len() int
-	ForEach(fn func(stream.Element) bool)
+	ReadWindow(fn func(first uint64, live []stream.Element))
 }
 
-// RowsOfSource scans a source into relation rows (schema fields plus
-// TIMED) in one pass over the source's own storage — the zero-copy
-// replacement for Snapshot()+RelationOfElements, which copied the whole
-// window into an intermediate element slice on every trigger. Row
-// backing arrays are carved from chunked arenas so a thousand-row
-// window costs a handful of allocations instead of one per row.
-func RowsOfSource(src ElementSource) [][]stream.Value {
-	ncols := src.Schema().Len() + 1
-	hint := src.Len()
-	if hint < 16 {
-		hint = 16
-	}
-	rows := make([][]stream.Value, 0, hint)
-	arena := make([]stream.Value, 0, hint*ncols)
-	src.ForEach(func(e stream.Element) bool {
-		if len(arena)+ncols > cap(arena) {
-			// Full chunk: start a new arena. Rows already handed out keep
-			// referencing the old one, so appends can never realloc under
-			// them.
-			arena = make([]stream.Value, 0, hint*ncols)
-		}
-		start := len(arena)
-		arena = appendRow(arena, e)
-		rows = append(rows, arena[start:len(arena):len(arena)])
-		return true
-	})
+// RowsOfSource builds the relation rows of a source's live window in
+// one pass over the source's own storage, under its lock — no
+// intermediate copy of the window's elements.
+func RowsOfSource(src ElementSource) (rows [][]stream.Value) {
+	src.ReadWindow(func(_ uint64, live []stream.Element) { rows = rowsOf(src.Schema(), live) })
 	return rows
 }
 

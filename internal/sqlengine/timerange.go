@@ -51,19 +51,12 @@ type RangeCatalog interface {
 func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64, ok, exact bool) {
 	lo, hi, exact = math.MinInt64, math.MaxInt64, true
 	qual = stream.CanonicalName(qual)
-	var walk func(e sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		switch x := e.(type) {
+	for _, c := range conjuncts(where, nil) {
+		switch x := c.(type) {
 		case *sqlparser.BinaryExpr:
-			if x.Op == sqlparser.OpAnd {
-				walk(x.L)
-				walk(x.R)
-				return
-			}
 			v, op, found := ev.timedComparison(x, qual)
 			if !found {
-				exact = false
-				return
+				break
 			}
 			switch op {
 			case sqlparser.OpEq:
@@ -89,23 +82,40 @@ func (ev *evaluator) timeBounds(where sqlparser.Expr, qual string) (lo, hi int64
 				}
 				hi, ok = minBound(hi, v), true
 			}
-			return
+			continue
 		case *sqlparser.BetweenExpr:
 			if !x.Not && isTimedRef(x.X, qual) {
 				l, okL := ev.intBound(x.Lo)
 				h, okH := ev.intBound(x.Hi)
 				if okL && okH {
 					lo, hi, ok = maxBound(lo, l), minBound(hi, h), true
-					return
+					continue
 				}
 			}
 		}
 		exact = false
 	}
-	if where != nil {
-		walk(where)
-	}
 	return lo, hi, ok, exact && ok
+}
+
+// BoundsTimed reports whether the plan's WHERE has a top-level conjunct
+// of a shape timeBounds reads as a bound on TIMED, with a bound that
+// does not read the row: a statement ExecuteTiered may serve from
+// beyond the live window, history included.
+func (p *Plan) BoundsTimed() bool {
+	for _, c := range conjuncts(p.sp.stmt.Where, nil) {
+		switch x := c.(type) {
+		case *sqlparser.BinaryExpr:
+			if bound, _, ok := timedOperand(x, p.qual); ok && rowIndependent(bound) {
+				return true
+			}
+		case *sqlparser.BetweenExpr:
+			if !x.Not && isTimedRef(x.X, p.qual) && rowIndependent(x.Lo) && rowIndependent(x.Hi) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // timedComparison matches "timed OP bound" or "bound OP timed"

@@ -40,7 +40,7 @@
 //
 // # Read concurrency
 //
-// Read-side methods (Len, Snapshot, Last, SinceSeq, Latest, ForEach) take
+// Read-side methods (Len, Snapshot, Last, SinceSeq, Latest, ReadWindow) take
 // a shared lock and upgrade to the exclusive lock only when window
 // retention actually has work to do — count windows never evict on
 // read, and time windows check the head timestamp first — so long-poll
@@ -443,7 +443,7 @@ func (t *Table) evictionDueLocked() bool {
 func (t *Table) readLocked(fn func()) {
 	t.mu.RLock()
 	if !t.evictionDueLocked() {
-		// Deferred so a panicking caller (e.g. a ForEach callback the
+		// Deferred so a panicking caller (e.g. a ReadWindow callback the
 		// trigger pipeline recovers from) cannot leak the lock.
 		defer t.mu.RUnlock()
 		fn()
@@ -474,23 +474,6 @@ func (t *Table) Snapshot() []stream.Element {
 	return out
 }
 
-// ForEach calls fn for every live element in arrival order; fn must not
-// call back into the table and must not mutate shared state without its
-// own synchronisation (scans may run concurrently under the shared
-// lock). Returning false stops iteration early. This is the zero-copy
-// path the query engine uses to materialise window relations: eviction
-// (when due) and iteration happen in one critical section, so a
-// concurrent writer can never mutate the window mid-scan.
-func (t *Table) ForEach(fn func(stream.Element) bool) {
-	t.readLocked(func() {
-		for i := t.head; i < len(t.elems); i++ {
-			if !fn(t.elems[i]) {
-				return
-			}
-		}
-	})
-}
-
 // ReadWindow applies retention and calls fn, under the table's shared
 // lock, with the live window in arrival order and the arrival ordinal
 // of its first element. Ordinals number every element the table has
@@ -499,8 +482,12 @@ func (t *Table) ForEach(fn func(stream.Element) bool) {
 // to catches up from the window alone: what left since is below first,
 // what arrived is at or above its mark, and a mark below first means
 // elements came and went unseen, or a truncate. The incremental
-// aggregate maintainers read their window this way. fn must not retain
-// live, modify it or call back into the table.
+// aggregate maintainers read their window this way, and it is the
+// zero-copy path every scan of the query engine takes: retention and
+// the read happen in one critical section, so a concurrent writer can
+// never change the window mid-scan. fn must not retain live, modify it
+// or call back into the table; reads may run concurrently under the
+// shared lock.
 func (t *Table) ReadWindow(fn func(first uint64, live []stream.Element)) {
 	t.readLocked(func() { fn(t.evicted, t.elems[t.head:]) })
 }

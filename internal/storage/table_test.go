@@ -162,18 +162,20 @@ func TestChangedSignal(t *testing.T) {
 	}
 }
 
+// TestForEachEarlyStop: ForEachTimed over a table without a history
+// tier stops at the first false its callback returns.
 func TestForEachEarlyStop(t *testing.T) {
 	tab, _ := NewTable("t", tempSchema, stream.MustWindow("100"), stream.NewManualClock(0))
 	for i := int64(0); i < 10; i++ {
 		tab.Insert(intElem(t, stream.Timestamp(i+1), i))
 	}
 	var seen int
-	tab.ForEach(func(e stream.Element) bool {
+	tab.ForEachTimed(0, 100, func(e stream.Element) bool {
 		seen++
 		return seen < 4
 	})
 	if seen != 4 {
-		t.Errorf("ForEach visited %d, want 4", seen)
+		t.Errorf("ForEachTimed visited %d, want 4", seen)
 	}
 }
 
@@ -356,12 +358,11 @@ func ExampleTable_Snapshot() {
 	// 30
 }
 
-// TestConcurrentInsertAndForEach exercises the fixed ForEach lock
-// hand-off under the race detector: eviction and iteration now happen
-// in one critical section, so every scan must observe a consistent
-// window — never more elements than the count bound, always in
-// non-decreasing timestamp order.
-func TestConcurrentInsertAndForEach(t *testing.T) {
+// TestConcurrentInsertAndReadWindow exercises ReadWindow's lock
+// hand-off under the race detector: eviction and the read happen in one
+// critical section, so every read must observe a consistent window —
+// never more elements than the count bound, never a cleared slot.
+func TestConcurrentInsertAndReadWindow(t *testing.T) {
 	const bound = 50
 	tab, _ := NewTable("t", tempSchema, stream.MustWindow("50"), stream.NewManualClock(0))
 	var wg sync.WaitGroup
@@ -382,14 +383,13 @@ func TestConcurrentInsertAndForEach(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				seen := 0
 				valid := true
-				tab.ForEach(func(e stream.Element) bool {
-					// A zero element would mean the scan crossed into dead
-					// space a concurrent eviction cleared mid-iteration.
-					if e.Schema() == nil {
-						valid = false
+				tab.ReadWindow(func(_ uint64, live []stream.Element) {
+					// A zero element would mean the read crossed into dead
+					// space a concurrent eviction cleared mid-read.
+					for _, e := range live {
+						valid = valid && e.Schema() != nil
 					}
-					seen++
-					return true
+					seen = len(live)
 				})
 				if !valid {
 					errs <- "scan observed a zero element"

@@ -667,14 +667,9 @@ func TestReadPathSharedLock(t *testing.T) {
 	scanDone := make(chan struct{})
 	go func() {
 		defer close(scanDone)
-		first := true
-		tab.ForEach(func(e stream.Element) bool {
-			if first {
-				first = false
-				close(holding)
-				<-release
-			}
-			return false
+		tab.ReadWindow(func(uint64, []stream.Element) {
+			close(holding)
+			<-release
 		})
 	}()
 	<-holding
